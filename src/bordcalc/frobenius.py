@@ -41,25 +41,37 @@ def _vec(n, entries=()):
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def solve_exact(rows: List[Sequence[Fraction]], rhs: List[Fraction]):
-    """Solve rows . x = rhs exactly.
+@dataclass(frozen=True)
+class Elimination:
+    """Reduced row echelon data of the exact system rows . x = rhs.
 
-    Returns (solution, None) for some solution, or (None, certificate):
-    the certificate y satisfies y.rows = 0 and y.rhs != 0.
+    Exactly one of `solution` (free variables set to zero) and
+    `certificate` (a Farkas vector y with y.rows = 0 and y.rhs != 0) is set.
     """
+
+    pivots: tuple              # pivot column of each nonzero row, ascending
+    nullspace: list            # basis of {x : rows . x = 0}, one per free column
+    solution: Optional[tuple]
+    certificate: Optional[tuple]
+
+
+def rref(rows: List[Sequence[Fraction]], n: int,
+         rhs: Optional[List[Fraction]] = None) -> Elimination:
+    """Gauss-Jordan elimination over Q of rows of length n (rhs default 0)."""
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [Q(0)] * m + [rhs[i]] for i in range(m)]
-    for i in range(m):
-        aug[i][n + i] = Q(1)
-    piv_rows = []
-    r = 0
+    if rhs is None:
+        rhs = [Q(0)] * m
+    # each row carries its rhs, then the combination of input rows it is;
+    # a zero row with nonzero rhs reads off the certificate
+    aug = [list(rows[i]) + [rhs[i]] + [Q(1) if j == i else Q(0)
+                                       for j in range(m)]
+           for i in range(m)]
+    pivots = []
     for c in range(n):
-        p = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                p = i
-                break
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
         if p is None:
             continue
         aug[r], aug[p] = aug[p], aug[r]
@@ -69,77 +81,24 @@ def solve_exact(rows: List[Sequence[Fraction]], rhs: List[Fraction]):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_rows.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(m):
-        if all(aug[i][c] == 0 for c in range(n)) and aug[i][-1] != 0:
-            cert = [aug[i][n + j] / aug[i][-1] for j in range(m)]
-            return None, tuple(cert)
-    x = [Q(0)] * n
-    for i, c in piv_rows:
-        x[c] = aug[i][-1]
-    return tuple(x), None
-
-
-def nullspace(rows: List[Sequence[Fraction]], n: int):
-    """Basis of {x : rows . x = 0} for vectors of length n."""
-    m = len(rows)
-    aug = [list(r) for r in rows]
-    piv = []
-    r = 0
+        pivots.append(c)
+    nullspace = []
     for c in range(n):
-        p = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-        if r == m:
-            break
-    basis = []
-    piv_set = set(piv)
-    for c in range(n):
-        if c in piv_set:
+        if c in pivots:
             continue
         v = [Q(0)] * n
         v[c] = Q(1)
-        for i, pc in enumerate(piv):
+        for i, pc in enumerate(pivots):
             v[pc] = -aug[i][c]
-        basis.append(tuple(v))
-    return basis
-
-
-def row_space_projector(vectors: List[Sequence[Fraction]], n: int):
-    """Row echelon basis and pivot columns of the span of `vectors`."""
-    rows = [list(v) for v in vectors]
-    ech = []
-    piv = []
-    for v in rows:
-        v = list(v)
-        for pcol, pvec in zip(piv, ech):
-            if v[pcol] != 0:
-                f = v[pcol]
-                v = [a - f * b for a, b in zip(v, pvec)]
-        lead = next((c for c in range(n) if v[c] != 0), None)
-        if lead is None:
-            continue
-        v = [a / v[lead] for a in v]
-        ech.append(v)
-        piv.append(lead)
-    order = sorted(range(len(piv)), key=lambda k: piv[k])
-    return [tuple(ech[k]) for k in order], [piv[k] for k in order]
+        nullspace.append(tuple(v))
+    for row in aug[len(pivots):]:
+        if row[n] != 0:
+            cert = tuple(y / row[n] for y in row[n + 1:])
+            return Elimination(tuple(pivots), nullspace, None, cert)
+    x = [Q(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][n]
+    return Elimination(tuple(pivots), nullspace, tuple(x), None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +329,9 @@ class SeparabilityResult:
         return self.separable
 
 
-def check_separable(A: FrobAlgebra) -> SeparabilityResult:
-    """Solve for a central element z in A(x)A with mu(z) = 1 exactly."""
+def _separability_system(A: FrobAlgebra):
+    """(rows, rhs) over the n*n coordinates z_ij of z in A(x)A: z central
+    and mu(z) = 1."""
     n = A.dim
     nn = n * n
     rows, rhs = [], []
@@ -403,9 +363,17 @@ def check_separable(A: FrobAlgebra) -> SeparabilityResult:
                 row[i * n + j] = A.mul(A.basis_vec(i), A.basis_vec(j))[a]
         rows.append(row)
         rhs.append(A.unit[a])
-    sol, cert = solve_exact(rows, rhs)
-    if sol is None:
-        return SeparabilityResult(False, None, cert)
+    return rows, rhs
+
+
+def check_separable(A: FrobAlgebra) -> SeparabilityResult:
+    """Solve for a central element z in A(x)A with mu(z) = 1 exactly."""
+    n = A.dim
+    rows, rhs = _separability_system(A)
+    elim = rref(rows, n * n, rhs)
+    if elim.solution is None:
+        return SeparabilityResult(False, None, elim.certificate)
+    sol = elim.solution
     witness = tuple(tuple(sol[i * n + j] for j in range(n)) for i in range(n))
     return SeparabilityResult(True, witness, None)
 
@@ -425,7 +393,7 @@ def center(A: FrobAlgebra) -> List[tuple]:
                 xi = A.basis_vec(i)
                 row.append(A.mul(wk, xi)[a] - A.mul(xi, wk)[a])
             rows.append(row)
-    return nullspace(rows, n)
+    return rref(rows, n).nullspace
 
 
 @dataclass
@@ -453,28 +421,11 @@ def cocenter(A: FrobAlgebra) -> Cocenter:
             c = tuple(a - b for a, b in zip(A.mul(x, y), A.mul(y, x)))
             if any(c):
                 comms.append(c)
-    ech, piv = row_space_projector(comms, n)
-    free = [c for c in range(n) if c not in piv]
-    reps = [_vec(n, [(c, Q(1))]) for c in free]
-    # projection: subtract the echelon rows at pivot coordinates
-    proj_rows = []
-    for fpos, c in enumerate(free):
-        row = [Q(0)] * n
-        row[c] = Q(1)
-        proj_rows.append(row)
-    # express each basis vector: e_k = sum (ech corrections) + free part
-    # compute quotient coordinates by reducing e_k modulo the row space
-    project = [[Q(0)] * n for _ in range(len(free))]
-    for k in range(n):
-        v = [Q(0)] * n
-        v[k] = Q(1)
-        for pcol, pvec in zip(piv, ech):
-            if v[pcol] != 0:
-                f = v[pcol]
-                v = [a - f * b for a, b in zip(v, pvec)]
-        for fpos, c in enumerate(free):
-            project[fpos][k] = v[c]
-    return Cocenter(reps, [tuple(r) for r in project])
+    elim = rref(comms, n)
+    reps = [_vec(n, [(c, Q(1))]) for c in range(n) if c not in elim.pivots]
+    # the quotient coordinate of e_k at free column c is entry k of the
+    # nullspace vector of c: e_k reduced modulo the echelon rows
+    return Cocenter(reps, elim.nullspace)
 
 
 @dataclass
@@ -492,7 +443,7 @@ def _solve_h_inverse(A):
     H = A.handle_element()
     n = A.dim
     rows = [[A.mul(A.basis_vec(j), H)[a] for j in range(n)] for a in range(n)]
-    sol, _ = solve_exact(rows, list(A.unit))
+    sol = rref(rows, n, list(A.unit)).solution
     if sol is None:
         return None
     # verify (H may be a zero divisor even when the system is solvable)
@@ -519,10 +470,10 @@ def circle_maps(A: FrobAlgebra) -> CircleMaps:
     for rep in cc.reps:
         img = u_raw(rep)
         rows = [[zb[j][a] for j in range(len(zb))] for a in range(n)]
-        sol, cert = solve_exact(rows, list(img))
+        sol = rref(rows, len(zb), list(img)).solution
         if sol is None:
             raise AlgebraError("u image left the center")
-        u_cols.append(tuple(sol))
+        u_cols.append(sol)
     hinv = _solve_h_inverse(A)
     v_cols = []
     for c in zb:
@@ -728,14 +679,11 @@ class _EvalListener(MovieListener):
 
     def _saddle(self, tag, state, ev, before_comps, after_comps):
         A = self.A
-        if tag == "split":
-            # source I_{pt pt}: two strands; target coev o ev: cup then cap
-            o0, o1 = ev.old_arcs[0], ev.old_arcs[1]
-            cup_arc, cap_arc = ev.new_arcs[0], ev.new_arcs[1]
-        else:
-            # source coev o ev: arcs [ev(cup-shaped), coev(cap-shaped)]
-            o0, o1 = ev.old_arcs[0], ev.old_arcs[1]
-            cup_arc, cap_arc = ev.new_arcs[0], ev.new_arcs[1]
+        # split: source I_{pt pt} (two strands), target coev o ev (cup then
+        # cap); merge: source coev o ev, arcs [ev (cup-shaped), coev
+        # (cap-shaped)].  Both list old and new arcs in the same order.
+        o0, o1 = ev.old_arcs[0], ev.old_arcs[1]
+        cup_arc, cap_arc = ev.new_arcs[0], ev.new_arcs[1]
         b0 = self._comp_of(before_comps, o0)
         b1 = self._comp_of(before_comps, o1)
         a0 = self._comp_of(after_comps, cup_arc)
@@ -972,7 +920,27 @@ BUILTIN_ALGEBRAS = {
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
+def _index(tok, dim):
+    """The 0-based position of a 1-based `.alg` index, range-checked."""
+    k = int(tok)
+    if not 1 <= k <= dim:
+        raise ValueError("index %d out of range 1..%d" % (k, dim))
+    return k - 1
+
+
+def _entries(toks, dim):
+    """(0-based index, rational) of each `k:q` token."""
+    out = []
+    for tok in toks:
+        k, q = tok.split(":")
+        out.append((_index(k, dim), parse_rational(q)))
+    return out
 
 
 def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
@@ -1006,44 +974,33 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
                 raise ValueError("dim must come first")
             if key == "dim":
                 dim = int(parts[1])
+                if dim < 1:
+                    raise ValueError("dim must be at least 1")
                 mult = [[_vec(dim) for _ in range(dim)] for _ in range(dim)]
             elif key == "mult":
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
+                i, j = _index(parts[1], dim), _index(parts[2], dim)
                 if parts[3] != "->":
                     raise ValueError("expected ->")
-                entries = []
-                for tok in parts[4:]:
-                    k, q = tok.split(":")
-                    entries.append((int(k) - 1, parse_rational(q)))
-                mult[i][j] = _vec(dim, entries)
+                mult[i][j] = _vec(dim, _entries(parts[4:], dim))
             elif key == "unit":
-                entries = []
-                for tok in parts[1:]:
-                    k, q = tok.split(":")
-                    entries.append((int(k) - 1, parse_rational(q)))
-                unit = _vec(dim, entries)
+                unit = _vec(dim, _entries(parts[1:], dim))
             elif key == "lambda":
-                entries = []
-                for tok in parts[1:]:
-                    k, q = tok.split(":")
-                    entries.append((int(k) - 1, parse_rational(q)))
-                lam = _vec(dim, entries)
+                lam = _vec(dim, _entries(parts[1:], dim))
             elif key == "e":
                 e = [[Q(0)] * dim for _ in range(dim)]
                 for tok in parts[1:]:
                     ij, q = tok.split(":")
                     i, j = ij.split(",")
-                    e[int(i) - 1][int(j) - 1] = parse_rational(q)
+                    e[_index(i, dim)][_index(j, dim)] = parse_rational(q)
                 e = tuple(tuple(r) for r in e)
             elif key == "star":
                 if star is None:
                     star = [[Q(0)] * dim for _ in range(dim)]
-                i = int(parts[1]) - 1
+                i = _index(parts[1], dim)
                 if parts[2] != "->":
                     raise ValueError("expected ->")
-                for tok in parts[3:]:
-                    k, q = tok.split(":")
-                    star[i][int(k) - 1] = parse_rational(q)
+                for k, q in _entries(parts[3:], dim):
+                    star[i][k] = q
             else:
                 raise ValueError("unknown directive %r" % key)
         except (IndexError, ValueError) as exc:

@@ -84,9 +84,11 @@ class Presentation:
             lines.append("relation %s : %s == %s" % (rel.name, rel.lhs, rel.rhs))
         lines.append("note both cusp-inversion directions are kept although "
                      "one follows from the other")
-        lines.append("structural-rewrites assoc2 rc lc phi phi0 alphaf lf rf "
-                     "betaf pi mu lam rho RR SS sig (invertible cells usable "
-                     "as directed rewrites; not part of the relation list)")
+        lines.append("structural-rewrites %s (invertible cells usable as "
+                     "directed rewrites; not part of the relation list)"
+                     % " ".join(name for name, cls in tc.SYMBOLS.items()
+                                if cls in tc.STRUCTURAL_2
+                                and cls not in (Id2, tc.Eta, tc.Eps)))
         return "\n".join(lines) + "\n"
 
 
@@ -337,24 +339,22 @@ def _forget_object(w):
 def _forget_morphism(t):
     if isinstance(t, tc.Gen1):
         return t
-    if isinstance(t, tc.Id1):
-        return Id1(_forget_object(t.word))
-    if isinstance(t, tc.Assoc1):
-        return Assoc1(_forget_object(t.u), _forget_object(t.v),
-                      _forget_object(t.w))
-    if isinstance(t, tc.LeftUnitor1):
-        return LeftUnitor1(_forget_object(t.word))
-    if isinstance(t, tc.RightUnitor1):
-        return RightUnitor1(_forget_object(t.word))
-    if isinstance(t, tc.Braid1):
-        return Braid1(_forget_object(t.u), _forget_object(t.v))
     if isinstance(t, tc.Adj1):
         return Adj1(_forget_morphism(t.inner))
     if isinstance(t, tc.Comp1):
         return Comp1(_forget_morphism(t.after), _forget_morphism(t.first))
     if isinstance(t, tc.Tensor1):
         return Tensor1(_forget_morphism(t.left), _forget_morphism(t.right))
+    if isinstance(t, tc.STRUCTURAL_1):
+        return _forget_symbol(t)
     raise PresentationError("cannot forget %r" % (t,))
+
+
+def _forget_symbol(p):
+    """The same structural symbol with every parameter forgotten."""
+    return type(p)(*(_forget_object(getattr(p, name)) if kind == "object"
+                     else _forget_morphism(getattr(p, name))
+                     for name, kind in p.ARGS))
 
 
 def forget_orientation(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
@@ -380,47 +380,8 @@ def forget_orientation(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
         return Tensor2(forget_orientation(p.left), forget_orientation(p.right))
     if isinstance(p, tc.Inv2):
         return Inv2(forget_orientation(p.inner))
-    if isinstance(p, tc.Id2):
-        return Id2(_forget_morphism(p.f))
-    if isinstance(p, tc.AssocC):
-        return AssocC(_forget_morphism(p.f2), _forget_morphism(p.f1),
-                      _forget_morphism(p.f0))
-    if isinstance(p, tc.RC):
-        return RC(_forget_morphism(p.f))
-    if isinstance(p, tc.LC):
-        return LC(_forget_morphism(p.f))
-    if isinstance(p, tc.Eta):
-        return tc.Eta(_forget_morphism(p.f))
-    if isinstance(p, tc.Eps):
-        return tc.Eps(_forget_morphism(p.f))
-    if isinstance(p, tc.PhiTensor):
-        return tc.PhiTensor(_forget_morphism(p.f), _forget_morphism(p.g),
-                            _forget_morphism(p.f1), _forget_morphism(p.g1))
-    if isinstance(p, tc.Phi0):
-        return tc.Phi0(_forget_object(p.a), _forget_object(p.a1))
-    if isinstance(p, tc.AssocF):
-        return tc.AssocF(_forget_morphism(p.f), _forget_morphism(p.g),
-                         _forget_morphism(p.h))
-    if isinstance(p, tc.LeftUnitorF):
-        return tc.LeftUnitorF(_forget_morphism(p.f))
-    if isinstance(p, tc.RightUnitorF):
-        return tc.RightUnitorF(_forget_morphism(p.f))
-    if isinstance(p, tc.BraidF):
-        return tc.BraidF(_forget_morphism(p.f), _forget_morphism(p.g))
-    if isinstance(p, tc.Pi):
-        return tc.Pi(*(map(_forget_object, (p.a, p.b, p.c, p.d))))
-    if isinstance(p, tc.MuCell):
-        return tc.MuCell(_forget_object(p.a), _forget_object(p.b))
-    if isinstance(p, tc.LamCell):
-        return tc.LamCell(_forget_object(p.a), _forget_object(p.b))
-    if isinstance(p, tc.RhoCell):
-        return tc.RhoCell(_forget_object(p.a), _forget_object(p.b))
-    if isinstance(p, tc.RCell):
-        return tc.RCell(*(map(_forget_object, (p.a, p.b, p.c))))
-    if isinstance(p, tc.SCell):
-        return tc.SCell(*(map(_forget_object, (p.a, p.b, p.c))))
-    if isinstance(p, tc.SigmaCell):
-        return tc.SigmaCell(_forget_object(p.a), _forget_object(p.b))
+    if isinstance(p, tc.STRUCTURAL_2):
+        return _forget_symbol(p)
     raise PresentationError("cannot forget %r" % (p,))
 
 

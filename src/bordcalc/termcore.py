@@ -17,8 +17,8 @@ parse/print round-trip guarantee.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence, Tuple, Union, get_args
 
 
 class TermError(Exception):
@@ -29,6 +29,10 @@ class TermError(Exception):
         if self.path:
             message = "%s (at %s)" % (message, "/".join(map(str, self.path)))
         super().__init__(message)
+
+
+class FreeGeneratorError(TermError):
+    """A generator leaf whose boundary needs generating data, given none."""
 
 
 class ParseError(Exception):
@@ -92,6 +96,18 @@ def obj_points(w: ObjectWord) -> Tuple[str, ...]:
 # morphism terms (binary sentences)
 # ---------------------------------------------------------------------------
 
+class _Symbol:
+    """Printed form ``name[arg,...]`` of a structural symbol.
+
+    ``SYMBOL`` (the DSL name) and ``ARGS`` ((field, "object"|"morphism")
+    per parameter) are set from the `SYMBOLS` table below.
+    """
+
+    def __str__(self):
+        return "%s[%s]" % (self.SYMBOL, ",".join(str(getattr(self, name))
+                                                 for name, _ in self.ARGS))
+
+
 @dataclass(frozen=True)
 class Gen1:
     name: str
@@ -101,46 +117,31 @@ class Gen1:
 
 
 @dataclass(frozen=True)
-class Id1:
+class Id1(_Symbol):
     word: ObjectWord
-
-    def __str__(self):
-        return "I[%s]" % (self.word,)
 
 
 @dataclass(frozen=True)
-class Assoc1:
+class Assoc1(_Symbol):
     u: ObjectWord
     v: ObjectWord
     w: ObjectWord
 
-    def __str__(self):
-        return "alpha[%s,%s,%s]" % (self.u, self.v, self.w)
-
 
 @dataclass(frozen=True)
-class LeftUnitor1:
+class LeftUnitor1(_Symbol):
     word: ObjectWord
 
-    def __str__(self):
-        return "l[%s]" % (self.word,)
-
 
 @dataclass(frozen=True)
-class RightUnitor1:
+class RightUnitor1(_Symbol):
     word: ObjectWord
 
-    def __str__(self):
-        return "r[%s]" % (self.word,)
-
 
 @dataclass(frozen=True)
-class Braid1:
+class Braid1(_Symbol):
     u: ObjectWord
     v: ObjectWord
-
-    def __str__(self):
-        return "beta[%s,%s]" % (self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,6 @@ class Tensor1:
 
 MorphismTerm = Union[Gen1, Id1, Assoc1, LeftUnitor1, RightUnitor1, Braid1,
                      Adj1, Comp1, Tensor1]
-
-STRUCTURAL_1 = (Id1, Assoc1, LeftUnitor1, RightUnitor1, Braid1)
 
 
 def comp1(*fs: MorphismTerm) -> MorphismTerm:
@@ -220,68 +219,54 @@ class Gen2:
 
 
 @dataclass(frozen=True)
-class Id2:
+class Id2(_Symbol):
     f: MorphismTerm
-
-    def __str__(self):
-        return "id[%s]" % (self.f,)
 
 
 @dataclass(frozen=True)
-class AssocC:
+class AssocC(_Symbol):
     """a^c: ((f∘f')∘f'') ⇒ (f∘(f'∘f''));  fields in application order."""
 
     f2: MorphismTerm  # applied first
     f1: MorphismTerm
     f0: MorphismTerm  # applied last
 
-    def __str__(self):
-        return "assoc2[%s,%s,%s]" % (self.f2, self.f1, self.f0)
-
 
 @dataclass(frozen=True)
-class RC:
+class RC(_Symbol):
     """r^c: f∘I_a ⇒ f."""
 
     f: MorphismTerm
 
-    def __str__(self):
-        return "rc[%s]" % (self.f,)
-
 
 @dataclass(frozen=True)
-class LC:
+class LC(_Symbol):
     """l^c: I_b∘f ⇒ f."""
 
     f: MorphismTerm
 
-    def __str__(self):
-        return "lc[%s]" % (self.f,)
-
 
 @dataclass(frozen=True)
-class Eta:
+class Eta(_Symbol):
     """eta_f: I_a ⇒ f*∘f (f structural-only)."""
 
     f: MorphismTerm
 
-    def __str__(self):
-        return "eta[%s]" % (self.f,)
-
 
 @dataclass(frozen=True)
-class Eps:
+class Eps(_Symbol):
     """eps_f: f∘f* ⇒ I_b (f structural-only)."""
 
     f: MorphismTerm
 
-    def __str__(self):
-        return "eps[%s]" % (self.f,)
-
 
 @dataclass(frozen=True)
-class PhiTensor:
-    """phi: (f⊗g)∘(f'⊗g') ⇒ (f∘f')⊗(g∘g')."""
+class PhiTensor(_Symbol):
+    """phi: (f⊗g)∘(f'⊗g') ⇒ (f∘f')⊗(g∘g').
+
+    The one symbol with grouped arguments: ``phi[(f,g),(f',g')]``; the
+    parser's `_symbol` reads the same grouping.
+    """
 
     f: MorphismTerm
     g: MorphismTerm
@@ -289,126 +274,91 @@ class PhiTensor:
     g1: MorphismTerm
 
     def __str__(self):
-        return "phi[(%s,%s),(%s,%s)]" % (self.f, self.g, self.f1, self.g1)
+        return "%s[(%s,%s),(%s,%s)]" % (self.SYMBOL, self.f, self.g,
+                                        self.f1, self.g1)
 
 
 @dataclass(frozen=True)
-class Phi0:
+class Phi0(_Symbol):
     """phi0: I_{a⊗a'} ⇒ I_a ⊗ I_{a'}."""
 
     a: ObjectWord
     a1: ObjectWord
 
-    def __str__(self):
-        return "phi0[%s,%s]" % (self.a, self.a1)
-
 
 @dataclass(frozen=True)
-class AssocF:
+class AssocF(_Symbol):
     """Pseudo-naturality filler of alpha at (f,g,h)."""
 
     f: MorphismTerm
     g: MorphismTerm
     h: MorphismTerm
 
-    def __str__(self):
-        return "alphaf[%s,%s,%s]" % (self.f, self.g, self.h)
-
 
 @dataclass(frozen=True)
-class LeftUnitorF:
+class LeftUnitorF(_Symbol):
     f: MorphismTerm
 
-    def __str__(self):
-        return "lf[%s]" % (self.f,)
-
 
 @dataclass(frozen=True)
-class RightUnitorF:
+class RightUnitorF(_Symbol):
     f: MorphismTerm
 
-    def __str__(self):
-        return "rf[%s]" % (self.f,)
-
 
 @dataclass(frozen=True)
-class BraidF:
+class BraidF(_Symbol):
     """Pseudo-naturality filler of beta at (f,g)."""
 
     f: MorphismTerm
     g: MorphismTerm
 
-    def __str__(self):
-        return "betaf[%s,%s]" % (self.f, self.g)
-
 
 @dataclass(frozen=True)
-class Pi:
+class Pi(_Symbol):
     a: ObjectWord
     b: ObjectWord
     c: ObjectWord
     d: ObjectWord
 
-    def __str__(self):
-        return "pi[%s,%s,%s,%s]" % (self.a, self.b, self.c, self.d)
-
 
 @dataclass(frozen=True)
-class MuCell:
+class MuCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
 
-    def __str__(self):
-        return "mu[%s,%s]" % (self.a, self.b)
-
 
 @dataclass(frozen=True)
-class LamCell:
+class LamCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
 
-    def __str__(self):
-        return "lam[%s,%s]" % (self.a, self.b)
-
 
 @dataclass(frozen=True)
-class RhoCell:
+class RhoCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
 
-    def __str__(self):
-        return "rho[%s,%s]" % (self.a, self.b)
-
 
 @dataclass(frozen=True)
-class RCell:
+class RCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
     c: ObjectWord
 
-    def __str__(self):
-        return "RR[%s,%s,%s]" % (self.a, self.b, self.c)
-
 
 @dataclass(frozen=True)
-class SCell:
+class SCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
     c: ObjectWord
 
-    def __str__(self):
-        return "SS[%s,%s,%s]" % (self.a, self.b, self.c)
-
 
 @dataclass(frozen=True)
-class SigmaCell:
+class SigmaCell(_Symbol):
     """sigma: I_{a⊗b} ⇒ beta_{b,a}∘beta_{a,b} (syllepsis)."""
 
     a: ObjectWord
     b: ObjectWord
-
-    def __str__(self):
-        return "sig[%s,%s]" % (self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -456,9 +406,39 @@ TwoCellTerm = Union[Gen2, Id2, AssocC, RC, LC, Eta, Eps, PhiTensor, Phi0,
                     LamCell, RhoCell, RCell, SCell, SigmaCell, Inv2, VComp,
                     HComp, Tensor2]
 
-STRUCTURAL_2 = (Id2, AssocC, RC, LC, Eta, Eps, PhiTensor, Phi0, AssocF,
-                LeftUnitorF, RightUnitorF, BraidF, Pi, MuCell, LamCell,
-                RhoCell, RCell, SCell, SigmaCell)
+
+# ---------------------------------------------------------------------------
+# the structural symbols
+# ---------------------------------------------------------------------------
+
+#: DSL name -> class of every structural symbol.  Parsing, printing,
+#: validation, the reserved names and orientation forgetting all read this
+#: table; only the boundary formulas (`_leaf_boundary`, `morphism_boundary`)
+#: and the strand wiring (`_diagram.leaf_arc_spec`) are written per symbol.
+SYMBOLS = {
+    "I": Id1, "alpha": Assoc1, "l": LeftUnitor1, "r": RightUnitor1,
+    "beta": Braid1,
+    "id": Id2, "assoc2": AssocC, "rc": RC, "lc": LC, "eta": Eta, "eps": Eps,
+    "phi": PhiTensor, "phi0": Phi0, "alphaf": AssocF, "lf": LeftUnitorF,
+    "rf": RightUnitorF, "betaf": BraidF, "pi": Pi, "mu": MuCell,
+    "lam": LamCell, "rho": RhoCell, "RR": RCell, "SS": SCell,
+    "sig": SigmaCell,
+}
+
+# argument kinds from the field annotations, computed once: parse and
+# validate run on every term and must not call fields()
+_KINDS = {"ObjectWord": "object", "MorphismTerm": "morphism"}
+for _name, _cls in SYMBOLS.items():
+    _cls.SYMBOL = _name
+    _cls.ARGS = tuple((f.name, _KINDS[f.type]) for f in fields(_cls))
+del _name, _cls
+
+STRUCTURAL_1 = tuple(c for c in SYMBOLS.values()
+                     if c in get_args(MorphismTerm))
+STRUCTURAL_2 = tuple(c for c in SYMBOLS.values()
+                     if c in get_args(TwoCellTerm))
+
+_RESERVED = set(SYMBOLS) | {"inv", "inv2", "1"}
 
 
 def vcompose(ps: Sequence[TwoCellTerm], data=None) -> TwoCellTerm:
@@ -480,9 +460,8 @@ def vcompose(ps: Sequence[TwoCellTerm], data=None) -> TwoCellTerm:
             if two_cell_target(flat[i], data) != two_cell_source(flat[i + 1],
                                                                  data):
                 raise TermError("non-composable vertical chain", path=(i,))
-    except TermError as e:
-        if "without generating data" not in str(e):
-            raise
+    except FreeGeneratorError:
+        pass
     if len(flat) == 1:
         return VComp((flat[0],))
     return VComp(tuple(flat))
@@ -500,9 +479,8 @@ def hcompose(p: TwoCellTerm, q: TwoCellTerm, data=None) -> TwoCellTerm:
         if sp != tq:
             raise TermError("horizontal boundary mismatch: %s vs %s"
                             % (tq, sp))
-    except TermError as e:
-        if "without generating data" not in str(e):
-            raise
+    except FreeGeneratorError:
+        pass
     return HComp(p, q)
 
 
@@ -546,12 +524,6 @@ class GeneratingData:
         return self.two_gens[name]
 
 
-_RESERVED = {"I", "alpha", "l", "r", "beta", "inv", "id", "eta", "eps",
-             "assoc2", "rc", "lc", "phi", "phi0", "alphaf", "lf", "rf",
-             "betaf", "pi", "mu", "lam", "rho", "RR", "SS", "sig", "inv2",
-             "1"}
-
-
 def morphism_boundary(t: MorphismTerm, data: Optional[GeneratingData] = None,
                       path=()) -> Tuple[ObjectWord, ObjectWord]:
     """(source, target) object words of a morphism term.
@@ -561,8 +533,8 @@ def morphism_boundary(t: MorphismTerm, data: Optional[GeneratingData] = None,
     """
     if isinstance(t, Gen1):
         if data is None:
-            raise TermError("free 1-generator %r without generating data" % t.name,
-                            path)
+            raise FreeGeneratorError(
+                "free 1-generator %r without generating data" % t.name, path)
         return data.one_gen_boundary(t.name)
     if isinstance(t, Id1):
         return (t.word, t.word)
@@ -605,7 +577,8 @@ def _leaf_boundary(p, data):
     """(source, target) morphism terms of a structural or generator 2-leaf."""
     if isinstance(p, Gen2):
         if data is None:
-            raise TermError("free 2-generator %r without generating data" % p.name)
+            raise FreeGeneratorError(
+                "free 2-generator %r without generating data" % p.name)
         return data.two_gen_boundary(p.name)
     if isinstance(p, Id2):
         return (p.f, p.f)
@@ -769,19 +742,13 @@ def _validate_morphism(t, data, report, path):
         if t.name not in data.one_gens:
             report.add(path, "unknown 1-generator %r" % t.name)
         return
-    if isinstance(t, Id1):
-        _validate_object(t.word, data, report, path)
-        return
-    if isinstance(t, Assoc1):
-        for i, w in enumerate((t.u, t.v, t.w)):
-            _validate_object(w, data, report, path + (i,))
-        return
-    if isinstance(t, (LeftUnitor1, RightUnitor1)):
-        _validate_object(t.word, data, report, path)
-        return
-    if isinstance(t, Braid1):
-        _validate_object(t.u, data, report, path + (0,))
-        _validate_object(t.v, data, report, path + (1,))
+    if isinstance(t, STRUCTURAL_1):
+        # every 1-symbol parameter is an object word; a unary symbol
+        # reports at its own path, an n-ary one at path/i
+        unary = len(t.ARGS) == 1
+        for i, (name, _) in enumerate(t.ARGS):
+            _validate_object(getattr(t, name), data, report,
+                             path if unary else path + (i,))
         return
     if isinstance(t, Adj1):
         if not isinstance(t.inner, STRUCTURAL_1):
@@ -840,43 +807,20 @@ def _validate_two_cell(p, data, report, path):
         _validate_two_cell(p.left, data, report, path + ("left",))
         _validate_two_cell(p.right, data, report, path + ("right",))
         return
+    if not isinstance(p, STRUCTURAL_2):
+        report.add(path, "not a 2-cell leaf: %r" % (p,))
+        return
     # structural leaf: validate parameters, then boundary formation
     try:
-        for sub in _leaf_params(p):
-            if isinstance(sub, (Unit, ObjGen, ObjTensor)):
-                _validate_object(sub, data, report, path)
+        for name, kind in p.ARGS:
+            if kind == "object":
+                _validate_object(getattr(p, name), data, report, path)
             else:
-                _validate_morphism(sub, data, report, path)
+                _validate_morphism(getattr(p, name), data, report, path)
         if report.ok:
             _leaf_boundary(p, data)
     except TermError as e:
         report.add(path, str(e))
-
-
-def _leaf_params(p):
-    if isinstance(p, Id2):
-        return (p.f,)
-    if isinstance(p, AssocC):
-        return (p.f2, p.f1, p.f0)
-    if isinstance(p, (RC, LC, Eta, Eps)):
-        return (p.f,)
-    if isinstance(p, PhiTensor):
-        return (p.f, p.g, p.f1, p.g1)
-    if isinstance(p, Phi0):
-        return (p.a, p.a1)
-    if isinstance(p, AssocF):
-        return (p.f, p.g, p.h)
-    if isinstance(p, (LeftUnitorF, RightUnitorF)):
-        return (p.f,)
-    if isinstance(p, BraidF):
-        return (p.f, p.g)
-    if isinstance(p, Pi):
-        return (p.a, p.b, p.c, p.d)
-    if isinstance(p, (MuCell, LamCell, RhoCell, SigmaCell)):
-        return (p.a, p.b)
-    if isinstance(p, (RCell, SCell)):
-        return (p.a, p.b, p.c)
-    raise TermError("not a 2-cell leaf: %r" % (p,))
 
 
 def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
@@ -959,44 +903,42 @@ class _Parser:
             return ObjTensor(left, right)
         raise ParseError("expected object word, got %r" % text, pos)
 
-    # morphism terms ---------------------------------------------------
+    # structural symbols -----------------------------------------------
 
-    def _obj_args(self, n):
+    def _symbol(self, cls):
+        """The bracketed arguments of structural symbol `cls`, read by kind."""
+        grouped = cls is PhiTensor      # phi[(f,g),(f',g')]
         self.expect("LBRACK")
-        args = [self.object_word()]
-        while len(args) < n:
-            self.expect("COMMA")
-            args.append(self.object_word())
+        args = []
+        for i, (_, kind) in enumerate(cls.ARGS):
+            if i:
+                self.expect("COMMA")
+            if grouped and i % 2 == 0:
+                self.expect("LPAR")
+            args.append(self.object_word() if kind == "object"
+                        else self.morphism())
+            if grouped and i % 2 == 1:
+                self.expect("RPAR")
         self.expect("RBRACK")
-        return args
+        return cls(*args)
+
+    # morphism terms ---------------------------------------------------
 
     def morphism(self):
         kind, text, pos = self.peek()
         if kind == "NAME":
             self.next()
-            if text == "I":
-                (w,) = self._obj_args(1)
-                return Id1(w)
-            if text == "alpha":
-                u, v, w = self._obj_args(3)
-                return Assoc1(u, v, w)
-            if text == "l":
-                (w,) = self._obj_args(1)
-                return LeftUnitor1(w)
-            if text == "r":
-                (w,) = self._obj_args(1)
-                return RightUnitor1(w)
-            if text == "beta":
-                u, v = self._obj_args(2)
-                return Braid1(u, v)
             if text == "inv":
                 self.expect("LPAR")
                 inner = self.morphism()
                 self.expect("RPAR")
                 return formal_adjoint(inner)
-            if text == "1" or text in _RESERVED:
-                raise ParseError("reserved name %r in morphism position" % text, pos)
-            return Gen1(text)
+            cls = SYMBOLS.get(text)
+            if cls is None and text not in _RESERVED:
+                return Gen1(text)
+            if cls in STRUCTURAL_1:
+                return self._symbol(cls)
+            raise ParseError("reserved name %r in morphism position" % text, pos)
         if kind == "LPAR":
             self.next()
             first = self.morphism()
@@ -1014,96 +956,21 @@ class _Parser:
 
     # two-cell terms ---------------------------------------------------
 
-    def _mor_args(self, n):
-        self.expect("LBRACK")
-        args = [self.morphism()]
-        while len(args) < n:
-            self.expect("COMMA")
-            args.append(self.morphism())
-        self.expect("RBRACK")
-        return args
-
     def two_cell(self):
         kind, text, pos = self.peek()
         if kind == "NAME":
             self.next()
-            if text == "id":
-                (f,) = self._mor_args(1)
-                return Id2(f)
-            if text == "assoc2":
-                f2, f1, f0 = self._mor_args(3)
-                return AssocC(f2, f1, f0)
-            if text == "rc":
-                (f,) = self._mor_args(1)
-                return RC(f)
-            if text == "lc":
-                (f,) = self._mor_args(1)
-                return LC(f)
-            if text == "eta":
-                (f,) = self._mor_args(1)
-                return Eta(f)
-            if text == "eps":
-                (f,) = self._mor_args(1)
-                return Eps(f)
-            if text == "phi":
-                self.expect("LBRACK")
-                self.expect("LPAR")
-                f = self.morphism()
-                self.expect("COMMA")
-                g = self.morphism()
-                self.expect("RPAR")
-                self.expect("COMMA")
-                self.expect("LPAR")
-                f1 = self.morphism()
-                self.expect("COMMA")
-                g1 = self.morphism()
-                self.expect("RPAR")
-                self.expect("RBRACK")
-                return PhiTensor(f, g, f1, g1)
-            if text == "phi0":
-                a, a1 = self._obj_args(2)
-                return Phi0(a, a1)
-            if text == "alphaf":
-                f, g, h = self._mor_args(3)
-                return AssocF(f, g, h)
-            if text == "lf":
-                (f,) = self._mor_args(1)
-                return LeftUnitorF(f)
-            if text == "rf":
-                (f,) = self._mor_args(1)
-                return RightUnitorF(f)
-            if text == "betaf":
-                f, g = self._mor_args(2)
-                return BraidF(f, g)
-            if text == "pi":
-                a, b, c, d = self._obj_args(4)
-                return Pi(a, b, c, d)
-            if text == "mu":
-                a, b = self._obj_args(2)
-                return MuCell(a, b)
-            if text == "lam":
-                a, b = self._obj_args(2)
-                return LamCell(a, b)
-            if text == "rho":
-                a, b = self._obj_args(2)
-                return RhoCell(a, b)
-            if text == "RR":
-                a, b, c = self._obj_args(3)
-                return RCell(a, b, c)
-            if text == "SS":
-                a, b, c = self._obj_args(3)
-                return SCell(a, b, c)
-            if text == "sig":
-                a, b = self._obj_args(2)
-                return SigmaCell(a, b)
             if text == "inv2":
                 self.expect("LPAR")
                 inner = self.two_cell()
                 self.expect("RPAR")
                 return Inv2(inner)
-            if text == "1" or text in _RESERVED:
-                raise ParseError("reserved name %r in 2-cell position" % text, pos)
-            return Gen2(text)
+            cls = SYMBOLS.get(text)
+            if cls is None and text not in _RESERVED:
+                return Gen2(text)
+            if cls in STRUCTURAL_2:
+                return self._symbol(cls)
+            raise ParseError("reserved name %r in 2-cell position" % text, pos)
         if kind == "LPAR":
             self.next()
             first = self.two_cell()
@@ -1184,164 +1051,6 @@ def print_morphism(t: MorphismTerm) -> str:
 
 def print_two_cell(p: TwoCellTerm) -> str:
     return str(p)
-
-
-# ---------------------------------------------------------------------------
-# structural plumbing: normalizers and positioned insertions
-# ---------------------------------------------------------------------------
-
-def object_normal_form(w: ObjectWord) -> ObjectWord:
-    """Left-associated tensor of the non-unit leaves (UNIT if none)."""
-    pts = obj_points(w)
-    if not pts:
-        return UNIT
-    out: ObjectWord = ObjGen(pts[0])
-    for name in pts[1:]:
-        out = ObjTensor(out, ObjGen(name))
-    return out
-
-
-def _merge_left(a: ObjectWord, b: ObjectWord) -> MorphismTerm:
-    """a (x) b -> left-associated concatenation, for normal-form a and b."""
-    if isinstance(b, ObjTensor):
-        # b is left-associated, so b.right is a leaf
-        inner = Adj1(Assoc1(a, b.left, b.right))
-        sub = _merge_left(a, b.left)
-        if isinstance(sub, Id1):
-            return inner
-        return Comp1(Tensor1(sub, Id1(b.right)), inner)
-    return Id1(ObjTensor(a, b))
-
-
-def normalizer(w: ObjectWord) -> MorphismTerm:
-    """Structural 1-cell w -> object_normal_form(w)."""
-    if isinstance(w, (Unit, ObjGen)):
-        return Id1(w)
-    na, nb = object_normal_form(w.left), object_normal_form(w.right)
-    base = Tensor1(normalizer(w.left), normalizer(w.right))
-    if isinstance(na, Unit):
-        step: MorphismTerm = LeftUnitor1(nb)
-        return Comp1(step, base)
-    if isinstance(nb, Unit):
-        step = Adj1(RightUnitor1(na))
-        return Comp1(step, base)
-    merge = _merge_left(na, nb)
-    if isinstance(merge, Id1):
-        return base
-    return Comp1(merge, base)
-
-
-def shape_iso(src: ObjectWord, dst: ObjectWord) -> MorphismTerm:
-    """Canonical structural 1-cell src -> dst for words with equal points."""
-    if obj_points(src) != obj_points(dst):
-        raise TermError("shape_iso between different point sequences")
-    if src == dst:
-        return Id1(src)
-    return Comp1(formal_adjoint(normalizer(dst)), normalizer(src))
-
-
-def _split_points(w: ObjectWord, k: int):
-    """Left/right normal-form words around position k of w's points."""
-    pts = obj_points(w)
-    left = pts[:k]
-    right = pts[k:]
-    lw = object_normal_form(obj_tensor(*[ObjGen(n) for n in left])) \
-        if left else UNIT
-    rw = object_normal_form(obj_tensor(*[ObjGen(n) for n in right])) \
-        if right else UNIT
-    return lw, rw
-
-
-def insert_pair(w: ObjectWord, k: int, pair: MorphismTerm,
-                data=None) -> MorphismTerm:
-    """1-cell w -> nf(w with pair's target points inserted at position k).
-
-    `pair` must be a 1-cell out of the unit (e.g. a coevaluation); its
-    points appear at positions k, k+1 of the target normal form.
-    """
-    pair_target = morphism_boundary(pair, data)[1]
-    lw, rw = _split_points(w, k)
-    if isinstance(lw, Unit) and isinstance(rw, Unit):
-        return Comp1(pair, shape_iso(w, UNIT)) if w != UNIT else pair
-    if isinstance(rw, Unit):
-        pre = shape_iso(w, lw)
-        chain = Comp1(Tensor1(Id1(lw), pair), Comp1(RightUnitor1(lw), pre))
-        out_word = ObjTensor(lw, pair_target)
-    elif isinstance(lw, Unit):
-        pre = shape_iso(w, rw)
-        chain = Comp1(Tensor1(pair, Id1(rw)),
-                      Comp1(Adj1(LeftUnitor1(rw)), pre))
-        out_word = ObjTensor(pair_target, rw)
-    else:
-        pre = shape_iso(w, ObjTensor(lw, rw))
-        chain = Comp1(
-            Tensor1(Id1(lw), Tensor1(pair, Id1(rw))),
-            Comp1(Tensor1(Id1(lw), Adj1(LeftUnitor1(rw))), pre))
-        out_word = ObjTensor(lw, ObjTensor(pair_target, rw))
-    return Comp1(shape_iso(out_word, object_normal_form(out_word)), chain)
-
-
-def remove_pair(w: ObjectWord, k: int, pair: MorphismTerm,
-                data=None) -> MorphismTerm:
-    """1-cell w -> nf(w minus points k, k+1), applying `pair` (an
-    evaluation-type 1-cell into the unit) at those positions."""
-    pts = obj_points(w)
-    if k + 1 >= len(pts):
-        raise TermError("remove_pair out of range")
-    lw, rw = _split_points(w, k)
-    # rw starts with the two points to be consumed
-    pair_src = morphism_boundary(pair, data)[0]
-    rest = pts[k + 2:]
-    rest_w = object_normal_form(obj_tensor(*[ObjGen(n) for n in rest])) \
-        if rest else UNIT
-    if isinstance(rest_w, Unit):
-        mid = pair_src
-    else:
-        mid = ObjTensor(pair_src, rest_w)
-    if isinstance(lw, Unit):
-        pre = shape_iso(w, mid)
-        if isinstance(rest_w, Unit):
-            return Comp1(pair, pre)
-        step = Tensor1(pair, Id1(rest_w))
-        post = LeftUnitor1(rest_w)
-        return Comp1(post, Comp1(step, pre))
-    shape = ObjTensor(lw, mid)
-    pre = shape_iso(w, shape)
-    if isinstance(rest_w, Unit):
-        step = Tensor1(Id1(lw), pair)
-        post = Adj1(RightUnitor1(lw))
-        return Comp1(post, Comp1(step, pre))
-    step = Tensor1(Id1(lw), Tensor1(pair, Id1(rest_w)))
-    post = Comp1(shape_iso(ObjTensor(lw, rest_w),
-                           object_normal_form(ObjTensor(lw, rest_w))),
-                 Tensor1(Id1(lw), LeftUnitor1(rest_w)))
-    return Comp1(post, Comp1(step, pre))
-
-
-def swap_pair(w: ObjectWord, k: int) -> MorphismTerm:
-    """1-cell w -> nf(w with points k, k+1 braided past each other)."""
-    pts = obj_points(w)
-    if k + 1 >= len(pts):
-        raise TermError("swap_pair out of range")
-    lw, _ = _split_points(w, k)
-    a, b = ObjGen(pts[k]), ObjGen(pts[k + 1])
-    rest = pts[k + 2:]
-    rest_w = object_normal_form(obj_tensor(*[ObjGen(n) for n in rest])) \
-        if rest else UNIT
-    core: MorphismTerm = Braid1(a, b)
-    shape = ObjTensor(a, b)
-    out_shape = ObjTensor(b, a)
-    if not isinstance(rest_w, Unit):
-        core = Tensor1(core, Id1(rest_w))
-        shape = ObjTensor(shape, rest_w)
-        out_shape = ObjTensor(out_shape, rest_w)
-    if not isinstance(lw, Unit):
-        core = Tensor1(Id1(lw), core)
-        shape = ObjTensor(lw, shape)
-        out_shape = ObjTensor(lw, out_shape)
-    pre = shape_iso(w, shape)
-    post = shape_iso(out_shape, object_normal_form(out_shape))
-    return Comp1(post, Comp1(core, pre))
 
 
 # ---------------------------------------------------------------------------

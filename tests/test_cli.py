@@ -114,3 +114,43 @@ def test_format_lines_prefixes(capsys):
     assert code == 0
     assert out.strip() == \
         "invariants\tcomponents=1; [chi=2 orientable=true boundary=0]"
+
+
+# ---------------------------------------------------------------------------
+# golden transcript of the CLI over demos/
+# ---------------------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_demos.txt"
+ORIENTED_DEMOS = ("terms/sphere_oriented.bc", "terms/torus_oriented.bc")
+
+
+def _golden_commands():
+    terms = sorted(p.relative_to(DEMOS).as_posix()
+                   for p in (DEMOS / "terms").glob("*.bc"))
+    cmds = []
+    for t in terms:
+        for pres in ("unoriented", "oriented"):
+            cmds.append(["invariants", t, "--presentation", pres])
+    for t in ORIENTED_DEMOS:
+        cmds.append(["eval", t, "--algebra", "M2Q",
+                     "--presentation", "oriented"])
+    for pres in ("unoriented", "oriented"):
+        cmds.append(["presentation", "--dump", pres])
+    cmds.append(["linear", "diagrams/paper_figure.ld", "--moves"])
+    return cmds
+
+
+def _transcript(capsys):
+    """Stdout, stderr and exit code of every golden command, demo paths
+    written relative to demos/."""
+    chunks = []
+    for cmd in _golden_commands():
+        argv = [str(DEMOS / a) if (DEMOS / a).is_file() else a for a in cmd]
+        code, out, err = run(argv, capsys)
+        chunks.append("$ bordcalc %s\n%s[stderr]\n%s[exit %d]\n"
+                      % (" ".join(cmd), out, err, code))
+    return "".join(chunks)
+
+
+def test_cli_golden_transcript(capsys):
+    assert _transcript(capsys) == GOLDEN.read_text(encoding="utf-8")

@@ -131,7 +131,7 @@ def _m2_twisted():
                     row.append(lam_zi if base.basis_vec(j)[a] else Q(0))
             rows.append(row)
             rhs.append(base.basis_vec(z)[a])
-    sol, cert = fr.solve_exact(rows, rhs)
+    sol = fr.rref(rows, n * n, rhs).solution
     assert sol is not None
     e = tuple(tuple(sol[i * n + j] for j in range(n)) for i in range(n))
     return fr.FrobAlgebra(name="M2-twisted", dim=4, mult=base.mult,
@@ -177,9 +177,55 @@ def test_separability_results():
 
 
 def test_qx2_not_separable_with_certificate():
-    res = fr.check_separable(fr.algebra_qx2())
+    A = fr.algebra_qx2()
+    res = fr.check_separable(A)
     assert not res.separable
-    assert res.certificate is not None
+    # the Farkas certificate by its defining equations
+    rows, rhs = fr._separability_system(A)
+    y = res.certificate
+    assert len(y) == len(rows)
+    assert all(sum(yi * row[c] for yi, row in zip(y, rows)) == 0
+               for c in range(len(rows[0])))
+    assert sum(yi * b for yi, b in zip(y, rhs)) != 0
+
+
+def _q(*vs):
+    return [tuple(Q(x) for x in v) for v in vs]
+
+
+# center basis, cocenter projection rows and separability witness of each
+# built-in algebra (None: not separable)
+PINNED = {
+    "Q": (_q("1"), _q("1"), _q("1")),
+    "QxQ": (_q("10", "01"), _q("10", "01"), _q("10", "01")),
+    "M2Q": (_q("1001"), _q("1001"),
+            _q("1000", "0000", "0100", "0000")),
+    "QZ2": (_q("10", "01"), _q("10", "01"),
+            [(Q(1, 2), Q(0)), (Q(0), Q(1, 2))]),
+    "Qx2": (_q("10", "01"), _q("10", "01"), None),
+}
+
+
+def test_linear_algebra_pinned_values():
+    for name, mk in ALGEBRAS.items():
+        A = mk()
+        zb, proj, witness = PINNED[name]
+        assert fr.center(A) == zb, name
+        assert fr.cocenter(A).project == proj, name
+        res = fr.check_separable(A)
+        assert res.witness == (tuple(witness) if witness else None), name
+
+
+def test_rref_pivots_nullspace_and_solution():
+    rows = [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(7)]]
+    elim = fr.rref(rows, 3, [Q(1), Q(3)])
+    assert elim.pivots == (0, 2)
+    assert elim.nullspace == [(Q(-2), Q(1), Q(0))]
+    assert elim.solution == (Q(-2), Q(0), Q(1))
+    assert elim.certificate is None
+    elim = fr.rref(rows + [[Q(3), Q(6), Q(10)]], 3, [Q(1), Q(3), Q(5)])
+    assert elim.solution is None
+    assert elim.certificate == (Q(-1), Q(-1), Q(1))
 
 
 def test_center_of_m2q_is_scalars():
@@ -318,11 +364,33 @@ def test_algebra_file_round_trip():
         assert B.star == A.star
 
 
+@pytest.mark.parametrize("text, lineno, index", [
+    ("dim 2\nmult 0 0 -> 0:1\nunit 1:1", 2, 0),
+    ("dim 2\nmult 1 1 -> 3:1\nunit 1:1", 2, 3),
+    ("dim 2\nmult 1 3 -> 1:1\nunit 1:1", 2, 3),
+    ("dim 2\nunit 0:1", 2, 0),
+    ("dim 2\nunit 1:1\nlambda 3:1", 3, 3),
+    ("dim 2\nunit 1:1\ne 1,3:1", 3, 3),
+    ("dim 2\nunit 1:1\ne 0,1:1", 3, 0),
+    ("dim 2\nunit 1:1\nstar 3 -> 1:1", 3, 3),
+    ("dim 2\nunit 1:1\nstar 1 -> -1:1", 3, -1),
+])
+def test_algebra_file_index_out_of_range(text, lineno, index):
+    with pytest.raises(fr.AlgebraError) as exc:
+        fr.parse_algebra_file(text)
+    assert str(exc.value) == "line %d: index %d out of range 1..2" \
+        % (lineno, index)
+
+
 def test_algebra_file_errors():
     with pytest.raises(fr.AlgebraError):
         fr.parse_algebra_file("mult 1 1 -> 1:1")  # dim missing
     with pytest.raises(fr.AlgebraError):
         fr.parse_algebra_file("dim 2\nunit 1:1\nfrobnicate 3")
+    with pytest.raises(fr.AlgebraError):
+        fr.parse_algebra_file("dim 2\nunit 1:1/0")
+    with pytest.raises(fr.AlgebraError):
+        fr.parse_algebra_file("dim -1\nunit")
 
 
 def test_verify_unoriented_m2_with_transpose_star(uno):

@@ -8,7 +8,7 @@ from bordcalc import termcore as tc
 from bordcalc.termcore import (Adj1, Assoc1, AssocC, Braid1, Comp1, Eps, Eta,
                                Gen1, Gen2, Id1, Id2, Inv2, LC, LeftUnitor1,
                                ObjGen, ObjTensor, RC, RightUnitor1, Tensor1,
-                               UNIT, comp1, hcompose, obj_tensor, tensor,
+                               UNIT, comp1, hcompose, tensor,
                                vcompose)
 from bordcalc import presentations as pr
 
@@ -100,6 +100,26 @@ def test_hcompose_checks_middle_object(uno):
     with pytest.raises(tc.TermError):
         # split: boundaries live on pt(x)pt; cup's source object is 1
         hcompose(Gen2("split"), Gen2("cup"), uno.data)
+
+
+def test_free_generators_defer_but_structural_mismatch_raises(uno):
+    with pytest.raises(tc.FreeGeneratorError):
+        tc.morphism_boundary(Gen1("ev"))
+    with pytest.raises(tc.FreeGeneratorError):
+        tc.two_cell_boundary(Gen2("cap"))
+    # no generator involved: the mismatch is caught without data
+    with pytest.raises(tc.TermError) as exc:
+        vcompose([Id2(Id1(P)), Id2(Id1(PP))])
+    assert not isinstance(exc.value, tc.FreeGeneratorError)
+    with pytest.raises(tc.TermError):
+        hcompose(Id2(Id1(P)), Id2(Id1(PP)))
+    # free generators: the check is left to validate()
+    chain = vcompose([Gen2("cap"), Gen2("cap")])
+    assert chain == tc.VComp((Gen2("cap"), Gen2("cap")))
+    assert not tc.validate(chain, uno.data).ok
+    side = hcompose(Gen2("split"), Gen2("cup"))
+    assert side == tc.HComp(Gen2("split"), Gen2("cup"))
+    assert not tc.validate(side, uno.data).ok
 
 
 def test_tensor_boundary(uno):
@@ -198,45 +218,91 @@ def test_round_trip_corpus_50(uno):
         assert tc.parse_two_cell(tc.print_two_cell(term)) == term
 
 
+# Every structural symbol with a different argument in each position, and
+# its printed form; a field-order slip in printing or parsing shows here
+# even when it would still round-trip on equal arguments.
+def _symbol_zoo(a, b, c, d, f, g, h, k):
+    return [
+        Id1(a), Assoc1(a, b, c), LeftUnitor1(a), RightUnitor1(b),
+        Braid1(a, b),
+        Id2(f), AssocC(f, g, h), RC(f), LC(g), Eta(h), Eps(k),
+        tc.PhiTensor(f, g, h, k), tc.Phi0(a, b), tc.AssocF(f, g, h),
+        tc.LeftUnitorF(f), tc.RightUnitorF(g), tc.BraidF(f, g),
+        tc.Pi(a, b, c, d), tc.MuCell(a, b), tc.LamCell(b, c),
+        tc.RhoCell(c, d), tc.RCell(a, b, c), tc.SCell(b, c, d),
+        tc.SigmaCell(d, a),
+    ]
+
+
+SYMBOL_ZOO_TEXT = [
+    "I[a]",
+    "alpha[a,b,(c ⊗ 1)]",
+    "l[a]",
+    "r[b]",
+    "beta[a,b]",
+    "id[f]",
+    "assoc2[f,inv(beta[a,b]),(I[c] ; g)]",
+    "rc[f]",
+    "lc[inv(beta[a,b])]",
+    "eta[(I[c] ; g)]",
+    "eps[(l[d] (*) h)]",
+    "phi[(f,inv(beta[a,b])),((I[c] ; g),(l[d] (*) h))]",
+    "phi0[a,b]",
+    "alphaf[f,inv(beta[a,b]),(I[c] ; g)]",
+    "lf[f]",
+    "rf[inv(beta[a,b])]",
+    "betaf[f,inv(beta[a,b])]",
+    "pi[a,b,(c ⊗ 1),1]",
+    "mu[a,b]",
+    "lam[b,(c ⊗ 1)]",
+    "rho[(c ⊗ 1),1]",
+    "RR[a,b,(c ⊗ 1)]",
+    "SS[b,(c ⊗ 1),1]",
+    "sig[1,a]",
+]
+
+
+def test_symbol_zoo_printed_form_and_round_trip():
+    A, B, C, D = ObjGen("a"), ObjGen("b"), ObjGen("c"), ObjGen("d")
+    zoo = _symbol_zoo(A, B, ObjTensor(C, UNIT), UNIT,
+                      Gen1("f"), Adj1(Braid1(A, B)), Comp1(Gen1("g"), Id1(C)),
+                      Tensor1(LeftUnitor1(D), Gen1("h")))
+    assert [type(t) for t in zoo] == list(tc.SYMBOLS.values())
+    assert [str(t) for t in zoo] == SYMBOL_ZOO_TEXT
+    for t, text in zip(zoo, SYMBOL_ZOO_TEXT):
+        if isinstance(t, tc.STRUCTURAL_1):
+            assert tc.parse_morphism(text) == t, text
+        else:
+            assert tc.parse_two_cell(text) == t, text
+            assert tc.parse_two_cell("inv2(%s)" % text) == Inv2(t)
+
+
+def test_symbol_zoo_forget_orientation():
+    Pp, Pm = ObjGen("pt+"), ObjGen("pt-")
+    zoo = _symbol_zoo(Pp, Pm, ObjTensor(Pp, Pm), UNIT,
+                      Gen1("ev"), Adj1(Assoc1(Pp, Pm, Pp)),
+                      Comp1(Gen1("coev"), Id1(Pm)),
+                      Tensor1(RightUnitor1(Pm), Braid1(Pp, Pm)))
+    cells = [Id2(t) if isinstance(t, tc.STRUCTURAL_1) else t for t in zoo]
+    images = [str(pr.forget_orientation(t)) for t in cells]
+    expected = [text.replace("pt+", "pt").replace("pt-", "pt")
+                for text in map(str, cells)]
+    assert images == expected
+    assert images[:5] == ["id[I[pt]]", "id[alpha[pt,pt,(pt ⊗ pt)]]",
+                          "id[l[pt]]", "id[r[pt]]", "id[beta[pt,pt]]"]
+    assert images[11] == ("phi[(ev,inv(alpha[pt,pt,pt])),((I[pt] ; coev),"
+                          "(r[pt] (*) beta[pt,pt]))]")
+    assert images[17] == "pi[pt,pt,(pt ⊗ pt),1]"
+    for t in cells:
+        image = pr.forget_orientation(Inv2(t))
+        assert image == Inv2(pr.forget_orientation(t))
+
+
 def test_parse_error_positions():
     with pytest.raises(tc.ParseError):
         tc.parse_two_cell("(cap . ")
     with pytest.raises(tc.ParseError):
         tc.parse_object_word("(pt @ pt)")
-
-
-# ---------------------------------------------------------------------------
-# structural plumbing helpers
-# ---------------------------------------------------------------------------
-
-def test_normalizer_boundaries():
-    w = ObjTensor(ObjTensor(UNIT, P), ObjTensor(P, ObjTensor(P, UNIT)))
-    n = tc.normalizer(w)
-    s, t = tc.morphism_boundary(n)
-    assert s == w
-    assert t == tc.object_normal_form(w)
-    assert tc.obj_points(t) == ("pt", "pt", "pt")
-
-
-def test_shape_iso_roundtrip():
-    a = ObjTensor(P, ObjTensor(P, P))
-    b = ObjTensor(ObjTensor(P, P), P)
-    iso = tc.shape_iso(a, b)
-    s, t = tc.morphism_boundary(iso)
-    assert (s, t) == (a, b)
-
-
-def test_insert_remove_pair(uno):
-    ev, coev = Gen1("ev"), Gen1("coev")
-    w2 = tc.object_normal_form(obj_tensor(P, P))
-    ins = tc.insert_pair(w2, 1, coev, uno.data)
-    s, t = tc.morphism_boundary(ins, uno.data)
-    assert tc.obj_points(s) == ("pt", "pt")
-    assert tc.obj_points(t) == ("pt",) * 4
-    w4 = t
-    rem = tc.remove_pair(w4, 1, ev, uno.data)
-    s2, t2 = tc.morphism_boundary(rem, uno.data)
-    assert s2 == w4 and tc.obj_points(t2) == ("pt", "pt")
 
 
 def test_validate_rejects_mutations(uno):
