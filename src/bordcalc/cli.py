@@ -2,8 +2,10 @@
 
 Subcommands: check, eval, invariants, rewrite, verify, presentation,
 linear.  Exit codes: 0 all requested checks passed; 2 usage or syntax
-errors; 3 term validation errors; 4 failed verification, failed checks or
-an inconclusive rewrite search.  Output ordering is deterministic.
+errors, including an unreadable file or an algebra that lacks the
+structure the presentation needs; 3 term validation errors; 4 failed
+verification, failed checks, a failed evaluation or an inconclusive
+rewrite search.  Output ordering is deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from . import linear as ln
 from . import presentations as pr
 from . import surface as sf
 from . import termcore as tc
+from ._diagram import DiagramError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,6 +41,12 @@ def _load_algebra(spec):
         return fr.parse_algebra_file(fh.read(), name=spec)
 
 
+def _error(code, exc):
+    """Report `exc` as one line on stderr; return the exit code."""
+    print("ERROR %s" % "; ".join(str(exc).splitlines()), file=sys.stderr)
+    return code
+
+
 def _read_term(path, presentation):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -57,14 +66,19 @@ def cmd_check(args, out):
 
 def cmd_eval(args, out):
     p = _load_presentation(args.presentation)
-    A = _load_algebra(args.algebra)
     try:
+        A = _load_algebra(args.algebra)
         term = _read_term(args.file, p)
+        asg = fr.standard_assignment(A, p)
     except (tc.ParseError, tc.TermError) as exc:
         print("INVALID %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    asg = fr.standard_assignment(A, p)
-    value = fr.evaluate(term, asg)
+    except (OSError, fr.AlgebraError) as exc:
+        return _error(EXIT_USAGE, exc)
+    try:
+        value = fr.evaluate(term, asg)
+    except (DiagramError, fr.AlgebraError) as exc:
+        return _error(EXIT_FAILED, exc)
     out(value.render())
     return EXIT_OK
 
@@ -105,8 +119,12 @@ def cmd_rewrite(args, out):
 
 def cmd_verify(args, out):
     p = _load_presentation(args.presentation)
-    A = _load_algebra(args.algebra)
-    report = fr.verify_presentation(A, p)
+    try:
+        report = fr.verify_presentation(_load_algebra(args.algebra), p)
+    except (OSError, fr.AlgebraError) as exc:
+        return _error(EXIT_USAGE, exc)
+    except DiagramError as exc:
+        return _error(EXIT_FAILED, exc)
     for name, ok in report.results:
         out("%s %s" % ("PASS" if ok else "FAIL", name))
     return EXIT_OK if report.ok else EXIT_FAILED

@@ -13,13 +13,13 @@ saddles insert the copairing or multiply, cusp and crossing cells reroute.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import termcore as tc
-from ._diagram import (DiagramError, MovieListener, MovieState, run_movie,
-                       transfer_components)
+from ._diagram import MovieListener, run_movie, transfer_components
 from .presentations import Presentation
 
 
@@ -518,14 +518,59 @@ def closed_value(A: FrobAlgebra, genus: int) -> Fraction:
 # evaluation of two-cell terms
 # ---------------------------------------------------------------------------
 
+# The local map of each evaluator op on basis vectors of the slots it
+# consumes, as pure tensors (coefficient, one vector per slot it produces).
+_LOCAL = {
+    # births insert the unit, deaths apply the functional
+    "cap": lambda A, f: [(Q(1), (A.unit,))],
+    "cup": lambda A, f, v: [(A.lam_of(v), ())],
+    "cusp": lambda A, f, v: [(Q(1), (A.mul(v, f),))],
+    # open rerouting: two strands re-paired without fusing; the copairing
+    # is threaded between the halves
+    "reroute": lambda A, f, u, v: [(c, (A.mul(u, x), A.mul(y, v)))
+                                   for c, x, y in A.e_pairs()],
+    # two components fuse into one
+    "merge": lambda A, f, u, v: [(Q(1), (A.mul(u, v),))],
+    "split-fuse": lambda A, f, u, v: [(c, (A.mul(A.mul(A.mul(u, x), v), y),))
+                                      for c, x, y in A.e_pairs()],
+    # one component splits in two
+    "fission": lambda A, f, v: [(c, (A.mul(v, x), y))
+                                for c, x, y in A.e_pairs()],
+    # non-orientable surgery: same component before and after
+    "twist-merge": lambda A, f, v: [(Q(1), (A.star_of(v),))],
+    "twist-split": lambda A, f, v: [(c, (A.mul(A.mul(x, A.star_of(v)), y),))
+                                    for c, x, y in A.e_pairs()],
+}
+
+
 @dataclass
 class Assignment:
     algebra: FrobAlgebra
     presentation: Presentation
     cusp_factor: tuple = None
+    _local: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def tag(self, name):
         return self.presentation.two_gen_tags.get(name)
+
+    def local(self, op, idx):
+        """Sparse image [(basis indices, coefficient)] of the basis tensor
+        idx under the local map op, computed once per assignment."""
+        key = (op, idx)
+        if key not in self._local:
+            A = self.algebra
+            acc = {}
+            vecs = [A.basis_vec(i) for i in idx]
+            for c, pure in _LOCAL[op](A, self.cusp_factor, *vecs):
+                terms = [(c, ())]
+                for v in pure:
+                    terms = [(a * v[i], t + (i,)) for a, t in terms
+                             for i in range(A.dim) if v[i]]
+                for a, t in terms:
+                    acc[t] = acc.get(t, 0) + a
+            self._local[key] = [(t, a) for t, a in acc.items() if a]
+        return self._local[key]
 
 
 def standard_assignment(A: FrobAlgebra, p: Presentation) -> Assignment:
@@ -540,8 +585,10 @@ def standard_assignment(A: FrobAlgebra, p: Presentation) -> Assignment:
     """
     rep = check_symmetric(A)
     if not rep.ok:
-        raise AlgebraError("algebra %s is not symmetric Frobenius:\n%s"
-                           % (A.name, rep))
+        raise AlgebraError("algebra %s is not symmetric Frobenius: failed %s"
+                           % (A.name, ", ".join(
+                               n + (" (%s)" % d if d else "")
+                               for n, d in rep.failures())))
     if any(t == "sym" for t in p.two_gen_tags.values()) and A.star is None:
         raise AlgebraError(
             "presentation %s needs a star structure on %s" % (p.name, A.name))
@@ -611,21 +658,47 @@ def _comp_order(state):
     return sorted(comps, key=key)
 
 
+def _comp_of(comps, arc):
+    for comp in comps:
+        if arc in comp:
+            return comp
+    raise AlgebraError("arc missing from components")
+
+
 class _EvalListener(MovieListener):
-    def __init__(self, assignment, initial_values):
+    """Every source column in one walk, on a merged sparse state.
+
+    `slots` lists the live components; `state` maps (source column, basis
+    index of each slot) to a nonzero coefficient.  An event maps the basis
+    indices of the slots it consumes through a sparse local map and
+    appends the slots it produces; entries with equal keys are summed.
+    """
+
+    def __init__(self, assignment):
         self.A = assignment.algebra
         self.asg = assignment
-        self.initial = initial_values
-        self.configs = None
+        self.sources = 0
+        self.slots = []
+        self.state = {}
 
     def begin(self, state):
-        order = _comp_order(state)
-        vals = {}
-        for comp, v in zip(order, self.initial):
-            vals[comp] = v
-        if len(order) != len(self.initial):
-            raise AlgebraError("source component mismatch")
-        self.configs = [(Q(1), vals)]
+        self.slots = _comp_order(state)
+        self.sources = len(self.slots)
+        basis = itertools.product(range(self.A.dim), repeat=self.sources)
+        self.state = {(col, idx): Q(1) for col, idx in enumerate(basis)}
+
+    def apply(self, op, consumed, produced):
+        """Replace the slots `consumed` by `produced` through local map op."""
+        pos = [self.slots.index(c) for c in consumed]
+        keep = [i for i in range(len(self.slots)) if i not in pos]
+        self.slots = [self.slots[i] for i in keep] + list(produced)
+        out = {}
+        for (col, idx), c in self.state.items():
+            rest = tuple(idx[i] for i in keep)
+            for tail, w in self.asg.local(op, tuple(idx[i] for i in pos)):
+                key = (col, rest + tail)
+                out[key] = out.get(key, 0) + c * w
+        self.state = {key: c for key, c in out.items() if c}
 
     # -- events ---------------------------------------------------------
 
@@ -635,168 +708,75 @@ class _EvalListener(MovieListener):
         tag = self.asg.tag(name) if name else None
         after_comps = state.diagram.components()
         if tag == "cap":
-            new_comp = self._comp_of(after_comps, ev.new_arcs[0])
+            new_comp = _comp_of(after_comps, ev.new_arcs[0])
             if set(new_comp) != set(ev.new_arcs):
                 raise AlgebraError("birth did not create an isolated circle")
-            self.configs = [(c, {**vals, new_comp: self.A.unit})
-                            for c, vals in self.configs]
-            return
-        if tag == "cup":
-            old_comp = self._comp_of(before_comps, ev.old_arcs[0])
+            self.apply("cap", (), (new_comp,))
+        elif tag == "cup":
+            old_comp = _comp_of(before_comps, ev.old_arcs[0])
             if set(old_comp) != set(ev.old_arcs):
                 raise AlgebraError("death did not consume an isolated circle")
-            out = []
-            for c, vals in self.configs:
-                v = vals[old_comp]
-                vals = {k: w for k, w in vals.items() if k != old_comp}
-                out.append((c * self.A.lam_of(v), vals))
-            self.configs = out
-            return
-        if tag in ("split", "merge"):
-            self._saddle(tag, state, ev, before_comps, after_comps)
-            return
-        # structural cells, cusp cells and crossing cells reroute strands
-        mapping = transfer_components(before_comps, after_comps, ev)
-        out = []
-        for c, vals in self.configs:
-            out.append((c, {mapping.get(k, k): v for k, v in vals.items()}))
-        self.configs = out
-        if tag == "cusp":
-            touched = self._comp_of(before_comps, ev.old_arcs[0]) \
-                if ev.old_arcs else None
-            target = (mapping[touched] if touched is not None
-                      else self._comp_of(after_comps, ev.new_arcs[0]))
-            f = self.asg.cusp_factor
-            self.configs = [
-                (c, {**vals, target: self.A.mul(vals[target], f)})
-                for c, vals in self.configs]
+            self.apply("cup", (old_comp,), ())
+        elif tag in ("split", "merge"):
+            self._saddle(tag, ev, before_comps, after_comps)
+        else:
+            # structural cells, cusp cells and crossing cells reroute strands
+            mapping = transfer_components(before_comps, after_comps, ev)
+            self.slots = [mapping[s] for s in self.slots]
+            if tag == "cusp":
+                touched = _comp_of(before_comps, ev.old_arcs[0]) \
+                    if ev.old_arcs else None
+                target = (mapping[touched] if touched is not None
+                          else _comp_of(after_comps, ev.new_arcs[0]))
+                self.apply("cusp", (target,), (target,))
 
-    def _comp_of(self, comps, arc):
-        for comp in comps:
-            if arc in comp:
-                return comp
-        raise AlgebraError("arc missing from components")
-
-    def _saddle(self, tag, state, ev, before_comps, after_comps):
-        A = self.A
+    def _saddle(self, tag, ev, before_comps, after_comps):
         # split: source I_{pt pt} (two strands), target coev o ev (cup then
         # cap); merge: source coev o ev, arcs [ev (cup-shaped), coev
         # (cap-shaped)].  Both list old and new arcs in the same order.
-        o0, o1 = ev.old_arcs[0], ev.old_arcs[1]
-        cup_arc, cap_arc = ev.new_arcs[0], ev.new_arcs[1]
-        b0 = self._comp_of(before_comps, o0)
-        b1 = self._comp_of(before_comps, o1)
-        a0 = self._comp_of(after_comps, cup_arc)
-        a1 = self._comp_of(after_comps, cap_arc)
-        out = []
+        b0 = _comp_of(before_comps, ev.old_arcs[0])
+        b1 = _comp_of(before_comps, ev.old_arcs[1])
+        a0 = _comp_of(after_comps, ev.new_arcs[0])
+        a1 = _comp_of(after_comps, ev.new_arcs[1])
         if b0 != b1 and a0 != a1:
-            # open rerouting: two strands re-paired without fusing; the
-            # copairing is threaded between the halves
-            for c, vals in self.configs:
-                u, v = vals[b0], vals[b1]
-                base = {k: w for k, w in vals.items() if k not in (b0, b1)}
-                for ce, x, y in A.e_pairs():
-                    nv = dict(base)
-                    nv[a0] = A.mul(u, x)
-                    nv[a1] = A.mul(y, v)
-                    out.append((c * ce, nv))
+            self.apply("reroute", (b0, b1), (a0, a1))
         elif b0 != b1:
-            # two components fuse into one
-            if tag == "merge":
-                for c, vals in self.configs:
-                    u, v = vals[b0], vals[b1]
-                    vals = {k: w for k, w in vals.items()
-                            if k not in (b0, b1)}
-                    vals[a0] = A.mul(u, v)
-                    out.append((c, vals))
-            else:
-                for c, vals in self.configs:
-                    u, v = vals[b0], vals[b1]
-                    base = {k: w for k, w in vals.items()
-                            if k not in (b0, b1)}
-                    for ce, x, y in A.e_pairs():
-                        nv = dict(base)
-                        nv[a0] = A.mul(A.mul(A.mul(u, x), v), y)
-                        out.append((c * ce, nv))
+            self.apply("merge" if tag == "merge" else "split-fuse",
+                       (b0, b1), (a0,))
         elif a0 != a1:
-            # one component splits in two
-            for c, vals in self.configs:
-                v = vals[b0]
-                base = {k: w for k, w in vals.items() if k != b0}
-                for ce, x, y in A.e_pairs():
-                    nv = dict(base)
-                    nv[a0] = A.mul(v, x)
-                    nv[a1] = y
-                    out.append((c * ce, nv))
+            self.apply("fission", (b0,), (a0, a1))
         else:
-            # non-orientable surgery: same component before and after
-            if A.star is None:
+            if self.A.star is None:
                 raise AlgebraError(
                     "non-orientable saddle needs a star structure")
-            for c, vals in self.configs:
-                v = vals[b0]
-                base = {k: w for k, w in vals.items() if k != b0}
-                if tag == "merge":
-                    nv = dict(base)
-                    nv[a0] = A.star_of(v)
-                    out.append((c, nv))
-                else:
-                    for ce, x, y in A.e_pairs():
-                        nv = dict(base)
-                        nv[a0] = A.mul(A.mul(x, A.star_of(v)), y)
-                        out.append((c * ce, nv))
-        self.configs = out
+            self.apply("twist-" + tag, (b0,), (a0,))
 
 
 def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
-    """Exact linear map of a two-cell term under a generator assignment."""
+    """Exact linear map of a two-cell term under a generator assignment.
+
+    The movie is walked once for all source basis columns together.  The
+    state maps (column, basis index of each live component) to a
+    coefficient; each event rewrites only the indices of the components it
+    touches, and entries that land on the same key are summed.
+    """
     p = assignment.presentation
-    A = assignment.algebra
+    n = assignment.algebra.dim
     report = tc.validate(term, p.data)
     if not report.ok:
         raise AlgebraError("invalid term:\n%s" % report)
-    src = tc.two_cell_source(term, p.data)
-    probe = MovieState(src, p.arc_patterns)
-    src_comps = _comp_order(probe)
-    k = len(src_comps)
-    n = A.dim
-    ncols = n ** k
-    columns = []
-    m = None
-    for col in range(ncols):
-        idx = []
-        rem = col
-        for _ in range(k):
-            idx.append(rem % n)
-            rem //= n
-        idx.reverse()
-        init = [A.basis_vec(i) for i in idx]
-        listener = _EvalListener(assignment, init)
-        state = run_movie(term, p.arc_patterns, listener, p.data)
-        tgt_comps = _comp_order(state)
-        m = len(tgt_comps)
-        nrows = n ** m
-        colvec = [Q(0)] * nrows
-        for c, vals in listener.configs:
-            if c == 0:
-                continue
-            # expand the pure tensor over the basis
-            terms = [(c, 0)]
-            for comp in tgt_comps:
-                v = vals[comp]
-                nxt = []
-                for coeff, pos in terms:
-                    for i in range(n):
-                        if v[i] != 0:
-                            nxt.append((coeff * v[i], pos * n + i))
-                terms = nxt
-            for coeff, pos in terms:
-                colvec[pos] += coeff
-        columns.append(colvec)
-    nrows = n ** (m if m is not None else 0)
-    matrix = tuple(tuple(columns[c][r] for c in range(ncols))
-                   for r in range(nrows))
-    return TwoCellValue(k, m if m is not None else 0, n, matrix)
+    listener = _EvalListener(assignment)
+    state = run_movie(term, p.arc_patterns, listener, p.data)
+    slot_of = {comp: i for i, comp in enumerate(listener.slots)}
+    order = [slot_of[comp] for comp in _comp_order(state)]
+    matrix = [[Q(0)] * n ** listener.sources for _ in range(n ** len(order))]
+    for (col, idx), c in listener.state.items():
+        row = 0
+        for i in order:
+            row = row * n + idx[i]
+        matrix[row][col] += c
+    return TwoCellValue(listener.sources, len(order), n,
+                        tuple(tuple(r) for r in matrix))
 
 
 @dataclass
@@ -943,6 +923,12 @@ def _entries(toks, dim):
     return out
 
 
+def _once(seen, directive):
+    if directive in seen:
+        raise ValueError("duplicate %s" % directive)
+    seen.add(directive)
+
+
 def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
     """Parse the plain-text algebra format.
 
@@ -955,7 +941,8 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
         e i,j:q ...
         star i -> k:q ...
 
-    Unlisted structure constants are zero.
+    Unlisted structure constants are zero; each directive (each `mult i j`
+    and `star i` row) may appear once.
     """
     dim = None
     mult = None
@@ -963,6 +950,7 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
     lam = None
     e = None
     star = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -972,6 +960,8 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
         try:
             if key != "dim" and dim is None:
                 raise ValueError("dim must come first")
+            if key in ("dim", "unit", "lambda", "e"):
+                _once(seen, key)
             if key == "dim":
                 dim = int(parts[1])
                 if dim < 1:
@@ -979,6 +969,7 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
                 mult = [[_vec(dim) for _ in range(dim)] for _ in range(dim)]
             elif key == "mult":
                 i, j = _index(parts[1], dim), _index(parts[2], dim)
+                _once(seen, "mult %d %d" % (i + 1, j + 1))
                 if parts[3] != "->":
                     raise ValueError("expected ->")
                 mult[i][j] = _vec(dim, _entries(parts[4:], dim))
@@ -997,6 +988,7 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
                 if star is None:
                     star = [[Q(0)] * dim for _ in range(dim)]
                 i = _index(parts[1], dim)
+                _once(seen, "star %d" % (i + 1))
                 if parts[2] != "->":
                     raise ValueError("expected ->")
                 for k, q in _entries(parts[3:], dim):

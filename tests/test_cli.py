@@ -154,3 +154,72 @@ def _transcript(capsys):
 
 def test_cli_golden_transcript(capsys):
     assert _transcript(capsys) == GOLDEN.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the front door of eval and verify: one stderr line and an exit code
+# ---------------------------------------------------------------------------
+
+def _one_line_error(code, out, err, expected):
+    assert code == expected
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR ")
+
+
+def _write_without(tmp_path, directive):
+    """demos/algebras/m2q.alg with every line of `directive` dropped."""
+    lines = (DEMOS / "algebras/m2q.alg").read_text(encoding="utf-8")
+    path = tmp_path / ("no_%s.alg" % directive)
+    path.write_text("".join(line for line in lines.splitlines(True)
+                            if not line.startswith(directive + " ")),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", str(DEMOS / "terms/torus_oriented.bc")], ["verify"]])
+def test_eval_verify_missing_algebra_file(tmp_path, capsys, command):
+    code, out, err = run(command + ["--algebra", str(tmp_path / "none.alg")],
+                         capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "none.alg" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", str(DEMOS / "terms/torus_oriented.bc")], ["verify"]])
+@pytest.mark.parametrize("directive, presentation", [
+    ("e", "oriented"), ("lambda", "oriented"), ("star", "unoriented")])
+def test_eval_verify_algebra_lacking_structure(tmp_path, capsys, command,
+                                               directive, presentation):
+    alg = _write_without(tmp_path, directive)
+    code, out, err = run(command + ["--algebra", alg,
+                                    "--presentation", presentation], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+
+
+def test_eval_not_symmetric_frobenius(tmp_path, capsys):
+    alg = tmp_path / "lam1.alg"
+    alg.write_text((DEMOS / "algebras/m2q.alg").read_text(encoding="utf-8")
+                   .replace("lambda 1:1 4:1", "lambda 1:1"), encoding="utf-8")
+    code, out, err = run(["eval", str(DEMOS / "terms/torus_oriented.bc"),
+                          "--algebra", str(alg)], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "not symmetric Frobenius" in err
+
+
+def test_eval_missing_term_file(tmp_path, capsys):
+    code, out, err = run(["eval", str(tmp_path / "none.bc"),
+                          "--algebra", "M2Q"], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+
+
+def test_eval_diagram_error(tmp_path, capsys):
+    from bordcalc import presentations as pr
+    from bordcalc import termcore as tc
+    from tests.test_frobenius import known_defect_terms
+    term = tmp_path / "defect.bc"
+    term.write_text(tc.print_two_cell(
+        known_defect_terms(pr.bord2_oriented())[0]), encoding="utf-8")
+    code, out, err = run(["eval", str(term), "--algebra", "M2Q"], capsys)
+    _one_line_error(code, out, err, cli.EXIT_FAILED)
+    assert err == "ERROR component transfer is not a bijection\n"

@@ -1,6 +1,9 @@
 """Algebra checkers, separability, circle maps and exact evaluation."""
 
+import json
+import pathlib
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -8,9 +11,12 @@ import pytest
 from bordcalc import build
 from bordcalc import frobenius as fr
 from bordcalc import presentations as pr
+from bordcalc import standard_terms as stt
 from bordcalc import termcore as tc
+from bordcalc._diagram import DiagramError
 from bordcalc.termcore import Gen1, Gen2, Id1, Id2, Inv2, RC, hcompose, \
     tensor, vcompose
+from tests import reference_eval
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +353,96 @@ def test_klein_value_recorded(uno):
     assert v.is_scalar  # value recorded, not asserted
 
 
+def test_evaluate_genus_scaling(ori):
+    """One walk on a merged state: genus 12 on M2Q well inside a second."""
+    A = fr.algebra_m2q()
+    asg = fr.standard_assignment(A, ori)
+    term = stt.genus(ori, 12)
+    t0 = time.perf_counter()
+    v = fr.evaluate(term, asg)
+    elapsed = time.perf_counter() - t0
+    assert v.is_scalar and v.scalar == fr.closed_value(A, 12)
+    assert elapsed < 1.0, elapsed
+    for name in ("Q", "QxQ", "QZ2", "Qx2"):
+        A = ALGEBRAS[name]()
+        asg = fr.standard_assignment(A, ori)
+        for g in range(11):
+            v = fr.evaluate(stt.genus(ori, g), asg)
+            assert v.is_scalar and v.scalar == fr.closed_value(A, g), (name, g)
+
+
+# ---------------------------------------------------------------------------
+# the per-column reference evaluator as an oracle
+# ---------------------------------------------------------------------------
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" \
+    / "workloads.json"
+
+
+def known_defect_terms(presentation):
+    """Terms of the known evaluator defect listed with the benchmark."""
+    doc = json.loads(WORKLOADS.read_text(encoding="utf-8"))
+    return [tc.parse_two_cell(text, presentation.data)
+            for d in doc["known_defects"]
+            if d["presentation"] == "oriented"
+            and d["error"][0] == "DiagramError"
+            for text in d["terms"]]
+
+
+def _outcome(evaluate, term, asg):
+    try:
+        return evaluate(term, asg)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _assert_same(term, asg):
+    new = _outcome(fr.evaluate, term, asg)
+    assert new == _outcome(reference_eval.evaluate, term, asg), \
+        tc.print_two_cell(term)
+    return new
+
+
+def test_reference_genus_terms(ori):
+    for A in ALGEBRAS.values():
+        asg = fr.standard_assignment(A(), ori)
+        for g in range(5):
+            assert isinstance(_assert_same(stt.genus(ori, g), asg),
+                              fr.TwoCellValue)
+
+
+def test_reference_relations(ori, uno):
+    # every built-in algebra accepts both presentations
+    for p in (ori, uno):
+        for mk in ALGEBRAS.values():
+            asg = fr.standard_assignment(mk(), p)
+            for rel in p.relations:
+                _assert_same(rel.lhs, asg)
+                _assert_same(rel.rhs, asg)
+
+
+def test_reference_semantic_corpus(ori):
+    """The criterion 5 corpus and every rewrite of it, on M2Q."""
+    from tests.test_acceptance import _corpus
+    asg = fr.standard_assignment(fr.algebra_m2q(), ori)
+    checked = 0
+    for t in _corpus(ori, 100):
+        _assert_same(t, asg)
+        for step in pr.find_matches(t, ori):
+            _assert_same(pr.apply(t, step), asg)
+            checked += 1
+    assert checked > 500
+
+
+def test_reference_known_defect_terms(ori):
+    asg = fr.standard_assignment(fr.algebra_m2q(), ori)
+    terms = known_defect_terms(ori)
+    assert terms
+    for t in terms:
+        out = _assert_same(t, asg)
+        assert out == (DiagramError, "component transfer is not a bijection")
+
+
 # ---------------------------------------------------------------------------
 # algebra files
 # ---------------------------------------------------------------------------
@@ -391,6 +487,20 @@ def test_algebra_file_errors():
         fr.parse_algebra_file("dim 2\nunit 1:1/0")
     with pytest.raises(fr.AlgebraError):
         fr.parse_algebra_file("dim -1\nunit")
+    for text, message in [
+        ("dim 2\ndim 2\nunit 1:1", "line 2: duplicate dim"),
+        ("dim 2\nunit 1:1\nunit 2:1", "line 3: duplicate unit"),
+        ("dim 2\nunit 1:1\nlambda 1:1\nlambda 2:1",
+         "line 4: duplicate lambda"),
+        ("dim 2\nunit 1:1\ne 1,1:1\ne 2,2:1", "line 4: duplicate e"),
+        ("dim 2\nmult 1 2 -> 1:1\nunit 1:1\nmult 1 2 -> 2:1",
+         "line 4: duplicate mult 1 2"),
+        ("dim 2\nunit 1:1\nstar 1 -> 1:1\nstar 2 -> 2:1\nstar 1 -> 2:1",
+         "line 5: duplicate star 1"),
+    ]:
+        with pytest.raises(fr.AlgebraError) as exc:
+            fr.parse_algebra_file(text)
+        assert str(exc.value) == message
 
 
 def test_verify_unoriented_m2_with_transpose_star(uno):
