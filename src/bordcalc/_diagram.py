@@ -158,24 +158,6 @@ def build_live(term, diagram, gen_patterns):
     return LiveNode(term, [], src, tgt, ids)
 
 
-def node_arc_ids(node):
-    if not node.children:
-        return list(node.arc_ids)
-    out = []
-    for c in node.children:
-        out.extend(node_arc_ids(c))
-    return out
-
-
-def _leaf_blocks(term):
-    """Leaf subterms in left-to-right (application-order) sequence."""
-    if isinstance(term, tc.Comp1):
-        return _leaf_blocks(term.first) + _leaf_blocks(term.after)
-    if isinstance(term, tc.Tensor1):
-        return _leaf_blocks(term.left) + _leaf_blocks(term.right)
-    return [term]
-
-
 def _leaf_nodes(node):
     if not node.children:
         return [node]
@@ -236,14 +218,15 @@ class MovieState:
                 "movie out of sync at %s: expected %s, found %s"
                 % ("/".join(map(str, path)) or "<root>", source, node.term))
         ev = Event(cell, path, source, target)
-        ev.old_arcs = node_arc_ids(node)
+        old_leaves = _leaf_nodes(node)
+        ev.old_arcs = [a for ln in old_leaves for a in ln.arc_ids]
         ev.old_src_ports = list(node.src_ports)
         ev.old_tgt_ports = list(node.tgt_ports)
         ev.old_links = [(a, b) for a, b in self.diagram.link.items()
                         if a < b and a[0] in set(ev.old_arcs)
                         and b[0] in set(ev.old_arcs)]
-        ev.old_leaves = [ln.term for ln in _leaf_nodes(node)]
-        ev.old_leaf_arcs = [list(ln.arc_ids) for ln in _leaf_nodes(node)]
+        ev.old_leaves = [ln.term for ln in old_leaves]
+        ev.old_leaf_arcs = [list(ln.arc_ids) for ln in old_leaves]
         # detach boundary of the old subtree
         outer_s = [self.diagram.unjoin(e) for e in node.src_ports]
         outer_t = [self.diagram.unjoin(e) for e in node.tgt_ports]
@@ -259,11 +242,12 @@ class MovieState:
         for end, partner in zip(new_node.tgt_ports, outer_t):
             if partner is not None:
                 self.diagram.join(end, partner)
-        ev.new_arcs = node_arc_ids(new_node)
+        new_leaves = _leaf_nodes(new_node)
+        ev.new_arcs = [a for ln in new_leaves for a in ln.arc_ids]
         ev.new_src_ports = list(new_node.src_ports)
         ev.new_tgt_ports = list(new_node.tgt_ports)
-        ev.new_leaves = [ln.term for ln in _leaf_nodes(new_node)]
-        ev.new_leaf_arcs = [list(ln.arc_ids) for ln in _leaf_nodes(new_node)]
+        ev.new_leaves = [ln.term for ln in new_leaves]
+        ev.new_leaf_arcs = [list(ln.arc_ids) for ln in new_leaves]
         if parents:
             parent, step = parents[-1]
             parent.children[step] = new_node

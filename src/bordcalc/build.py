@@ -9,26 +9,15 @@ which drives the seeded random-term corpora.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import termcore as tc
 from .termcore import (AssocC, Comp1, Gen2, Id1, Id2, Inv2, LC, Phi0,
-                       PhiTensor, RC, Tensor1, Tensor2, hcompose, tensor,
-                       vcompose)
+                       PhiTensor, RC, Tensor1, hcompose, tensor, vcompose)
 
 
 class BuildError(Exception):
     pass
-
-
-def sentence_subterms(sentence, path=()):
-    yield path, sentence
-    if isinstance(sentence, Comp1):
-        yield from sentence_subterms(sentence.first, path + ("first",))
-        yield from sentence_subterms(sentence.after, path + ("after",))
-    elif isinstance(sentence, Tensor1):
-        yield from sentence_subterms(sentence.left, path + ("left",))
-        yield from sentence_subterms(sentence.right, path + ("right",))
 
 
 def whisker_cell(sentence, path, cell, data=None):
@@ -81,7 +70,7 @@ def applicable_events(presentation, sentence,
     """(path, cell) pairs that can fire somewhere in `sentence`."""
     data = presentation.data
     out = []
-    for path, sub in sentence_subterms(sentence):
+    for path, sub in tc.subterms(sentence):
         for name, (src, _tgt) in data.two_gens.items():
             if sub == src:
                 out.append((path, Gen2(name)))

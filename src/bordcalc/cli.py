@@ -4,8 +4,9 @@ Subcommands: check, eval, invariants, rewrite, verify, presentation,
 linear.  Exit codes: 0 all requested checks passed; 2 usage or syntax
 errors, including an unreadable file or an algebra that lacks the
 structure the presentation needs; 3 term validation errors; 4 failed
-verification, failed checks, a failed evaluation or an inconclusive
-rewrite search.  Output ordering is deterministic.
+verification, failed checks, a failed evaluation or surface
+reconstruction, or an inconclusive rewrite search.  Output ordering is
+deterministic.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def cmd_eval(args, out):
     except (tc.ParseError, tc.TermError) as exc:
         print("INVALID %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, fr.AlgebraError) as exc:
+    except fr.AlgebraError as exc:
         return _error(EXIT_USAGE, exc)
     try:
         value = fr.evaluate(term, asg)
@@ -90,7 +91,10 @@ def cmd_invariants(args, out):
     except (tc.ParseError, tc.TermError) as exc:
         print("INVALID %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    surf = sf.reconstruct(term, p)
+    try:
+        surf = sf.reconstruct(term, p)
+    except (sf.SurfaceError, DiagramError) as exc:
+        return _error(EXIT_FAILED, exc)
     out(str(sf.invariants(surf)))
     return EXIT_OK
 
@@ -121,7 +125,7 @@ def cmd_verify(args, out):
     p = _load_presentation(args.presentation)
     try:
         report = fr.verify_presentation(_load_algebra(args.algebra), p)
-    except (OSError, fr.AlgebraError) as exc:
+    except fr.AlgebraError as exc:
         return _error(EXIT_USAGE, exc)
     except DiagramError as exc:
         return _error(EXIT_FAILED, exc)
@@ -226,7 +230,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     lines = []
-    code = args.func(args, lines.append)
+    try:
+        code = args.func(args, lines.append)
+    except OSError as exc:          # an unreadable term, algebra or diagram
+        code = _error(EXIT_USAGE, exc)
     if args.format == "lines":
         lines = ["%s\t%s" % (args.command, line) for line in lines]
     text = "\n".join(lines)

@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import termcore as tc
-from ._diagram import MovieListener, run_movie, transfer_components
+from ._diagram import (MovieListener, _leaf_nodes, run_movie,
+                       transfer_components)
 from .presentations import Presentation
 
 
@@ -638,7 +639,6 @@ def _comp_order(state):
     the sentence tree touching the component; identical for any two movies
     ending at the same sentence.
     """
-    from ._diagram import _leaf_nodes
     diagram = state.diagram
     comps = diagram.components()
     port_pos = {}

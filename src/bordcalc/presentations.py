@@ -10,19 +10,22 @@ both sides by construction.
 
 `find_matches`/`apply` rewrite by the relations (exact subterm matching
 modulo vertical-chain flattening) and `equivalent_bounded` searches the
-rewrite graph breadth-first within a budget.
+rewrite graph breadth-first within a budget.  Each relation side is
+canonicalised once, into `Presentation.rules`; rewriting is congruence
+over the composite nodes, so every walk here reaches subterms through
+`termcore.parts`/`rebuild`/`subterms` and only the vertical chain (which
+flattens and splices) is handled by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import termcore as tc
 from .termcore import (Adj1, Assoc1, AssocC, Braid1, Comp1, Gen1, Gen2, Id1,
                        Id2, Inv2, LC, LeftUnitor1, ObjGen, RC, RightUnitor1,
-                       Tensor1, Tensor2, HComp, VComp, UNIT, comp1, hcompose,
-                       vcompose)
+                       Tensor1, VComp, UNIT, comp1, hcompose, vcompose)
 
 
 class PresentationError(Exception):
@@ -58,6 +61,13 @@ class Presentation:
             if lb != rb:
                 raise PresentationError(
                     "relation %r is not boundary-balanced" % rel.name)
+        # (name, direction, pattern chain, replacement chain) of every
+        # relation side, canonicalised once: lr before rl, in relation order
+        self.rules = [(rel.name, direction, _chain(canonical(src)),
+                       _chain(canonical(dst)))
+                      for rel in self.relations
+                      for direction, src, dst in (("lr", rel.lhs, rel.rhs),
+                                                  ("rl", rel.rhs, rel.lhs))]
 
     def relation(self, name: str) -> Relation:
         for rel in self.relations:
@@ -100,20 +110,20 @@ ORIENTED_CUSP_GENERATOR_COUNT = 4
 
 
 def invert_structural(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
-    """Formal inverse of a 2-cell built from structural cells only."""
-    if isinstance(p, tc.VComp):
-        return VComp(tuple(invert_structural(c) for c in reversed(p.children)))
-    if isinstance(p, tc.HComp):
-        return HComp(invert_structural(p.outer), invert_structural(p.inner))
-    if isinstance(p, tc.Tensor2):
-        return Tensor2(invert_structural(p.left), invert_structural(p.right))
+    """Formal inverse of a 2-cell built from structural cells only.
+
+    A chain inverts in reverse order, every other composite part by part.
+    """
     if isinstance(p, tc.Id2):
         return p
     if isinstance(p, tc.Inv2):
         return p.inner
     if isinstance(p, tc.STRUCTURAL_2):
         return Inv2(p)
-    raise PresentationError("cannot invert non-structural cell %r" % (p,))
+    inverses = [invert_structural(c) for _, c in tc.parts(p)]
+    if not inverses:
+        raise PresentationError("cannot invert non-structural cell %r" % (p,))
+    return tc.rebuild(p, inverses[::-1] if isinstance(p, VComp) else inverses)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +351,17 @@ def _forget_morphism(t):
         return t
     if isinstance(t, tc.Adj1):
         return Adj1(_forget_morphism(t.inner))
-    if isinstance(t, tc.Comp1):
-        return Comp1(_forget_morphism(t.after), _forget_morphism(t.first))
-    if isinstance(t, tc.Tensor1):
-        return Tensor1(_forget_morphism(t.left), _forget_morphism(t.right))
     if isinstance(t, tc.STRUCTURAL_1):
         return _forget_symbol(t)
-    raise PresentationError("cannot forget %r" % (t,))
+    return _forget_parts(t, _forget_morphism)
+
+
+def _forget_parts(node, forget):
+    """`node` rebuilt over its forgotten parts; a leaf left over raises."""
+    ps = tc.parts(node)
+    if not ps:
+        raise PresentationError("cannot forget %r" % (node,))
+    return tc.rebuild(node, [forget(c) for _, c in ps])
 
 
 def _forget_symbol(p):
@@ -372,17 +386,9 @@ def forget_orientation(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
         if p.name not in _GEN2_MAP:
             raise PresentationError("unknown oriented generator %r" % p.name)
         return Gen2(_GEN2_MAP[p.name])
-    if isinstance(p, tc.VComp):
-        return VComp(tuple(forget_orientation(c) for c in p.children))
-    if isinstance(p, tc.HComp):
-        return HComp(forget_orientation(p.outer), forget_orientation(p.inner))
-    if isinstance(p, tc.Tensor2):
-        return Tensor2(forget_orientation(p.left), forget_orientation(p.right))
-    if isinstance(p, tc.Inv2):
-        return Inv2(forget_orientation(p.inner))
     if isinstance(p, tc.STRUCTURAL_2):
         return _forget_symbol(p)
-    raise PresentationError("cannot forget %r" % (p,))
+    return _forget_parts(p, forget_orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -402,67 +408,35 @@ class RewriteStep:
 
 def canonical(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
     """Flatten nested vertical chains and drop unary chain wrappers."""
-    if isinstance(p, tc.VComp):
-        flat = []
-        for c in p.children:
-            cc = canonical(c)
-            if isinstance(cc, tc.VComp):
-                flat.extend(cc.children)
-            else:
-                flat.append(cc)
-        if len(flat) == 1:
-            return flat[0]
-        return VComp(tuple(flat))
-    if isinstance(p, tc.HComp):
-        return HComp(canonical(p.outer), canonical(p.inner))
-    if isinstance(p, tc.Tensor2):
-        return Tensor2(canonical(p.left), canonical(p.right))
-    if isinstance(p, tc.Inv2):
-        return Inv2(canonical(p.inner))
-    return p
+    if isinstance(p, VComp):
+        flat = [c for child in p.children for c in _chain(canonical(child))]
+        return flat[0] if len(flat) == 1 else VComp(tuple(flat))
+    ps = tc.parts(p)
+    if not ps:
+        return p
+    children = [canonical(c) for _, c in ps]
+    # a node whose parts are canonical is returned as it is, so that
+    # rewrite results share their unchanged subterms
+    if all(c is old for c, (_, old) in zip(children, ps)):
+        return p
+    return tc.rebuild(p, children)
 
 
 def _chain(p):
-    if isinstance(p, tc.VComp):
-        return list(p.children)
-    return [p]
-
-
-def _subnodes(p, path=()):
-    """All addressable nodes: the node itself, then children recursively."""
-    yield path, p
-    if isinstance(p, tc.VComp):
-        for i, c in enumerate(p.children):
-            yield from _subnodes(c, path + (i,))
-    elif isinstance(p, tc.HComp):
-        yield from _subnodes(p.outer, path + ("outer",))
-        yield from _subnodes(p.inner, path + ("inner",))
-    elif isinstance(p, tc.Tensor2):
-        yield from _subnodes(p.left, path + ("left",))
-        yield from _subnodes(p.right, path + ("right",))
-    elif isinstance(p, tc.Inv2):
-        yield from _subnodes(p.inner, path + ("inv2",))
+    """The cells of a vertical chain, or the one cell `p`."""
+    return p.children if isinstance(p, VComp) else (p,)
 
 
 def _replace_at(p, path, new):
     if not path:
         return new
-    step, rest = path[0], path[1:]
-    if isinstance(p, tc.VComp):
-        cs = list(p.children)
-        cs[step] = _replace_at(cs[step], rest, new)
-        return VComp(tuple(cs))
-    if isinstance(p, tc.HComp):
-        if step == "outer":
-            return HComp(_replace_at(p.outer, rest, new), p.inner)
-        return HComp(p.outer, _replace_at(p.inner, rest, new))
-    if isinstance(p, tc.Tensor2):
-        if step == "left":
-            return Tensor2(_replace_at(p.left, rest, new), p.right)
-        return Tensor2(p.left, _replace_at(p.right, rest, new))
-    if isinstance(p, tc.Inv2):
-        return Inv2(_replace_at(p.inner, rest, new))
-    raise PresentationError("bad path")
+    return tc.rebuild(p, [_replace_at(c, path[1:], new) if step == path[0]
+                          else c for step, c in tc.parts(p)])
+
+
+def _splice(chain, i, k, rep):
+    """The canonical node left when chain[i:i+k] is replaced by `rep`."""
+    return canonical(VComp(chain[:i] + rep + chain[i + k:]))
 
 
 def find_matches(t: tc.TwoCellTerm, p: Presentation) -> List[RewriteStep]:
@@ -474,59 +448,37 @@ def find_matches(t: tc.TwoCellTerm, p: Presentation) -> List[RewriteStep]:
     """
     t = canonical(t)
     steps = []
-    for path, node in _subnodes(t):
+    for path, node in tc.subterms(t):
         chain = _chain(node)
-        for rel in p.relations:
-            for direction, src, dst in (("lr", rel.lhs, rel.rhs),
-                                        ("rl", rel.rhs, rel.lhs)):
-                pat = _chain(canonical(src))
-                k = len(pat)
-                for i in range(len(chain) - k + 1):
-                    if chain[i:i + k] != pat:
-                        continue
-                    rep = _chain(canonical(dst))
-                    if k == len(chain) and i == 0:
-                        new_node = canonical(dst)
-                    else:
-                        cs = chain[:i] + rep + chain[i + k:]
-                        new_node = canonical(VComp(tuple(cs)))
-                    result = canonical(_replace_at(t, path, new_node))
-                    steps.append(RewriteStep(rel.name, direction, path,
-                                             (i, k), tuple(pat), tuple(rep),
-                                             result))
+        for name, direction, pat, rep in p.rules:
+            k = len(pat)
+            for i in range(len(chain) - k + 1):
+                if chain[i:i + k] != pat:
+                    continue
+                result = canonical(_replace_at(t, path,
+                                               _splice(chain, i, k, rep)))
+                steps.append(RewriteStep(name, direction, path, (i, k), pat,
+                                         rep, result))
     return steps
 
 
 def apply(t: tc.TwoCellTerm, step: RewriteStep) -> tc.TwoCellTerm:
     """Apply a step produced by `find_matches` on the same term.
 
-    Raises if the step is stale, i.e. the window no longer matches.
+    Raises if the step is stale, i.e. its path or its window no longer
+    matches.
     """
     t = canonical(t)
-    try:
-        node = t
-        for s in step.path:
-            if isinstance(node, tc.VComp):
-                node = node.children[s]
-            elif isinstance(node, tc.HComp):
-                node = node.outer if s == "outer" else node.inner
-            elif isinstance(node, tc.Tensor2):
-                node = node.left if s == "left" else node.right
-            elif isinstance(node, tc.Inv2):
-                node = node.inner
-            else:
-                raise PresentationError("stale step: path vanished")
-    except (IndexError, AttributeError):
-        raise PresentationError("stale step: path vanished")
+    node = t
+    for s in step.path:
+        node = dict(tc.parts(node)).get(s)
+        if node is None:
+            raise PresentationError("stale step: path vanished")
     chain = _chain(node)
     i, k = step.window
-    if tuple(chain[i:i + k]) != step.matched:
+    if chain[i:i + k] != step.matched:
         raise PresentationError("stale step: window no longer matches")
-    rep = list(step.replacement)
-    if k == len(chain) and i == 0 and len(rep) == 1:
-        new_node = rep[0]
-    else:
-        new_node = canonical(VComp(tuple(chain[:i] + rep + chain[i + k:])))
+    new_node = _splice(chain, i, k, step.replacement)
     return canonical(_replace_at(t, step.path, new_node))
 
 

@@ -467,9 +467,8 @@ def euler_by_events(term: tc.TwoCellTerm, presentation) -> int:
         raise SurfaceError("term is not closed")
     chi = 0
     for leaf in tc.iter_two_cell_leaves(term):
-        cell = leaf.inner if isinstance(leaf, tc.Inv2) else leaf
-        if isinstance(cell, tc.Gen2):
-            tag = presentation.two_gen_tags.get(cell.name)
+        if isinstance(leaf, tc.Gen2):
+            tag = presentation.two_gen_tags.get(leaf.name)
             if tag in ("cap", "cup"):
                 chi += 1
             elif tag in ("split", "merge"):

@@ -441,6 +441,48 @@ STRUCTURAL_2 = tuple(c for c in SYMBOLS.values()
 _RESERVED = set(SYMBOLS) | {"inv", "inv2", "1"}
 
 
+# ---------------------------------------------------------------------------
+# the composite nodes
+# ---------------------------------------------------------------------------
+
+#: composite class -> its (path step, field) pairs, in walk order; `VComp`
+#: steps by position.  Every walk that only recurses (rewriting, validation,
+#: orientation forgetting, leaf and subterm enumeration) reads this table
+#: through `parts`, `rebuild` and `subterms`; the boundary formulas, the
+#: formal adjoint and the movie walk are written per composite.  `Adj1`
+#: wraps one structural symbol and is a leaf here.
+_PARTS = {
+    HComp: (("outer", "outer"), ("inner", "inner")),
+    Tensor2: (("left", "left"), ("right", "right")),
+    Inv2: (("inv2", "inner"),),
+    Comp1: (("first", "first"), ("after", "after")),
+    Tensor1: (("left", "left"), ("right", "right")),
+}
+
+
+def parts(node):
+    """(path step, child) pairs of a composite node; [] for a leaf."""
+    if type(node) is VComp:
+        return list(enumerate(node.children))
+    spec = _PARTS.get(type(node))
+    return [(step, getattr(node, name)) for step, name in spec] if spec else []
+
+
+def rebuild(node, children):
+    """A node of the same class as `node` over `children` (in `parts` order)."""
+    if type(node) is VComp:
+        return VComp(tuple(children))
+    return type(node)(**{name: c for (_, name), c
+                         in zip(_PARTS[type(node)], children)})
+
+
+def subterms(node, path=()):
+    """(path, subterm) pairs: the node itself, then its parts recursively."""
+    yield path, node
+    for step, c in parts(node):
+        yield from subterms(c, path + (step,))
+
+
 def vcompose(ps: Sequence[TwoCellTerm], data=None) -> TwoCellTerm:
     """Vertical chain of two-cells in application order.
 
@@ -756,19 +798,17 @@ def _validate_morphism(t, data, report, path):
         else:
             _validate_morphism(t.inner, data, report, path + ("inv",))
         return
+    ps = parts(t)
+    if not ps:
+        report.add(path, "not a morphism term: %r" % (t,))
+        return
+    for step, c in ps:
+        _validate_morphism(c, data, report, path + (step,))
     if isinstance(t, Comp1):
-        _validate_morphism(t.first, data, report, path + ("first",))
-        _validate_morphism(t.after, data, report, path + ("after",))
         try:
             morphism_boundary(t, data)
         except TermError as e:
             report.add(path, str(e))
-        return
-    if isinstance(t, Tensor1):
-        _validate_morphism(t.left, data, report, path + ("left",))
-        _validate_morphism(t.right, data, report, path + ("right",))
-        return
-    report.add(path, "not a morphism term: %r" % (t,))
 
 
 def _validate_two_cell(p, data, report, path):
@@ -776,36 +816,22 @@ def _validate_two_cell(p, data, report, path):
         if p.name not in data.two_gens:
             report.add(path, "unknown 2-generator %r" % p.name)
         return
-    if isinstance(p, Inv2):
-        if not isinstance(p.inner, STRUCTURAL_2):
-            report.add(path, "inv2 of a non-invertible cell")
-            return
-        _validate_two_cell(p.inner, data, report, path + ("inv2",))
+    if isinstance(p, Inv2) and not isinstance(p.inner, STRUCTURAL_2):
+        report.add(path, "inv2 of a non-invertible cell")
         return
-    if isinstance(p, VComp):
-        if not p.children:
-            report.add(path, "empty vertical chain")
-            return
-        for i, c in enumerate(p.children):
-            _validate_two_cell(c, data, report, path + (i,))
-        if report.ok:
+    if isinstance(p, VComp) and not p.children:
+        report.add(path, "empty vertical chain")
+        return
+    ps = parts(p)
+    if ps:
+        for step, c in ps:
+            _validate_two_cell(c, data, report, path + (step,))
+        # chains and horizontal composites constrain their parts' boundaries
+        if report.ok and isinstance(p, (VComp, HComp)):
             try:
                 two_cell_boundary(p, data)
             except TermError as e:
                 report.add(path, str(e))
-        return
-    if isinstance(p, HComp):
-        _validate_two_cell(p.outer, data, report, path + ("outer",))
-        _validate_two_cell(p.inner, data, report, path + ("inner",))
-        if report.ok:
-            try:
-                two_cell_boundary(p, data)
-            except TermError as e:
-                report.add(path, str(e))
-        return
-    if isinstance(p, Tensor2):
-        _validate_two_cell(p.left, data, report, path + ("left",))
-        _validate_two_cell(p.right, data, report, path + ("right",))
         return
     if not isinstance(p, STRUCTURAL_2):
         report.add(path, "not a 2-cell leaf: %r" % (p,))
@@ -1041,40 +1067,20 @@ def parse_two_cell(text: str, data: Optional[GeneratingData] = None) -> TwoCellT
     return t
 
 
-def print_object_word(w: ObjectWord) -> str:
-    return str(w)
-
-
-def print_morphism(t: MorphismTerm) -> str:
-    return str(t)
-
-
 def print_two_cell(p: TwoCellTerm) -> str:
     return str(p)
 
 
 # ---------------------------------------------------------------------------
-# traversal helpers shared by the rewrite and surface machinery
+# leaves
 # ---------------------------------------------------------------------------
 
-def two_cell_children(p: TwoCellTerm):
-    """(child terms, rebuild function) for congruence traversal."""
-    if isinstance(p, VComp):
-        return list(p.children), lambda cs: VComp(tuple(cs))
-    if isinstance(p, HComp):
-        return [p.outer, p.inner], lambda cs: HComp(cs[0], cs[1])
-    if isinstance(p, Tensor2):
-        return [p.left, p.right], lambda cs: Tensor2(cs[0], cs[1])
-    return [], lambda cs: p
-
-
 def iter_two_cell_leaves(p: TwoCellTerm):
-    """Yield every non-node leaf of a two-cell term, depth first."""
-    children, _ = two_cell_children(p)
-    if not children:
+    """Yield every leaf of a term, depth first in `parts` order."""
+    ps = parts(p)
+    if not ps:
         yield p
-        return
-    for c in children:
+    for _, c in ps:
         yield from iter_two_cell_leaves(c)
 
 
@@ -1084,8 +1090,4 @@ def count_leaves(p: TwoCellTerm) -> int:
 
 def morphism_leaves(t: MorphismTerm):
     """Left-to-right 1-cell leaves of a morphism term."""
-    if isinstance(t, Comp1):
-        return morphism_leaves(t.first) + morphism_leaves(t.after)
-    if isinstance(t, Tensor1):
-        return morphism_leaves(t.left) + morphism_leaves(t.right)
-    return [t]
+    return list(iter_two_cell_leaves(t))

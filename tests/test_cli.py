@@ -1,6 +1,7 @@
 """Command line: subcommands, formats, exit codes."""
 
 import io
+import json
 import pathlib
 import sys
 
@@ -223,3 +224,37 @@ def test_eval_diagram_error(tmp_path, capsys):
     code, out, err = run(["eval", str(term), "--algebra", "M2Q"], capsys)
     _one_line_error(code, out, err, cli.EXIT_FAILED)
     assert err == "ERROR component transfer is not a bijection\n"
+
+
+# ---------------------------------------------------------------------------
+# every command: a missing file and a surface that cannot be rebuilt
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["invariants"], ["linear"],
+    ["rewrite", "--to", str(DEMOS / "terms/sphere.bc")]])
+def test_missing_file_is_one_line(tmp_path, capsys, command):
+    missing = str(tmp_path / "none.bc")
+    code, out, err = run(command[:1] + [missing] + command[1:], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "none.bc" in err
+
+
+def test_rewrite_missing_target_file(tmp_path, capsys):
+    code, out, err = run(["rewrite", str(DEMOS / "terms/sphere.bc"),
+                          "--to", str(tmp_path / "none.bc")], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+
+
+def test_invariants_reconstruction_error(tmp_path, capsys):
+    doc = json.loads((DEMOS.parent / "bench/workloads.json")
+                     .read_text(encoding="utf-8"))
+    texts = [text for d in doc["known_defects"]
+             if d["presentation"] == "unoriented" for text in d["terms"]]
+    assert texts
+    for i, text in enumerate(texts):
+        term = tmp_path / ("defect%d.bc" % i)
+        term.write_text(text, encoding="utf-8")
+        code, out, err = run(["invariants", str(term)], capsys)
+        _one_line_error(code, out, err, cli.EXIT_FAILED)
+        assert err == "ERROR new arc produced twice\n"

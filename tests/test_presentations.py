@@ -1,5 +1,7 @@
 """Presentations: generator counts, relation balance, rewriting, search."""
 
+import dataclasses
+
 import pytest
 
 from bordcalc import presentations as pr
@@ -82,6 +84,32 @@ def test_apply_and_stale(uno):
     other = vcompose([Gen2("cap"), Gen2("cup")], uno.data)
     with pytest.raises(pr.PresentationError):
         pr.apply(other, steps[0])
+
+
+def _inner_zigzag_step(uno):
+    """pt-strip (id) # (cusp_up . cusp_down), and the lr cusp-inversion step
+    found at its inner part."""
+    pt = Id2(Id1(ObjGen("pt")))
+    zigzag = vcompose([Gen2("cusp_up"), Gen2("cusp_down")], uno.data)
+    t = tc.HComp(pt, zigzag)
+    step = next(s for s in pr.find_matches(t, uno)
+                if s.relation == "cusp-inversion-pt-strip"
+                and s.direction == "lr")
+    assert step.path == ("inner",)
+    assert pr.apply(t, step) == tc.HComp(pt, pt)
+    return t, zigzag, step
+
+
+def test_apply_stale_int_step_under_hcomp(uno):
+    t, _, step = _inner_zigzag_step(uno)
+    with pytest.raises(pr.PresentationError, match="path vanished"):
+        pr.apply(t, dataclasses.replace(step, path=(1,)))
+
+
+def test_apply_stale_str_step_under_vcomp(uno):
+    _, zigzag, step = _inner_zigzag_step(uno)
+    with pytest.raises(pr.PresentationError, match="path vanished"):
+        pr.apply(zigzag, dataclasses.replace(step, path=("inner",)))
 
 
 def test_apply_inverse_restores(uno):
