@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from . import termcore as tc
 from .termcore import (AssocC, Comp1, Gen2, Id1, Id2, Inv2, LC, Phi0,
-                       PhiTensor, RC, Tensor1, hcompose, tensor, vcompose)
+                       PhiTensor, RC, Tensor1, VComp, hcompose, tensor)
 
 
 class BuildError(Exception):
@@ -60,9 +60,9 @@ class MovieBuilder:
         return self
 
     def term(self):
-        if not self.cells:
-            return vcompose([Id2(self.sentence)], self.p.data)
-        return vcompose(self.cells, self.p.data)
+        # every cell's source is the sentence before it (`whisker_cell`
+        # checks it), so the chain composes by construction
+        return VComp(tuple(self.cells) or (Id2(self.sentence),))
 
 
 def applicable_events(presentation, sentence,
@@ -130,6 +130,7 @@ def random_term(presentation, seed: int, events: int = 6,
     """Seeded random valid two-cell term built as a movie of events."""
     rng = random.Random(seed)
     builder = MovieBuilder(presentation, random_source(presentation, rng))
+    leaves = 0
     for _ in range(events):
         cands = applicable_events(presentation, builder.sentence)
         gen_cands = [(p, c) for p, c in cands if isinstance(c, Gen2)]
@@ -145,7 +146,8 @@ def random_term(presentation, seed: int, events: int = 6,
             builder.apply(path, cell)
         except (BuildError, tc.TermError):
             continue
-        if tc.count_leaves(builder.term()) > max_leaves:
+        leaves += tc.count_leaves(builder.cells[-1])
+        if leaves > max_leaves:
             break
     term = builder.term()
     report = tc.validate(term, presentation.data)

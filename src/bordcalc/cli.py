@@ -2,11 +2,13 @@
 
 Subcommands: check, eval, invariants, rewrite, verify, presentation,
 linear.  Exit codes: 0 all requested checks passed; 2 usage or syntax
-errors, including an unreadable file or an algebra that lacks the
-structure the presentation needs; 3 term validation errors; 4 failed
-verification, failed checks, a failed evaluation or surface
-reconstruction, or an inconclusive rewrite search.  Output ordering is
-deterministic.
+errors, including an unreadable file, an algebra that lacks the
+structure the presentation needs, or input nested too deeply to walk;
+3 term validation errors, including rewrite endpoints whose boundaries
+differ; 4 failed verification, failed checks, a failed evaluation or
+surface reconstruction, or an inconclusive rewrite search.  Errors are
+one line on stderr (`INVALID ...` for exit 3, `ERROR ...` otherwise).
+Output ordering is deterministic.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def _load_algebra(spec):
 
 def _error(code, exc):
     """Report `exc` as one line on stderr; return the exit code."""
-    print("ERROR %s" % "; ".join(str(exc).splitlines()), file=sys.stderr)
+    print("%s %s" % ("INVALID" if code == EXIT_INVALID else "ERROR",
+                     "; ".join(str(exc).splitlines())), file=sys.stderr)
     return code
 
 
@@ -59,8 +62,7 @@ def cmd_check(args, out):
     try:
         _read_term(args.file, p)
     except (tc.ParseError, tc.TermError) as exc:
-        print("INVALID %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+        return _error(EXIT_INVALID, exc)
     out("VALID")
     return EXIT_OK
 
@@ -72,8 +74,7 @@ def cmd_eval(args, out):
         term = _read_term(args.file, p)
         asg = fr.standard_assignment(A, p)
     except (tc.ParseError, tc.TermError) as exc:
-        print("INVALID %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+        return _error(EXIT_INVALID, exc)
     except fr.AlgebraError as exc:
         return _error(EXIT_USAGE, exc)
     try:
@@ -89,8 +90,7 @@ def cmd_invariants(args, out):
     try:
         term = _read_term(args.file, p)
     except (tc.ParseError, tc.TermError) as exc:
-        print("INVALID %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+        return _error(EXIT_INVALID, exc)
     try:
         surf = sf.reconstruct(term, p)
     except (sf.SurfaceError, DiagramError) as exc:
@@ -104,11 +104,10 @@ def cmd_rewrite(args, out):
     try:
         t1 = _read_term(args.file, p)
         t2 = _read_term(args.to, p)
-    except (tc.ParseError, tc.TermError) as exc:
-        print("INVALID %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    res = pr.equivalent_bounded(t1, t2, p, depth=args.depth,
-                                max_visited=args.max_visited)
+        res = pr.equivalent_bounded(t1, t2, p, depth=args.depth,
+                                    max_visited=args.max_visited)
+    except (tc.ParseError, tc.TermError, pr.PresentationError) as exc:
+        return _error(EXIT_INVALID, exc)
     if res.equivalent:
         out("EQUIVALENT %d" % len(res.steps))
         for step in res.steps:
@@ -146,8 +145,7 @@ def cmd_linear(args, out):
     try:
         d = ln.parse_diagram(text)
     except ln.LinearError as exc:
-        print("INVALID %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+        return _error(EXIT_INVALID, exc)
     census = ln.reconstruct_1manifold(d)
     out("circles=%d intervals=%d" % (census["circles"], census["intervals"]))
     if not args.moves:
@@ -234,6 +232,8 @@ def main(argv=None):
         code = args.func(args, lines.append)
     except OSError as exc:          # an unreadable term, algebra or diagram
         code = _error(EXIT_USAGE, exc)
+    except RecursionError:          # a term nested deeper than the stack
+        code = _error(EXIT_USAGE, "input nested too deeply")
     if args.format == "lines":
         lines = ["%s\t%s" % (args.command, line) for line in lines]
     text = "\n".join(lines)

@@ -94,7 +94,8 @@ class Complex:
 
     # -- corners and vertices --------------------------------------------
 
-    def _corner_find(self):
+    def corner_classes(self):
+        """`find` mapping a corner (face, position) to its vertex class."""
         parent = {}
 
         def find(x):
@@ -125,10 +126,11 @@ class Complex:
             else:
                 union((f, i), (g, j))
                 union((f, (i + 1) % nf), (g, (j + 1) % ng))
-        return parent, find
+        return find
 
-    def stats(self, faces=None):
-        """(V, E, F, free_slots) over the selected faces."""
+    def stats(self, find, faces=None):
+        """(V, E, F, free_slots) over the selected faces; `find` is
+        `corner_classes()`."""
         sel = set(faces if faces is not None else range(len(self.faces)))
         F = len(sel)
         E = 0
@@ -143,15 +145,14 @@ class Complex:
             else:
                 free.append(s)
             E += 1
-        parent, find = self._corner_find()
         roots = set()
         for f in sel:
             for i in range(len(self.faces[f])):
                 roots.add(find((f, i)))
         return len(roots), E, F, free
 
-    def euler_characteristic(self, faces=None) -> int:
-        V, E, F, _ = self.stats(faces)
+    def euler_characteristic(self, find, faces=None) -> int:
+        V, E, F, _ = self.stats(find, faces)
         return V - E + F
 
     def orientable(self, faces=None) -> bool:
@@ -179,10 +180,10 @@ class Complex:
                         return False
         return True
 
-    def boundary_circles(self, faces=None) -> int:
-        """Connected components of the free-edge graph on boundary vertices."""
+    def boundary_circles(self, find, faces=None) -> int:
+        """Connected components of the free-edge graph on boundary vertices;
+        `find` is `corner_classes()`."""
         sel = set(faces if faces is not None else range(len(self.faces)))
-        parent, find = self._corner_find()
         free = [s for s, (f, _) in self.slot_face.items()
                 if f in sel and s not in self.partner]
         if not free:
@@ -442,12 +443,13 @@ def reconstruct(term: tc.TwoCellTerm, presentation) -> CombSurface:
 
 def invariants(surface: CombSurface) -> SurfaceInvariants:
     cx = surface.complex
+    find = cx.corner_classes()
     comps = []
     for faces in cx.face_components():
         comps.append(ComponentInvariants(
-            euler_characteristic=cx.euler_characteristic(faces),
+            euler_characteristic=cx.euler_characteristic(find, faces),
             orientable=cx.orientable(faces),
-            boundary_circles=cx.boundary_circles(faces)))
+            boundary_circles=cx.boundary_circles(find, faces)))
     comps.sort(key=lambda c: (c.euler_characteristic, not c.orientable,
                               c.boundary_circles))
     return SurfaceInvariants(tuple(comps))

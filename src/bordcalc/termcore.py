@@ -10,8 +10,13 @@ Three layers of terms over a generating datum:
 
 Terms are immutable; equality is exact tree equality (no implicit
 rebracketing).  Boundaries are computed leaf-up from the structural symbol
-tables.  A small DSL (`parse_*` / `print_*`) gives a textual form with a
-parse/print round-trip guarantee.
+tables, and `two_cell_boundary`/`morphism_boundary` are the only code that
+decides whether the parts of a composite compose: `vcompose`, `hcompose`
+and `validate` all ask them.  `validate` checks each node on its own
+(names, admissibility, the parameters and boundary sentences of structural
+leaves), then walks the boundary once from the root.  A small DSL
+(`parse_*` / `print_*`) gives a textual form with a parse/print round-trip
+guarantee.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ class TermError(Exception):
     """Malformed term: unknown name, bad arity or boundary mismatch."""
 
     def __init__(self, message, path=()):
+        self.message = message
         self.path = tuple(path)
         if self.path:
             message = "%s (at %s)" % (message, "/".join(map(str, self.path)))
@@ -483,30 +489,25 @@ def subterms(node, path=()):
         yield from subterms(c, path + (step,))
 
 
-def vcompose(ps: Sequence[TwoCellTerm], data=None) -> TwoCellTerm:
-    """Vertical chain of two-cells in application order.
-
-    Nested chains are flattened.  Boundary mismatches raise TermError; with
-    free generator names and no `data` the check is deferred to validate().
-    """
-    if not ps:
-        raise TermError("vertical chain must be non-empty")
-    flat = []
-    for p in ps:
-        if isinstance(p, VComp):
-            flat.extend(p.children)
-        else:
-            flat.append(p)
+def _checked(p: TwoCellTerm, data) -> TwoCellTerm:
+    """`p`, after `two_cell_boundary` has checked that its parts compose;
+    with free generator names and no `data` the check is deferred to
+    validate()."""
     try:
-        for i in range(len(flat) - 1):
-            if two_cell_target(flat[i], data) != two_cell_source(flat[i + 1],
-                                                                 data):
-                raise TermError("non-composable vertical chain", path=(i,))
+        two_cell_boundary(p, data)
     except FreeGeneratorError:
         pass
-    if len(flat) == 1:
-        return VComp((flat[0],))
-    return VComp(tuple(flat))
+    return p
+
+
+def vcompose(ps: Sequence[TwoCellTerm], data=None) -> TwoCellTerm:
+    """Vertical chain of two-cells in application order; nested chains are
+    flattened.  Boundary mismatches raise TermError."""
+    if not ps:
+        raise TermError("vertical chain must be non-empty")
+    flat = tuple(c for p in ps
+                 for c in (p.children if isinstance(p, VComp) else (p,)))
+    return _checked(VComp(flat), data)
 
 
 def tensor(p: TwoCellTerm, q: TwoCellTerm) -> TwoCellTerm:
@@ -515,15 +516,7 @@ def tensor(p: TwoCellTerm, q: TwoCellTerm) -> TwoCellTerm:
 
 def hcompose(p: TwoCellTerm, q: TwoCellTerm, data=None) -> TwoCellTerm:
     """Horizontal composite p * q (q on the inner/source-object side)."""
-    try:
-        sp = morphism_source(two_cell_source(p, data), data)
-        tq = morphism_target(two_cell_source(q, data), data)
-        if sp != tq:
-            raise TermError("horizontal boundary mismatch: %s vs %s"
-                            % (tq, sp))
-    except FreeGeneratorError:
-        pass
-    return HComp(p, q)
+    return _checked(HComp(p, q), data)
 
 
 # ---------------------------------------------------------------------------
@@ -779,80 +772,75 @@ def _validate_object(w, data, report, path):
     report.add(path, "not an object word: %r" % (w,))
 
 
-def _validate_morphism(t, data, report, path):
-    if isinstance(t, Gen1):
-        if t.name not in data.one_gens:
-            report.add(path, "unknown 1-generator %r" % t.name)
-        return
-    if isinstance(t, STRUCTURAL_1):
-        # every 1-symbol parameter is an object word; a unary symbol
-        # reports at its own path, an n-ary one at path/i
-        unary = len(t.ARGS) == 1
-        for i, (name, _) in enumerate(t.ARGS):
-            _validate_object(getattr(t, name), data, report,
-                             path if unary else path + (i,))
-        return
-    if isinstance(t, Adj1):
-        if not isinstance(t.inner, STRUCTURAL_1):
-            report.add(path, "formal adjoint of a non-structural symbol")
-        else:
-            _validate_morphism(t.inner, data, report, path + ("inv",))
-        return
-    ps = parts(t)
-    if not ps:
-        report.add(path, "not a morphism term: %r" % (t,))
-        return
-    for step, c in ps:
-        _validate_morphism(c, data, report, path + (step,))
-    if isinstance(t, Comp1):
-        try:
-            morphism_boundary(t, data)
-        except TermError as e:
-            report.add(path, str(e))
+def _validate_morphism_leaves(t, data, report, path):
+    """Names and formal adjoints in morphism term `t`; composability is
+    left to `morphism_boundary`."""
+    for at, m in subterms(t, path):
+        if isinstance(m, Adj1):
+            if not isinstance(m.inner, STRUCTURAL_1):
+                report.add(at, "formal adjoint of a non-structural symbol")
+                continue
+            at, m = at + ("inv",), m.inner
+        if isinstance(m, Gen1):
+            if m.name not in data.one_gens:
+                report.add(at, "unknown 1-generator %r" % m.name)
+        elif isinstance(m, STRUCTURAL_1):
+            # every 1-symbol parameter is an object word; a unary symbol
+            # reports at its own path, an n-ary one at path/i
+            unary = len(m.ARGS) == 1
+            for i, (name, _) in enumerate(m.ARGS):
+                _validate_object(getattr(m, name), data, report,
+                                 at if unary else at + (i,))
+        elif not parts(m):
+            report.add(at, "not a morphism term: %r" % (m,))
 
 
-def _validate_two_cell(p, data, report, path):
+def _validate_leaf(p, data, report, path):
+    """The checks local to one node of a two-cell term; composites pass."""
     if isinstance(p, Gen2):
         if p.name not in data.two_gens:
             report.add(path, "unknown 2-generator %r" % p.name)
-        return
-    if isinstance(p, Inv2) and not isinstance(p.inner, STRUCTURAL_2):
-        report.add(path, "inv2 of a non-invertible cell")
-        return
-    if isinstance(p, VComp) and not p.children:
-        report.add(path, "empty vertical chain")
-        return
-    ps = parts(p)
-    if ps:
-        for step, c in ps:
-            _validate_two_cell(c, data, report, path + (step,))
-        # chains and horizontal composites constrain their parts' boundaries
-        if report.ok and isinstance(p, (VComp, HComp)):
+    elif isinstance(p, Inv2):
+        if not isinstance(p.inner, STRUCTURAL_2):
+            report.add(path, "inv2 of a non-invertible cell")
+    elif isinstance(p, VComp):
+        if not p.children:
+            report.add(path, "empty vertical chain")
+    elif isinstance(p, STRUCTURAL_2):
+        before = len(report.entries)
+        for name, kind in p.ARGS:
+            check = (_validate_object if kind == "object"
+                     else _validate_morphism_leaves)
+            check(getattr(p, name), data, report, path)
+        if len(report.entries) == before:
+            # the parameters name known things; the symbol's own boundary
+            # sentences must compose
             try:
-                two_cell_boundary(p, data)
+                for sentence in _leaf_boundary(p, data):
+                    morphism_boundary(sentence, data)
             except TermError as e:
                 report.add(path, str(e))
-        return
-    if not isinstance(p, STRUCTURAL_2):
+    elif not parts(p):
         report.add(path, "not a 2-cell leaf: %r" % (p,))
-        return
-    # structural leaf: validate parameters, then boundary formation
-    try:
-        for name, kind in p.ARGS:
-            if kind == "object":
-                _validate_object(getattr(p, name), data, report, path)
-            else:
-                _validate_morphism(getattr(p, name), data, report, path)
-        if report.ok:
-            _leaf_boundary(p, data)
-    except TermError as e:
-        report.add(path, str(e))
 
 
 def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
-    """Check that `term` is a paragraph over `data`; report all violations."""
+    """Check that `term` is a paragraph over `data`.
+
+    Every node is checked on its own first (names, admissibility, the
+    parameters and boundary sentences of structural leaves), reporting all
+    violations.  If there are none, one `two_cell_boundary` walk from the
+    root reports the first composite whose parts do not compose, at its
+    path: composability is decided only by the boundary functions.
+    """
     report = ValidationReport()
-    _validate_two_cell(term, data, report, ())
+    for path, p in subterms(term):
+        _validate_leaf(p, data, report, path)
+    if report.ok:
+        try:
+            two_cell_boundary(term, data)
+        except TermError as e:
+            report.add(e.path, e.message)
     return report
 
 
@@ -1048,7 +1036,7 @@ def parse_morphism(text: str, data: Optional[GeneratingData] = None) -> Morphism
         raise ParseError("trailing input", p.peek()[2])
     if data is not None:
         report = ValidationReport()
-        _validate_morphism(t, data, report, ())
+        _validate_morphism_leaves(t, data, report, ())
         if not report.ok:
             raise TermError(str(report))
         morphism_boundary(t, data)

@@ -258,3 +258,43 @@ def test_invariants_reconstruction_error(tmp_path, capsys):
         code, out, err = run(["invariants", str(term)], capsys)
         _one_line_error(code, out, err, cli.EXIT_FAILED)
         assert err == "ERROR new arc produced twice\n"
+
+
+# ---------------------------------------------------------------------------
+# term errors: one INVALID line and exit 3, deep nesting one ERROR line
+# ---------------------------------------------------------------------------
+
+def _write(tmp_path, text):
+    path = tmp_path / "term.bc"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_check_report_is_one_line(tmp_path, capsys):
+    code, out, err = run(["check", _write(tmp_path, "(nonsense . other)")],
+                         capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err == ("INVALID 0: unknown 2-generator 'nonsense'; "
+                   "1: unknown 2-generator 'other'\n")
+
+
+def test_check_ill_formed_structural_leaf(tmp_path, capsys):
+    code, out, err = run(["check", _write(tmp_path,
+                                          "(assoc2[ev,ev,ev] (*) cap)")],
+                         capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("INVALID left: ")
+
+
+def test_rewrite_endpoint_boundary_mismatch(capsys):
+    code, out, err = run(["rewrite", str(DEMOS / "terms/sphere.bc"),
+                          "--to", str(DEMOS / "terms/cusp_zigzag.bc")], capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err == "INVALID boundary mismatch between search endpoints\n"
+
+
+def test_deep_nesting_is_one_line(tmp_path, capsys):
+    depth = max(1500, sys.getrecursionlimit() + 500)
+    text = "id[%sI[1]%s]" % ("(" * depth, " ; I[1])" * depth)
+    code, out, err = run(["check", _write(tmp_path, text)], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)

@@ -141,3 +141,14 @@ def test_forget_images_orientable(ori, uno):
         assert all(c.orientable for c in inv.components)
         count += 1
     assert count >= 20
+
+
+def test_invariants_build_corner_classes_once(uno, monkeypatch):
+    calls = []
+    corner_classes = sf.Complex.corner_classes
+    monkeypatch.setattr(sf.Complex, "corner_classes",
+                        lambda cx: calls.append(1) or corner_classes(cx))
+    surf = sf.reconstruct(tc.parse_two_cell(
+        "((cap . cup) (*) (cap . cup))"), uno)
+    assert sf.invariants(surf).component_count == 2
+    assert len(calls) == 1

@@ -354,3 +354,26 @@ def test_boundary_compositional_over_tensor(uno):
         st, tt = tc.two_cell_boundary(tc.tensor(p, q), uno.data)
         assert st == tc.Tensor1(sp, sq)
         assert tt == tc.Tensor1(tp, tq)
+
+
+@pytest.mark.parametrize("text", [
+    "assoc2[ev,ev,ev]", "phi[(ev,ev),(ev,ev)]", "(assoc2[ev,ev,ev] (*) cap)"])
+def test_validate_rejects_ill_formed_structural_leaves(uno, text):
+    # the parameters name known generators, but the symbol's own source
+    # sentence does not compose
+    rep = tc.validate(tc.parse_two_cell(text), uno.data)
+    assert len(rep.entries) == 1
+    assert "boundary mismatch in composite" in rep.entries[0][1]
+
+
+def test_validate_reports_a_nested_mismatch_once(uno):
+    rep = tc.validate(tc.parse_two_cell("id[(((ev ; ev) ; I[1]) ; I[1])]"),
+                      uno.data)
+    assert rep.entries == [((), "boundary mismatch in composite: 1 then "
+                                "(pt ⊗ pt) (at first/first)")]
+
+
+def test_validate_reports_a_chain_mismatch_at_its_path(uno):
+    rep = tc.validate(tc.parse_two_cell("((cap . cap) . (cap . cup))"),
+                      uno.data)
+    assert rep.entries == [((0, 0), "non-composable vertical chain")]
