@@ -12,8 +12,8 @@ import random
 from typing import List, Tuple
 
 from . import termcore as tc
-from .termcore import (AssocC, Comp1, Gen2, Id1, Id2, Inv2, LC, Phi0,
-                       PhiTensor, RC, Tensor1, VComp, hcompose, tensor)
+from .termcore import (AssocC, Comp1, Gen2, HComp, Id1, Id2, Inv2, LC, Phi0,
+                       PhiTensor, RC, Tensor1, Tensor2, VComp)
 
 
 class BuildError(Exception):
@@ -21,7 +21,11 @@ class BuildError(Exception):
 
 
 def whisker_cell(sentence, path, cell, data=None):
-    """Embed `cell` at `path` of `sentence`, padding with identities."""
+    """Embed `cell` at `path` of `sentence`, padding with identities.
+
+    The cell's source is matched against the subterm at `path`, so the
+    padding composes by construction and is built without re-checking.
+    """
     if not path:
         src = tc.two_cell_source(cell, data)
         if src != sentence:
@@ -31,17 +35,16 @@ def whisker_cell(sentence, path, cell, data=None):
     step, rest = path[0], path[1:]
     if isinstance(sentence, Comp1):
         if step == "first":
-            return hcompose(Id2(sentence.after),
-                            whisker_cell(sentence.first, rest, cell, data),
-                            data)
-        return hcompose(whisker_cell(sentence.after, rest, cell, data),
-                        Id2(sentence.first), data)
+            return HComp(Id2(sentence.after),
+                         whisker_cell(sentence.first, rest, cell, data))
+        return HComp(whisker_cell(sentence.after, rest, cell, data),
+                     Id2(sentence.first))
     if isinstance(sentence, Tensor1):
         if step == "left":
-            return tensor(whisker_cell(sentence.left, rest, cell, data),
-                          Id2(sentence.right))
-        return tensor(Id2(sentence.left),
-                      whisker_cell(sentence.right, rest, cell, data))
+            return Tensor2(whisker_cell(sentence.left, rest, cell, data),
+                           Id2(sentence.right))
+        return Tensor2(Id2(sentence.left),
+                       whisker_cell(sentence.right, rest, cell, data))
     raise BuildError("path does not exist in %s" % (sentence,))
 
 
@@ -55,8 +58,8 @@ class MovieBuilder:
 
     def apply(self, path, cell):
         w = whisker_cell(self.sentence, tuple(path), cell, self.p.data)
-        self.cells.append(w)
         self.sentence = tc.two_cell_target(w, self.p.data)
+        self.cells.append(w)
         return self
 
     def term(self):

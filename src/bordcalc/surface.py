@@ -2,21 +2,22 @@
 
 `reconstruct` glues one elementary polygon per movie event (disks for
 births, deaths, saddles and cusps; product strips for structural cells)
-together with slice rectangles for the strands between events, giving a
-polygonal complex of the denoted surface.  `invariants` computes connected
-components, Euler characteristic, orientability and boundary circles from
-the complex; `euler_by_events` recomputes the characteristic of a closed
-term by counting critical events, serving as an independent oracle.
+and one sheet per arc over the arc's whole life: between events the
+surface is a product, so an arc no event touches keeps its sheet.  The
+result is a polygonal complex of the denoted surface.  `invariants`
+computes connected components, Euler characteristic, orientability and
+boundary circles of every component in one pass over the complex;
+`euler_by_events` recomputes the characteristic of a closed term by
+counting critical events, serving as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import termcore as tc
-from ._diagram import (ArcDiagram, DiagramError, MovieListener, leaf_pairs,
-                       run_movie)
+from ._diagram import MovieListener, leaf_pairs, run_movie
 
 
 class SurfaceError(Exception):
@@ -32,184 +33,83 @@ class Complex:
 
     A gluing with ``flip=True`` identifies the edge traversed in the *same*
     direction by both faces (orientation-reversing); ``flip=False`` is the
-    usual opposed identification.
+    usual opposed identification.  Slots are numbered from 0 by
+    `new_slot`, and each per-slot list is indexed by slot: ``face_of`` (-1
+    until the slot is placed in a face), ``next`` (the following slot of
+    that face), ``mate`` (the glued slot, -1 while free) and ``flip``.
     """
 
     def __init__(self):
         self.faces: List[list] = []
-        self.labels: List[str] = []
-        self.slot_face: Dict[int, tuple] = {}
-        self.partner: Dict[int, tuple] = {}
-        self._next_slot = 0
+        self.face_of: List[int] = []
+        self.next: List[int] = []
+        self.mate: List[int] = []
+        self.flip: List[bool] = []
 
     def new_slot(self) -> int:
-        s = self._next_slot
-        self._next_slot += 1
-        return s
+        self.face_of.append(-1)
+        self.next.append(-1)
+        self.mate.append(-1)
+        self.flip.append(False)
+        return len(self.mate) - 1
 
-    def add_face(self, slots, label=""):
+    def add_face(self, slots):
         idx = len(self.faces)
-        self.faces.append(list(slots))
-        self.labels.append(label)
-        for pos, s in enumerate(slots):
-            if s in self.slot_face:
+        self.faces.append(slots)
+        for s, t in zip(slots, slots[1:] + slots[:1]):
+            if self.face_of[s] >= 0:
                 raise SurfaceError("slot used by two faces")
-            self.slot_face[s] = (idx, pos)
+            self.face_of[s] = idx
+            self.next[s] = t
         return idx
 
     def glue(self, a, b, flip=False):
         if a == b:
             raise SurfaceError("cannot glue a slot to itself")
-        if a in self.partner or b in self.partner:
+        if self.mate[a] >= 0 or self.mate[b] >= 0:
             raise SurfaceError("slot glued twice")
-        self.partner[a] = (b, flip)
-        self.partner[b] = (a, flip)
+        self.mate[a], self.mate[b] = b, a
+        self.flip[a] = self.flip[b] = flip
 
     def check(self):
-        for s in self.slot_face:
-            if s in self.partner:
-                t, flip = self.partner[s]
-                if t not in self.slot_face:
-                    raise SurfaceError("dangling gluing")
+        for s, t in enumerate(self.mate):
+            if t >= 0 and self.face_of[s] >= 0 and self.face_of[t] < 0:
+                raise SurfaceError("dangling gluing")
 
-    # -- connectivity ---------------------------------------------------
-
-    def face_components(self) -> List[list]:
-        parent = list(range(len(self.faces)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s, (t, _) in self.partner.items():
-            a, b = find(self.slot_face[s][0]), find(self.slot_face[t][0])
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for i in range(len(self.faces)):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values())
-
-    # -- corners and vertices --------------------------------------------
-
-    def corner_classes(self):
-        """`find` mapping a corner (face, position) to its vertex class."""
-        parent = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            a, b = find(x), find(y)
-            if a != b:
-                parent[a] = b
-
-        for f, slots in enumerate(self.faces):
-            n = len(slots)
-            for i in range(n):
-                find((f, i))
-        for s, (t, flip) in self.partner.items():
+    def corner_classes(self) -> List[int]:
+        """Vertex class of every corner.  Corner s is where slot s's edge
+        starts; corners at one vertex get the same class, a slot id."""
+        nxt = self.next
+        find, union = _union_find(len(nxt))
+        for s, t in enumerate(self.mate):
             if t < s:
-                continue
-            f, i = self.slot_face[s]
-            g, j = self.slot_face[t]
-            nf, ng = len(self.faces[f]), len(self.faces[g])
-            if not flip:
-                union((f, i), (g, (j + 1) % ng))
-                union((f, (i + 1) % nf), (g, j))
+                continue  # free, or met from its mate
+            if self.flip[s]:
+                union(s, t)
+                union(nxt[s], nxt[t])
             else:
-                union((f, i), (g, j))
-                union((f, (i + 1) % nf), (g, (j + 1) % ng))
-        return find
+                union(s, nxt[t])
+                union(nxt[s], t)
+        return [find(s) for s in range(len(nxt))]
 
-    def stats(self, find, faces=None):
-        """(V, E, F, free_slots) over the selected faces; `find` is
-        `corner_classes()`."""
-        sel = set(faces if faces is not None else range(len(self.faces)))
-        F = len(sel)
-        E = 0
-        free = []
-        seen = set()
-        for s, (f, _) in self.slot_face.items():
-            if f not in sel or s in seen:
-                continue
-            seen.add(s)
-            if s in self.partner:
-                seen.add(self.partner[s][0])
-            else:
-                free.append(s)
-            E += 1
-        roots = set()
-        for f in sel:
-            for i in range(len(self.faces[f])):
-                roots.add(find((f, i)))
-        return len(roots), E, F, free
 
-    def euler_characteristic(self, find, faces=None) -> int:
-        V, E, F, _ = self.stats(find, faces)
-        return V - E + F
+def _union_find(n):
+    """`find` and `union` over a list of n parents; `union` returns whether
+    it joined two classes."""
+    parent = list(range(n))
 
-    def orientable(self, faces=None) -> bool:
-        sel = set(faces if faces is not None else range(len(self.faces)))
-        color = {}
-        for start in sorted(sel):
-            if start in color:
-                continue
-            color[start] = 1
-            stack = [start]
-            while stack:
-                f = stack.pop()
-                for s in self.faces[f]:
-                    if s not in self.partner:
-                        continue
-                    t, flip = self.partner[s]
-                    g = self.slot_face[t][0]
-                    if g not in sel:
-                        continue
-                    want = -color[f] if flip else color[f]
-                    if g not in color:
-                        color[g] = want
-                        stack.append(g)
-                    elif color[g] != want:
-                        return False
-        return True
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def boundary_circles(self, find, faces=None) -> int:
-        """Connected components of the free-edge graph on boundary vertices;
-        `find` is `corner_classes()`."""
-        sel = set(faces if faces is not None else range(len(self.faces)))
-        free = [s for s, (f, _) in self.slot_face.items()
-                if f in sel and s not in self.partner]
-        if not free:
-            return 0
-        comp = {}
+    def union(x, y):
+        x, y = find(x), find(y)
+        parent[x] = y
+        return x != y
 
-        def root(x):
-            while comp.get(x, x) != x:
-                comp[x] = comp.get(comp[x], comp[x])
-                x = comp[x]
-            return x
-
-        def union(x, y):
-            comp.setdefault(x, x)
-            comp.setdefault(y, y)
-            a, b = root(x), root(y)
-            if a != b:
-                comp[a] = b
-
-        for s in free:
-            f, i = self.slot_face[s]
-            n = len(self.faces[f])
-            union(("slot", s), ("v", find((f, i))))
-            union(("slot", s), ("v", find((f, (i + 1) % n))))
-        roots = {root(("slot", s)) for s in free}
-        return len(roots)
+    return find, union
 
 
 # ---------------------------------------------------------------------------
@@ -217,48 +117,64 @@ class Complex:
 # ---------------------------------------------------------------------------
 
 class _Builder(MovieListener):
-    """Emits one rectangle per arc per interval and one polygon per event
-    boundary cycle.
+    """Emits one sheet per arc lifetime and one polygon per event boundary
+    cycle.
 
-    ``pending[arc]`` holds the dangling edge awaiting the next face: None
-    for a free source edge, else (slot, d) where d is the direction (+1 =
-    end0 -> end1) in which the producing face traversed the shared edge.
+    A sheet opens when its arc is created, its bottom glued to the edge of
+    the face that produced the arc, and closes when an event consumes the
+    arc or the movie ends, as the ccw cycle ``[bot] + side1 + [top] +
+    reversed(side0)``: bottom end0 -> end1, side at end1 up, top end1 ->
+    end0, side at end0 down.  ``sheets[arc]`` holds (bot, side0, side1) of
+    an open sheet.  A side gets a new segment only when an event touches
+    the point at that end; the segment is glued to the neighbouring
+    sheet's new segment there, or stays free on the boundary.
     """
 
     def __init__(self):
         self.cx = Complex()
-        self.pending = {}
+        self.sheets = {}
 
     def begin(self, state):
-        for aid in state.diagram.arcs:
-            self.pending[aid] = None
-        self._emit_interval(state)
+        self._open(state, dict.fromkeys(state.diagram.arcs))
 
-    def _emit_interval(self, state):
-        sides = {}
-        for aid in sorted(state.diagram.arcs):
-            rec = self.pending.get(aid, None)
+    def _open(self, state, produced):
+        """Open a sheet over every arc of `produced`, which maps the arc to
+        its producing edge: None for a free source edge, else (slot, d)
+        where d is the direction (+1 = end0 -> end1) in which the
+        producing face traversed it."""
+        segment = {}
+        for aid, rec in produced.items():
             bot = self.cx.new_slot()
-            s1 = self.cx.new_slot()
-            top = self.cx.new_slot()
-            s0 = self.cx.new_slot()
-            kind = state.diagram.arcs[aid].kind
-            # ccw cycle: bottom e0->e1, side at end1 up, top e1->e0,
-            # side at end0 down
-            self.cx.add_face([bot, s1, top, s0], label="strip:%s" % (kind,))
             if rec is not None:
                 slot, pdir = rec
                 self.cx.glue(bot, slot, flip=(pdir == +1))
-            self.pending[aid] = (top, -1)
-            sides[(aid, 0)] = s0
-            sides[(aid, 1)] = s1
-        for end, partner in state.diagram.link.items():
-            if end < partner:
-                self.cx.glue(sides[end], sides[partner],
-                             flip=(end[1] == partner[1]))
+            self.sheets[aid] = (bot, [], [])
+            for end in ((aid, 0), (aid, 1)):
+                segment[end] = self._segment(end)
+        for end, seg in segment.items():
+            partner = state.diagram.link.get(end)
+            if partner is None:
+                continue  # a free point: the segment stays on the boundary
+            other = segment.get(partner)
+            if other is None:  # a sheet that stays open is touched here
+                other = self._segment(partner)
+            elif other < seg:
+                continue  # glued from the partner's side
+            self.cx.glue(seg, other, flip=(end[1] == partner[1]))
+
+    def _segment(self, end):
+        slot = self.cx.new_slot()
+        self.sheets[end[0]][1 + end[1]].append(slot)
+        return slot
+
+    def _close(self, aid):
+        """Emit the sheet of `aid`; returns its top slot (end1 -> end0)."""
+        bot, side0, side1 = self.sheets.pop(aid)
+        top = self.cx.new_slot()
+        self.cx.add_face([bot] + side1 + [top] + side0[::-1])
+        return top
 
     def event(self, state, ev, before_comps):
-        old_set = set(ev.old_arcs)
         new_set = set(ev.new_arcs)
         old_links = {}
         for a, b in ev.old_links:
@@ -319,11 +235,10 @@ class _Builder(MovieListener):
                 cycles.append(cycle)
 
         # Closed pieces carried through unchanged (their arcs match leaf for
-        # leaf across the event) are tubed, not capped: their pending edges
-        # simply transfer to the corresponding new arcs.
+        # leaf across the event) are tubed, not capped: each old sheet closes
+        # and the corresponding new arc's sheet opens on top of it.
         pairs = leaf_pairs(ev)
-        label = "event:%s" % _event_label(ev.cell)
-        tubed_new = set()
+        produced = {}
         emit = []
         for cycle in cycles:
             sides = {s for s, _, _ in cycle}
@@ -331,12 +246,11 @@ class _Builder(MovieListener):
             if sides == {"old"} and all(a in pairs for a in arcs):
                 for a in arcs:
                     b = pairs[a]
-                    if b in self.pending or b in tubed_new:
+                    if b in produced:
                         raise SurfaceError("tube target already produced")
-                    self.pending[b] = self.pending.pop(a)
-                    tubed_new.add(b)
+                    produced[b] = (self._close(a), -1)
                 continue
-            if sides == {"new"} and all(a in tubed_new for a in arcs):
+            if sides == {"new"} and all(a in produced for a in arcs):
                 continue
             emit.append(cycle)
         for cycle in emit:
@@ -345,31 +259,23 @@ class _Builder(MovieListener):
                 poly_slot = self.cx.new_slot()
                 slots.append(poly_slot)
                 if side == "old":
-                    rec = self.pending.pop(arc)
-                    if rec is None:
+                    if arc not in self.sheets:
                         raise SurfaceError("event consumed a boundary arc")
-                    slot, pdir = rec
-                    self.cx.glue(poly_slot, slot, flip=(direction == pdir))
+                    self.cx.glue(poly_slot, self._close(arc),
+                                 flip=(direction == -1))
                 else:
-                    if arc in self.pending:
+                    if arc in produced:
                         raise SurfaceError("new arc produced twice")
-                    self.pending[arc] = (poly_slot, direction)
-            self.cx.add_face(slots, label=label)
+                    produced[arc] = (poly_slot, direction)
+            self.cx.add_face(slots)
         for arc in ev.new_arcs:
-            if arc not in self.pending:
+            if arc not in produced:
                 raise SurfaceError("new arc missing from the event boundary")
-        self._emit_interval(state)
+        self._open(state, produced)
 
     def finish(self, state):
-        pass  # the last interval was emitted by begin() or event()
-
-
-def _event_label(cell):
-    if isinstance(cell, tc.Gen2):
-        return cell.name
-    if isinstance(cell, tc.Inv2):
-        return "inv2:" + type(cell.inner).__name__
-    return type(cell).__name__
+        for aid in list(self.sheets):
+            self._close(aid)
 
 
 @dataclass
@@ -378,10 +284,6 @@ class CombSurface:
 
     complex: Complex
     term: tc.TwoCellTerm
-
-    @property
-    def pieces(self):
-        return list(self.complex.labels)
 
 
 @dataclass(frozen=True)
@@ -428,9 +330,9 @@ class SurfaceInvariants:
 def reconstruct(term: tc.TwoCellTerm, presentation) -> CombSurface:
     """Glue the elementary pieces of the surface denoted by `term`.
 
-    Pieces include the product strips of structural cells and of strands
-    between events, so the piece count is finer than the minimal handle
-    decomposition; the invariants are unaffected.
+    Pieces are the event polygons (product strips for structural cells)
+    and one sheet per arc lifetime, so the piece count is finer than the
+    minimal handle decomposition; the invariants are unaffected.
     """
     report = tc.validate(term, presentation.data)
     if not report.ok:
@@ -442,14 +344,53 @@ def reconstruct(term: tc.TwoCellTerm, presentation) -> CombSurface:
 
 
 def invariants(surface: CombSurface) -> SurfaceInvariants:
+    """Invariants of every component in one pass over the slots.
+
+    Union-finds over lists give the vertex classes (`corner_classes`), the
+    face components with their orientability, and the boundary circles:
+    free slots join their end vertices, so a component has as many
+    circles as boundary vertices less successful joins.  V counts vertex
+    classes, E glued pairs and free slots.
+    """
     cx = surface.complex
-    find = cx.corner_classes()
-    comps = []
-    for faces in cx.face_components():
-        comps.append(ComponentInvariants(
-            euler_characteristic=cx.euler_characteristic(find, faces),
-            orientable=cx.orientable(faces),
-            boundary_circles=cx.boundary_circles(find, faces)))
+    nf = len(cx.faces)
+    vertex = cx.corner_classes()
+    # face f in both orientations, 2f and 2f+1, joined to its neighbours in
+    # the orientations the gluings carry over: a component is orientable
+    # when its two orientations stay apart
+    find, union = _union_find(2 * nf)
+    for s, t in enumerate(cx.mate):
+        if t > s:
+            f, g, flip = 2 * cx.face_of[s], 2 * cx.face_of[t], cx.flip[s]
+            union(f, g + flip)
+            union(f + 1, g + 1 - flip)
+    V, E, F, circles = ([0] * 2 * nf for _ in range(4))
+    comp, orientable = [], {}
+    for f in range(nf):
+        up, down = find(2 * f), find(2 * f + 1)
+        c = min(up, down)
+        comp.append(c)
+        orientable[c] = up != down
+        F[c] += 1
+    find, union = _union_find(len(vertex))
+    on_boundary = [False] * len(vertex)
+    for s, f in enumerate(cx.face_of):
+        if f < 0:
+            continue
+        c = comp[f]
+        V[c] += vertex[s] == s
+        t = cx.mate[s]
+        E[c] += t < 0 or t > s
+        if t < 0:
+            ends = (vertex[s], vertex[cx.next[s]])
+            for v in ends:
+                circles[c] += not on_boundary[v]
+                on_boundary[v] = True
+            circles[c] -= union(*ends)
+    comps = [ComponentInvariants(euler_characteristic=V[c] - E[c] + F[c],
+                                 orientable=orientable[c],
+                                 boundary_circles=circles[c])
+             for c in orientable]
     comps.sort(key=lambda c: (c.euler_characteristic, not c.orientable,
                               c.boundary_circles))
     return SurfaceInvariants(tuple(comps))

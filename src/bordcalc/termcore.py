@@ -814,12 +814,13 @@ def _validate_leaf(p, data, report, path):
             check(getattr(p, name), data, report, path)
         if len(report.entries) == before:
             # the parameters name known things; the symbol's own boundary
-            # sentences must compose
+            # sentences must compose (a mismatch is reported at the leaf:
+            # its path inside the sentence names no part of the term)
             try:
                 for sentence in _leaf_boundary(p, data):
                     morphism_boundary(sentence, data)
             except TermError as e:
-                report.add(path, str(e))
+                report.add(path, "%s: %s" % (p.SYMBOL, e.message))
     elif not parts(p):
         report.add(path, "not a 2-cell leaf: %r" % (p,))
 

@@ -346,10 +346,9 @@ def test_standard_assignment_requires_structure(uno):
 
 def test_klein_value_recorded(uno):
     """Closed non-orientable values are computed operationally (no oracle)."""
-    from tests.test_surface import klein_term
     A = fr.algebra_qz2()
     asg = fr.standard_assignment(A, uno)
-    v = fr.evaluate(klein_term(uno), asg)
+    v = fr.evaluate(stt.klein_bottle(uno), asg)
     assert v.is_scalar  # value recorded, not asserted
 
 

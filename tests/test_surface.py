@@ -4,13 +4,11 @@ import pytest
 
 from bordcalc import build
 from bordcalc import presentations as pr
+from bordcalc import standard_terms as st
 from bordcalc import surface as sf
 from bordcalc import termcore as tc
-from bordcalc.termcore import (AssocC, Braid1, Comp1, Gen1, Gen2, Id1, Id2,
-                               Inv2, LC, ObjGen, RC, hcompose, tensor,
+from bordcalc.termcore import (Gen1, Gen2, Id2, Inv2, RC, hcompose, tensor,
                                vcompose)
-
-P = ObjGen("pt")
 
 
 @pytest.fixture(scope="module")
@@ -42,25 +40,6 @@ def genus_term(p, g):
     return vcompose(cells, p.data)
 
 
-def klein_term(p):
-    ev, coev = Gen1("ev"), Gen1("coev")
-    beta = Braid1(P, P)
-    return vcompose([
-        Gen2("cap"),
-        hcompose(Inv2(RC(ev)), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Gen2("split"), p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev),
-                          hcompose(Id2(coev), Gen2("sym_ev_in"), p.data),
-                          p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Inv2(AssocC(beta, ev, coev)), p.data),
-                 Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), hcompose(Gen2("merge"), Id2(beta), p.data),
-                          p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), LC(beta), p.data), Id2(coev), p.data),
-        hcompose(Gen2("sym_ev_out"), Id2(coev), p.data),
-        Gen2("cup")], p.data)
-
-
 def invariant_tuple(p, t):
     inv = sf.invariants(sf.reconstruct(t, p))
     return [(c.euler_characteristic, c.orientable, c.boundary_circles)
@@ -86,13 +65,13 @@ def test_higher_genus(uno):
 
 
 def test_klein_bottle(uno):
-    assert invariant_tuple(uno, klein_term(uno)) == [(0, False, 0)]
+    assert invariant_tuple(uno, st.klein_bottle(uno)) == [(0, False, 0)]
 
 
 def test_genus_formula_from_invariants(uno):
     inv = sf.invariants(sf.reconstruct(genus_term(uno, 2), uno))
     assert inv.components[0].genus == 2
-    invk = sf.invariants(sf.reconstruct(klein_term(uno), uno))
+    invk = sf.invariants(sf.reconstruct(st.klein_bottle(uno), uno))
     assert invk.components[0].crosscaps == 2
 
 
@@ -106,7 +85,7 @@ def test_euler_by_events_matches_complex(uno):
     for g in range(4):
         t = genus_term(uno, g)
         assert sf.euler_by_events(t, uno) == 2 - 2 * g
-    assert sf.euler_by_events(klein_term(uno), uno) == 0
+    assert sf.euler_by_events(st.klein_bottle(uno), uno) == 0
 
 
 def test_euler_by_events_rejects_open(uno):
@@ -152,3 +131,95 @@ def test_invariants_build_corner_classes_once(uno, monkeypatch):
         "((cap . cup) (*) (cap . cup))"), uno)
     assert sf.invariants(surf).component_count == 2
     assert len(calls) == 1
+
+
+# -- invariants of hand-built complexes ----------------------------------
+
+def polygon(cx, n):
+    """A face of n fresh slots, in cycle order."""
+    slots = [cx.new_slot() for _ in range(n)]
+    cx.add_face(slots)
+    return slots
+
+
+def square(cx, bottom_top=None, sides=None):
+    """Square a b c d (bottom right, right side up, top left, left side
+    down), gluing bottom to top and right to left with the given flips."""
+    a, b, c, d = polygon(cx, 4)
+    if bottom_top is not None:
+        cx.glue(a, c, flip=bottom_top)
+    if sides is not None:
+        cx.glue(b, d, flip=sides)
+
+
+def complex_invariants(build_into):
+    cx = sf.Complex()
+    build_into(cx)
+    cx.check()
+    inv = sf.invariants(sf.CombSurface(cx, None))
+    return [(c.euler_characteristic, c.orientable, c.boundary_circles)
+            for c in inv.components]
+
+
+def rp2(cx):
+    a, b = polygon(cx, 2)
+    cx.glue(a, b, flip=True)
+
+
+@pytest.mark.parametrize("build_into, expected", [
+    (lambda cx: polygon(cx, 3), [(1, True, 1)]),
+    (lambda cx: square(cx, sides=False), [(0, True, 2)]),
+    (lambda cx: square(cx, sides=True), [(0, False, 1)]),
+    (lambda cx: square(cx, bottom_top=False, sides=False), [(0, True, 0)]),
+    (lambda cx: square(cx, bottom_top=False, sides=True), [(0, False, 0)]),
+    (rp2, [(1, False, 0)]),
+], ids=["disk", "annulus", "moebius", "torus", "klein", "rp2"])
+def test_invariants_of_hand_built_complexes(build_into, expected):
+    assert complex_invariants(build_into) == expected
+
+
+def test_invariants_of_a_disjoint_union_in_sorted_order():
+    def union(cx):
+        rp2(cx)
+        polygon(cx, 3)
+        square(cx, sides=True)
+        square(cx, bottom_top=False, sides=False)
+    assert complex_invariants(union) == [
+        (0, True, 0), (0, False, 1), (1, True, 1), (1, False, 0)]
+
+
+# -- the builder ---------------------------------------------------------
+
+def outcome(p, t):
+    """Invariant tuples of `t`, and its event-count chi when it is closed."""
+    chi = None
+    try:
+        chi = sf.euler_by_events(t, p)
+    except sf.SurfaceError as e:
+        assert str(e) == "term is not closed"
+    return invariant_tuple(p, t), chi
+
+
+def test_builder_invariants_agree_across_every_rewrite(uno, ori):
+    closed = 0
+    for p in (uno, ori):
+        terms = [build.random_term(p, seed, events=6) for seed in range(15)]
+        terms.append(st.genus(p, 2))
+        if p is uno:
+            terms.append(st.klein_bottle(p))
+        for t in terms:
+            inv, chi = outcome(p, t)
+            if chi is not None:
+                closed += 1
+                assert sum(c[0] for c in inv) == chi
+            for step in pr.find_matches(t, p):
+                assert outcome(p, pr.apply(t, step)) == (inv, chi), \
+                    (p.name, tc.print_two_cell(t), step.relation)
+    assert closed > 3  # a random term is closed too, not only the standard ones
+
+
+def test_builder_face_count_is_linear_in_genus(uno):
+    # one sheet per arc lifetime plus the event polygons: 12 faces a handle
+    counts = [len(sf.reconstruct(st.genus(uno, g), uno).complex.faces)
+              for g in range(5)]
+    assert counts == [4, 16, 28, 40, 52]

@@ -369,8 +369,16 @@ def test_validate_rejects_ill_formed_structural_leaves(uno, text):
 def test_validate_reports_a_nested_mismatch_once(uno):
     rep = tc.validate(tc.parse_two_cell("id[(((ev ; ev) ; I[1]) ; I[1])]"),
                       uno.data)
-    assert rep.entries == [((), "boundary mismatch in composite: 1 then "
-                                "(pt ⊗ pt) (at first/first)")]
+    assert rep.entries == [((), "id: boundary mismatch in composite: 1 then "
+                                "(pt ⊗ pt)")]
+
+
+def test_validate_reports_a_leaf_sentence_mismatch_at_the_leaf(uno):
+    # the report names the symbol and carries no path into its sentence
+    rep = tc.validate(tc.parse_two_cell("(assoc2[ev,ev,ev] (*) cap)"),
+                      uno.data)
+    assert rep.entries == [(("left",), "assoc2: boundary mismatch in "
+                                       "composite: 1 then (pt ⊗ pt)")]
 
 
 def test_validate_reports_a_chain_mismatch_at_its_path(uno):
