@@ -1,14 +1,20 @@
 """Exact algebraic semantics: Frobenius algebras and term evaluation.
 
 Algebras are finite dimensional over the rationals, given by structure
-constants.  The checkers verify associativity, the Frobenius data (a
-central copairing and a functional with the reproducing normalization),
-symmetry (trace-likeness / bicentrality) and separability (existence of a
-central element with multiplication one, decided by an exact linear
-system).  `evaluate` runs a two-cell term as a movie of strand events and
-produces the exact linear map between the tensor spaces of the boundary
-1-manifolds: births insert the unit, deaths apply the functional, the two
-saddles insert the copairing or multiply, cusp and crossing cells reroute.
+constants.  Each `FrobAlgebra` is frozen and derives, once, sparse tables
+of its nonzero structure constants (`rows`) and copairing entries
+(`pairs`); products, the checkers and the linear algebra below work on
+sparse vectors {index: coefficient} over these tables, never on dense
+zero arithmetic.  The checkers verify associativity, the Frobenius data
+(a central copairing and a functional with the reproducing
+normalization), symmetry (trace-likeness / bicentrality) and
+separability (existence of a central element with multiplication one,
+decided by an exact linear system); each failing check names its first
+failing witness in loop order.  `evaluate` runs a two-cell term as a
+movie of strand events and produces the exact linear map between the
+tensor spaces of the boundary 1-manifolds: births insert the unit, deaths
+apply the functional, the two saddles insert the copairing or multiply,
+cusp and crossing cells reroute.
 """
 
 from __future__ import annotations
@@ -38,6 +44,19 @@ def _vec(n, entries=()):
     return tuple(v)
 
 
+def _acc(terms):
+    """The sparse vector {key: coefficient} summing (key, coefficient)
+    terms, zeros dropped."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _sparse(v):
+    return {i: c for i, c in enumerate(v) if c}
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
@@ -58,31 +77,52 @@ class Elimination:
 
 def rref(rows: List[Sequence[Fraction]], n: int,
          rhs: Optional[List[Fraction]] = None) -> Elimination:
-    """Gauss-Jordan elimination over Q of rows of length n (rhs default 0)."""
+    """Gauss-Jordan elimination over Q of rows of length n (rhs default 0).
+
+    Rows are eliminated as sparse maps {column: coefficient} with the rhs
+    in column n.  The certificate is built on demand: only an inconsistent
+    system is eliminated once more, each row carrying in columns n+1.. the
+    combination of input rows it is, and a zero row with nonzero rhs reads
+    it off.
+    """
     m = len(rows)
     if rhs is None:
         rhs = [Q(0)] * m
-    # each row carries its rhs, then the combination of input rows it is;
-    # a zero row with nonzero rhs reads off the certificate
-    aug = [list(rows[i]) + [rhs[i]] + [Q(1) if j == i else Q(0)
-                                       for j in range(m)]
-           for i in range(m)]
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
+
+    def eliminate(block):
+        aug = []
+        for i, row in enumerate(rows):
+            r = _sparse(row)
+            if rhs[i]:
+                r[n] = rhs[i]
+            if block:
+                r[n + 1 + i] = Q(1)
+            aug.append(r)
+        pivots = []
+        for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
+            p = next((i for i in range(r, m) if c in aug[i]), None)
+            if p is None:
+                continue
+            aug[r], aug[p] = aug[p], aug[r]
+            pv = aug[r][c]
+            prow = aug[r] = {k: x / pv for k, x in aug[r].items()}
+            for i in range(m):
+                f = aug[i].get(c) if i != r else None
+                if f:
+                    row = aug[i]
+                    for k, x in prow.items():
+                        y = row.get(k, 0) - f * x
+                        if y:
+                            row[k] = y
+                        else:
+                            del row[k]
+            pivots.append(c)
+        return aug, pivots
+
+    aug, pivots = eliminate(False)
     nullspace = []
     for c in range(n):
         if c in pivots:
@@ -90,15 +130,17 @@ def rref(rows: List[Sequence[Fraction]], n: int,
         v = [Q(0)] * n
         v[c] = Q(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -aug[i][c]
+            v[pc] = -aug[i].get(c, Q(0))
         nullspace.append(tuple(v))
-    for row in aug[len(pivots):]:
-        if row[n] != 0:
-            cert = tuple(y / row[n] for y in row[n + 1:])
-            return Elimination(tuple(pivots), nullspace, None, cert)
+    # past the pivots only the rhs column can be left nonzero
+    if any(aug[len(pivots):]):
+        aug, _ = eliminate(True)
+        row = next(r for r in aug[len(pivots):] if n in r)
+        cert = tuple(row.get(n + 1 + i, Q(0)) / row[n] for i in range(m))
+        return Elimination(tuple(pivots), nullspace, None, cert)
     x = [Q(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
+        x[c] = aug[i].get(n, Q(0))
     return Elimination(tuple(pivots), nullspace, tuple(x), None)
 
 
@@ -106,7 +148,7 @@ def rref(rows: List[Sequence[Fraction]], n: int,
 # algebras
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FrobAlgebra:
     """Finite-dimensional rational algebra with optional Frobenius data.
 
@@ -114,6 +156,10 @@ class FrobAlgebra:
     matrix of the copairing sum_ij e[i][j] basis_i (x) basis_j; `lam` the
     functional; `star` an optional involutive anti-automorphism given by
     images of basis vectors.
+
+    The algebra is frozen, and two sparse tables are derived from it once:
+    rows[i][j] lists the nonzero (k, c) of basis_i . basis_j, and `pairs`
+    the nonzero (c, i, j) of the copairing (None without one).
     """
 
     name: str
@@ -124,29 +170,31 @@ class FrobAlgebra:
     e: Optional[tuple] = None
     star: Optional[tuple] = None
     basis_names: Optional[tuple] = None
+    rows: tuple = field(init=False, repr=False, compare=False)
+    pairs: Optional[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = range(self.dim)
+        object.__setattr__(self, "rows", tuple(
+            tuple(tuple(_sparse(self.mult[i][j]).items()) for j in n)
+            for i in n))
+        object.__setattr__(self, "pairs", None if self.e is None else tuple(
+            (self.e[i][j], i, j) for i in n for j in n if self.e[i][j]))
 
     # -- arithmetic -----------------------------------------------------
 
     def mul(self, u, v):
-        n = self.dim
-        out = [Q(0)] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                c = u[i] * v[j]
-                row = self.mult[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += c * row[k]
+        out = [Q(0)] * self.dim
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    if b:
+                        for k, c in self.rows[i][j]:
+                            out[k] += a * b * c
         return tuple(out)
 
     def lam_of(self, v):
-        if self.lam is None:
-            raise AlgebraError("algebra %s has no functional" % self.name)
-        return sum(a * b for a, b in zip(self.lam, v))
+        return sum(a * b for a, b in zip(_functional(self), v))
 
     def star_of(self, v):
         if self.star is None:
@@ -160,33 +208,50 @@ class FrobAlgebra:
         return tuple(out)
 
     def e_pairs(self):
-        if self.e is None:
-            raise AlgebraError("algebra %s has no copairing" % self.name)
-        n = self.dim
-        pairs = []
-        for i in range(n):
-            for j in range(n):
-                if self.e[i][j] != 0:
-                    pairs.append((self.e[i][j], _vec(n, [(i, Q(1))]),
-                                  _vec(n, [(j, Q(1))])))
-        return pairs
+        return [(c, self.basis_vec(i), self.basis_vec(j))
+                for c, i, j in _copairing(self)]
 
     def basis_vec(self, i):
         return _vec(self.dim, [(i, Q(1))])
 
     def handle_element(self):
-        n = self.dim
-        out = [Q(0)] * n
-        for c, x, y in self.e_pairs():
-            xy = self.mul(x, y)
-            for k in range(n):
-                out[k] += c * xy[k]
-        return tuple(out)
+        return _vec(self.dim, ((k, c * d) for c, i, j in _copairing(self)
+                               for k, d in self.rows[i][j]))
 
     def label(self, i):
         if self.basis_names:
             return self.basis_names[i]
         return "b%d" % i
+
+
+def _functional(A):
+    if A.lam is None:
+        raise AlgebraError("algebra %s has no functional" % A.name)
+    return A.lam
+
+
+def _copairing(A):
+    if A.pairs is None:
+        raise AlgebraError("algebra %s has no copairing" % A.name)
+    return A.pairs
+
+
+def _prod(A, u, v):
+    """u . v for sparse vectors {index: coefficient}."""
+    return _acc((k, a * b * c) for i, a in u.items() for j, b in v.items()
+                for k, c in A.rows[i][j])
+
+
+def _trace_form(A, lam):
+    """form[a][b] = lam(basis_a . basis_b)."""
+    n = range(A.dim)
+    return [[sum(lam[k] * c for k, c in A.rows[a][b]) for b in n] for a in n]
+
+
+def _commutator(A, i, j):
+    """[basis_i, basis_j] as a sparse vector."""
+    return _acc(itertools.chain(A.rows[i][j],
+                                ((k, -c) for k, c in A.rows[j][i])))
 
 
 # -- reports ----------------------------------------------------------------
@@ -211,112 +276,84 @@ class Report:
                          for n, ok, d in self.checks)
 
 
+def _first(candidates, fails):
+    """The first candidate tuple, in loop order, on which `fails` holds."""
+    return next((t for t in candidates if fails(*t)), None)
+
+
+def _grid(n, k):
+    return itertools.product(range(n), repeat=k)
+
+
 def check_algebra(A: FrobAlgebra) -> Report:
     rep = Report()
     n = A.dim
-    assoc_ok, witness = True, ""
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = A.basis_vec(i), A.basis_vec(j), A.basis_vec(k)
-                if A.mul(A.mul(x, y), z) != A.mul(x, A.mul(y, z)):
-                    assoc_ok, witness = False, "(%d,%d,%d)" % (i, j, k)
-                    break
-    rep.add("associative", assoc_ok, witness)
-    unit_ok = all(A.mul(A.unit, A.basis_vec(i)) == A.basis_vec(i)
-                  and A.mul(A.basis_vec(i), A.unit) == A.basis_vec(i)
-                  for i in range(n))
-    rep.add("unital", unit_ok)
+    e = [{i: 1} for i in range(n)]
+    bad = _first(_grid(n, 3), lambda i, j, k: (
+        _prod(A, _prod(A, e[i], e[j]), e[k])
+        != _prod(A, e[i], _prod(A, e[j], e[k]))))
+    rep.add("associative", bad is None, "(%d,%d,%d)" % bad if bad else "")
+    unit = _sparse(A.unit)
+    rep.add("unital", all(_prod(A, unit, e[i]) == e[i] == _prod(A, e[i], unit)
+                          for i in range(n)))
     return rep
 
 
-def _e_central_defect(A, w):
-    """sum (w.x_i)(x)y_i - sum x_i(x)(y_i.w) as an n*n matrix."""
-    n = A.dim
-    out = [[Q(0)] * n for _ in range(n)]
-    for c, x, y in A.e_pairs():
-        wx = A.mul(w, x)
-        yw = A.mul(y, w)
-        for a in range(n):
-            for b in range(n):
-                out[a][b] += c * (wx[a] * y[b] - x[a] * yw[b])
-    return out
+def _e_central_defect(A, left, right):
+    """sum left(x_i)(x)y_i - x_i(x)right(y_i) over the copairing, as a
+    sparse tensor {(a, b): coefficient}; left and right map a basis index
+    to a sparse vector."""
+    pairs = _copairing(A)
+    return _acc(itertools.chain(
+        (((a, j), c * d) for c, i, j in pairs for a, d in left(i).items()),
+        (((i, b), -c * d) for c, i, j in pairs for b, d in right(j).items())))
 
 
 def check_frobenius(A: FrobAlgebra) -> Report:
     rep = check_algebra(A)
     n = A.dim
-    central_ok, wit = True, ""
-    for k in range(n):
-        defect = _e_central_defect(A, A.basis_vec(k))
-        if any(defect[a][b] != 0 for a in range(n) for b in range(n)):
-            central_ok, wit = False, "w=%s" % A.label(k)
-            break
-    rep.add("e-central", central_ok, wit)
-    left = [Q(0)] * n
-    right = [Q(0)] * n
-    for c, x, y in A.e_pairs():
-        lx = A.lam_of(x)
-        ly = A.lam_of(y)
-        for k in range(n):
-            left[k] += c * lx * y[k]
-            right[k] += c * x[k] * ly
-    rep.add("normalization-left", tuple(left) == A.unit)
-    rep.add("normalization-right", tuple(right) == A.unit)
-    snake_ok = True
-    for k in range(n):
-        v = A.basis_vec(k)
-        s1 = [Q(0)] * n
-        s2 = [Q(0)] * n
-        for c, x, y in A.e_pairs():
-            # (id (x) b)(e (x) id): v -> sum x_i b(y_i, v)
-            b1 = A.lam_of(A.mul(y, v))
-            b2 = A.lam_of(A.mul(v, x))
-            for t in range(n):
-                s1[t] += c * x[t] * b1
-                s2[t] += c * y[t] * b2
-        if tuple(s1) != v or tuple(s2) != v:
-            snake_ok = False
-            break
-    rep.add("snake", snake_ok)
+    bad = _first(_grid(n, 1), lambda w: _e_central_defect(
+        A, lambda i: dict(A.rows[w][i]), lambda j: dict(A.rows[j][w])))
+    rep.add("e-central", bad is None, "w=%s" % A.label(*bad) if bad else "")
+    pairs = _copairing(A)
+    # the functional is read only through the copairing: a zero one needs none
+    lam = _functional(A) if pairs else (Q(0),) * n
+    unit = _sparse(A.unit)
+    rep.add("normalization-left",
+            _acc((j, c * lam[i]) for c, i, j in pairs) == unit)
+    rep.add("normalization-right",
+            _acc((i, c * lam[j]) for c, i, j in pairs) == unit)
+    # (id (x) b)(e (x) id): v -> sum x_i b(y_i, v), and its mirror
+    form = _trace_form(A, lam)
+    rep.add("snake", all(
+        _acc((i, c * form[j][k]) for c, i, j in pairs) == {k: 1}
+        == _acc((j, c * form[k][i]) for c, i, j in pairs) for k in range(n)))
     return rep
 
 
 def check_symmetric(A: FrobAlgebra) -> Report:
     rep = check_frobenius(A)
     n = A.dim
-    trace_ok, wit = True, ""
-    for i in range(n):
-        for j in range(n):
-            x, y = A.basis_vec(i), A.basis_vec(j)
-            if A.lam_of(A.mul(x, y)) != A.lam_of(A.mul(y, x)):
-                trace_ok, wit = False, "(%s,%s)" % (A.label(i), A.label(j))
-                break
-    rep.add("trace-like", trace_ok, wit)
-    bicentral_ok = True
-    for wi in range(n):
-        for zi in range(n):
-            w, z = A.basis_vec(wi), A.basis_vec(zi)
-            lhs = [[Q(0)] * n for _ in range(n)]
-            for c, x, y in A.e_pairs():
-                wxz = A.mul(A.mul(w, x), z)
-                zyw = A.mul(A.mul(z, y), w)
-                for a in range(n):
-                    for b in range(n):
-                        lhs[a][b] += c * (wxz[a] * y[b] - x[a] * zyw[b])
-            if any(lhs[a][b] != 0 for a in range(n) for b in range(n)):
-                bicentral_ok = False
-                break
-    rep.add("e-bicentral", bicentral_ok)
+    form = _trace_form(A, _functional(A))
+    bad = _first(_grid(n, 2), lambda i, j: form[i][j] != form[j][i])
+    rep.add("trace-like", bad is None,
+            "(%s,%s)" % (A.label(bad[0]), A.label(bad[1])) if bad else "")
+    e = [{i: 1} for i in range(n)]
+    rep.add("e-bicentral", _first(_grid(n, 2), lambda w, z: _e_central_defect(
+        A, lambda i: _prod(A, dict(A.rows[w][i]), e[z]),
+        lambda j: _prod(A, dict(A.rows[z][j]), e[w]))) is None)
     if A.star is not None:
-        inv_ok = all(A.star_of(A.star_of(A.basis_vec(i))) == A.basis_vec(i)
-                     for i in range(n))
-        anti_ok = all(
-            A.star_of(A.mul(A.basis_vec(i), A.basis_vec(j)))
-            == A.mul(A.star_of(A.basis_vec(j)), A.star_of(A.basis_vec(i)))
-            for i in range(n) for j in range(n))
-        rep.add("star-involution", inv_ok)
-        rep.add("star-antihom", anti_ok)
+        st = [_sparse(r) for r in A.star]
+
+        def star(u):
+            return _acc((m, c * s) for k, c in u.items()
+                        for m, s in st[k].items())
+
+        rep.add("star-involution", all(star(star(e[i])) == e[i]
+                                       for i in range(n)))
+        rep.add("star-antihom", all(
+            star(_prod(A, e[i], e[j])) == _prod(A, star(e[j]), star(e[i]))
+            for i, j in _grid(n, 2)))
     return rep
 
 
@@ -339,31 +376,24 @@ def _separability_system(A: FrobAlgebra):
     # centrality: for each w_k and coordinate (a,b):
     #   sum_ij z_ij [ (w x_i)_a (x_j)_b - (x_i)_a (x_j w)_b ] = 0
     for k in range(n):
-        wk = A.basis_vec(k)
-        wrow = [[None] * n for _ in range(n)]
-        for i in range(n):
-            wrow[i] = A.mul(wk, A.basis_vec(i))
-        vrow = [A.mul(A.basis_vec(j), wk) for j in range(n)]
-        for a in range(n):
-            for b in range(n):
-                row = [Q(0)] * nn
-                for i in range(n):
-                    for j in range(n):
-                        coef = wrow[i][a] * (Q(1) if j == b else Q(0))
-                        coef -= (Q(1) if i == a else Q(0)) * vrow[j][b]
-                        if coef:
-                            row[i * n + j] = coef
-                if any(row):
-                    rows.append(row)
-                    rhs.append(Q(0))
+        coef = _acc(itertools.chain(
+            (((a, b, i * n + b), d) for i in range(n)
+             for a, d in A.rows[k][i] for b in range(n)),
+            (((a, b, a * n + j), -d) for j in range(n)
+             for b, d in A.rows[j][k] for a in range(n))))
+        eqs = {}
+        for (a, b, col), c in coef.items():
+            eqs.setdefault((a, b), []).append((col, c))
+        for ab in sorted(eqs):
+            rows.append(_vec(nn, eqs[ab]))
+            rhs.append(Q(0))
     # normalization: sum_ij z_ij (x_i x_j)_a = unit_a
-    for a in range(n):
-        row = [Q(0)] * nn
-        for i in range(n):
-            for j in range(n):
-                row[i * n + j] = A.mul(A.basis_vec(i), A.basis_vec(j))[a]
-        rows.append(row)
-        rhs.append(A.unit[a])
+    norm = [[] for _ in range(n)]
+    for i, j in _grid(n, 2):
+        for a, c in A.rows[i][j]:
+            norm[a].append((i * n + j, c))
+    rows += [_vec(nn, entries) for entries in norm]
+    rhs += A.unit
     return rows, rhs
 
 
@@ -385,16 +415,9 @@ def check_separable(A: FrobAlgebra) -> SeparabilityResult:
 
 def center(A: FrobAlgebra) -> List[tuple]:
     n = A.dim
-    rows = []
-    for k in range(n):
-        wk = A.basis_vec(k)
-        for a in range(n):
-            row = []
-            for i in range(n):
-                xi = A.basis_vec(i)
-                row.append(A.mul(wk, xi)[a] - A.mul(xi, wk)[a])
-            rows.append(row)
-    return rref(rows, n).nullspace
+    comms = [[_commutator(A, k, i) for i in range(n)] for k in range(n)]
+    return rref([[comms[k][i].get(a, Q(0)) for i in range(n)]
+                 for k in range(n) for a in range(n)], n).nullspace
 
 
 @dataclass
@@ -415,14 +438,8 @@ class Cocenter:
 
 def cocenter(A: FrobAlgebra) -> Cocenter:
     n = A.dim
-    comms = []
-    for i in range(n):
-        for j in range(n):
-            x, y = A.basis_vec(i), A.basis_vec(j)
-            c = tuple(a - b for a, b in zip(A.mul(x, y), A.mul(y, x)))
-            if any(c):
-                comms.append(c)
-    elim = rref(comms, n)
+    comms = (_commutator(A, i, j) for i, j in _grid(n, 2))
+    elim = rref([_vec(n, c.items()) for c in comms if c], n)
     reps = [_vec(n, [(c, Q(1))]) for c in range(n) if c not in elim.pivots]
     # the quotient coordinate of e_k at free column c is entry k of the
     # nullspace vector of c: e_k reduced modulo the echelon rows
@@ -453,18 +470,24 @@ def _solve_h_inverse(A):
     return sol
 
 
+def _inverse_columns(f, g):
+    """Whether the square matrices with columns f and g compose, g after
+    f, to the identity."""
+    d = len(f)
+    return all(sum(f[i][j] * g[j][k] for j in range(d))
+               == (1 if i == k else 0)
+               for i in range(d) for k in range(d))
+
+
 def circle_maps(A: FrobAlgebra) -> CircleMaps:
     zb = center(A)
     cc = cocenter(A)
     n = A.dim
 
     def u_raw(x):
-        out = [Q(0)] * n
-        for c, xi, yi in A.e_pairs():
-            t = A.mul(A.mul(xi, x), yi)
-            for k in range(n):
-                out[k] += c * t[k]
-        return tuple(out)
+        x = _sparse(x)
+        return _vec(n, (t for c, i, j in _copairing(A) for t in _prod(
+            A, _prod(A, {i: c}, x), {j: 1}).items()))
 
     # u on cocenter representatives, in center coordinates
     u_cols = []
@@ -480,29 +503,8 @@ def circle_maps(A: FrobAlgebra) -> CircleMaps:
     for c in zb:
         w = A.mul(hinv, c) if hinv is not None else c
         v_cols.append(cc.project_vec(w))
-    # check mutual inversion
-    dim_c, dim_v = len(zb), cc.dim
-    inverse = (dim_c == dim_v)
-    if inverse:
-        for i in range(dim_v):
-            acc = [Q(0)] * dim_v
-            for j in range(dim_c):
-                for k in range(dim_v):
-                    acc[k] += u_cols[i][j] * v_cols[j][k]
-            if tuple(acc) != tuple(Q(1) if k == i else Q(0)
-                                   for k in range(dim_v)):
-                inverse = False
-                break
-    if inverse:
-        for i in range(dim_c):
-            acc = [Q(0)] * dim_c
-            for j in range(dim_v):
-                for k in range(dim_c):
-                    acc[k] += v_cols[i][j] * u_cols[j][k]
-            if tuple(acc) != tuple(Q(1) if k == i else Q(0)
-                                   for k in range(dim_c)):
-                inverse = False
-                break
+    inverse = (len(zb) == cc.dim and _inverse_columns(u_cols, v_cols)
+               and _inverse_columns(v_cols, u_cols))
     return CircleMaps(zb, cc, u_cols, v_cols, inverse)
 
 

@@ -208,6 +208,17 @@ def test_eval_not_symmetric_frobenius(tmp_path, capsys):
     assert "not symmetric Frobenius" in err
 
 
+def test_verify_names_first_failing_triple(tmp_path, capsys):
+    # Q[x]/(x^2) with 1.x = 1 + x and x.x = x: (1.1).x != 1.(1.x)
+    alg = tmp_path / "nonassociative.alg"
+    alg.write_text("dim 2\nmult 1 1 -> 1:1\nmult 1 2 -> 1:1 2:1\n"
+                   "mult 2 1 -> 2:1\nmult 2 2 -> 2:1\nunit 1:1\n"
+                   "lambda 2:1\ne 1,2:1 2,1:1\n", encoding="utf-8")
+    code, out, err = run(["verify", "--algebra", str(alg)], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "not symmetric Frobenius: failed associative ((0,0,1))," in err
+
+
 def test_eval_missing_term_file(tmp_path, capsys):
     code, out, err = run(["eval", str(tmp_path / "none.bc"),
                           "--algebra", "M2Q"], capsys)

@@ -14,8 +14,7 @@ from bordcalc import presentations as pr
 from bordcalc import standard_terms as stt
 from bordcalc import termcore as tc
 from bordcalc._diagram import DiagramError
-from bordcalc.termcore import Gen1, Gen2, Id1, Id2, Inv2, RC, hcompose, \
-    tensor, vcompose
+from bordcalc.termcore import Gen1, Id2, tensor, vcompose
 from tests import reference_eval
 
 
@@ -36,21 +35,6 @@ ALGEBRAS = {
     "QZ2": fr.algebra_qz2,
     "Qx2": fr.algebra_qx2,
 }
-
-
-def genus_term(p, g):
-    ev, coev = Gen1("ev"), Gen1("coev")
-    handle = [
-        hcompose(Inv2(RC(ev)), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Gen2("split"), p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Gen2("merge"), p.data), Id2(coev), p.data),
-        hcompose(RC(ev), Id2(coev), p.data),
-    ]
-    cells = [Gen2("cap")]
-    for _ in range(g):
-        cells += handle
-    cells.append(Gen2("cup"))
-    return vcompose(cells, p.data)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +140,25 @@ def test_trace_like_iff_bicentral():
         rep = fr.check_symmetric(mk())
         checks = dict((n, ok) for n, ok, _ in rep.checks)
         assert checks["trace-like"] and checks["e-bicentral"], name
+
+
+def qx2_nonassociative():
+    """Q[x]/(x^2) with 1.x = 1 + x and x.x = x: the first failing
+    associativity triple is (0,0,1), since (1.1).x = 1 + x and
+    1.(1.x) = 2 + x."""
+    A = fr.algebra_qx2()
+    mult = ((A.mult[0][0], (Q(1), Q(1))), (A.mult[1][0], (Q(0), Q(1))))
+    return fr.FrobAlgebra(name="Qx2-nonassociative", dim=2, mult=mult,
+                          unit=A.unit, lam=A.lam, e=A.e, star=A.star,
+                          basis_names=A.basis_names)
+
+
+def test_checkers_name_the_first_failure():
+    rep = fr.check_algebra(qx2_nonassociative())
+    assert rep.checks[0] == ("associative", False, "(0,0,1)")
+    # lam(E12 E21) = 1 but lam(E21 E12) = 2: (b1,b2) fails first
+    rep = fr.check_symmetric(_m2_twisted())
+    assert ("trace-like", False, "(b1,b2)") in rep.checks
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ def test_evaluate_matches_oracle_all_algebras(ori):
         A = mk()
         asg = fr.standard_assignment(A, ori)
         for g in range(5):
-            v = fr.evaluate(genus_term(ori, g), asg)
+            v = fr.evaluate(stt.genus(ori, g), asg)
             assert v.is_scalar
             assert v.scalar == fr.closed_value(A, g), (name, g)
 
@@ -302,8 +305,8 @@ def test_evaluate_identity_matrix(ori):
 def test_evaluate_monoidal(ori):
     A = fr.algebra_qz2()
     asg = fr.standard_assignment(A, ori)
-    sphere = vcompose([Gen2("cap"), Gen2("cup")], ori.data)
-    torus = genus_term(ori, 1)
+    sphere = stt.sphere(ori)
+    torus = stt.genus(ori, 1)
     both = tensor(sphere, torus)
     v = fr.evaluate(both, asg)
     assert v.scalar == fr.evaluate(sphere, asg).scalar \

@@ -7,8 +7,7 @@ from bordcalc import presentations as pr
 from bordcalc import standard_terms as st
 from bordcalc import surface as sf
 from bordcalc import termcore as tc
-from bordcalc.termcore import (Gen1, Gen2, Id2, Inv2, RC, hcompose, tensor,
-                               vcompose)
+from bordcalc.termcore import Gen1, Id2, tensor, vcompose
 
 
 @pytest.fixture(scope="module")
@@ -21,25 +20,6 @@ def ori():
     return pr.bord2_oriented()
 
 
-def sphere_term(p):
-    return vcompose([Gen2("cap"), Gen2("cup")], p.data)
-
-
-def genus_term(p, g):
-    ev, coev = Gen1("ev"), Gen1("coev")
-    handle = [
-        hcompose(Inv2(RC(ev)), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Gen2("split"), p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Gen2("merge"), p.data), Id2(coev), p.data),
-        hcompose(RC(ev), Id2(coev), p.data),
-    ]
-    cells = [Gen2("cap")]
-    for _ in range(g):
-        cells += handle
-    cells.append(Gen2("cup"))
-    return vcompose(cells, p.data)
-
-
 def invariant_tuple(p, t):
     inv = sf.invariants(sf.reconstruct(t, p))
     return [(c.euler_characteristic, c.orientable, c.boundary_circles)
@@ -47,7 +27,7 @@ def invariant_tuple(p, t):
 
 
 def test_sphere(uno):
-    assert invariant_tuple(uno, sphere_term(uno)) == [(2, True, 0)]
+    assert invariant_tuple(uno, st.sphere(uno)) == [(2, True, 0)]
 
 
 def test_strip_identity(uno):
@@ -56,12 +36,12 @@ def test_strip_identity(uno):
 
 
 def test_torus_closed_orientable(uno):
-    assert invariant_tuple(uno, genus_term(uno, 1)) == [(0, True, 0)]
+    assert invariant_tuple(uno, st.genus(uno, 1)) == [(0, True, 0)]
 
 
 def test_higher_genus(uno):
     for g in range(4):
-        assert invariant_tuple(uno, genus_term(uno, g)) == [(2 - 2 * g, True, 0)]
+        assert invariant_tuple(uno, st.genus(uno, g)) == [(2 - 2 * g, True, 0)]
 
 
 def test_klein_bottle(uno):
@@ -69,21 +49,21 @@ def test_klein_bottle(uno):
 
 
 def test_genus_formula_from_invariants(uno):
-    inv = sf.invariants(sf.reconstruct(genus_term(uno, 2), uno))
+    inv = sf.invariants(sf.reconstruct(st.genus(uno, 2), uno))
     assert inv.components[0].genus == 2
     invk = sf.invariants(sf.reconstruct(st.klein_bottle(uno), uno))
     assert invk.components[0].crosscaps == 2
 
 
 def test_tensor_additivity(uno):
-    t = tensor(sphere_term(uno), genus_term(uno, 1))
+    t = tensor(st.sphere(uno), st.genus(uno, 1))
     got = sorted(invariant_tuple(uno, t))
     assert got == sorted([(2, True, 0), (0, True, 0)])
 
 
 def test_euler_by_events_matches_complex(uno):
     for g in range(4):
-        t = genus_term(uno, g)
+        t = st.genus(uno, g)
         assert sf.euler_by_events(t, uno) == 2 - 2 * g
     assert sf.euler_by_events(st.klein_bottle(uno), uno) == 0
 
@@ -94,7 +74,7 @@ def test_euler_by_events_rejects_open(uno):
 
 
 def test_invariants_line_format(uno):
-    inv = sf.invariants(sf.reconstruct(sphere_term(uno), uno))
+    inv = sf.invariants(sf.reconstruct(st.sphere(uno), uno))
     assert str(inv) == "components=1; [chi=2 orientable=true boundary=0]"
 
 
