@@ -1,9 +1,11 @@
 """Strand-level execution of two-cell terms.
 
 A morphism term denotes a compact 1-manifold cut into arcs, one arc per
-1-cell leaf.  A two-cell term denotes a movie: a sequence of local events
-(generator cells and structural cells) rewriting that 1-manifold in place.
-Walking the movie once yields, depending on the listener,
+strand of a 1-cell leaf.  A two-cell term denotes a movie: a sequence of
+local events (generator cells and structural cells) rewriting that
+1-manifold in place, recorded as a tape by `termcore.validate`.
+`run_movie` plays the tape once, computing no boundary, and yields,
+depending on the listener,
 
 * the glued polygonal complex of the denoted surface, or
 * the exact linear map the term evaluates to under an algebra assignment.
@@ -14,7 +16,7 @@ shared strand bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from . import termcore as tc
@@ -30,23 +32,18 @@ class DiagramError(Exception):
 
 # An arc end is (arc_id, 0|1); the arc's own direction runs end 0 -> end 1.
 
-@dataclass
-class Arc:
-    kind: tuple  # ("gen", name) or ("struct", tag)
-
-
 class ArcDiagram:
-    """Arcs of one sentence plus the involution linking matched ends."""
+    """Arc ids of one sentence plus the involution linking matched ends."""
 
     def __init__(self):
-        self.arcs: Dict[int, Arc] = {}
+        self.arcs = set()
         self.link: Dict[tuple, tuple] = {}
         self._next = 0
 
-    def new_arc(self, kind) -> int:
+    def new_arc(self) -> int:
         i = self._next
         self._next = i + 1
-        self.arcs[i] = Arc(kind)
+        self.arcs.add(i)
         return i
 
     def join(self, end_a, end_b):
@@ -64,7 +61,7 @@ class ArcDiagram:
     def drop_arc(self, aid):
         for e in ((aid, 0), (aid, 1)):
             self.unjoin(e)
-        del self.arcs[aid]
+        self.arcs.remove(aid)
 
     def components(self) -> List[frozenset]:
         seen = set()
@@ -99,7 +96,7 @@ class LiveNode:
 
 
 def leaf_arc_spec(leaf, gen_patterns):
-    """Arc wiring of a 1-cell leaf: (n_src, n_tgt, [(end0, end1, kind)]).
+    """Arc wiring of a 1-cell leaf: (n_src, n_tgt, [(end0, end1)]).
 
     Port references are ("s"|"t", index).
     """
@@ -110,21 +107,17 @@ def leaf_arc_spec(leaf, gen_patterns):
     if isinstance(leaf, tc.Adj1):
         ns, nt, arcs = leaf_arc_spec(leaf.inner, gen_patterns)
         flip = lambda p: ("t" if p[0] == "s" else "s", p[1])
-        return (nt, ns, [(flip(a), flip(b), k) for a, b, k in arcs])
-    if isinstance(leaf, tc.Id1):
-        n = len(tc.obj_points(leaf.word))
-        return (n, n, [(("s", i), ("t", i), ("struct", "id")) for i in range(n)])
-    if isinstance(leaf, tc.Assoc1):
-        n = len(tc.obj_points(tc.obj_tensor(leaf.u, leaf.v, leaf.w)))
-        return (n, n, [(("s", i), ("t", i), ("struct", "assoc")) for i in range(n)])
-    if isinstance(leaf, (tc.LeftUnitor1, tc.RightUnitor1)):
-        n = len(tc.obj_points(leaf.word))
-        return (n, n, [(("s", i), ("t", i), ("struct", "unitor")) for i in range(n)])
+        return (nt, ns, [(flip(a), flip(b)) for a, b in arcs])
+    if isinstance(leaf, (tc.Id1, tc.Assoc1, tc.LeftUnitor1, tc.RightUnitor1)):
+        # straight strands: the points of the object parameters in order
+        n = sum(len(tc.obj_points(getattr(leaf, name)))
+                for name, _ in leaf.ARGS)
+        return (n, n, [(("s", i), ("t", i)) for i in range(n)])
     if isinstance(leaf, tc.Braid1):
         nu = len(tc.obj_points(leaf.u))
         nv = len(tc.obj_points(leaf.v))
-        arcs = [(("s", i), ("t", nv + i), ("struct", "braid")) for i in range(nu)]
-        arcs += [(("s", nu + j), ("t", j), ("struct", "braid")) for j in range(nv)]
+        arcs = [(("s", i), ("t", nv + i)) for i in range(nu)]
+        arcs += [(("s", nu + j), ("t", j)) for j in range(nv)]
         return (nu + nv, nu + nv, arcs)
     raise DiagramError("unsupported 1-cell leaf %r" % (leaf,))
 
@@ -147,8 +140,8 @@ def build_live(term, diagram, gen_patterns):
                         left.tgt_ports + right.tgt_ports, [])
     ns, nt, arcspec = leaf_arc_spec(term, gen_patterns)
     src, tgt, ids = [None] * ns, [None] * nt, []
-    for p0, p1, kind in arcspec:
-        aid = diagram.new_arc(kind)
+    for p0, p1 in arcspec:
+        aid = diagram.new_arc()
         ids.append(aid)
         for end, port in (((aid, 0), p0), ((aid, 1), p1)):
             side, idx = port
@@ -173,29 +166,30 @@ def _leaf_nodes(node):
 
 @dataclass
 class Event:
-    """One elementary movie step, with local wiring already resolved.
+    """One movie step: the leaf `cell` that fired (an `Inv2`, not its
+    inner cell) and the wiring of the old subsentence and its replacement.
 
-    * old_arcs / new_arcs: arc ids removed / created, in pattern order.
-    * s_port_ends / t_port_ends: for each shared boundary point of the
-      event, the (old_end, new_end) pair sitting on it.
-    * old_leaves / new_leaves: leaf terms of the two patterns in order.
+    Arcs are listed in leaf order; the i-th old and new port ends sit on
+    the same boundary point; links are {end: partner} among the event's
+    own arcs; leaves are the `LiveNode` leaves.
     """
 
     cell: object
-    path: tuple
-    source: object
-    target: object
-    old_arcs: list = field(default_factory=list)
-    new_arcs: list = field(default_factory=list)
-    old_src_ports: list = field(default_factory=list)
-    old_tgt_ports: list = field(default_factory=list)
-    new_src_ports: list = field(default_factory=list)
-    new_tgt_ports: list = field(default_factory=list)
-    old_links: list = field(default_factory=list)
-    old_leaf_arcs: list = field(default_factory=list)
-    new_leaf_arcs: list = field(default_factory=list)
-    old_leaves: list = field(default_factory=list)
-    new_leaves: list = field(default_factory=list)
+    old_arcs: list
+    new_arcs: list
+    old_src_ports: list
+    old_tgt_ports: list
+    new_src_ports: list
+    new_tgt_ports: list
+    old_links: dict
+    new_links: dict
+    old_leaves: list
+    new_leaves: list
+
+
+def _own_links(link, arcs):
+    """{end: partner} of the links at the ends of `arcs`."""
+    return {e: link[e] for a in arcs for e in ((a, 0), (a, 1)) if e in link}
 
 
 class MovieState:
@@ -217,37 +211,26 @@ class MovieState:
             raise DiagramError(
                 "movie out of sync at %s: expected %s, found %s"
                 % ("/".join(map(str, path)) or "<root>", source, node.term))
-        ev = Event(cell, path, source, target)
+        diagram = self.diagram
         old_leaves = _leaf_nodes(node)
-        ev.old_arcs = [a for ln in old_leaves for a in ln.arc_ids]
-        ev.old_src_ports = list(node.src_ports)
-        ev.old_tgt_ports = list(node.tgt_ports)
-        ev.old_links = [(a, b) for a, b in self.diagram.link.items()
-                        if a < b and a[0] in set(ev.old_arcs)
-                        and b[0] in set(ev.old_arcs)]
-        ev.old_leaves = [ln.term for ln in old_leaves]
-        ev.old_leaf_arcs = [list(ln.arc_ids) for ln in old_leaves]
-        # detach boundary of the old subtree
-        outer_s = [self.diagram.unjoin(e) for e in node.src_ports]
-        outer_t = [self.diagram.unjoin(e) for e in node.tgt_ports]
-        for aid in ev.old_arcs:
-            self.diagram.drop_arc(aid)
-        new_node = build_live(target, self.diagram, self.gen_patterns)
+        old_arcs = [a for ln in old_leaves for a in ln.arc_ids]
+        # detach boundary of the old subtree; the links left are its own
+        outer_s = [diagram.unjoin(e) for e in node.src_ports]
+        outer_t = [diagram.unjoin(e) for e in node.tgt_ports]
+        old_links = _own_links(diagram.link, old_arcs)
+        for aid in old_arcs:
+            diagram.drop_arc(aid)
+        new_node = build_live(target, diagram, self.gen_patterns)
         if (len(new_node.src_ports) != len(node.src_ports)
                 or len(new_node.tgt_ports) != len(node.tgt_ports)):
             raise DiagramError("event does not preserve boundary points")
-        for end, partner in zip(new_node.src_ports, outer_s):
-            if partner is not None:
-                self.diagram.join(end, partner)
-        for end, partner in zip(new_node.tgt_ports, outer_t):
-            if partner is not None:
-                self.diagram.join(end, partner)
         new_leaves = _leaf_nodes(new_node)
-        ev.new_arcs = [a for ln in new_leaves for a in ln.arc_ids]
-        ev.new_src_ports = list(new_node.src_ports)
-        ev.new_tgt_ports = list(new_node.tgt_ports)
-        ev.new_leaves = [ln.term for ln in new_leaves]
-        ev.new_leaf_arcs = [list(ln.arc_ids) for ln in new_leaves]
+        new_arcs = [a for ln in new_leaves for a in ln.arc_ids]
+        new_links = _own_links(diagram.link, new_arcs)
+        for end, partner in zip(new_node.src_ports + new_node.tgt_ports,
+                                outer_s + outer_t):
+            if partner is not None:
+                diagram.join(end, partner)
         if parents:
             parent, step = parents[-1]
             parent.children[step] = new_node
@@ -264,48 +247,36 @@ class MovieState:
                     up.term = tc.Tensor1(up.children[0].term, up.children[1].term)
         else:
             self.root = new_node
-        return ev
+        return Event(cell, old_arcs, new_arcs, node.src_ports, node.tgt_ports,
+                     new_node.src_ports, new_node.tgt_ports,
+                     old_links, new_links, old_leaves, new_leaves)
 
 
 class MovieListener:
     def begin(self, state):
         pass
 
-    def event(self, state, ev, before_comps):
+    def event(self, state, ev):
         pass
 
     def finish(self, state):
         pass
 
 
-def run_movie(term, gen_patterns, listener, data=None):
-    source_sentence = tc.two_cell_source(term, data)
-    state = MovieState(source_sentence, gen_patterns)
+# term path step -> live sentence child: ``Comp1`` nodes list the inner
+# part's sentence first; chain positions name no sentence node
+_SENTENCE_STEP = {"inner": 0, "outer": 1, "left": 0, "right": 1}
+
+
+def run_movie(report, gen_patterns, listener):
+    """Play the tape of a valid term's `termcore.validate` report."""
+    state = MovieState(report.boundary[0], gen_patterns)
     listener.begin(state)
-    _walk(term, (), state, listener, data)
+    for path, cell, source, target in report.events:
+        at = tuple(_SENTENCE_STEP[s] for s in path if s in _SENTENCE_STEP)
+        listener.event(state, state.apply_event(at, cell, source, target))
     listener.finish(state)
     return state
-
-
-def _walk(p, path, state, listener, data):
-    if isinstance(p, tc.VComp):
-        for c in p.children:
-            _walk(c, path, state, listener, data)
-        return
-    if isinstance(p, tc.HComp):
-        _walk(p.inner, path + (0,), state, listener, data)
-        _walk(p.outer, path + (1,), state, listener, data)
-        return
-    if isinstance(p, tc.Tensor2):
-        _walk(p.left, path + (0,), state, listener, data)
-        _walk(p.right, path + (1,), state, listener, data)
-        return
-    if isinstance(p, tc.Id2):
-        return
-    src, tgt = tc.two_cell_boundary(p, data)
-    before = state.diagram.components()
-    ev = state.apply_event(path, p, src, tgt)
-    listener.event(state, ev, before)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +292,12 @@ def leaf_pairs(ev):
     """
     pairs = {}
     used_new = set()
-    new_slots = list(zip(ev.new_leaves, ev.new_leaf_arcs))
-    for leaf, arcs in zip(ev.old_leaves, ev.old_leaf_arcs):
-        for k, (nleaf, narcs) in enumerate(new_slots):
-            if k in used_new or nleaf != leaf:
+    for old in ev.old_leaves:
+        for k, new in enumerate(ev.new_leaves):
+            if k in used_new or new.term != old.term:
                 continue
             used_new.add(k)
-            for a, b in zip(arcs, narcs):
+            for a, b in zip(old.arc_ids, new.arc_ids):
                 pairs.setdefault(a, b)
             break
     return pairs

@@ -2,13 +2,14 @@
 
 Subcommands: check, eval, invariants, rewrite, verify, presentation,
 linear.  Exit codes: 0 all requested checks passed; 2 usage or syntax
-errors, including an unreadable file, an algebra that lacks the
-structure the presentation needs, or input nested too deeply to walk;
-3 term validation errors, including rewrite endpoints whose boundaries
-differ; 4 failed verification, failed checks, a failed evaluation or
-surface reconstruction, or an inconclusive rewrite search.  Errors are
-one line on stderr (`INVALID ...` for exit 3, `ERROR ...` otherwise).
-Output ordering is deterministic.
+errors, including an unreadable or non-UTF-8 file, an algebra that
+lacks the structure the presentation needs, or input nested too deeply
+to walk; 3 term validation errors, including rewrite endpoints whose
+boundaries differ, and malformed linear diagrams; 4 failed
+verification, failed checks, a failed evaluation or surface
+reconstruction, or an inconclusive rewrite search.  Errors are one line
+on stderr (`INVALID ...` for exit 3, `ERROR ...` otherwise).  Output
+ordering is deterministic.
 """
 
 from __future__ import annotations
@@ -37,11 +38,19 @@ def _load_presentation(name):
     raise SystemExit("unknown presentation %r" % name)
 
 
+def _read(path):
+    """Text of the file at `path`; a file that is not UTF-8 is unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise OSError("%s is not UTF-8 text" % path) from None
+
+
 def _load_algebra(spec):
     if spec in fr.BUILTIN_ALGEBRAS:
         return fr.BUILTIN_ALGEBRAS[spec]()
-    with open(spec, "r", encoding="utf-8") as fh:
-        return fr.parse_algebra_file(fh.read(), name=spec)
+    return fr.parse_algebra_file(_read(spec), name=spec)
 
 
 def _error(code, exc):
@@ -52,9 +61,7 @@ def _error(code, exc):
 
 
 def _read_term(path, presentation):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return tc.parse_two_cell(text, presentation.data)
+    return tc.parse_two_cell(_read(path), presentation.data)
 
 
 def cmd_check(args, out):
@@ -140,10 +147,8 @@ def cmd_presentation(args, out):
 
 
 def cmd_linear(args, out):
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        d = ln.parse_diagram(text)
+        d = ln.parse_diagram(_read(args.file))
     except ln.LinearError as exc:
         return _error(EXIT_INVALID, exc)
     census = ln.reconstruct_1manifold(d)

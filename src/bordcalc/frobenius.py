@@ -634,15 +634,13 @@ class TwoCellValue:
         return "\n".join(" ".join(str(x) for x in row) for row in self.matrix)
 
 
-def _comp_order(state):
-    """Components of the current diagram in sentence-intrinsic order.
+def _comp_order(state, comps):
+    """The current diagram's components `comps` in sentence-intrinsic order.
 
     Ordered by first boundary-port position, then by the leftmost leaf of
     the sentence tree touching the component; identical for any two movies
     ending at the same sentence.
     """
-    diagram = state.diagram
-    comps = diagram.components()
     port_pos = {}
     for pos, end in enumerate(list(state.root.src_ports)
                               + list(state.root.tgt_ports)):
@@ -674,6 +672,7 @@ class _EvalListener(MovieListener):
     index of each slot) to a nonzero coefficient.  An event maps the basis
     indices of the slots it consumes through a sparse local map and
     appends the slots it produces; entries with equal keys are summed.
+    `comps`, the components after one event, are those before the next.
     """
 
     def __init__(self, assignment):
@@ -682,9 +681,11 @@ class _EvalListener(MovieListener):
         self.sources = 0
         self.slots = []
         self.state = {}
+        self.comps = []
 
     def begin(self, state):
-        self.slots = _comp_order(state)
+        self.comps = state.diagram.components()
+        self.slots = _comp_order(state, self.comps)
         self.sources = len(self.slots)
         basis = itertools.product(range(self.A.dim), repeat=self.sources)
         self.state = {(col, idx): Q(1) for col, idx in enumerate(basis)}
@@ -704,11 +705,12 @@ class _EvalListener(MovieListener):
 
     # -- events ---------------------------------------------------------
 
-    def event(self, state, ev, before_comps):
+    def event(self, state, ev):
         cell = ev.cell
         name = cell.name if isinstance(cell, tc.Gen2) else None
         tag = self.asg.tag(name) if name else None
-        after_comps = state.diagram.components()
+        before_comps = self.comps
+        after_comps = self.comps = state.diagram.components()
         if tag == "cap":
             new_comp = _comp_of(after_comps, ev.new_arcs[0])
             if set(new_comp) != set(ev.new_arcs):
@@ -768,9 +770,9 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
     if not report.ok:
         raise AlgebraError("invalid term:\n%s" % report)
     listener = _EvalListener(assignment)
-    state = run_movie(term, p.arc_patterns, listener, p.data)
+    state = run_movie(report, p.arc_patterns, listener)
     slot_of = {comp: i for i, comp in enumerate(listener.slots)}
-    order = [slot_of[comp] for comp in _comp_order(state)]
+    order = [slot_of[comp] for comp in _comp_order(state, listener.comps)]
     matrix = [[Q(0)] * n ** listener.sources for _ in range(n ** len(order))]
     for (col, idx), c in listener.state.items():
         row = 0

@@ -163,17 +163,31 @@ class LinearDiagram:
         return " ".join(parts)
 
 
+_LD_TOKENS = re.compile(r"\(([^)]*)\)|(\[[^\]]*\](?:\s*\[[^\]]*\])*)")
+
+
+def _integer(text, what):
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise LinearError("%s %r is not an integer" % (what, text))
+    return int(text)
+
+
 def parse_diagram(text: str) -> LinearDiagram:
-    """Parse the textual format `(5 cap) [24][35] (5 cup) [] (3 cup)`."""
-    tokens = re.findall(r"\(([^)]*)\)|(\[[^\]]*\](?:\s*\[[^\]]*\])*)", text)
+    """Parse the textual format `(5 cap) [24][35] (5 cup) [] (3 cup)`.
+
+    Text outside regions and separators must be blank.
+    """
+    leftover = _LD_TOKENS.sub(" ", text).split()
+    if leftover:
+        raise LinearError("unexpected text %r" % leftover[0])
     regions, separators = [], []
     expect_region = True
-    for reg_body, sep_body in tokens:
+    for reg_body, sep_body in _LD_TOKENS.findall(text):
         if reg_body:
             parts = reg_body.split()
-            if not parts:
-                raise LinearError("empty region")
-            count = int(parts[0])
+            if not 1 <= len(parts) <= 2:
+                raise LinearError("bad region (%s)" % reg_body)
+            count = _integer(parts[0], "sheet count")
             event = parts[1] if len(parts) > 1 else None
             if event not in (None, "cap", "cup"):
                 raise LinearError("unknown region event %r" % event)
@@ -190,14 +204,11 @@ def parse_diagram(text: str) -> LinearDiagram:
                 if not body:
                     continue
                 if re.search(r"[\s,]", body):
-                    entries = [int(x) for x in re.findall(r"\d+", body)]
+                    labels = re.split(r"[\s,]+", body)
                 else:
                     # compact form: each character is a single-digit label
-                    if not body.isdigit():
-                        raise LinearError("bad cycle %r" % cyc)
-                    entries = [int(ch) for ch in body]
-                if not entries:
-                    raise LinearError("bad cycle %r" % cyc)
+                    labels = list(body)
+                entries = [_integer(x, "cycle entry") for x in labels]
                 if any(e < 1 for e in entries):
                     raise LinearError("labels are 1-based")
                 cycles.append(entries)

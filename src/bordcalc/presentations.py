@@ -274,8 +274,8 @@ def bord2_unoriented() -> Presentation:
     ]
 
     arc_patterns = {
-        "ev": (2, 0, [(("s", 0), ("s", 1), ("gen", "ev"))]),
-        "coev": (0, 2, [(("t", 0), ("t", 1), ("gen", "coev"))]),
+        "ev": (2, 0, [(("s", 0), ("s", 1))]),
+        "coev": (0, 2, [(("t", 0), ("t", 1))]),
     }
     tags = {"cap": "cap", "cup": "cup", "split": "split", "merge": "merge",
             "cusp_up": "cusp", "cusp_down": "cusp",
@@ -320,8 +320,8 @@ def bord2_oriented() -> Presentation:
     ])
 
     arc_patterns = {
-        "ev": (2, 0, [(("s", 0), ("s", 1), ("gen", "ev"))]),
-        "coev": (0, 2, [(("t", 0), ("t", 1), ("gen", "coev"))]),
+        "ev": (2, 0, [(("s", 0), ("s", 1))]),
+        "coev": (0, 2, [(("t", 0), ("t", 1))]),
     }
     tags = {"cap": "cap", "cup": "cup", "split": "split", "merge": "merge",
             "cusp_up_pos": "cusp", "cusp_down_pos": "cusp",

@@ -135,7 +135,7 @@ class _Builder(MovieListener):
         self.sheets = {}
 
     def begin(self, state):
-        self._open(state, dict.fromkeys(state.diagram.arcs))
+        self._open(state, dict.fromkeys(sorted(state.diagram.arcs)))
 
     def _open(self, state, produced):
         """Open a sheet over every arc of `produced`, which maps the arc to
@@ -174,48 +174,25 @@ class _Builder(MovieListener):
         self.cx.add_face([bot] + side1 + [top] + side0[::-1])
         return top
 
-    def event(self, state, ev, before_comps):
-        new_set = set(ev.new_arcs)
-        old_links = {}
-        for a, b in ev.old_links:
-            old_links[a] = b
-            old_links[b] = a
-        new_links = {}
-        for a, b in state.diagram.link.items():
-            if a[0] in new_set and b[0] in new_set:
-                new_links[a] = b
-        old_port_key = {}
-        for i, end in enumerate(ev.old_src_ports):
-            old_port_key[end] = ("s", i)
-        for i, end in enumerate(ev.old_tgt_ports):
-            old_port_key[end] = ("t", i)
-        new_port_key = {}
-        new_port_end = {}
-        for i, end in enumerate(ev.new_src_ports):
-            new_port_key[end] = ("s", i)
-            new_port_end[("s", i)] = end
-        for i, end in enumerate(ev.new_tgt_ports):
-            new_port_key[end] = ("t", i)
-            new_port_end[("t", i)] = end
-        old_port_end = {v: k for k, v in old_port_key.items()}
+    def event(self, state, ev):
+        # a trace leaves an arc by a link among the event's own arcs, or
+        # crosses sides at a boundary point, where the i-th old and new
+        # ports sit together
+        old_ports = ev.old_src_ports + ev.old_tgt_ports
+        new_ports = ev.new_src_ports + ev.new_tgt_ports
+        steps = {"old": (ev.old_links, "new", dict(zip(old_ports, new_ports))),
+                 "new": (ev.new_links, "old", dict(zip(new_ports, old_ports)))}
 
         def advance(side, arc, direction):
             exit_end = (arc, 1 if direction == +1 else 0)
-            links = old_links if side == "old" else new_links
+            links, other, across = steps[side]
             if exit_end in links:
                 narc, nend = links[exit_end]
-                return (side, narc, +1 if nend == 0 else -1)
-            keymap = old_port_key if side == "old" else new_port_key
-            if exit_end not in keymap:
+            elif exit_end in across:
+                side, (narc, nend) = other, across[exit_end]
+            else:
                 raise SurfaceError("event trace fell off the boundary")
-            key = keymap[exit_end]
-            if side == "old":
-                if key not in new_port_end:
-                    raise SurfaceError("port missing on target pattern")
-                narc, nend = new_port_end[key]
-                return ("new", narc, +1 if nend == 0 else -1)
-            narc, nend = old_port_end[key]
-            return ("old", narc, +1 if nend == 0 else -1)
+            return (side, narc, +1 if nend == 0 else -1)
 
         traced = {}
         cycles = []
@@ -338,7 +315,7 @@ def reconstruct(term: tc.TwoCellTerm, presentation) -> CombSurface:
     if not report.ok:
         raise SurfaceError("invalid term:\n%s" % report)
     builder = _Builder()
-    run_movie(term, presentation.arc_patterns, builder, presentation.data)
+    run_movie(report, presentation.arc_patterns, builder)
     builder.cx.check()
     return CombSurface(builder.cx, term)
 

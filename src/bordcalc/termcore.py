@@ -697,33 +697,41 @@ def _leaf_boundary(p, data):
 
 
 def two_cell_boundary(p: TwoCellTerm, data: Optional[GeneratingData] = None,
-                      path=()) -> Tuple[MorphismTerm, MorphismTerm]:
-    """(source, target) morphism terms of a two-cell term."""
+                      path=(), tape=None) -> Tuple[MorphismTerm, MorphismTerm]:
+    """(source, target) morphism terms of a two-cell term.
+
+    Every leaf but an identity appends (path, leaf, source, target) to a
+    list `tape` in movie order (the inner part of an `HComp` first); an
+    `Inv2` is one leaf, its cell's sides swapped.
+    """
     if isinstance(p, Inv2):
         if not isinstance(p.inner, STRUCTURAL_2):
             raise TermError("inv2 only applies to structural 2-cells", path)
-        s, t = two_cell_boundary(p.inner, data, path + ("inv2",))
-        return (t, s)
-    if isinstance(p, VComp):
+        t, s = two_cell_boundary(p.inner, data, path + ("inv2",))
+    elif isinstance(p, VComp):
         if not p.children:
             raise TermError("empty vertical chain", path)
-        bounds = [two_cell_boundary(c, data, path + (i,))
+        bounds = [two_cell_boundary(c, data, path + (i,), tape)
                   for i, c in enumerate(p.children)]
         for i in range(len(bounds) - 1):
             if bounds[i][1] != bounds[i + 1][0]:
                 raise TermError("non-composable vertical chain", path + (i,))
         return (bounds[0][0], bounds[-1][1])
-    if isinstance(p, HComp):
-        so, to = two_cell_boundary(p.outer, data, path + ("outer",))
-        si, ti = two_cell_boundary(p.inner, data, path + ("inner",))
+    elif isinstance(p, HComp):
+        si, ti = two_cell_boundary(p.inner, data, path + ("inner",), tape)
+        so, to = two_cell_boundary(p.outer, data, path + ("outer",), tape)
         if morphism_source(so, data) != morphism_target(si, data):
             raise TermError("horizontal mismatch", path)
         return (Comp1(so, si), Comp1(to, ti))
-    if isinstance(p, Tensor2):
-        sl, tl = two_cell_boundary(p.left, data, path + ("left",))
-        sr, tr = two_cell_boundary(p.right, data, path + ("right",))
+    elif isinstance(p, Tensor2):
+        sl, tl = two_cell_boundary(p.left, data, path + ("left",), tape)
+        sr, tr = two_cell_boundary(p.right, data, path + ("right",), tape)
         return (Tensor1(sl, sr), Tensor1(tl, tr))
-    return _leaf_boundary(p, data)
+    else:
+        s, t = _leaf_boundary(p, data)
+    if tape is not None and type(p) is not Id2:
+        tape.append((path, p, s, t))
+    return (s, t)
 
 
 def two_cell_source(p, data=None):
@@ -740,9 +748,15 @@ def two_cell_target(p, data=None):
 
 @dataclass
 class ValidationReport:
-    """List of constraint violations; empty means the term is valid."""
+    """List of constraint violations; empty means the term is valid.
+
+    A valid term's report keeps its `boundary` and its movie tape
+    `events`; both are None for an invalid term.
+    """
 
     entries: list = field(default_factory=list)
+    boundary: Optional[tuple] = None
+    events: Optional[list] = None
 
     @property
     def ok(self):
@@ -832,14 +846,17 @@ def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
     parameters and boundary sentences of structural leaves), reporting all
     violations.  If there are none, one `two_cell_boundary` walk from the
     root reports the first composite whose parts do not compose, at its
-    path: composability is decided only by the boundary functions.
+    path: composability is decided only by the boundary functions.  The
+    walk records the tape `_diagram.run_movie` plays.
     """
     report = ValidationReport()
     for path, p in subterms(term):
         _validate_leaf(p, data, report, path)
     if report.ok:
+        tape = []
         try:
-            two_cell_boundary(term, data)
+            report.boundary = two_cell_boundary(term, data, (), tape)
+            report.events = tape
         except TermError as e:
             report.add(e.path, e.message)
     return report

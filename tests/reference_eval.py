@@ -1,9 +1,10 @@
 """Reference evaluator: one movie walk per source basis column.
 
-This is the evaluator `frobenius.evaluate` replaced, kept verbatim as a
-slow oracle for the merged sparse walk.  Each column runs the whole movie
-on a list of pure tensors (coefficient, value per component) that is
-never merged.  Only tests use it.
+This is the evaluator `frobenius.evaluate` replaced, kept as a slow
+oracle for the merged sparse walk; only its movie interface follows
+`_diagram`.  Each column runs the whole movie on a list of pure tensors
+(coefficient, value per component) that is never merged.  Only tests use
+it.
 """
 
 from fractions import Fraction
@@ -23,9 +24,11 @@ class _EvalListener(MovieListener):
         self.asg = assignment
         self.initial = initial_values
         self.configs = None
+        self.comps = None
 
     def begin(self, state):
-        order = _comp_order(state)
+        self.comps = state.diagram.components()
+        order = _comp_order(state, self.comps)
         vals = {}
         for comp, v in zip(order, self.initial):
             vals[comp] = v
@@ -35,11 +38,12 @@ class _EvalListener(MovieListener):
 
     # -- events ---------------------------------------------------------
 
-    def event(self, state, ev, before_comps):
+    def event(self, state, ev):
         cell = ev.cell
         name = cell.name if isinstance(cell, tc.Gen2) else None
         tag = self.asg.tag(name) if name else None
-        after_comps = state.diagram.components()
+        before_comps = self.comps
+        after_comps = self.comps = state.diagram.components()
         if tag == "cap":
             new_comp = self._comp_of(after_comps, ev.new_arcs[0])
             if set(new_comp) != set(ev.new_arcs):
@@ -161,9 +165,8 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
     report = tc.validate(term, p.data)
     if not report.ok:
         raise AlgebraError("invalid term:\n%s" % report)
-    src = tc.two_cell_source(term, p.data)
-    probe = MovieState(src, p.arc_patterns)
-    src_comps = _comp_order(probe)
+    probe = MovieState(report.boundary[0], p.arc_patterns)
+    src_comps = probe.diagram.components()
     k = len(src_comps)
     n = A.dim
     ncols = n ** k
@@ -178,8 +181,8 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
         idx.reverse()
         init = [A.basis_vec(i) for i in idx]
         listener = _EvalListener(assignment, init)
-        state = run_movie(term, p.arc_patterns, listener, p.data)
-        tgt_comps = _comp_order(state)
+        state = run_movie(report, p.arc_patterns, listener)
+        tgt_comps = _comp_order(state, listener.comps)
         m = len(tgt_comps)
         nrows = n ** m
         colvec = [Q(0)] * nrows

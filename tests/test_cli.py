@@ -309,3 +309,31 @@ def test_deep_nesting_is_one_line(tmp_path, capsys):
     text = "id[%sI[1]%s]" % ("(" * depth, " ; I[1])" * depth)
     code, out, err = run(["check", _write(tmp_path, text)], capsys)
     _one_line_error(code, out, err, cli.EXIT_USAGE)
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "BAD"], ["invariants", "BAD"], ["linear", "BAD"],
+    ["eval", "BAD", "--algebra", "M2Q"],
+    ["eval", str(DEMOS / "terms/torus_oriented.bc"), "--algebra", "BAD"],
+    ["verify", "--algebra", "BAD"],
+    ["rewrite", "BAD", "--to", str(DEMOS / "terms/sphere.bc")],
+    ["rewrite", str(DEMOS / "terms/sphere.bc"), "--to", "BAD"]],
+    ids=lambda c: "-".join(a for a in c if "/" not in a))
+def test_non_utf8_file_is_one_line(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff(cap . cup)")
+    code, out, err = run([str(bad) if a == "BAD" else a for a in command],
+                         capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "latin1.txt" in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("text", [
+    "(x)", "(2 cap) [12]x(2)", "(2) [1 2", "(3) [1,x] (3)", "(3)[1²](3)",
+    "(2 cap cup)"])
+def test_linear_malformed_diagram_is_one_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.ld"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["linear", str(path)], capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("INVALID ")

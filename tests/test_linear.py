@@ -39,6 +39,27 @@ def test_parse_rejects_mismatched_counts():
         ln.parse_diagram("(2 cap) [13] (2 cup)")  # only 2 sheets on the right
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(x)", "sheet count 'x' is not an integer"),
+    ("(2 cap) [12]x(2)", "unexpected text 'x'"),
+    ("(2) [1 2", "unexpected text '[1'"),
+    ("(3) [1,x] (3)", "cycle entry 'x' is not an integer"),
+    ("(3) [1²] (3)", "cycle entry '²' is not an integer"),
+    ("(2 cap cup)", "bad region (2 cap cup)"),
+])
+def test_parse_rejects_malformed_text(text, message):
+    with pytest.raises(ln.LinearError) as err:
+        ln.parse_diagram(text)
+    assert str(err.value) == message
+
+
+def test_parse_accepts_spaced_and_comma_cycles():
+    d = ln.parse_diagram(" (3)  [1, 2]\n[3] (3) ")
+    assert d.separators[0] == ln.perm_from_cycles(3, [[1, 2]])
+    assert ln.parse_diagram("(3) [1 2,3] (3)").separators[0] \
+        == ln.perm_from_cycles(3, [[1, 2, 3]])
+
+
 def test_merge_move():
     d = ln.parse_diagram("(3 cap) [12] (3) [23] (3 cup)")
     d2 = ln.apply_linear_move(d, "merge_permutations", 1)

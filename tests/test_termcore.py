@@ -10,6 +10,7 @@ from bordcalc.termcore import (Adj1, Assoc1, AssocC, Braid1, Comp1, Eps, Eta,
                                ObjGen, ObjTensor, RC, RightUnitor1, Tensor1,
                                UNIT, comp1, hcompose, tensor,
                                vcompose)
+from bordcalc import build
 from bordcalc import presentations as pr
 
 P = ObjGen("pt")
@@ -385,3 +386,59 @@ def test_validate_reports_a_chain_mismatch_at_its_path(uno):
     rep = tc.validate(tc.parse_two_cell("((cap . cap) . (cap . cup))"),
                       uno.data)
     assert rep.entries == [((0, 0), "non-composable vertical chain")]
+
+
+# ---------------------------------------------------------------------------
+# the movie tape validate records
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, expected", [
+    ("(cap . cup)", [("0", "cap"), ("1", "cup")]),
+    ("((cap . cup) # (cup . cap))",
+     [("inner/0", "cup"), ("inner/1", "cap"),
+      ("outer/0", "cap"), ("outer/1", "cup")]),
+    ("(id[ev] (*) (inv2(lc[coev]) . lc[coev]))",
+     [("right/0", "inv2(lc[coev])"), ("right/1", "lc[coev]")]),
+    ("id[(ev (*) ev)]", []),
+])
+def test_validate_tape_of_hand_written_terms(uno, text, expected):
+    report = tc.validate(tc.parse_two_cell(text, uno.data), uno.data)
+    assert [("/".join(map(str, path)), str(cell))
+            for path, cell, _, _ in report.events] == expected
+
+
+@pytest.mark.parametrize("text", ["(cap . cap)", "(nonsense . cap)"])
+def test_validate_keeps_no_tape_of_an_invalid_term(uno, text):
+    report = tc.validate(tc.parse_two_cell(text), uno.data)
+    assert not report.ok
+    assert report.events is None and report.boundary is None
+
+
+def _movie_leaves(p, path=()):
+    """(path, leaf) of every non-identity leaf in the order the movie fires
+    them: the inner part of a horizontal composite acts first."""
+    if isinstance(p, tc.HComp):
+        yield from _movie_leaves(p.inner, path + ("inner",))
+        yield from _movie_leaves(p.outer, path + ("outer",))
+    elif isinstance(p, Inv2) or not tc.parts(p):
+        if not isinstance(p, Id2):
+            yield path, p
+    else:
+        for step, c in tc.parts(p):
+            yield from _movie_leaves(c, path + (step,))
+
+
+@pytest.mark.parametrize("p", [pr.bord2_unoriented(), pr.bord2_oriented()],
+                         ids=lambda p: p.name)
+def test_validate_tape_is_the_movie_of_random_terms(p):
+    for seed in range(50):
+        term = build.random_term(p, seed)
+        report = tc.validate(term, p.data)
+        assert report.boundary == tc.two_cell_boundary(term, p.data)
+        assert [(path, cell) for path, cell, _, _ in report.events] \
+            == list(_movie_leaves(term)), seed
+        for _, cell, source, target in report.events:
+            assert (source, target) == tc.two_cell_boundary(cell, p.data)
+            if isinstance(cell, Inv2):
+                assert (target, source) \
+                    == tc.two_cell_boundary(cell.inner, p.data)
