@@ -3,18 +3,21 @@
 Subcommands: check, eval, invariants, rewrite, verify, presentation,
 linear.  Exit codes: 0 all requested checks passed; 2 usage or syntax
 errors, including an unreadable or non-UTF-8 file, an algebra that
-lacks the structure the presentation needs, or input nested too deeply
-to walk; 3 term validation errors, including rewrite endpoints whose
-boundaries differ, and malformed linear diagrams; 4 failed
-verification, failed checks, a failed evaluation or surface
-reconstruction, or an inconclusive rewrite search.  Errors are one line
-on stderr (`INVALID ...` for exit 3, `ERROR ...` otherwise).  Output
-ordering is deterministic.
+lacks the structure the presentation needs, input nested too deeply
+to walk, or a negative search budget; 3 term validation errors,
+including rewrite endpoints whose boundaries differ, and malformed
+linear diagrams; 4 failed verification, failed checks, a failed
+evaluation or surface reconstruction, or an inconclusive rewrite search
+(stdout `UNKNOWN`, with the reason the search stopped on stderr).
+Errors are one line on stderr (`INVALID ...` for exit 3, `ERROR ...`
+otherwise).  Output ordering is deterministic; a reader that closes
+stdout early ends the output without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import frobenius as fr
@@ -115,6 +118,8 @@ def cmd_rewrite(args, out):
                                     max_visited=args.max_visited)
     except (tc.ParseError, tc.TermError, pr.PresentationError) as exc:
         return _error(EXIT_INVALID, exc)
+    except ValueError as exc:       # a negative depth or visit budget
+        return _error(EXIT_USAGE, exc)
     if res.equivalent:
         out("EQUIVALENT %d" % len(res.steps))
         for step in res.steps:
@@ -124,7 +129,12 @@ def cmd_rewrite(args, out):
                    "%d+%d" % step.window))
         return EXIT_OK
     out("UNKNOWN")
-    return EXIT_FAILED
+    reason = {"depth": "depth limit %d reached" % args.depth,
+              "budget": "max-visited %d exceeded" % args.max_visited,
+              "exhausted": "no new term left to expand"}[res.stop]
+    return _error(EXIT_FAILED, "search stopped (%s): %s, nodes_expanded %d; "
+                  "not a proof of non-equivalence"
+                  % (res.stop, reason, res.nodes_expanded))
 
 
 def cmd_verify(args, out):
@@ -242,8 +252,15 @@ def main(argv=None):
     if args.format == "lines":
         lines = ["%s\t%s" % (args.command, line) for line in lines]
     text = "\n".join(lines)
-    if text:
-        print(text)
+    try:
+        if text:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:         # the reader closed stdout early
+        # stdout goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -11,10 +11,14 @@ both sides by construction.
 `find_matches`/`apply` rewrite by the relations (exact subterm matching
 modulo vertical-chain flattening) and `equivalent_bounded` searches the
 rewrite graph breadth-first within a budget.  Each relation side is
-canonicalised once, into `Presentation.rules`; rewriting is congruence
-over the composite nodes, so every walk here reaches subterms through
-`termcore.parts`/`rebuild`/`subterms` and only the vertical chain (which
-flattens and splices) is handled by name.
+canonicalised once, into `Presentation.rules_by_head`, a table keyed by
+the side's first cell: the matcher compares a window only against the
+sides that start with the window's first cell.  A result is spliced in
+place (the new cells replace the window, and only a vertical-chain parent
+absorbs them), so the rest of the term is shared, never re-canonicalised.
+Rewriting is congruence over the composite nodes, so every walk here
+reaches subterms through `termcore.parts`/`rebuild`/`subterms` and only
+the vertical chain (which flattens and splices) is handled by name.
 """
 
 from __future__ import annotations
@@ -61,13 +65,18 @@ class Presentation:
             if lb != rb:
                 raise PresentationError(
                     "relation %r is not boundary-balanced" % rel.name)
-        # (name, direction, pattern chain, replacement chain) of every
-        # relation side, canonicalised once: lr before rl, in relation order
-        self.rules = [(rel.name, direction, _chain(canonical(src)),
-                       _chain(canonical(dst)))
-                      for rel in self.relations
-                      for direction, src, dst in (("lr", rel.lhs, rel.rhs),
-                                                  ("rl", rel.rhs, rel.lhs))]
+        # first cell -> (rule index, name, direction, pattern chain,
+        # replacement chain) of every relation side that starts with it,
+        # canonicalised once; rules count lr before rl, in relation order
+        self.rules_by_head = {}
+        sides = [(rel.name, direction, _chain(canonical(src)),
+                  _chain(canonical(dst)))
+                 for rel in self.relations
+                 for direction, src, dst in (("lr", rel.lhs, rel.rhs),
+                                             ("rl", rel.rhs, rel.lhs))]
+        for index, (name, direction, pat, rep) in enumerate(sides):
+            self.rules_by_head.setdefault(pat[0], []).append(
+                (index, name, direction, pat, rep))
 
     def relation(self, name: str) -> Relation:
         for rel in self.relations:
@@ -428,15 +437,21 @@ def _chain(p):
 
 
 def _replace_at(p, path, new):
+    """Canonical `p` with its node at `path` replaced by the canonical node
+    `new`; a vertical-chain parent absorbs a chain put in its place."""
     if not path:
         return new
-    return tc.rebuild(p, [_replace_at(c, path[1:], new) if step == path[0]
-                          else c for step, c in tc.parts(p)])
+    step, rest = path[0], path[1:]
+    if not rest and type(p) is VComp:
+        return VComp(p.children[:step] + _chain(new) + p.children[step + 1:])
+    return tc.rebuild(p, [_replace_at(c, rest, new) if s == step else c
+                          for s, c in tc.parts(p)])
 
 
 def _splice(chain, i, k, rep):
     """The canonical node left when chain[i:i+k] is replaced by `rep`."""
-    return canonical(VComp(chain[:i] + rep + chain[i + k:]))
+    cells = chain[:i] + rep + chain[i + k:]
+    return cells[0] if len(cells) == 1 else VComp(cells)
 
 
 def find_matches(t: tc.TwoCellTerm, p: Presentation) -> List[RewriteStep]:
@@ -444,21 +459,25 @@ def find_matches(t: tc.TwoCellTerm, p: Presentation) -> List[RewriteStep]:
 
     Matching is exact tree matching modulo vertical-chain flattening: a
     side whose chain is [c1..ck] matches any window of k consecutive cells
-    in a flattened chain of `t`.
+    in a flattened chain of `t`.  Steps come subterm by subterm, and
+    within one by rule index, then window start.
     """
     t = canonical(t)
     steps = []
     for path, node in tc.subterms(t):
         chain = _chain(node)
-        for name, direction, pat, rep in p.rules:
+        hits = []
+        for i, cell in enumerate(chain):
+            for index, name, direction, pat, rep in \
+                    p.rules_by_head.get(cell, ()):
+                if chain[i:i + len(pat)] == pat:
+                    hits.append((index, i, name, direction, pat, rep))
+        hits.sort()     # by (rule index, window start), which are unique
+        for _, i, name, direction, pat, rep in hits:
             k = len(pat)
-            for i in range(len(chain) - k + 1):
-                if chain[i:i + k] != pat:
-                    continue
-                result = canonical(_replace_at(t, path,
-                                               _splice(chain, i, k, rep)))
-                steps.append(RewriteStep(name, direction, path, (i, k), pat,
-                                         rep, result))
+            result = _replace_at(t, path, _splice(chain, i, k, rep))
+            steps.append(RewriteStep(name, direction, path, (i, k), pat, rep,
+                                     result))
     return steps
 
 
@@ -478,14 +497,24 @@ def apply(t: tc.TwoCellTerm, step: RewriteStep) -> tc.TwoCellTerm:
     i, k = step.window
     if chain[i:i + k] != step.matched:
         raise PresentationError("stale step: window no longer matches")
-    new_node = _splice(chain, i, k, step.replacement)
-    return canonical(_replace_at(t, step.path, new_node))
+    return _replace_at(t, step.path, _splice(chain, i, k, step.replacement))
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Outcome of `equivalent_bounded`.
+
+    ``nodes_expanded`` counts the terms whose rewrites were enumerated.
+    ``stop`` says why the search ended: ``found`` (``steps`` is a path),
+    ``depth`` (the last level the depth allows was reached), ``budget``
+    (more than ``max_visited`` terms were seen) or ``exhausted`` (no new
+    term was left to expand).
+    """
+
     equivalent: bool
-    steps: tuple = ()
+    steps: tuple
+    nodes_expanded: int
+    stop: str
 
     def __bool__(self):
         return self.equivalent
@@ -496,32 +525,39 @@ def equivalent_bounded(t1, t2, p: Presentation, depth: int = 6,
     """Breadth-first search for a rewrite path from t1 to t2.
 
     `equivalent` implies genuine equivalence in the presented bicategory;
-    a negative result is only "unknown within the budget".
+    a negative result is only "unknown within the budget", even when the
+    search is exhausted, because the structural rewrites are not among
+    the relations it follows.  A negative budget raises ValueError.
     """
+    if depth < 0 or max_visited < 0:
+        raise ValueError("search budgets must be non-negative (depth %d, "
+                         "max-visited %d)" % (depth, max_visited))
     b1 = tc.two_cell_boundary(t1, p.data)
     b2 = tc.two_cell_boundary(t2, p.data)
     if b1 != b2:
         raise PresentationError("boundary mismatch between search endpoints")
     start, goal = canonical(t1), canonical(t2)
     if start == goal:
-        return SearchResult(True, ())
+        return SearchResult(True, (), 0, "found")
     frontier = [(start, ())]
     seen = {start}
+    expanded = 0
     for _ in range(depth):
         nxt = []
         for term, trail in frontier:
+            expanded += 1
             for step in find_matches(term, p):
                 res = step.result
                 if res in seen:
                     continue
                 new_trail = trail + (step,)
                 if res == goal:
-                    return SearchResult(True, new_trail)
+                    return SearchResult(True, new_trail, expanded, "found")
                 seen.add(res)
                 if len(seen) > max_visited:
-                    return SearchResult(False, ())
+                    return SearchResult(False, (), expanded, "budget")
                 nxt.append((res, new_trail))
         frontier = nxt
         if not frontier:
-            break
-    return SearchResult(False, ())
+            return SearchResult(False, (), expanded, "exhausted")
+    return SearchResult(False, (), expanded, "depth")

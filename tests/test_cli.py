@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -74,6 +76,46 @@ def test_rewrite_unknown(capsys):
                         "--depth", "2", "--max-visited", "2000"], capsys)
     assert code == cli.EXIT_FAILED
     assert out.strip() == "UNKNOWN"
+
+
+@pytest.mark.parametrize("budget, stop", [
+    (["--depth", "1"], "depth"), (["--depth", "2", "--max-visited", "3"],
+                                  "budget")])
+def test_rewrite_unknown_names_its_stop_reason(capsys, budget, stop):
+    code, out, err = run(["rewrite", str(DEMOS / "terms/torus.bc"),
+                          "--to", str(DEMOS / "terms/genus2.bc")] + budget,
+                         capsys)
+    assert code == cli.EXIT_FAILED and out == "UNKNOWN\n"
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ERROR search stopped (%s): " % stop)
+    assert "nodes_expanded 1;" in err
+    assert "not a proof of non-equivalence" in err
+
+
+@pytest.mark.parametrize("budget", [["--depth", "-1"],
+                                    ["--max-visited", "-3"]])
+def test_rewrite_negative_budget_is_usage_error(capsys, budget):
+    code, out, err = run(["rewrite", str(DEMOS / "terms/cusp_zigzag.bc"),
+                          "--to", str(DEMOS / "rewrite/identity_strip.bc")]
+                         + budget, capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "non-negative" in err
+
+
+def test_closed_stdout_ends_without_traceback():
+    """A reader that closes the pipe early (`| head -3`) ends the output;
+    the command still ends with its own exit code and no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bordcalc.cli", "verify", "--algebra",
+             str(DEMOS / "algebras/qx2.alg"), "--presentation", "oriented"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == cli.EXIT_FAILED
 
 
 def test_verify_pass(capsys):

@@ -167,6 +167,40 @@ def test_equivalent_bounded_unknown_for_distinct_surfaces(uno):
     assert i1 != i2  # the invariants separate them for good reason
 
 
+@pytest.mark.parametrize("g, depth, max_visited, stop", [
+    (1, 0, 100000, "depth"), (1, 1, 100000, "depth"), (1, 2, 3, "budget"),
+    (0, 3, 100000, "exhausted")])
+def test_equivalent_bounded_stop_reason(uno, monkeypatch, g, depth,
+                                        max_visited, stop):
+    """`stop` says why a search gave up, and `nodes_expanded` counts its
+    `find_matches` calls, as the benchmark does."""
+    from bordcalc import standard_terms as st
+    calls = []
+    find_matches = pr.find_matches
+    monkeypatch.setattr(pr, "find_matches",
+                        lambda t, p: calls.append(t) or find_matches(t, p))
+    res = pr.equivalent_bounded(st.genus(uno, g), st.genus(uno, g + 1), uno,
+                                depth=depth, max_visited=max_visited)
+    assert not res.equivalent and res.stop == stop
+    assert res.nodes_expanded == len(calls)
+    assert (res.nodes_expanded == 0) == (depth == 0)
+
+
+def test_equivalent_bounded_found_counts_expansions(uno):
+    rel = uno.relation("cusp-inversion-pt-strip")
+    res = pr.equivalent_bounded(rel.lhs, rel.rhs, uno, depth=1)
+    assert res.stop == "found" and res.nodes_expanded == 1
+    same = pr.equivalent_bounded(rel.lhs, rel.lhs, uno, depth=0)
+    assert same.stop == "found" and same.nodes_expanded == 0
+
+
+@pytest.mark.parametrize("budget", [{"depth": -1}, {"max_visited": -3}])
+def test_equivalent_bounded_rejects_negative_budget(uno, budget):
+    rel = uno.relation("cusp-inversion-pt-strip")
+    with pytest.raises(ValueError, match="non-negative"):
+        pr.equivalent_bounded(rel.lhs, rel.rhs, uno, **budget)
+
+
 def test_forget_orientation_generators(ori, uno):
     assert pr.forget_orientation(Gen2("cap")) == Gen2("cap")
     t = vcompose([Gen2("cap"), Gen2("cup")], ori.data)
