@@ -20,11 +20,12 @@ class BuildError(Exception):
     pass
 
 
-def whisker_cell(sentence, path, cell, data=None):
+def whisker_cell(sentence, path, cell, data):
     """Embed `cell` at `path` of `sentence`, padding with identities.
 
-    The cell's source is matched against the subterm at `path`, so the
-    padding composes by construction and is built without re-checking.
+    The cell's source, resolved against `data`, is matched against the
+    subterm at `path`, so the padding composes by construction and is
+    built without re-checking.
     """
     if not path:
         src = tc.two_cell_source(cell, data)
@@ -58,7 +59,7 @@ class MovieBuilder:
 
     def apply(self, path, cell):
         w = whisker_cell(self.sentence, tuple(path), cell, self.p.data)
-        self.sentence = tc.two_cell_target(w, self.p.data)
+        _, self.sentence = tc.two_cell_boundary(w, self.p.data)
         self.cells.append(w)
         return self
 
@@ -68,8 +69,7 @@ class MovieBuilder:
         return VComp(tuple(self.cells) or (Id2(self.sentence),))
 
 
-def applicable_events(presentation, sentence,
-                      include_structural=True) -> List[Tuple[tuple, object]]:
+def applicable_events(presentation, sentence) -> List[Tuple[tuple, object]]:
     """(path, cell) pairs that can fire somewhere in `sentence`."""
     data = presentation.data
     out = []
@@ -77,8 +77,6 @@ def applicable_events(presentation, sentence,
         for name, (src, _tgt) in data.two_gens.items():
             if sub == src:
                 out.append((path, Gen2(name)))
-        if not include_structural:
-            continue
         if isinstance(sub, Comp1):
             if isinstance(sub.first, Id1):
                 out.append((path, RC(sub.after)))

@@ -550,7 +550,7 @@ _LOCAL = {
 class Assignment:
     algebra: FrobAlgebra
     presentation: Presentation
-    cusp_factor: tuple = None
+    cusp_factor: tuple
     _local: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -919,11 +919,13 @@ def _index(tok, dim):
 
 
 def _entries(toks, dim):
-    """(0-based index, rational) of each `k:q` token."""
-    out = []
+    """(0-based index, rational) of each `k:q` token; each index once."""
+    out, seen = [], set()
     for tok in toks:
         k, q = tok.split(":")
-        out.append((_index(k, dim), parse_rational(q)))
+        i = _index(k, dim)
+        _once(seen, "index %d" % (i + 1))
+        out.append((i, parse_rational(q)))
     return out
 
 
@@ -946,7 +948,8 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
         star i -> k:q ...
 
     Unlisted structure constants are zero; each directive (each `mult i j`
-    and `star i` row) may appear once.
+    and `star i` row) may appear once, and so may each index within one
+    directive (each `i,j` within `e`).
     """
     dim = None
     mult = None
@@ -985,8 +988,9 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
                 e = [[Q(0)] * dim for _ in range(dim)]
                 for tok in parts[1:]:
                     ij, q = tok.split(":")
-                    i, j = ij.split(",")
-                    e[_index(i, dim)][_index(j, dim)] = parse_rational(q)
+                    i, j = (_index(k, dim) for k in ij.split(","))
+                    _once(seen, "entry %d,%d" % (i + 1, j + 1))
+                    e[i][j] = parse_rational(q)
                 e = tuple(tuple(r) for r in e)
             elif key == "star":
                 if star is None:

@@ -43,12 +43,6 @@ class Perm:
         return Perm(tuple(other.images[self.images[i]]
                           for i in range(self.size)))
 
-    def inverse(self) -> "Perm":
-        inv = [0] * self.size
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(tuple(inv))
-
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
 

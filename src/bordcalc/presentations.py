@@ -5,8 +5,9 @@ point objects, the evaluation/coevaluation elbows, four Morse cells (birth
 and death disks, the two saddles), cusp cells, and (unoriented only) the
 four elbow/crossing interchange cells; the relation list holds the
 saddle/disk cancellation rows expanded over their placement variants, the
-cusp inversion rows and the crossing cancellation rows, each balanced on
-both sides by construction.
+cusp inversion rows and the crossing cancellation rows.  `Presentation`
+checks once that every side composes over the generating data and that
+both sides of a row have the same boundary.
 
 `find_matches`/`apply` rewrite by the relations (exact subterm matching
 modulo vertical-chain flattening) and `equivalent_bounded` searches the
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from . import termcore as tc
-from .termcore import (Adj1, Assoc1, AssocC, Braid1, Comp1, Gen1, Gen2, Id1,
-                       Id2, Inv2, LC, LeftUnitor1, ObjGen, RC, RightUnitor1,
-                       Tensor1, VComp, UNIT, comp1, hcompose, vcompose)
+from .termcore import (Adj1, Assoc1, AssocC, Braid1, Comp1, Gen1, Gen2, HComp,
+                       Id1, Id2, Inv2, LC, LeftUnitor1, ObjGen, RC,
+                       RightUnitor1, Tensor1, VComp, UNIT, comp1)
 
 
 class PresentationError(Exception):
@@ -178,20 +179,20 @@ def _morse_cancel_rows(ev, coev):
 
     # rebracketing (ev o pinch) o coev => D o D
     to_dd_a = [AssocC(coev, pinch, ev),
-               hcompose(Id2(ev), AssocC(coev, ev, coev)),
+               HComp(Id2(ev), AssocC(coev, ev, coev)),
                Inv2(AssocC(D, coev, ev))]
     # rebracketing ev o (pinch o coev) => D o D
-    to_dd_b = [hcompose(Id2(ev), AssocC(coev, ev, coev)),
+    to_dd_b = [HComp(Id2(ev), AssocC(coev, ev, coev)),
                Inv2(AssocC(D, coev, ev))]
 
-    pinch_in_a = [hcompose(Inv2(RC(ev)), Id2(coev)),
-                  hcompose(hcompose(Id2(ev), Gen2("split")), Id2(coev))]
-    pinch_in_b = [hcompose(Id2(ev), Inv2(LC(coev))),
-                  hcompose(Id2(ev), hcompose(Gen2("split"), Id2(coev)))]
-    pinch_out_a = [hcompose(hcompose(Id2(ev), Gen2("merge")), Id2(coev)),
-                   hcompose(RC(ev), Id2(coev))]
-    pinch_out_b = [hcompose(Id2(ev), hcompose(Gen2("merge"), Id2(coev))),
-                   hcompose(Id2(ev), LC(coev))]
+    pinch_in_a = [HComp(Inv2(RC(ev)), Id2(coev)),
+                  HComp(HComp(Id2(ev), Gen2("split")), Id2(coev))]
+    pinch_in_b = [HComp(Id2(ev), Inv2(LC(coev))),
+                  HComp(Id2(ev), HComp(Gen2("split"), Id2(coev)))]
+    pinch_out_a = [HComp(HComp(Id2(ev), Gen2("merge")), Id2(coev)),
+                   HComp(RC(ev), Id2(coev))]
+    pinch_out_b = [HComp(Id2(ev), HComp(Gen2("merge"), Id2(coev))),
+                   HComp(Id2(ev), LC(coev))]
 
     def inv_chain(cells):
         return [invert_structural(c) for c in reversed(cells)]
@@ -203,22 +204,20 @@ def _morse_cancel_rows(ev, coev):
         from_dd = inv_chain(to_dd)
         rows.append(Relation(
             "morse-cancel-split-cup-outer-" + dress,
-            vcompose(pin + to_dd + [hcompose(Gen2("cup"), Id2(D)), LC(D)]),
-            vcompose([Id2(D)])))
+            VComp((*pin, *to_dd, HComp(Gen2("cup"), Id2(D)), LC(D))),
+            VComp((Id2(D),))))
         rows.append(Relation(
             "morse-cancel-split-cup-inner-" + dress,
-            vcompose(pin + to_dd + [hcompose(Id2(D), Gen2("cup")), RC(D)]),
-            vcompose([Id2(D)])))
+            VComp((*pin, *to_dd, HComp(Id2(D), Gen2("cup")), RC(D))),
+            VComp((Id2(D),))))
         rows.append(Relation(
             "morse-cancel-cap-merge-outer-" + dress,
-            vcompose([Inv2(LC(D)), hcompose(Gen2("cap"), Id2(D))]
-                     + from_dd + pout),
-            vcompose([Id2(D)])))
+            VComp((Inv2(LC(D)), HComp(Gen2("cap"), Id2(D)), *from_dd, *pout)),
+            VComp((Id2(D),))))
         rows.append(Relation(
             "morse-cancel-cap-merge-inner-" + dress,
-            vcompose([Inv2(RC(D)), hcompose(Id2(D), Gen2("cap"))]
-                     + from_dd + pout),
-            vcompose([Id2(D)])))
+            VComp((Inv2(RC(D)), HComp(Id2(D), Gen2("cap")), *from_dd, *pout)),
+            VComp((Id2(D),))))
     return rows
 
 
@@ -226,11 +225,11 @@ def _cusp_rows(updown_pairs):
     rows = []
     for name, up, down, strip, zig in updown_pairs:
         rows.append(Relation("cusp-inversion-%s-strip" % name,
-                             vcompose([Gen2(up), Gen2(down)]),
-                             vcompose([Id2(strip)])))
+                             VComp((Gen2(up), Gen2(down))),
+                             VComp((Id2(strip),))))
         rows.append(Relation("cusp-inversion-%s-zigzag" % name,
-                             vcompose([Gen2(down), Gen2(up)]),
-                             vcompose([Id2(zig)])))
+                             VComp((Gen2(down), Gen2(up))),
+                             VComp((Id2(zig),))))
     return rows
 
 
@@ -269,17 +268,17 @@ def bord2_unoriented() -> Presentation:
     relations += _cusp_rows([("pt", "cusp_up", "cusp_down", Id1(P), Z)])
     relations += [
         Relation("sym-cancel-ev-strip",
-                 vcompose([Gen2("sym_ev_in"), Gen2("sym_ev_out")]),
-                 vcompose([Id2(ev)])),
+                 VComp((Gen2("sym_ev_in"), Gen2("sym_ev_out"))),
+                 VComp((Id2(ev),))),
         Relation("sym-cancel-ev-crossed",
-                 vcompose([Gen2("sym_ev_out"), Gen2("sym_ev_in")]),
-                 vcompose([Id2(Comp1(ev, beta))])),
+                 VComp((Gen2("sym_ev_out"), Gen2("sym_ev_in"))),
+                 VComp((Id2(Comp1(ev, beta)),))),
         Relation("sym-cancel-coev-strip",
-                 vcompose([Gen2("sym_coev_in"), Gen2("sym_coev_out")]),
-                 vcompose([Id2(coev)])),
+                 VComp((Gen2("sym_coev_in"), Gen2("sym_coev_out"))),
+                 VComp((Id2(coev),))),
         Relation("sym-cancel-coev-crossed",
-                 vcompose([Gen2("sym_coev_out"), Gen2("sym_coev_in")]),
-                 vcompose([Id2(Comp1(beta, coev))])),
+                 VComp((Gen2("sym_coev_out"), Gen2("sym_coev_in"))),
+                 VComp((Id2(Comp1(beta, coev)),))),
     ]
 
     arc_patterns = {
@@ -416,16 +415,23 @@ class RewriteStep:
 
 
 def canonical(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
-    """Flatten nested vertical chains and drop unary chain wrappers."""
+    """Flatten nested vertical chains and drop unary chain wrappers.
+
+    A node whose parts come back as they are, a chain included, is returned
+    as it is, so rewrite results share their unchanged subterms.
+    """
     if isinstance(p, VComp):
         flat = [c for child in p.children for c in _chain(canonical(child))]
-        return flat[0] if len(flat) == 1 else VComp(tuple(flat))
+        if len(flat) == 1:
+            return flat[0]
+        if len(flat) == len(p.children) and all(
+                c is old for c, old in zip(flat, p.children)):
+            return p
+        return VComp(tuple(flat))
     ps = tc.parts(p)
     if not ps:
         return p
     children = [canonical(c) for _, c in ps]
-    # a node whose parts are canonical is returned as it is, so that
-    # rewrite results share their unchanged subterms
     if all(c is old for c, (_, old) in zip(children, ps)):
         return p
     return tc.rebuild(p, children)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import termcore as tc
 from .termcore import (AssocC, Braid1, Comp1, Gen1, Gen2, Id1, Id2, Inv2, LC,
-                       ObjGen, RC, hcompose, tensor, vcompose)
+                       ObjGen, RC, hcompose, vcompose)
 
 
 def sphere(p):

@@ -382,8 +382,7 @@ def euler_by_events(term: tc.TwoCellTerm, presentation) -> int:
     for sentence in (src, tgt):
         if any(isinstance(l, tc.Gen1) for l in tc.morphism_leaves(sentence)):
             raise SurfaceError("term is not closed")
-    if tc.obj_points(tc.morphism_source(src, presentation.data)) or \
-       tc.obj_points(tc.morphism_target(src, presentation.data)):
+    if any(map(tc.obj_points, tc.morphism_boundary(src, presentation.data))):
         raise SurfaceError("term is not closed")
     chi = 0
     for leaf in tc.iter_two_cell_leaves(term):

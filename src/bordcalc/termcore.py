@@ -10,7 +10,8 @@ Three layers of terms over a generating datum:
 
 Terms are immutable; equality is exact tree equality (no implicit
 rebracketing).  Boundaries are computed leaf-up from the structural symbol
-tables, and `two_cell_boundary`/`morphism_boundary` are the only code that
+tables, with generator names always resolved against the generating
+datum, and `two_cell_boundary`/`morphism_boundary` are the only code that
 decides whether the parts of a composite compose: `vcompose`, `hcompose`
 and `validate` all ask them.  `validate` checks each node on its own
 (names, admissibility, the parameters and boundary sentences of structural
@@ -35,10 +36,6 @@ class TermError(Exception):
         if self.path:
             message = "%s (at %s)" % (message, "/".join(map(str, self.path)))
         super().__init__(message)
-
-
-class FreeGeneratorError(TermError):
-    """A generator leaf whose boundary needs generating data, given none."""
 
 
 class ParseError(Exception):
@@ -79,14 +76,6 @@ class ObjTensor:
 ObjectWord = Union[Unit, ObjGen, ObjTensor]
 
 UNIT = Unit()
-
-
-def obj_tensor(*words: ObjectWord) -> ObjectWord:
-    """Left-bracketed tensor of one or more object words."""
-    out = words[0]
-    for w in words[1:]:
-        out = ObjTensor(out, w)
-    return out
 
 
 def obj_points(w: ObjectWord) -> Tuple[str, ...]:
@@ -489,34 +478,24 @@ def subterms(node, path=()):
         yield from subterms(c, path + (step,))
 
 
-def _checked(p: TwoCellTerm, data) -> TwoCellTerm:
-    """`p`, after `two_cell_boundary` has checked that its parts compose;
-    with free generator names and no `data` the check is deferred to
-    validate()."""
-    try:
-        two_cell_boundary(p, data)
-    except FreeGeneratorError:
-        pass
-    return p
-
-
-def vcompose(ps: Sequence[TwoCellTerm], data=None) -> TwoCellTerm:
+def vcompose(ps: Sequence[TwoCellTerm], data: GeneratingData) -> TwoCellTerm:
     """Vertical chain of two-cells in application order; nested chains are
-    flattened.  Boundary mismatches raise TermError."""
+    flattened.  Boundary mismatches over `data` raise TermError."""
     if not ps:
         raise TermError("vertical chain must be non-empty")
-    flat = tuple(c for p in ps
-                 for c in (p.children if isinstance(p, VComp) else (p,)))
-    return _checked(VComp(flat), data)
+    chain = VComp(tuple(c for p in ps
+                        for c in (p.children if isinstance(p, VComp) else (p,))))
+    two_cell_boundary(chain, data)
+    return chain
 
 
-def tensor(p: TwoCellTerm, q: TwoCellTerm) -> TwoCellTerm:
-    return Tensor2(p, q)
-
-
-def hcompose(p: TwoCellTerm, q: TwoCellTerm, data=None) -> TwoCellTerm:
-    """Horizontal composite p * q (q on the inner/source-object side)."""
-    return _checked(HComp(p, q), data)
+def hcompose(p: TwoCellTerm, q: TwoCellTerm,
+             data: GeneratingData) -> TwoCellTerm:
+    """Horizontal composite p * q (q on the inner/source-object side).
+    Boundary mismatches over `data` raise TermError."""
+    out = HComp(p, q)
+    two_cell_boundary(out, data)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +523,7 @@ class GeneratingData:
             if name in _RESERVED:
                 raise TermError("name %r is a reserved structural symbol" % name)
         for name, (src, tgt) in self.two_gens.items():
-            if (morphism_source(src, self) != morphism_source(tgt, self)
-                    or morphism_target(src, self) != morphism_target(tgt, self)):
+            if morphism_boundary(src, self) != morphism_boundary(tgt, self):
                 raise TermError("2-generator %r is not globular" % name)
 
     def one_gen_boundary(self, name):
@@ -559,17 +537,11 @@ class GeneratingData:
         return self.two_gens[name]
 
 
-def morphism_boundary(t: MorphismTerm, data: Optional[GeneratingData] = None,
+def morphism_boundary(t: MorphismTerm, data: GeneratingData,
                       path=()) -> Tuple[ObjectWord, ObjectWord]:
-    """(source, target) object words of a morphism term.
-
-    With `data` the 1-generator names are resolved against it; without it,
-    generator leaves are rejected.
-    """
+    """(source, target) object words of a morphism term, its 1-generator
+    names resolved against `data`."""
     if isinstance(t, Gen1):
-        if data is None:
-            raise FreeGeneratorError(
-                "free 1-generator %r without generating data" % t.name, path)
         return data.one_gen_boundary(t.name)
     if isinstance(t, Id1):
         return (t.word, t.word)
@@ -600,20 +572,9 @@ def morphism_boundary(t: MorphismTerm, data: Optional[GeneratingData] = None,
     raise TermError("not a morphism term: %r" % (t,), path)
 
 
-def morphism_source(t, data=None):
-    return morphism_boundary(t, data)[0]
-
-
-def morphism_target(t, data=None):
-    return morphism_boundary(t, data)[1]
-
-
 def _leaf_boundary(p, data):
     """(source, target) morphism terms of a structural or generator 2-leaf."""
     if isinstance(p, Gen2):
-        if data is None:
-            raise FreeGeneratorError(
-                "free 2-generator %r without generating data" % p.name)
         return data.two_gen_boundary(p.name)
     if isinstance(p, Id2):
         return (p.f, p.f)
@@ -621,16 +582,16 @@ def _leaf_boundary(p, data):
         return (Comp1(Comp1(p.f0, p.f1), p.f2),
                 Comp1(p.f0, Comp1(p.f1, p.f2)))
     if isinstance(p, RC):
-        a = morphism_source(p.f, data)
+        a, _ = morphism_boundary(p.f, data)
         return (Comp1(p.f, Id1(a)), p.f)
     if isinstance(p, LC):
-        b = morphism_target(p.f, data)
+        _, b = morphism_boundary(p.f, data)
         return (Comp1(Id1(b), p.f), p.f)
     if isinstance(p, Eta):
-        a = morphism_source(p.f, data)
+        a, _ = morphism_boundary(p.f, data)
         return (Id1(a), Comp1(formal_adjoint(p.f), p.f))
     if isinstance(p, Eps):
-        b = morphism_target(p.f, data)
+        _, b = morphism_boundary(p.f, data)
         return (Comp1(p.f, formal_adjoint(p.f)), Id1(b))
     if isinstance(p, PhiTensor):
         return (Comp1(Tensor1(p.f, p.g), Tensor1(p.f1, p.g1)),
@@ -696,7 +657,7 @@ def _leaf_boundary(p, data):
     raise TermError("not a 2-cell leaf: %r" % (p,))
 
 
-def two_cell_boundary(p: TwoCellTerm, data: Optional[GeneratingData] = None,
+def two_cell_boundary(p: TwoCellTerm, data: GeneratingData,
                       path=(), tape=None) -> Tuple[MorphismTerm, MorphismTerm]:
     """(source, target) morphism terms of a two-cell term.
 
@@ -720,7 +681,7 @@ def two_cell_boundary(p: TwoCellTerm, data: Optional[GeneratingData] = None,
     elif isinstance(p, HComp):
         si, ti = two_cell_boundary(p.inner, data, path + ("inner",), tape)
         so, to = two_cell_boundary(p.outer, data, path + ("outer",), tape)
-        if morphism_source(so, data) != morphism_target(si, data):
+        if morphism_boundary(so, data)[0] != morphism_boundary(si, data)[1]:
             raise TermError("horizontal mismatch", path)
         return (Comp1(so, si), Comp1(to, ti))
     elif isinstance(p, Tensor2):
@@ -734,12 +695,8 @@ def two_cell_boundary(p: TwoCellTerm, data: Optional[GeneratingData] = None,
     return (s, t)
 
 
-def two_cell_source(p, data=None):
+def two_cell_source(p, data):
     return two_cell_boundary(p, data)[0]
-
-
-def two_cell_target(p, data=None):
-    return two_cell_boundary(p, data)[1]
 
 
 # ---------------------------------------------------------------------------

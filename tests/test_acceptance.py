@@ -211,7 +211,7 @@ def test_criterion_8_round_trips_and_determinism(tmp_path):
     rng = random.Random(99)
     corpus = list(zoo)
     while len(corpus) < 50:
-        corpus.append(tc.tensor(rng.choice(zoo), rng.choice(zoo)))
+        corpus.append(tc.Tensor2(rng.choice(zoo), rng.choice(zoo)))
     ok = True
     for i, term in enumerate(corpus):
         path = tmp_path / ("t%02d.bc" % i)

@@ -250,6 +250,18 @@ def test_eval_not_symmetric_frobenius(tmp_path, capsys):
     assert "not symmetric Frobenius" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", str(DEMOS / "terms/torus_oriented.bc")], ["verify"]])
+def test_eval_verify_algebra_with_a_repeated_index(tmp_path, capsys, command):
+    alg = tmp_path / "repeated.alg"
+    alg.write_text((DEMOS / "algebras/m2q.alg").read_text(encoding="utf-8")
+                   .replace("lambda 1:1 4:1", "lambda 1:1 4:1 1:1"),
+                   encoding="utf-8")
+    code, out, err = run(command + ["--algebra", str(alg)], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "duplicate index 1" in err
+
+
 def test_verify_names_first_failing_triple(tmp_path, capsys):
     # Q[x]/(x^2) with 1.x = 1 + x and x.x = x: (1.1).x != 1.(1.x)
     alg = tmp_path / "nonassociative.alg"
@@ -329,6 +341,12 @@ def test_check_report_is_one_line(tmp_path, capsys):
     assert code == cli.EXIT_INVALID and out == ""
     assert err == ("INVALID 0: unknown 2-generator 'nonsense'; "
                    "1: unknown 2-generator 'other'\n")
+
+
+def test_check_unknown_generator_in_a_parameter(tmp_path, capsys):
+    code, out, err = run(["check", _write(tmp_path, "id[foo]")], capsys)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert err == "INVALID <root>: unknown 1-generator 'foo'\n"
 
 
 def test_check_ill_formed_structural_leaf(tmp_path, capsys):

@@ -14,7 +14,7 @@ from bordcalc import presentations as pr
 from bordcalc import standard_terms as stt
 from bordcalc import termcore as tc
 from bordcalc._diagram import DiagramError
-from bordcalc.termcore import Gen1, Id2, tensor, vcompose
+from bordcalc.termcore import Gen1, Id2, Tensor2, vcompose
 from tests import reference_eval
 
 
@@ -307,7 +307,7 @@ def test_evaluate_monoidal(ori):
     asg = fr.standard_assignment(A, ori)
     sphere = stt.sphere(ori)
     torus = stt.genus(ori, 1)
-    both = tensor(sphere, torus)
+    both = Tensor2(sphere, torus)
     v = fr.evaluate(both, asg)
     assert v.scalar == fr.evaluate(sphere, asg).scalar \
         * fr.evaluate(torus, asg).scalar
@@ -345,6 +345,13 @@ def test_standard_assignment_requires_structure(uno):
                             unit=A.unit, lam=A.lam, e=A.e)
     with pytest.raises(fr.AlgebraError):
         fr.standard_assignment(nostar, uno)
+
+
+def test_evaluate_rejects_an_invalid_term(uno):
+    asg = fr.standard_assignment(fr.algebra_m2q(), uno)
+    with pytest.raises(fr.AlgebraError) as exc:
+        fr.evaluate(tc.parse_two_cell("(cap . cap)"), asg)
+    assert str(exc.value) == "invalid term:\n0: non-composable vertical chain"
 
 
 def test_klein_value_recorded(uno):
@@ -503,6 +510,20 @@ def test_algebra_file_errors():
         with pytest.raises(fr.AlgebraError) as exc:
             fr.parse_algebra_file(text)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mult 1 1 -> 1:1 1:1", "duplicate index 1"),
+    ("unit 1:1 1:1", "duplicate index 1"),
+    ("lambda 2:1 1:1 2:3", "duplicate index 2"),
+    ("e 1,1:1 1,1:2", "duplicate entry 1,1"),
+    ("star 1 -> 1:1 1:3", "duplicate index 1"),
+], ids=["mult", "unit", "lambda", "e", "star"])
+def test_algebra_file_duplicate_index(line, message):
+    # a repeated index is an error, not summed or overwritten
+    with pytest.raises(fr.AlgebraError) as exc:
+        fr.parse_algebra_file("dim 2\n" + line)
+    assert str(exc.value) == "line 2: " + message
 
 
 def test_verify_unoriented_m2_with_transpose_star(uno):

@@ -7,7 +7,7 @@ from bordcalc import presentations as pr
 from bordcalc import standard_terms as st
 from bordcalc import surface as sf
 from bordcalc import termcore as tc
-from bordcalc.termcore import Gen1, Id2, tensor, vcompose
+from bordcalc.termcore import Gen1, Id2, Tensor2, vcompose
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def test_genus_formula_from_invariants(uno):
 
 
 def test_tensor_additivity(uno):
-    t = tensor(st.sphere(uno), st.genus(uno, 1))
+    t = Tensor2(st.sphere(uno), st.genus(uno, 1))
     got = sorted(invariant_tuple(uno, t))
     assert got == sorted([(2, True, 0), (0, True, 0)])
 
@@ -71,6 +71,15 @@ def test_euler_by_events_matches_complex(uno):
 def test_euler_by_events_rejects_open(uno):
     with pytest.raises(sf.SurfaceError):
         sf.euler_by_events(vcompose([Id2(Gen1("ev"))], uno.data), uno)
+    # no generator leaf, but the strip has points at both ends
+    with pytest.raises(sf.SurfaceError, match="term is not closed"):
+        sf.euler_by_events(tc.parse_two_cell("id[I[pt]]", uno.data), uno)
+
+
+def test_reconstruct_rejects_an_invalid_term(uno):
+    with pytest.raises(sf.SurfaceError) as exc:
+        sf.reconstruct(tc.parse_two_cell("(cap . cap)"), uno)
+    assert str(exc.value) == "invalid term:\n0: non-composable vertical chain"
 
 
 def test_invariants_line_format(uno):

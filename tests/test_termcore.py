@@ -8,8 +8,7 @@ from bordcalc import termcore as tc
 from bordcalc.termcore import (Adj1, Assoc1, AssocC, Braid1, Comp1, Eps, Eta,
                                Gen1, Gen2, Id1, Id2, Inv2, LC, LeftUnitor1,
                                ObjGen, ObjTensor, RC, RightUnitor1, Tensor1,
-                               UNIT, comp1, hcompose, tensor,
-                               vcompose)
+                               Tensor2, UNIT, comp1, hcompose, vcompose)
 from bordcalc import build
 from bordcalc import presentations as pr
 
@@ -30,15 +29,15 @@ def test_object_parse_trivia(uno):
         tc.parse_object_word("(pt (*) bad)", uno.data)
 
 
-def test_braid_boundary_row():
+def test_braid_boundary_row(uno):
     # beta_{u,v}: u(x)v -> v(x)u
-    s, t = tc.morphism_boundary(Braid1(P, PP))
+    s, t = tc.morphism_boundary(Braid1(P, PP), uno.data)
     assert s == ObjTensor(P, PP)
     assert t == ObjTensor(PP, P)
 
 
-def test_identity_row():
-    s, t = tc.morphism_boundary(Id1(PP))
+def test_identity_row(uno):
+    s, t = tc.morphism_boundary(Id1(PP), uno.data)
     assert s == t == PP
 
 
@@ -59,13 +58,13 @@ def test_bad_composite_reports_path(uno):
         tc.morphism_boundary(really_bad, uno.data)
 
 
-def test_eta_eps_rows():
+def test_eta_eps_rows(uno):
     # eta_f: I_a => f* . f for structural f
     f = Assoc1(P, P, P)
-    s, t = tc.two_cell_boundary(Eta(f))
+    s, t = tc.two_cell_boundary(Eta(f), uno.data)
     assert s == Id1(ObjTensor(PP, P))
     assert t == Comp1(Adj1(f), f)
-    s, t = tc.two_cell_boundary(Eps(f))
+    s, t = tc.two_cell_boundary(Eps(f), uno.data)
     assert s == Comp1(f, Adj1(f))
     assert t == Id1(ObjTensor(P, PP))
 
@@ -75,8 +74,8 @@ def test_eta_rejects_generators(uno):
         tc.two_cell_boundary(Eta(Gen1("ev")), uno.data)
 
 
-def test_sigma_row():
-    s, t = tc.two_cell_boundary(tc.SigmaCell(P, P))
+def test_sigma_row(uno):
+    s, t = tc.two_cell_boundary(tc.SigmaCell(P, P), uno.data)
     assert s == Id1(PP)
     assert t == Comp1(Braid1(P, P), Braid1(P, P))
 
@@ -84,8 +83,8 @@ def test_sigma_row():
 def test_globularity_of_valid_terms(uno):
     term = vcompose([Gen2("cap"), Gen2("cup")], uno.data)
     src, tgt = tc.two_cell_boundary(term, uno.data)
-    assert tc.morphism_source(src, uno.data) == tc.morphism_source(tgt, uno.data)
-    assert tc.morphism_target(src, uno.data) == tc.morphism_target(tgt, uno.data)
+    assert tc.morphism_boundary(src, uno.data) == \
+        tc.morphism_boundary(tgt, uno.data)
 
 
 def test_vcompose_rejects_gaps(uno):
@@ -103,28 +102,20 @@ def test_hcompose_checks_middle_object(uno):
         hcompose(Gen2("split"), Gen2("cup"), uno.data)
 
 
-def test_free_generators_defer_but_structural_mismatch_raises(uno):
-    with pytest.raises(tc.FreeGeneratorError):
-        tc.morphism_boundary(Gen1("ev"))
-    with pytest.raises(tc.FreeGeneratorError):
-        tc.two_cell_boundary(Gen2("cap"))
-    # no generator involved: the mismatch is caught without data
-    with pytest.raises(tc.TermError) as exc:
-        vcompose([Id2(Id1(P)), Id2(Id1(PP))])
-    assert not isinstance(exc.value, tc.FreeGeneratorError)
-    with pytest.raises(tc.TermError):
-        hcompose(Id2(Id1(P)), Id2(Id1(PP)))
-    # free generators: the check is left to validate()
-    chain = vcompose([Gen2("cap"), Gen2("cap")])
-    assert chain == tc.VComp((Gen2("cap"), Gen2("cap")))
-    assert not tc.validate(chain, uno.data).ok
-    side = hcompose(Gen2("split"), Gen2("cup"))
-    assert side == tc.HComp(Gen2("split"), Gen2("cup"))
-    assert not tc.validate(side, uno.data).ok
+def test_vcompose_and_hcompose_always_check(uno):
+    # structural cells and generators alike are checked against the data
+    with pytest.raises(tc.TermError, match="non-composable vertical chain"):
+        vcompose([Id2(Id1(P)), Id2(Id1(PP))], uno.data)
+    with pytest.raises(tc.TermError, match="horizontal mismatch"):
+        hcompose(Id2(Id1(P)), Id2(Id1(PP)), uno.data)
+    with pytest.raises(tc.TermError, match="non-composable vertical chain"):
+        vcompose([Gen2("cap"), Gen2("cap")], uno.data)
+    with pytest.raises(tc.TermError, match="horizontal mismatch"):
+        hcompose(Gen2("split"), Gen2("cup"), uno.data)
 
 
 def test_tensor_boundary(uno):
-    t = tensor(Id2(Id1(UNIT)), Gen2("cap"))
+    t = Tensor2(Id2(Id1(UNIT)), Gen2("cap"))
     src, tgt = tc.two_cell_boundary(t, uno.data)
     assert src == Tensor1(Id1(UNIT), Id1(UNIT))
     assert isinstance(tgt, Tensor1)
@@ -172,7 +163,7 @@ def _leaf_zoo(uno):
         Gen2("cap"),
         vcompose([Gen2("cap"), Gen2("cup")], uno.data),
         hcompose(Gen2("cup"), Gen2("cup"), uno.data),
-        tensor(Gen2("cap"), Gen2("cap")),
+        Tensor2(Gen2("cap"), Gen2("cap")),
     ]
 
 
@@ -213,7 +204,7 @@ def test_round_trip_corpus_50(uno):
     corpus = list(zoo)
     while len(corpus) < 50:
         a = rng.choice(zoo)
-        corpus.append(tensor(a, rng.choice(zoo)))
+        corpus.append(Tensor2(a, rng.choice(zoo)))
     assert len(corpus) >= 50
     for term in corpus:
         assert tc.parse_two_cell(tc.print_two_cell(term)) == term
@@ -352,7 +343,7 @@ def test_boundary_compositional_over_tensor(uno):
         q = _build.random_term(uno, seed + 100, events=3)
         sp, tp = tc.two_cell_boundary(p, uno.data)
         sq, tq = tc.two_cell_boundary(q, uno.data)
-        st, tt = tc.two_cell_boundary(tc.tensor(p, q), uno.data)
+        st, tt = tc.two_cell_boundary(Tensor2(p, q), uno.data)
         assert st == tc.Tensor1(sp, sq)
         assert tt == tc.Tensor1(tp, tq)
 
@@ -442,3 +433,94 @@ def test_validate_tape_is_the_movie_of_random_terms(p):
             if isinstance(cell, Inv2):
                 assert (target, source) \
                     == tc.two_cell_boundary(cell.inner, p.data)
+
+
+# ---------------------------------------------------------------------------
+# every structural 2-cell, in both semantics
+# ---------------------------------------------------------------------------
+
+# One instance of each structural 2-cell symbol over points a, b with
+# ev: a(x)b -> 1 and coev: 1 -> a(x)b.  No instance repeats a leaf the
+# cell reorders (the open leaf-pairing defect in ROADMAP item 1).
+STRUCTURAL_CELLS = [
+    "id[ev]", "assoc2[coev,ev,coev]", "rc[ev]", "lc[coev]",
+    "eta[alpha[{a},{b},{a}]]", "eps[alpha[{a},{b},{a}]]",
+    "phi[(ev,I[{a}]),(I[({a} ⊗ {b})],l[{a}])]", "phi0[{a},{b}]",
+    "alphaf[ev,coev,I[{a}]]", "lf[ev]", "rf[coev]", "betaf[ev,coev]",
+    "pi[{a},{b},{a},{b}]", "mu[{a},{b}]", "lam[{a},{b}]", "rho[{a},{b}]",
+    "RR[{a},({a} ⊗ {b}),1]", "SS[{a},({a} ⊗ {b}),1]", "sig[{a},{b}]",
+]
+
+
+@pytest.mark.parametrize("p", [pr.bord2_unoriented(), pr.bord2_oriented()],
+                         ids=lambda p: p.name)
+def test_every_structural_cell_is_invertible_in_both_semantics(p):
+    from bordcalc import frobenius as fr
+    from bordcalc import surface as sf
+    a, b = (p.data.objects * 2)[:2]
+    asg = fr.standard_assignment(fr.algebra_m2q(), p)
+    cells = []
+    for text in STRUCTURAL_CELLS:
+        text = text.format(a=a, b=b)
+        c = tc.parse_two_cell(text, p.data)
+        cells.append(c)
+        assert tc.print_two_cell(c) == text
+        report = tc.validate(c, p.data)
+        assert report.ok, text
+        source, target = report.boundary
+        assert tc.morphism_boundary(source, p.data) \
+            == tc.morphism_boundary(target, p.data), text
+        loop, ident = tc.VComp((c, Inv2(c))), Id2(source)
+        assert fr.evaluate(loop, asg).matrix \
+            == fr.evaluate(ident, asg).matrix, text
+        assert sf.invariants(sf.reconstruct(loop, p)) \
+            == sf.invariants(sf.reconstruct(ident, p)), text
+    assert {type(c) for c in cells} == set(tc.STRUCTURAL_2)
+
+
+def test_formal_adjoint_of_composites():
+    l, r = "l[pt]", "r[pt]"
+    assert tc.parse_morphism("inv(inv(%s))" % l) == LeftUnitor1(P)
+    # (g . f)* = f* . g*, and a tensor factor by factor
+    assert tc.parse_morphism("inv((%s ; %s))" % (l, r)) == \
+        Comp1(Adj1(LeftUnitor1(P)), Adj1(RightUnitor1(P)))
+    assert tc.parse_morphism("inv((%s (*) %s))" % (l, r)) == \
+        Tensor1(Adj1(LeftUnitor1(P)), Adj1(RightUnitor1(P)))
+
+
+# ---------------------------------------------------------------------------
+# error paths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("term, entries", [
+    (tc.parse_two_cell("id[foo]"), [((), "unknown 1-generator 'foo'")]),
+    (tc.parse_two_cell("inv2(cap)"), [((), "inv2 of a non-invertible cell")]),
+    (Id2(Adj1(Gen1("ev"))),
+     [((), "formal adjoint of a non-structural symbol")]),
+    (tc.VComp(()), [((), "empty vertical chain")]),
+    ("cap", [((), "not a 2-cell leaf: 'cap'")]),
+    (tc.VComp((Gen2("cap"), 7)), [((1,), "not a 2-cell leaf: 7")]),
+    (Id2("ev"), [((), "not a morphism term: 'ev'")]),
+    (tc.Phi0("pt", P), [((), "not an object word: 'pt'")]),
+], ids=["unknown-1-gen", "inv2-generator", "adjoint-of-generator",
+        "empty-chain", "non-term", "non-term-in-chain",
+        "non-term-morphism", "non-term-object"])
+def test_validate_error_messages(uno, term, entries):
+    report = tc.validate(term, uno.data)
+    assert report.entries == entries
+    assert report.boundary is None and report.events is None
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(objects=("pt",), one_gens={"pt": (P, UNIT)}, two_gens={}),
+     "generator names must be distinct across levels"),
+    (dict(objects=("pt", "alpha"), one_gens={}, two_gens={}),
+     "name 'alpha' is a reserved structural symbol"),
+    (dict(objects=("pt",), one_gens={},
+          two_gens={"bad": (Id1(UNIT), Id1(P))}),
+     "2-generator 'bad' is not globular"),
+], ids=["repeated", "reserved", "not-globular"])
+def test_generating_data_errors(kwargs, message):
+    with pytest.raises(tc.TermError) as exc:
+        tc.GeneratingData(**kwargs)
+    assert str(exc.value) == message
