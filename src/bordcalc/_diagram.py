@@ -11,7 +11,10 @@ depending on the listener,
 * the exact linear map the term evaluates to under an algebra assignment.
 
 Both consumers live in `surface` and `frobenius`; this module owns the
-shared strand bookkeeping.
+shared strand bookkeeping.  An event of a structural cell says which old
+arcs continue as which new ones, by the strand map its boundary formula
+defines (`termcore.strand_paths`); an event of a generator cell
+continues only the arcs at its boundary points.
 """
 
 from __future__ import annotations
@@ -160,6 +163,14 @@ def _leaf_nodes(node):
     return out
 
 
+def _arcs(node, path=()):
+    """Arc ids of the subtree of `node` at sentence path `path`, in leaf
+    order."""
+    for step in path:
+        node = node.children[_SENTENCE_STEP[step]]
+    return [a for ln in _leaf_nodes(node) for a in ln.arc_ids]
+
+
 # ---------------------------------------------------------------------------
 # movie events
 # ---------------------------------------------------------------------------
@@ -171,7 +182,9 @@ class Event:
 
     Arcs are listed in leaf order; the i-th old and new port ends sit on
     the same boundary point; links are {end: partner} among the event's
-    own arcs; leaves are the `LiveNode` leaves.
+    own arcs.  `strands` maps each old arc of a parameter a structural
+    cell carries through (`termcore.strand_paths`) to the new arc it
+    continues as; a generator cell's map is empty.
     """
 
     cell: object
@@ -183,8 +196,7 @@ class Event:
     new_tgt_ports: list
     old_links: dict
     new_links: dict
-    old_leaves: list
-    new_leaves: list
+    strands: dict
 
 
 def _own_links(link, arcs):
@@ -212,8 +224,7 @@ class MovieState:
                 "movie out of sync at %s: expected %s, found %s"
                 % ("/".join(map(str, path)) or "<root>", source, node.term))
         diagram = self.diagram
-        old_leaves = _leaf_nodes(node)
-        old_arcs = [a for ln in old_leaves for a in ln.arc_ids]
+        old_arcs = _arcs(node)
         # detach boundary of the old subtree; the links left are its own
         outer_s = [diagram.unjoin(e) for e in node.src_ports]
         outer_t = [diagram.unjoin(e) for e in node.tgt_ports]
@@ -224,8 +235,9 @@ class MovieState:
         if (len(new_node.src_ports) != len(node.src_ports)
                 or len(new_node.tgt_ports) != len(node.tgt_ports)):
             raise DiagramError("event does not preserve boundary points")
-        new_leaves = _leaf_nodes(new_node)
-        new_arcs = [a for ln in new_leaves for a in ln.arc_ids]
+        new_arcs = _arcs(new_node)
+        strands = {a: b for old, new in tc.strand_paths(cell)
+                   for a, b in zip(_arcs(node, old), _arcs(new_node, new))}
         new_links = _own_links(diagram.link, new_arcs)
         for end, partner in zip(new_node.src_ports + new_node.tgt_ports,
                                 outer_s + outer_t):
@@ -249,7 +261,7 @@ class MovieState:
             self.root = new_node
         return Event(cell, old_arcs, new_arcs, node.src_ports, node.tgt_ports,
                      new_node.src_ports, new_node.tgt_ports,
-                     old_links, new_links, old_leaves, new_leaves)
+                     old_links, new_links, strands)
 
 
 class MovieListener:
@@ -264,8 +276,10 @@ class MovieListener:
 
 
 # term path step -> live sentence child: ``Comp1`` nodes list the inner
-# part's sentence first; chain positions name no sentence node
-_SENTENCE_STEP = {"inner": 0, "outer": 1, "left": 0, "right": 1}
+# part's sentence first, and a sentence's own ``Comp1`` its first factor;
+# chain positions name no sentence node
+_SENTENCE_STEP = {"inner": 0, "outer": 1, "left": 0, "right": 1,
+                  "first": 0, "after": 1}
 
 
 def run_movie(report, gen_patterns, listener):
@@ -283,54 +297,24 @@ def run_movie(report, gen_patterns, listener):
 # value transfer helpers shared by listeners
 # ---------------------------------------------------------------------------
 
-def leaf_pairs(ev):
-    """Old-arc -> new-arc matching of leaf subterms common to both patterns.
+def transfer_components(before_comps, after_comps, ev):
+    """Match components across an event that creates and destroys none.
 
-    Equal leaf terms are matched by order of occurrence; their arcs pair
-    positionally.  This identifies the pieces of the 1-manifold an event
-    carries through unchanged.
+    A consumed arc continues as the new arc at its boundary point, or as
+    its `strands` image; every other arc lives on.  Returns dict old_comp
+    -> new_comp; raises if an old component does not land in exactly one
+    new component.
     """
-    pairs = {}
-    used_new = set()
-    for old in ev.old_leaves:
-        for k, new in enumerate(ev.new_leaves):
-            if k in used_new or new.term != old.term:
-                continue
-            used_new.add(k)
-            for a, b in zip(old.arc_ids, new.arc_ids):
-                pairs.setdefault(a, b)
-            break
-    return pairs
-
-
-def strand_preserving_pairs(ev):
-    """leaf_pairs plus the pairing induced by shared boundary points."""
-    pairs = {}
+    new_of_old = dict(ev.strands)
     for old_end, new_end in zip(ev.old_src_ports + ev.old_tgt_ports,
                                 ev.new_src_ports + ev.new_tgt_ports):
-        pairs[old_end[0]] = new_end[0]
-    for a, b in leaf_pairs(ev).items():
-        pairs.setdefault(a, b)
-    return pairs
-
-
-def transfer_components(before_comps, after_comps, ev):
-    """Match components across a strand-preserving event.
-
-    Returns dict old_comp -> new_comp; raises if the matching is not a
-    bijection on the touched components.
-    """
-    old_set = set(ev.old_arcs)
-    new_of_old = strand_preserving_pairs(ev)
+        new_of_old[old_end[0]] = new_end[0]
+    comp_of = {a: nc for nc in after_comps for a in nc}
     mapping = {}
     for oc in before_comps:
-        carriers = [a for a in oc if a not in old_set]
-        images = [new_of_old[a] for a in oc if a in new_of_old]
-        nc_hits = set()
-        for nc in after_comps:
-            if any(a in nc for a in carriers) or any(a in nc for a in images):
-                nc_hits.add(nc)
-        if len(nc_hits) != 1:
+        hits = {comp_of.get(new_of_old.get(a, a)) for a in oc}
+        hits.discard(None)
+        if len(hits) != 1:
             raise DiagramError("component transfer is not a bijection")
-        mapping[oc] = nc_hits.pop()
+        mapping[oc] = hits.pop()
     return mapping

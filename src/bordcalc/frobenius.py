@@ -728,10 +728,7 @@ class _EvalListener(MovieListener):
             mapping = transfer_components(before_comps, after_comps, ev)
             self.slots = [mapping[s] for s in self.slots]
             if tag == "cusp":
-                touched = _comp_of(before_comps, ev.old_arcs[0]) \
-                    if ev.old_arcs else None
-                target = (mapping[touched] if touched is not None
-                          else _comp_of(after_comps, ev.new_arcs[0]))
+                target = _comp_of(after_comps, ev.new_arcs[0])
                 self.apply("cusp", (target,), (target,))
 
     def _saddle(self, tag, ev, before_comps, after_comps):
@@ -1013,27 +1010,3 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
         unit=unit, lam=lam, e=e,
         star=tuple(tuple(r) for r in star) if star is not None else None)
 
-
-def render_algebra_file(A: FrobAlgebra) -> str:
-    lines = ["dim %d" % A.dim]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            row = A.mult[i][j]
-            ent = ["%d:%s" % (k + 1, row[k]) for k in range(A.dim) if row[k]]
-            if ent:
-                lines.append("mult %d %d -> %s" % (i + 1, j + 1, " ".join(ent)))
-    lines.append("unit %s" % " ".join(
-        "%d:%s" % (k + 1, A.unit[k]) for k in range(A.dim) if A.unit[k]))
-    if A.lam is not None:
-        lines.append("lambda %s" % " ".join(
-            "%d:%s" % (k + 1, A.lam[k]) for k in range(A.dim) if A.lam[k]))
-    if A.e is not None:
-        ent = ["%d,%d:%s" % (i + 1, j + 1, A.e[i][j])
-               for i in range(A.dim) for j in range(A.dim) if A.e[i][j]]
-        lines.append("e %s" % " ".join(ent))
-    if A.star is not None:
-        for i in range(A.dim):
-            ent = ["%d:%s" % (k + 1, A.star[i][k])
-                   for k in range(A.dim) if A.star[i][k]]
-            lines.append("star %d -> %s" % (i + 1, " ".join(ent)))
-    return "\n".join(lines) + "\n"

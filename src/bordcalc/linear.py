@@ -43,9 +43,6 @@ class Perm:
         return Perm(tuple(other.images[self.images[i]]
                           for i in range(self.size)))
 
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
-
     def fixes_top_pair(self):
         n = self.size
         return n >= 2 and self.images[n - 1] == n - 1 \

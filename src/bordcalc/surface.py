@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from . import termcore as tc
-from ._diagram import MovieListener, leaf_pairs, run_movie
+from ._diagram import MovieListener, run_movie
 
 
 class SurfaceError(Exception):
@@ -211,10 +211,10 @@ class _Builder(MovieListener):
                     raise SurfaceError("event piece is not a disk")
                 cycles.append(cycle)
 
-        # Closed pieces carried through unchanged (their arcs match leaf for
-        # leaf across the event) are tubed, not capped: each old sheet closes
-        # and the corresponding new arc's sheet opens on top of it.
-        pairs = leaf_pairs(ev)
+        # Closed pieces a structural cell carries through (every arc in its
+        # strand map) are tubed, not capped: each old sheet closes and the
+        # sheet of the new arc it continues as opens on top of it.
+        pairs = ev.strands
         produced = {}
         emit = []
         for cycle in cycles:
@@ -285,10 +285,6 @@ class ComponentInvariants:
 @dataclass(frozen=True)
 class SurfaceInvariants:
     components: tuple
-
-    @property
-    def component_count(self):
-        return len(self.components)
 
     @property
     def euler_characteristic(self):

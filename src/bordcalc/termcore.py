@@ -409,7 +409,9 @@ TwoCellTerm = Union[Gen2, Id2, AssocC, RC, LC, Eta, Eps, PhiTensor, Phi0,
 #: DSL name -> class of every structural symbol.  Parsing, printing,
 #: validation, the reserved names and orientation forgetting all read this
 #: table; only the boundary formulas (`_leaf_boundary`, `morphism_boundary`)
-#: and the strand wiring (`_diagram.leaf_arc_spec`) are written per symbol.
+#: and the strand wiring of the 1-symbols (`_diagram.leaf_arc_spec`) are
+#: written per symbol.  The strand map of each 2-symbol derives from its
+#: boundary formula (`strand_paths`).
 SYMBOLS = {
     "I": Id1, "alpha": Assoc1, "l": LeftUnitor1, "r": RightUnitor1,
     "beta": Braid1,
@@ -655,6 +657,33 @@ def _leaf_boundary(p, data):
         a, b = p.a, p.b
         return (Id1(ObjTensor(a, b)), Comp1(Braid1(b, a), Braid1(a, b)))
     raise TermError("not a 2-cell leaf: %r" % (p,))
+
+
+def _strand_paths(cls):
+    """(source path, target path) of each morphism parameter on both sides
+    of structural 2-cell `cls`, read off `_leaf_boundary` with one marker
+    leaf ``inv(I[#f])`` per parameter: it equals no sentence the formulas
+    build, and they read no data for it."""
+    marker = {name: Adj1(Id1(ObjGen("#" + name))) if kind == "morphism"
+              else ObjGen("#" + name) for name, kind in cls.ARGS}
+    source, target = ({t: path for path, t in subterms(side)}
+                      for side in _leaf_boundary(cls(**marker), None))
+    return tuple((source[m], target[m]) for m in marker.values()
+                 if m in source and m in target)
+
+
+_STRAND_PATHS = {cls: _strand_paths(cls) for cls in STRUCTURAL_2}
+
+
+def strand_paths(cell):
+    """(old path, new path) of each parameter subsentence an event of
+    2-leaf `cell` carries through: a structural cell denotes a product
+    bordism.  `Inv2` swaps its cell's paths; a generator has none, since
+    every strand of its sentences reaches a boundary point."""
+    if type(cell) is Inv2:
+        return tuple((new, old) for old, new
+                     in _STRAND_PATHS[type(cell.inner)])
+    return _STRAND_PATHS.get(type(cell), ())
 
 
 def two_cell_boundary(p: TwoCellTerm, data: GeneratingData,

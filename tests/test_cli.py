@@ -1,7 +1,6 @@
 """Command line: subcommands, formats, exit codes."""
 
 import io
-import json
 import os
 import pathlib
 import subprocess
@@ -279,14 +278,23 @@ def test_eval_missing_term_file(tmp_path, capsys):
     _one_line_error(code, out, err, cli.EXIT_USAGE)
 
 
-def test_eval_diagram_error(tmp_path, capsys):
-    from bordcalc import presentations as pr
-    from bordcalc import termcore as tc
-    from tests.test_frobenius import known_defect_terms
-    term = tmp_path / "defect.bc"
-    term.write_text(tc.print_two_cell(
-        known_defect_terms(pr.bord2_oriented())[0]), encoding="utf-8")
-    code, out, err = run(["eval", str(term), "--algebra", "M2Q"], capsys)
+def test_eval_diagram_error(tmp_path, capsys, monkeypatch):
+    # no valid term is known to fail evaluation, so a raising evaluator
+    # drives the exit-4 path; the term once raised this error for real
+    from bordcalc import frobenius as fr
+    from bordcalc._diagram import DiagramError
+    from tests.test_frobenius import FORMER_DEFECTS
+    term = tmp_path / "term.bc"
+    term.write_text(FORMER_DEFECTS["oriented"][0], encoding="utf-8")
+    argv = ["eval", str(term), "--algebra", "M2Q"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_OK and out and not err
+
+    def evaluate(term, assignment):
+        raise DiagramError("component transfer is not a bijection")
+
+    monkeypatch.setattr(fr, "evaluate", evaluate)
+    code, out, err = run(argv, capsys)
     _one_line_error(code, out, err, cli.EXIT_FAILED)
     assert err == "ERROR component transfer is not a bijection\n"
 
@@ -311,16 +319,26 @@ def test_rewrite_missing_target_file(tmp_path, capsys):
     _one_line_error(code, out, err, cli.EXIT_USAGE)
 
 
-def test_invariants_reconstruction_error(tmp_path, capsys):
-    doc = json.loads((DEMOS.parent / "bench/workloads.json")
-                     .read_text(encoding="utf-8"))
-    texts = [text for d in doc["known_defects"]
-             if d["presentation"] == "unoriented" for text in d["terms"]]
-    assert texts
-    for i, text in enumerate(texts):
-        term = tmp_path / ("defect%d.bc" % i)
+def test_invariants_reconstruction_error(tmp_path, capsys, monkeypatch):
+    # as above: the terms once raised this error for real, and a raising
+    # builder drives the exit-4 path
+    from bordcalc import surface as sf
+    from tests.test_frobenius import FORMER_DEFECTS
+    argvs = []
+    for i, text in enumerate(FORMER_DEFECTS["unoriented"]):
+        term = tmp_path / ("term%d.bc" % i)
         term.write_text(text, encoding="utf-8")
-        code, out, err = run(["invariants", str(term)], capsys)
+        argvs.append(["invariants", str(term)])
+        code, out, err = run(argvs[-1], capsys)
+        assert code == cli.EXIT_OK and out.startswith("components=") \
+            and not err
+
+    def reconstruct(term, presentation):
+        raise sf.SurfaceError("new arc produced twice")
+
+    monkeypatch.setattr(sf, "reconstruct", reconstruct)
+    for argv in argvs:
+        code, out, err = run(argv, capsys)
         _one_line_error(code, out, err, cli.EXIT_FAILED)
         assert err == "ERROR new arc produced twice\n"
 

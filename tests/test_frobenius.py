@@ -1,6 +1,5 @@
 """Algebra checkers, separability, circle maps and exact evaluation."""
 
-import json
 import pathlib
 import random
 import time
@@ -12,8 +11,8 @@ from bordcalc import build
 from bordcalc import frobenius as fr
 from bordcalc import presentations as pr
 from bordcalc import standard_terms as stt
+from bordcalc import surface as sf
 from bordcalc import termcore as tc
-from bordcalc._diagram import DiagramError
 from bordcalc.termcore import Gen1, Id2, Tensor2, vcompose
 from tests import reference_eval
 
@@ -27,6 +26,9 @@ def ori():
 def uno():
     return pr.bord2_unoriented()
 
+
+ALGEBRA_FILES = pathlib.Path(__file__).resolve().parent.parent / "demos" \
+    / "algebras"
 
 ALGEBRAS = {
     "Q": fr.algebra_q,
@@ -384,20 +386,6 @@ def test_evaluate_genus_scaling(ori):
 # the per-column reference evaluator as an oracle
 # ---------------------------------------------------------------------------
 
-WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" \
-    / "workloads.json"
-
-
-def known_defect_terms(presentation):
-    """Terms of the known evaluator defect listed with the benchmark."""
-    doc = json.loads(WORKLOADS.read_text(encoding="utf-8"))
-    return [tc.parse_two_cell(text, presentation.data)
-            for d in doc["known_defects"]
-            if d["presentation"] == "oriented"
-            and d["error"][0] == "DiagramError"
-            for text in d["terms"]]
-
-
 def _outcome(evaluate, term, asg):
     try:
         return evaluate(term, asg)
@@ -443,13 +431,94 @@ def test_reference_semantic_corpus(ori):
     assert checked > 500
 
 
-def test_reference_known_defect_terms(ori):
-    asg = fr.standard_assignment(fr.algebra_m2q(), ori)
-    terms = known_defect_terms(ori)
-    assert terms
-    for t in terms:
-        out = _assert_same(t, asg)
-        assert out == (DiagramError, "component transfer is not a bijection")
+# ---------------------------------------------------------------------------
+# structural cells over repeated leaves
+# ---------------------------------------------------------------------------
+
+# Valid terms whose structural cells (phi, lc, rc) reorder or repeat equal
+# leaves: matching strands by equal leaf terms raised "component transfer
+# is not a bijection" in evaluate on the oriented pair and "new arc
+# produced twice" in reconstruct on the unoriented pair.
+FORMER_DEFECTS = {
+    "oriented": [
+        "((id[(coev ; ev)] (*) (id[ev] # inv2(rc[coev]))) . (cup (*) "
+        "id[((I[1] ; coev) ; ev)]) . (id[I[1]] (*) (id[ev] # (id[coev] # "
+        "cap))) . (cap (*) id[(((coev ; ev) ; coev) ; ev)]) . "
+        "inv2(phi[(ev,ev),(coev,((coev ; ev) ; coev))]))",
+        "((id[(coev ; ev)] (*) (id[ev] # inv2(lc[coev]))) . "
+        "((inv2(rc[ev]) # id[coev]) (*) id[((coev ; I[(pt+ ⊗ pt-)]) ; ev)])"
+        " . inv2(phi[((I[(pt+ ⊗ pt-)] ; ev),ev),(coev,(coev ; "
+        "I[(pt+ ⊗ pt-)]))]) . (id[((I[(pt+ ⊗ pt-)] ; ev) (*) ev)] # "
+        "(id[coev] (*) (split # id[coev]))) . (id[((I[(pt+ ⊗ pt-)] ; ev) "
+        "(*) ev)] # (id[coev] (*) (merge # id[coev]))))",
+    ],
+    "unoriented": [
+        "((inv2(lc[ev]) # id[coev]) . ((cap # id[ev]) # id[coev]) . "
+        "(((inv2(rc[ev]) # id[coev]) # id[ev]) # id[coev]) . "
+        "(id[(ev ; (coev ; (I[(pt ⊗ pt)] ; ev)))] # sym_coev_in) . "
+        "(inv2(rc[(ev ; (coev ; (I[(pt ⊗ pt)] ; ev)))]) # "
+        "id[(coev ; beta[pt,pt])]))",
+        "((id[(coev ; ev)] (*) cusp_up) . ((id[ev] # inv2(lc[coev])) (*) "
+        "id[(((((inv(l[pt]) ; (coev (*) I[pt])) ; alpha[pt,pt,pt]) ; "
+        "(I[pt] (*) beta[pt,pt])) ; (I[pt] (*) ev)) ; inv(r[pt]))]) . "
+        "inv2(phi[(ev,inv(r[pt])),((coev ; I[(pt ⊗ pt)]),((((inv(l[pt]) ; "
+        "(coev (*) I[pt])) ; alpha[pt,pt,pt]) ; (I[pt] (*) beta[pt,pt])) ; "
+        "(I[pt] (*) ev)))]) . (id[(ev (*) inv(r[pt]))] # (id[(coev ; "
+        "I[(pt ⊗ pt)])] (*) (id[(I[pt] (*) ev)] # ((cusp_up (*) "
+        "id[beta[pt,pt]]) # id[((inv(l[pt]) ; (coev (*) I[pt])) ; "
+        "alpha[pt,pt,pt])])))) . (id[(ev (*) inv(r[pt]))] # (id[(coev ; "
+        "I[(pt ⊗ pt)])] (*) ((cusp_up (*) id[ev]) # id[(((inv(l[pt]) ; "
+        "(coev (*) I[pt])) ; alpha[pt,pt,pt]) ; ((((((inv(l[pt]) ; (coev "
+        "(*) I[pt])) ; alpha[pt,pt,pt]) ; (I[pt] (*) beta[pt,pt])) ; "
+        "(I[pt] (*) ev)) ; inv(r[pt])) (*) beta[pt,pt]))]))))",
+    ],
+}
+
+
+def test_former_defect_terms_agree_across_rewrites(ori, uno):
+    for p in (ori, uno):
+        asg = fr.standard_assignment(fr.algebra_m2q(), p)
+        for text in FORMER_DEFECTS[p.name]:
+            t = tc.parse_two_cell(text, p.data)
+            assert tc.print_two_cell(t) == text
+            value = _assert_same(t, asg)
+            assert isinstance(value, fr.TwoCellValue), (text, value)
+            inv = sf.invariants(sf.reconstruct(t, p))
+            steps = pr.find_matches(t, p)
+            assert steps
+            for step in steps:
+                r = pr.apply(t, step)
+                assert fr.evaluate(r, asg) == value, step.relation
+                assert sf.invariants(sf.reconstruct(r, p)) == inv, \
+                    step.relation
+
+
+@pytest.mark.parametrize("name, algebra", [("unoriented", fr.algebra_q),
+                                           ("oriented", fr.algebra_m2q)],
+                         ids=["unoriented", "oriented"])
+def test_random_terms_evaluate_and_reconstruct(ori, uno, name, algebra):
+    """Every fourth seed of 0..399 at 5, 7 and 9 events: about half of a
+    random term's events are structural cells.  Each term evaluates and
+    reconstructs; up to four rewrites of the 9-event term keep its
+    invariants (unoriented) or its value (oriented)."""
+    p = uno if name == "unoriented" else ori
+    asg = fr.standard_assignment(algebra(), p)
+    rewrites = 0
+    for seed in range(0, 400, 4):
+        for events in (5, 7, 9):
+            t = build.random_term(p, seed, events=events)
+            inv = sf.invariants(sf.reconstruct(t, p))
+            value = fr.evaluate(t, asg)
+            if events != 9:
+                continue
+            for step in pr.find_matches(t, p)[:4]:
+                r = pr.apply(t, step)
+                rewrites += 1
+                if p is uno:
+                    assert sf.invariants(sf.reconstruct(r, p)) == inv, seed
+                else:
+                    assert fr.evaluate(r, asg) == value, seed
+    assert rewrites > 200
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +526,15 @@ def test_reference_known_defect_terms(ori):
 # ---------------------------------------------------------------------------
 
 def test_algebra_file_round_trip():
-    for name, mk in ALGEBRAS.items():
-        A = mk()
-        text = fr.render_algebra_file(A)
-        B = fr.parse_algebra_file(text, name=A.name)
+    # each committed .alg file spells out its built-in algebra
+    files = {"q.alg": "Q", "qq.alg": "QxQ", "m2q.alg": "M2Q",
+             "qz2.alg": "QZ2", "qx2.alg": "Qx2"}
+    assert sorted(f.name for f in ALGEBRA_FILES.glob("*.alg")) \
+        == sorted(files)
+    for filename, name in files.items():
+        A = ALGEBRAS[name]()
+        B = fr.parse_algebra_file(
+            (ALGEBRA_FILES / filename).read_text(encoding="utf-8"), name=name)
         assert B.dim == A.dim
         assert B.mult == A.mult
         assert B.unit == A.unit

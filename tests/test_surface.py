@@ -118,7 +118,7 @@ def test_invariants_build_corner_classes_once(uno, monkeypatch):
                         lambda cx: calls.append(1) or corner_classes(cx))
     surf = sf.reconstruct(tc.parse_two_cell(
         "((cap . cup) (*) (cap . cup))"), uno)
-    assert sf.invariants(surf).component_count == 2
+    assert len(sf.invariants(surf).components) == 2
     assert len(calls) == 1
 
 

@@ -439,9 +439,9 @@ def test_validate_tape_is_the_movie_of_random_terms(p):
 # every structural 2-cell, in both semantics
 # ---------------------------------------------------------------------------
 
-# One instance of each structural 2-cell symbol over points a, b with
-# ev: a(x)b -> 1 and coev: 1 -> a(x)b.  No instance repeats a leaf the
-# cell reorders (the open leaf-pairing defect in ROADMAP item 1).
+# An instance of each structural 2-cell symbol over points a, b with
+# ev: a(x)b -> 1 and coev: 1 -> a(x)b; the last four repeat leaves the
+# cell reorders.
 STRUCTURAL_CELLS = [
     "id[ev]", "assoc2[coev,ev,coev]", "rc[ev]", "lc[coev]",
     "eta[alpha[{a},{b},{a}]]", "eps[alpha[{a},{b},{a}]]",
@@ -449,6 +449,8 @@ STRUCTURAL_CELLS = [
     "alphaf[ev,coev,I[{a}]]", "lf[ev]", "rf[coev]", "betaf[ev,coev]",
     "pi[{a},{b},{a},{b}]", "mu[{a},{b}]", "lam[{a},{b}]", "rho[{a},{b}]",
     "RR[{a},({a} ⊗ {b}),1]", "SS[{a},({a} ⊗ {b}),1]", "sig[{a},{b}]",
+    "phi[(ev,coev),(coev,ev)]", "RR[{a},{a},{a}]", "SS[{a},{a},{a}]",
+    "betaf[ev,ev]",
 ]
 
 
