@@ -98,10 +98,22 @@ class LiveNode:
     arc_ids: list
 
 
+def _strand_order(cls):
+    """(source, target) order of the parameters of 1-symbol `cls`, read off
+    `morphism_boundary` with one marker object per parameter."""
+    leaf = cls(**{name: tc.ObjGen(name) for name, _ in cls.ARGS})
+    return [tc.obj_points(w) for w in tc.morphism_boundary(leaf, None)]
+
+
+_STRAND_ORDER = {cls: _strand_order(cls) for cls in tc.STRUCTURAL_1}
+
+
 def leaf_arc_spec(leaf, gen_patterns):
     """Arc wiring of a 1-cell leaf: (n_src, n_tgt, [(end0, end1)]).
 
-    Port references are ("s"|"t", index).
+    Port references are ("s"|"t", index).  A 1-symbol carries each point
+    of its parameters straight through; arcs run over the parameters in
+    source order, points left to right.
     """
     if isinstance(leaf, tc.Gen1):
         if leaf.name not in gen_patterns:
@@ -111,18 +123,14 @@ def leaf_arc_spec(leaf, gen_patterns):
         ns, nt, arcs = leaf_arc_spec(leaf.inner, gen_patterns)
         flip = lambda p: ("t" if p[0] == "s" else "s", p[1])
         return (nt, ns, [(flip(a), flip(b)) for a, b in arcs])
-    if isinstance(leaf, (tc.Id1, tc.Assoc1, tc.LeftUnitor1, tc.RightUnitor1)):
-        # straight strands: the points of the object parameters in order
-        n = sum(len(tc.obj_points(getattr(leaf, name)))
-                for name, _ in leaf.ARGS)
-        return (n, n, [(("s", i), ("t", i)) for i in range(n)])
-    if isinstance(leaf, tc.Braid1):
-        nu = len(tc.obj_points(leaf.u))
-        nv = len(tc.obj_points(leaf.v))
-        arcs = [(("s", i), ("t", nv + i)) for i in range(nu)]
-        arcs += [(("s", nu + j), ("t", j)) for j in range(nv)]
-        return (nu + nv, nu + nv, arcs)
-    raise DiagramError("unsupported 1-cell leaf %r" % (leaf,))
+    if type(leaf) not in _STRAND_ORDER:
+        raise DiagramError("unsupported 1-cell leaf %r" % (leaf,))
+    source, target = _STRAND_ORDER[type(leaf)]
+    n = {m: len(tc.obj_points(getattr(leaf, m))) for m in source}
+    points = lambda side: [(m, k) for m in side for k in range(n[m])]
+    at = {x: j for j, x in enumerate(points(target))}
+    arcs = [(("s", i), ("t", at[x])) for i, x in enumerate(points(source))]
+    return (len(arcs), len(arcs), arcs)
 
 
 def build_live(term, diagram, gen_patterns):

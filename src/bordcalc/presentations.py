@@ -237,6 +237,13 @@ def _cusp_rows(updown_pairs):
 # the two presentations
 # ---------------------------------------------------------------------------
 
+#: strand wiring of ev (its two source points joined) and coev (its two
+#: target points joined), the same in both presentations
+_ARC_PATTERNS = {
+    "ev": (2, 0, [(("s", 0), ("s", 1))]),
+    "coev": (0, 2, [(("t", 0), ("t", 1))]),
+}
+
 def bord2_unoriented() -> Presentation:
     """Generators and relations of the unoriented 2D bordism bicategory."""
     P = ObjGen("pt")
@@ -281,15 +288,11 @@ def bord2_unoriented() -> Presentation:
                  VComp((Id2(Comp1(beta, coev)),))),
     ]
 
-    arc_patterns = {
-        "ev": (2, 0, [(("s", 0), ("s", 1))]),
-        "coev": (0, 2, [(("t", 0), ("t", 1))]),
-    }
     tags = {"cap": "cap", "cup": "cup", "split": "split", "merge": "merge",
             "cusp_up": "cusp", "cusp_down": "cusp",
             "sym_ev_in": "sym", "sym_ev_out": "sym",
             "sym_coev_in": "sym", "sym_coev_out": "sym"}
-    return Presentation("unoriented", data, relations, arc_patterns, tags)
+    return Presentation("unoriented", data, relations, _ARC_PATTERNS, tags)
 
 
 def bord2_oriented() -> Presentation:
@@ -327,14 +330,10 @@ def bord2_oriented() -> Presentation:
         ("neg", "cusp_up_neg", "cusp_down_neg", Id1(Pm), Zm),
     ])
 
-    arc_patterns = {
-        "ev": (2, 0, [(("s", 0), ("s", 1))]),
-        "coev": (0, 2, [(("t", 0), ("t", 1))]),
-    }
     tags = {"cap": "cap", "cup": "cup", "split": "split", "merge": "merge",
             "cusp_up_pos": "cusp", "cusp_down_pos": "cusp",
             "cusp_up_neg": "cusp", "cusp_down_neg": "cusp"}
-    return Presentation("oriented", data, relations, arc_patterns, tags)
+    return Presentation("oriented", data, relations, _ARC_PATTERNS, tags)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ Three layers of terms over a generating datum:
 Terms are immutable; equality is exact tree equality (no implicit
 rebracketing).  Boundaries are computed leaf-up from the structural symbol
 tables, with generator names always resolved against the generating
-datum, and `two_cell_boundary`/`morphism_boundary` are the only code that
-decides whether the parts of a composite compose: `vcompose`, `hcompose`
-and `validate` all ask them.  `validate` checks each node on its own
-(names, admissibility, the parameters and boundary sentences of structural
-leaves), then walks the boundary once from the root.  A small DSL
-(`parse_*` / `print_*`) gives a textual form with a parse/print round-trip
-guarantee.
+datum.  One boundary walk decides whether the parts of a two-cell term
+compose: it builds and checks each structural leaf's sentences once, and
+composites compare the object ends their parts carry.  `vcompose`,
+`hcompose` and `validate` all ask it.  `validate` checks each node's
+names and admissibility on its own, reporting every violation, then walks
+the boundary once from the root, reporting the first composability
+failure in movie order.  A small DSL (`parse_*` / `print_*`) gives a
+textual form with a parse/print round-trip guarantee.
 """
 
 from __future__ import annotations
@@ -409,9 +410,9 @@ TwoCellTerm = Union[Gen2, Id2, AssocC, RC, LC, Eta, Eps, PhiTensor, Phi0,
 #: DSL name -> class of every structural symbol.  Parsing, printing,
 #: validation, the reserved names and orientation forgetting all read this
 #: table; only the boundary formulas (`_leaf_boundary`, `morphism_boundary`)
-#: and the strand wiring of the 1-symbols (`_diagram.leaf_arc_spec`) are
-#: written per symbol.  The strand map of each 2-symbol derives from its
-#: boundary formula (`strand_paths`).
+#: are written per symbol.  The strand map of each 2-symbol (`strand_paths`)
+#: and the strand wiring of each 1-symbol (`_diagram.leaf_arc_spec`) derive
+#: from its boundary formula.
 SYMBOLS = {
     "I": Id1, "alpha": Assoc1, "l": LeftUnitor1, "r": RightUnitor1,
     "beta": Braid1,
@@ -686,42 +687,60 @@ def strand_paths(cell):
     return _STRAND_PATHS.get(type(cell), ())
 
 
-def two_cell_boundary(p: TwoCellTerm, data: GeneratingData,
-                      path=(), tape=None) -> Tuple[MorphismTerm, MorphismTerm]:
-    """(source, target) morphism terms of a two-cell term.
-
-    Every leaf but an identity appends (path, leaf, source, target) to a
-    list `tape` in movie order (the inner part of an `HComp` first); an
-    `Inv2` is one leaf, its cell's sides swapped.
-    """
+def _walk(p, data, path, tape):
+    """(source, target, source object, target object) of a two-cell term,
+    deciding whether its parts compose: a structural leaf's own sentences
+    are built and checked once (a failure is raised at the leaf as
+    ``<symbol>: <message>``), and composites compare their parts' object
+    ends.  Every leaf but an identity appends (path, leaf, source, target)
+    to a list `tape` in movie order (the inner part of an `HComp` first);
+    an `Inv2` is one leaf, its cell's sides swapped."""
     if isinstance(p, Inv2):
         if not isinstance(p.inner, STRUCTURAL_2):
             raise TermError("inv2 only applies to structural 2-cells", path)
-        t, s = two_cell_boundary(p.inner, data, path + ("inv2",))
+        t, s, a, b = _walk(p.inner, data, path + ("inv2",), None)
     elif isinstance(p, VComp):
         if not p.children:
             raise TermError("empty vertical chain", path)
-        bounds = [two_cell_boundary(c, data, path + (i,), tape)
-                  for i, c in enumerate(p.children)]
-        for i in range(len(bounds) - 1):
-            if bounds[i][1] != bounds[i + 1][0]:
+        ends = [_walk(c, data, path + (i,), tape)
+                for i, c in enumerate(p.children)]
+        for i in range(len(ends) - 1):
+            if ends[i][1] != ends[i + 1][0]:
                 raise TermError("non-composable vertical chain", path + (i,))
-        return (bounds[0][0], bounds[-1][1])
+        return (ends[0][0], ends[-1][1]) + ends[0][2:]
     elif isinstance(p, HComp):
-        si, ti = two_cell_boundary(p.inner, data, path + ("inner",), tape)
-        so, to = two_cell_boundary(p.outer, data, path + ("outer",), tape)
-        if morphism_boundary(so, data)[0] != morphism_boundary(si, data)[1]:
+        si, ti, a, b = _walk(p.inner, data, path + ("inner",), tape)
+        so, to, b2, c = _walk(p.outer, data, path + ("outer",), tape)
+        if b2 != b:
             raise TermError("horizontal mismatch", path)
-        return (Comp1(so, si), Comp1(to, ti))
+        return (Comp1(so, si), Comp1(to, ti), a, c)
     elif isinstance(p, Tensor2):
-        sl, tl = two_cell_boundary(p.left, data, path + ("left",), tape)
-        sr, tr = two_cell_boundary(p.right, data, path + ("right",), tape)
-        return (Tensor1(sl, sr), Tensor1(tl, tr))
-    else:
+        sl, tl, al, bl = _walk(p.left, data, path + ("left",), tape)
+        sr, tr, ar, br = _walk(p.right, data, path + ("right",), tape)
+        return (Tensor1(sl, sr), Tensor1(tl, tr),
+                ObjTensor(al, ar), ObjTensor(bl, br))
+    elif not isinstance(p, STRUCTURAL_2):
+        # a generator is globular by construction of `data`
         s, t = _leaf_boundary(p, data)
+        a, b = morphism_boundary(s, data)
+    else:
+        try:
+            s, t = _leaf_boundary(p, data)
+            a, b = morphism_boundary(s, data)
+            if t is not s:
+                morphism_boundary(t, data)
+        except TermError as e:
+            # its path inside the sentence names no part of the term
+            raise TermError("%s: %s" % (p.SYMBOL, e.message), path) from None
     if tape is not None and type(p) is not Id2:
         tape.append((path, p, s, t))
-    return (s, t)
+    return (s, t, a, b)
+
+
+def two_cell_boundary(p: TwoCellTerm,
+                      data: GeneratingData) -> Tuple[MorphismTerm, MorphismTerm]:
+    """(source, target) morphism terms of a two-cell term (see `_walk`)."""
+    return _walk(p, data, (), None)[:2]
 
 
 def two_cell_source(p, data):
@@ -796,7 +815,8 @@ def _validate_morphism_leaves(t, data, report, path):
 
 
 def _validate_leaf(p, data, report, path):
-    """The checks local to one node of a two-cell term; composites pass."""
+    """Names and admissibility of one node of a two-cell term; whether
+    anything composes is left to the boundary walk."""
     if isinstance(p, Gen2):
         if p.name not in data.two_gens:
             report.add(path, "unknown 2-generator %r" % p.name)
@@ -807,20 +827,10 @@ def _validate_leaf(p, data, report, path):
         if not p.children:
             report.add(path, "empty vertical chain")
     elif isinstance(p, STRUCTURAL_2):
-        before = len(report.entries)
         for name, kind in p.ARGS:
             check = (_validate_object if kind == "object"
                      else _validate_morphism_leaves)
             check(getattr(p, name), data, report, path)
-        if len(report.entries) == before:
-            # the parameters name known things; the symbol's own boundary
-            # sentences must compose (a mismatch is reported at the leaf:
-            # its path inside the sentence names no part of the term)
-            try:
-                for sentence in _leaf_boundary(p, data):
-                    morphism_boundary(sentence, data)
-            except TermError as e:
-                report.add(path, "%s: %s" % (p.SYMBOL, e.message))
     elif not parts(p):
         report.add(path, "not a 2-cell leaf: %r" % (p,))
 
@@ -828,12 +838,12 @@ def _validate_leaf(p, data, report, path):
 def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
     """Check that `term` is a paragraph over `data`.
 
-    Every node is checked on its own first (names, admissibility, the
-    parameters and boundary sentences of structural leaves), reporting all
-    violations.  If there are none, one `two_cell_boundary` walk from the
-    root reports the first composite whose parts do not compose, at its
-    path: composability is decided only by the boundary functions.  The
-    walk records the tape `_diagram.run_movie` plays.
+    Every node is checked on its own first for names and admissibility,
+    and every violation is reported.  If there are none, one boundary walk
+    from the root decides composability: it reports the first failure in
+    movie order, at its path, whether a vertical chain, a horizontal
+    composite or a structural leaf's own sentences.  The walk records the
+    tape `_diagram.run_movie` plays.
     """
     report = ValidationReport()
     for path, p in subterms(term):
@@ -841,7 +851,7 @@ def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
     if report.ok:
         tape = []
         try:
-            report.boundary = two_cell_boundary(term, data, (), tape)
+            report.boundary = _walk(term, data, (), tape)[:2]
             report.events = tape
         except TermError as e:
             report.add(e.path, e.message)
@@ -1016,34 +1026,19 @@ class _Parser:
         raise ParseError("expected 2-cell term, got %r" % text, pos)
 
 
-def _check_names_object(w, data):
-    report = ValidationReport()
-    _validate_object(w, data, report, ())
-    if not report.ok:
-        raise TermError(str(report))
-
-
-def parse_object_word(text: str, data: Optional[GeneratingData] = None) -> ObjectWord:
+def parse_object_word(text: str) -> ObjectWord:
     p = _Parser(text)
     w = p.object_word()
     if not p.at_end():
         raise ParseError("trailing input", p.peek()[2])
-    if data is not None:
-        _check_names_object(w, data)
     return w
 
 
-def parse_morphism(text: str, data: Optional[GeneratingData] = None) -> MorphismTerm:
+def parse_morphism(text: str) -> MorphismTerm:
     p = _Parser(text)
     t = p.morphism()
     if not p.at_end():
         raise ParseError("trailing input", p.peek()[2])
-    if data is not None:
-        report = ValidationReport()
-        _validate_morphism_leaves(t, data, report, ())
-        if not report.ok:
-            raise TermError(str(report))
-        morphism_boundary(t, data)
     return t
 
 

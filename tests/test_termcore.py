@@ -22,11 +22,11 @@ def uno():
 
 
 def test_object_parse_trivia(uno):
-    w = tc.parse_object_word("(pt ⊗ pt)", uno.data)
-    assert w == PP
+    assert tc.parse_object_word("(pt ⊗ pt)") == PP
     assert tc.parse_object_word("1") == UNIT
-    with pytest.raises(tc.TermError):
-        tc.parse_object_word("(pt (*) bad)", uno.data)
+    # names are checked by validation, at the word's path in the term
+    report = tc.validate(tc.parse_two_cell("id[I[(pt (*) bad)]]"), uno.data)
+    assert report.entries == [(("right",), "unknown object generator 'bad'")]
 
 
 def test_braid_boundary_row(uno):
@@ -379,6 +379,37 @@ def test_validate_reports_a_chain_mismatch_at_its_path(uno):
     assert rep.entries == [((0, 0), "non-composable vertical chain")]
 
 
+@pytest.mark.parametrize("text, entries", [
+    ("(assoc2[ev,ev,ev] (*) phi[(ev,ev),(ev,ev)])",
+     [(("left",), "assoc2: boundary mismatch in composite: 1 then "
+                  "(pt ⊗ pt)")]),
+    ("((cap . cap) (*) assoc2[ev,ev,ev])",
+     [(("left", 0), "non-composable vertical chain")]),
+    ("(nope (*) assoc2[ev,ev,ev])",
+     [(("left",), "unknown 2-generator 'nope'")]),
+], ids=["two-leaf-sentences", "chain-before-leaf-sentence",
+        "names-before-composability"])
+def test_validate_reports_the_first_composability_failure(uno, text, entries):
+    # a leaf's own sentences are checked in movie order with the chains and
+    # horizontal composites, and only the first failure is reported; none
+    # is looked for while a name or admissibility check fails
+    assert tc.validate(tc.parse_two_cell(text), uno.data).entries == entries
+
+
+@pytest.mark.parametrize("compose, path, symbol", [
+    (lambda d: vcompose([tc.parse_two_cell("assoc2[ev,ev,ev]")], d),
+     (0,), "assoc2"),
+    (lambda d: hcompose(tc.parse_two_cell("id[ev]"),
+                        tc.parse_two_cell("phi[(ev,ev),(ev,ev)]"), d),
+     ("inner",), "phi"),
+], ids=["vcompose", "hcompose"])
+def test_composers_reject_an_ill_formed_leaf(uno, compose, path, symbol):
+    with pytest.raises(tc.TermError) as exc:
+        compose(uno.data)
+    assert exc.value.path == path
+    assert exc.value.message.startswith(symbol + ": boundary mismatch")
+
+
 # ---------------------------------------------------------------------------
 # the movie tape validate records
 # ---------------------------------------------------------------------------
@@ -480,6 +511,25 @@ def test_every_structural_cell_is_invertible_in_both_semantics(p):
     assert {type(c) for c in cells} == set(tc.STRUCTURAL_2)
 
 
+@pytest.mark.parametrize("p", [pr.bord2_unoriented(), pr.bord2_oriented()],
+                         ids=lambda p: p.name)
+def test_walk_object_ends_agree_with_morphism_boundary(p):
+    # composites compare the object ends their parts carry; at every
+    # subterm they must be the ends of its source and of its target
+    a, b = (p.data.objects * 2)[:2]
+    terms = [build.random_term(p, seed, events=5) for seed in range(30)]
+    for text in STRUCTURAL_CELLS:
+        cell = tc.parse_two_cell(text.format(a=a, b=b), p.data)
+        terms += [cell, Inv2(cell)]
+    for term in terms:
+        for path, sub in tc.subterms(term):
+            source, target, a_end, b_end = tc._walk(sub, p.data, (), None)
+            assert tc.morphism_boundary(source, p.data) == (a_end, b_end), \
+                (str(term), path)
+            assert tc.morphism_boundary(target, p.data) == (a_end, b_end), \
+                (str(term), path)
+
+
 def test_formal_adjoint_of_composites():
     l, r = "l[pt]", "r[pt]"
     assert tc.parse_morphism("inv(inv(%s))" % l) == LeftUnitor1(P)
@@ -494,6 +544,8 @@ def test_formal_adjoint_of_composites():
 # error paths
 # ---------------------------------------------------------------------------
 
+NO_ADJOINT = "eta: 1-generator 'ev' has no formal adjoint"
+
 @pytest.mark.parametrize("term, entries", [
     (tc.parse_two_cell("id[foo]"), [((), "unknown 1-generator 'foo'")]),
     (tc.parse_two_cell("inv2(cap)"), [((), "inv2 of a non-invertible cell")]),
@@ -504,9 +556,18 @@ def test_formal_adjoint_of_composites():
     (tc.VComp((Gen2("cap"), 7)), [((1,), "not a 2-cell leaf: 7")]),
     (Id2("ev"), [((), "not a morphism term: 'ev'")]),
     (tc.Phi0("pt", P), [((), "not an object word: 'pt'")]),
+    # leaves whose boundary formula itself fails: the message carries the
+    # symbol and the path is the leaf's own
+    (tc.parse_two_cell("eta[ev]"), [((), NO_ADJOINT)]),
+    (tc.parse_two_cell("inv2(eta[ev])"), [(("inv2",), NO_ADJOINT)]),
+    (tc.parse_two_cell("rc[(ev ; ev)]"),
+     [((), "rc: boundary mismatch in composite: 1 then (pt ⊗ pt)")]),
+    (tc.parse_two_cell("(cap # eta[ev])"), [(("inner",), NO_ADJOINT)]),
 ], ids=["unknown-1-gen", "inv2-generator", "adjoint-of-generator",
         "empty-chain", "non-term", "non-term-in-chain",
-        "non-term-morphism", "non-term-object"])
+        "non-term-morphism", "non-term-object", "eta-of-generator",
+        "inv2-of-eta-of-generator", "rc-of-bad-composite",
+        "eta-of-generator-inner"])
 def test_validate_error_messages(uno, term, entries):
     report = tc.validate(term, uno.data)
     assert report.entries == entries
