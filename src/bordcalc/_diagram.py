@@ -100,9 +100,9 @@ class LiveNode:
 
 def _strand_order(cls):
     """(source, target) order of the parameters of 1-symbol `cls`, read off
-    `morphism_boundary` with one marker object per parameter."""
+    its `ends` with one marker object per parameter."""
     leaf = cls(**{name: tc.ObjGen(name) for name, _ in cls.ARGS})
-    return [tc.obj_points(w) for w in tc.morphism_boundary(leaf, None)]
+    return [tc.obj_points(w) for w in leaf.ends()]
 
 
 _STRAND_ORDER = {cls: _strand_order(cls) for cls in tc.STRUCTURAL_1}
@@ -188,9 +188,9 @@ class Event:
     """One movie step: the leaf `cell` that fired (an `Inv2`, not its
     inner cell) and the wiring of the old subsentence and its replacement.
 
-    Arcs are listed in leaf order; the i-th old and new port ends sit on
-    the same boundary point; links are {end: partner} among the event's
-    own arcs.  `strands` maps each old arc of a parameter a structural
+    Arcs are listed in leaf order; ports list the source then the target
+    boundary ends, and the i-th old and new port ends sit on the same
+    boundary point; links are {end: partner} among the event's own arcs.  `strands` maps each old arc of a parameter a structural
     cell carries through (`termcore.strand_paths`) to the new arc it
     continues as; a generator cell's map is empty.
     """
@@ -198,10 +198,8 @@ class Event:
     cell: object
     old_arcs: list
     new_arcs: list
-    old_src_ports: list
-    old_tgt_ports: list
-    new_src_ports: list
-    new_tgt_ports: list
+    old_ports: list
+    new_ports: list
     old_links: dict
     new_links: dict
     strands: dict
@@ -267,8 +265,9 @@ class MovieState:
                     up.term = tc.Tensor1(up.children[0].term, up.children[1].term)
         else:
             self.root = new_node
-        return Event(cell, old_arcs, new_arcs, node.src_ports, node.tgt_ports,
-                     new_node.src_ports, new_node.tgt_ports,
+        return Event(cell, old_arcs, new_arcs,
+                     node.src_ports + node.tgt_ports,
+                     new_node.src_ports + new_node.tgt_ports,
                      old_links, new_links, strands)
 
 
@@ -314,8 +313,7 @@ def transfer_components(before_comps, after_comps, ev):
     new component.
     """
     new_of_old = dict(ev.strands)
-    for old_end, new_end in zip(ev.old_src_ports + ev.old_tgt_ports,
-                                ev.new_src_ports + ev.new_tgt_ports):
+    for old_end, new_end in zip(ev.old_ports, ev.new_ports):
         new_of_old[old_end[0]] = new_end[0]
     comp_of = {a: nc for nc in after_comps for a in nc}
     mapping = {}

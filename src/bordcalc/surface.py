@@ -178,10 +178,10 @@ class _Builder(MovieListener):
         # a trace leaves an arc by a link among the event's own arcs, or
         # crosses sides at a boundary point, where the i-th old and new
         # ports sit together
-        old_ports = ev.old_src_ports + ev.old_tgt_ports
-        new_ports = ev.new_src_ports + ev.new_tgt_ports
-        steps = {"old": (ev.old_links, "new", dict(zip(old_ports, new_ports))),
-                 "new": (ev.new_links, "old", dict(zip(new_ports, old_ports)))}
+        steps = {"old": (ev.old_links, "new",
+                         dict(zip(ev.old_ports, ev.new_ports))),
+                 "new": (ev.new_links, "old",
+                         dict(zip(ev.new_ports, ev.old_ports)))}
 
         def advance(side, arc, direction):
             exit_end = (arc, 1 if direction == +1 else 0)

@@ -9,9 +9,14 @@ Three layers of terms over a generating datum:
   2-symbols, combined by vertical chains, horizontal composition and tensor.
 
 Terms are immutable; equality is exact tree equality (no implicit
-rebracketing).  Boundaries are computed leaf-up from the structural symbol
-tables, with generator names always resolved against the generating
-datum.  One boundary walk decides whether the parts of a two-cell term
+rebracketing).  Each term node has one home.  A structural symbol is its
+class, which holds its parameters, its boundary formula (`ends` of a
+1-symbol, `sides` of a 2-symbol) and its argument grouping, plus its DSL
+name in `SYMBOLS`.  A composite is its `_PARTS` entry (path steps and
+fields), its `_SYNTAX` entry (DSL token, read by printer and parser) and
+its case in the boundary walk.  Boundaries are computed leaf-up, with
+generator names always resolved against the generating datum.  One
+boundary walk decides whether the parts of a two-cell term
 compose: it builds and checks each structural leaf's sentences once, and
 composites compare the object ends their parts carry.  `vcompose`,
 `hcompose` and `validate` all ask it.  `validate` checks each node's
@@ -93,15 +98,36 @@ def obj_points(w: ObjectWord) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 class _Symbol:
-    """Printed form ``name[arg,...]`` of a structural symbol.
+    """A structural symbol: its fields are its parameters, and its class
+    writes its boundary formula (`ends` of a 1-symbol, `sides` of a
+    2-symbol).
 
     ``SYMBOL`` (the DSL name) and ``ARGS`` ((field, "object"|"morphism")
-    per parameter) are set from the `SYMBOLS` table below.
+    per parameter) are set from the `SYMBOLS` table below.  It prints as
+    ``name[arg,...]``, its arguments parenthesised in runs of ``GROUP``
+    when that is above 1; the parser's `_symbol` reads the same grouping.
     """
 
+    GROUP = 1
+
     def __str__(self):
-        return "%s[%s]" % (self.SYMBOL, ",".join(str(getattr(self, name))
-                                                 for name, _ in self.ARGS))
+        args = [str(getattr(self, name)) for name, _ in self.ARGS]
+        if self.GROUP > 1:
+            args = ["(%s)" % ",".join(args[i:i + self.GROUP])
+                    for i in range(0, len(args), self.GROUP)]
+        return "%s[%s]" % (self.SYMBOL, ",".join(args))
+
+
+class _Composite:
+    """A composite node, printed from `_SYNTAX`: a wrapper keyword as
+    ``inv(part)``, an infix token as ``(part ; part)``, parts in `parts`
+    order."""
+
+    def __str__(self):
+        token = _SYNTAX[type(self)]
+        if token.isidentifier():
+            return "%s(%s)" % (token, self.inner)
+        return "(%s)" % (" %s " % token).join(str(c) for _, c in parts(self))
 
 
 @dataclass(frozen=True)
@@ -116,6 +142,9 @@ class Gen1:
 class Id1(_Symbol):
     word: ObjectWord
 
+    def ends(self):
+        return (self.word, self.word)
+
 
 @dataclass(frozen=True)
 class Assoc1(_Symbol):
@@ -123,15 +152,25 @@ class Assoc1(_Symbol):
     v: ObjectWord
     w: ObjectWord
 
+    def ends(self):
+        return (ObjTensor(ObjTensor(self.u, self.v), self.w),
+                ObjTensor(self.u, ObjTensor(self.v, self.w)))
+
 
 @dataclass(frozen=True)
 class LeftUnitor1(_Symbol):
     word: ObjectWord
 
+    def ends(self):
+        return (ObjTensor(UNIT, self.word), self.word)
+
 
 @dataclass(frozen=True)
 class RightUnitor1(_Symbol):
     word: ObjectWord
+
+    def ends(self):
+        return (self.word, ObjTensor(self.word, UNIT))
 
 
 @dataclass(frozen=True)
@@ -139,36 +178,30 @@ class Braid1(_Symbol):
     u: ObjectWord
     v: ObjectWord
 
+    def ends(self):
+        return (ObjTensor(self.u, self.v), ObjTensor(self.v, self.u))
+
 
 @dataclass(frozen=True)
-class Adj1:
+class Adj1(_Composite):
     """Formal adjoint-inverse x* of a structural 1-symbol."""
 
     inner: "MorphismTerm"
 
-    def __str__(self):
-        return "inv(%s)" % (self.inner,)
-
 
 @dataclass(frozen=True)
-class Comp1:
-    """Composite after ∘ first: ``Comp1(f, g)`` is f∘g, applying g then f."""
+class Comp1(_Composite):
+    """Composite after ∘ first: ``Comp1(f, g)`` is f∘g, applying g then f;
+    the DSL reads in application order, ``(first ; after)``."""
 
     after: "MorphismTerm"
     first: "MorphismTerm"
 
-    def __str__(self):
-        # DSL reads left-to-right in application order: (first ; after)
-        return "(%s ; %s)" % (self.first, self.after)
-
 
 @dataclass(frozen=True)
-class Tensor1:
+class Tensor1(_Composite):
     left: "MorphismTerm"
     right: "MorphismTerm"
-
-    def __str__(self):
-        return "(%s (*) %s)" % (self.left, self.right)
 
 
 MorphismTerm = Union[Gen1, Id1, Assoc1, LeftUnitor1, RightUnitor1, Braid1,
@@ -218,6 +251,9 @@ class Gen2:
 class Id2(_Symbol):
     f: MorphismTerm
 
+    def sides(self, data):
+        return (self.f, self.f)
+
 
 @dataclass(frozen=True)
 class AssocC(_Symbol):
@@ -227,12 +263,20 @@ class AssocC(_Symbol):
     f1: MorphismTerm
     f0: MorphismTerm  # applied last
 
+    def sides(self, data):
+        return (Comp1(Comp1(self.f0, self.f1), self.f2),
+                Comp1(self.f0, Comp1(self.f1, self.f2)))
+
 
 @dataclass(frozen=True)
 class RC(_Symbol):
     """r^c: f∘I_a ⇒ f."""
 
     f: MorphismTerm
+
+    def sides(self, data):
+        a, _ = morphism_boundary(self.f, data)
+        return (Comp1(self.f, Id1(a)), self.f)
 
 
 @dataclass(frozen=True)
@@ -241,12 +285,20 @@ class LC(_Symbol):
 
     f: MorphismTerm
 
+    def sides(self, data):
+        _, b = morphism_boundary(self.f, data)
+        return (Comp1(Id1(b), self.f), self.f)
+
 
 @dataclass(frozen=True)
 class Eta(_Symbol):
     """eta_f: I_a ⇒ f*∘f (f structural-only)."""
 
     f: MorphismTerm
+
+    def sides(self, data):
+        a, _ = morphism_boundary(self.f, data)
+        return (Id1(a), Comp1(formal_adjoint(self.f), self.f))
 
 
 @dataclass(frozen=True)
@@ -255,23 +307,25 @@ class Eps(_Symbol):
 
     f: MorphismTerm
 
+    def sides(self, data):
+        _, b = morphism_boundary(self.f, data)
+        return (Comp1(self.f, formal_adjoint(self.f)), Id1(b))
+
 
 @dataclass(frozen=True)
 class PhiTensor(_Symbol):
-    """phi: (f⊗g)∘(f'⊗g') ⇒ (f∘f')⊗(g∘g').
+    """phi: (f⊗g)∘(f'⊗g') ⇒ (f∘f')⊗(g∘g'), printed ``phi[(f,g),(f',g')]``."""
 
-    The one symbol with grouped arguments: ``phi[(f,g),(f',g')]``; the
-    parser's `_symbol` reads the same grouping.
-    """
+    GROUP = 2
 
     f: MorphismTerm
     g: MorphismTerm
     f1: MorphismTerm
     g1: MorphismTerm
 
-    def __str__(self):
-        return "%s[(%s,%s),(%s,%s)]" % (self.SYMBOL, self.f, self.g,
-                                        self.f1, self.g1)
+    def sides(self, data):
+        return (Comp1(Tensor1(self.f, self.g), Tensor1(self.f1, self.g1)),
+                Tensor1(Comp1(self.f, self.f1), Comp1(self.g, self.g1)))
 
 
 @dataclass(frozen=True)
@@ -280,6 +334,10 @@ class Phi0(_Symbol):
 
     a: ObjectWord
     a1: ObjectWord
+
+    def sides(self, data):
+        return (Id1(ObjTensor(self.a, self.a1)),
+                Tensor1(Id1(self.a), Id1(self.a1)))
 
 
 @dataclass(frozen=True)
@@ -290,15 +348,33 @@ class AssocF(_Symbol):
     g: MorphismTerm
     h: MorphismTerm
 
+    def sides(self, data):
+        (a, b), (c, d), (x, y) = (morphism_boundary(t, data)
+                                  for t in (self.f, self.g, self.h))
+        return (Comp1(Assoc1(b, d, y),
+                      Tensor1(Tensor1(self.f, self.g), self.h)),
+                Comp1(Tensor1(self.f, Tensor1(self.g, self.h)),
+                      Assoc1(a, c, x)))
+
 
 @dataclass(frozen=True)
 class LeftUnitorF(_Symbol):
     f: MorphismTerm
 
+    def sides(self, data):
+        a, b = morphism_boundary(self.f, data)
+        return (Comp1(LeftUnitor1(b), Tensor1(Id1(UNIT), self.f)),
+                Comp1(self.f, LeftUnitor1(a)))
+
 
 @dataclass(frozen=True)
 class RightUnitorF(_Symbol):
     f: MorphismTerm
+
+    def sides(self, data):
+        a, b = morphism_boundary(self.f, data)
+        return (Comp1(RightUnitor1(b), self.f),
+                Comp1(Tensor1(self.f, Id1(UNIT)), RightUnitor1(a)))
 
 
 @dataclass(frozen=True)
@@ -308,6 +384,11 @@ class BraidF(_Symbol):
     f: MorphismTerm
     g: MorphismTerm
 
+    def sides(self, data):
+        (a, b), (c, d) = (morphism_boundary(t, data) for t in (self.f, self.g))
+        return (Comp1(Braid1(b, d), Tensor1(self.f, self.g)),
+                Comp1(Tensor1(self.g, self.f), Braid1(a, c)))
+
 
 @dataclass(frozen=True)
 class Pi(_Symbol):
@@ -316,11 +397,26 @@ class Pi(_Symbol):
     c: ObjectWord
     d: ObjectWord
 
+    def sides(self, data):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (Comp1(Comp1(Tensor1(Id1(a), Assoc1(b, c, d)),
+                            Assoc1(a, ObjTensor(b, c), d)),
+                      Tensor1(Assoc1(a, b, c), Id1(d))),
+                Comp1(Assoc1(a, b, ObjTensor(c, d)),
+                      Assoc1(ObjTensor(a, b), c, d)))
+
 
 @dataclass(frozen=True)
 class MuCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
+
+    def sides(self, data):
+        a, b = self.a, self.b
+        return (Comp1(Comp1(Tensor1(Id1(a), LeftUnitor1(b)),
+                            Assoc1(a, UNIT, b)),
+                      Tensor1(RightUnitor1(a), Id1(b))),
+                Id1(ObjTensor(a, b)))
 
 
 @dataclass(frozen=True)
@@ -328,11 +424,21 @@ class LamCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
 
+    def sides(self, data):
+        a, b = self.a, self.b
+        return (Tensor1(LeftUnitor1(a), Id1(b)),
+                Comp1(LeftUnitor1(ObjTensor(a, b)), Assoc1(UNIT, a, b)))
+
 
 @dataclass(frozen=True)
 class RhoCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
+
+    def sides(self, data):
+        a, b = self.a, self.b
+        return (Tensor1(Id1(a), RightUnitor1(b)),
+                Comp1(Assoc1(a, b, UNIT), RightUnitor1(ObjTensor(a, b))))
 
 
 @dataclass(frozen=True)
@@ -341,12 +447,27 @@ class RCell(_Symbol):
     b: ObjectWord
     c: ObjectWord
 
+    def sides(self, data):
+        a, b, c = self.a, self.b, self.c
+        return (Comp1(Comp1(Assoc1(b, c, a), Braid1(a, ObjTensor(b, c))),
+                      Assoc1(a, b, c)),
+                Comp1(Comp1(Tensor1(Id1(b), Braid1(a, c)), Assoc1(b, a, c)),
+                      Tensor1(Braid1(a, b), Id1(c))))
+
 
 @dataclass(frozen=True)
 class SCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
     c: ObjectWord
+
+    def sides(self, data):
+        a, b, c = self.a, self.b, self.c
+        return (Comp1(Comp1(Adj1(Assoc1(c, a, b)), Braid1(ObjTensor(a, b), c)),
+                      Adj1(Assoc1(a, b, c))),
+                Comp1(Comp1(Tensor1(Braid1(a, c), Id1(b)),
+                            Adj1(Assoc1(a, c, b))),
+                      Tensor1(Id1(a), Braid1(b, c))))
 
 
 @dataclass(frozen=True)
@@ -356,45 +477,37 @@ class SigmaCell(_Symbol):
     a: ObjectWord
     b: ObjectWord
 
+    def sides(self, data):
+        return (Id1(ObjTensor(self.a, self.b)),
+                Comp1(Braid1(self.b, self.a), Braid1(self.a, self.b)))
+
 
 @dataclass(frozen=True)
-class Inv2:
+class Inv2(_Composite):
     """Formal inverse of an invertible structural 2-cell."""
 
     inner: "TwoCellTerm"
 
-    def __str__(self):
-        return "inv2(%s)" % (self.inner,)
-
 
 @dataclass(frozen=True)
-class VComp:
+class VComp(_Composite):
     """Vertical chain, children listed in application order (first acts first)."""
 
     children: Tuple["TwoCellTerm", ...]
 
-    def __str__(self):
-        return "(%s)" % " . ".join(str(c) for c in self.children)
-
 
 @dataclass(frozen=True)
-class HComp:
+class HComp(_Composite):
     """Horizontal composite ``HComp(outer, inner)`` = outer * inner."""
 
     outer: "TwoCellTerm"
     inner: "TwoCellTerm"
 
-    def __str__(self):
-        return "(%s # %s)" % (self.outer, self.inner)
-
 
 @dataclass(frozen=True)
-class Tensor2:
+class Tensor2(_Composite):
     left: "TwoCellTerm"
     right: "TwoCellTerm"
-
-    def __str__(self):
-        return "(%s (*) %s)" % (self.left, self.right)
 
 
 TwoCellTerm = Union[Gen2, Id2, AssocC, RC, LC, Eta, Eps, PhiTensor, Phi0,
@@ -409,10 +522,10 @@ TwoCellTerm = Union[Gen2, Id2, AssocC, RC, LC, Eta, Eps, PhiTensor, Phi0,
 
 #: DSL name -> class of every structural symbol.  Parsing, printing,
 #: validation, the reserved names and orientation forgetting all read this
-#: table; only the boundary formulas (`_leaf_boundary`, `morphism_boundary`)
-#: are written per symbol.  The strand map of each 2-symbol (`strand_paths`)
-#: and the strand wiring of each 1-symbol (`_diagram.leaf_arc_spec`) derive
-#: from its boundary formula.
+#: table and the class; the class alone holds the parameters (its fields),
+#: the boundary formula (`ends` or `sides`) and any argument grouping.  The
+#: strand map of each 2-symbol (`strand_paths`) and the strand wiring of
+#: each 1-symbol (`_diagram.leaf_arc_spec`) derive from its formula.
 SYMBOLS = {
     "I": Id1, "alpha": Assoc1, "l": LeftUnitor1, "r": RightUnitor1,
     "beta": Braid1,
@@ -436,8 +549,6 @@ STRUCTURAL_1 = tuple(c for c in SYMBOLS.values()
 STRUCTURAL_2 = tuple(c for c in SYMBOLS.values()
                      if c in get_args(TwoCellTerm))
 
-_RESERVED = set(SYMBOLS) | {"inv", "inv2", "1"}
-
 
 # ---------------------------------------------------------------------------
 # the composite nodes
@@ -457,6 +568,18 @@ _PARTS = {
     Tensor1: (("left", "left"), ("right", "right")),
 }
 
+#: composite class -> its DSL token: a wrapper keyword ``inv(part)``, or the
+#: infix token between its parts ``(part ; part)`` in `parts` order.  The
+#: chain `VComp` takes one or more parts, every other infix two.  Printing
+#: (`_Composite`) and parsing (`_Level`) both read this table.
+_SYNTAX = {
+    Adj1: "inv", Comp1: ";", Tensor1: "(*)",
+    Inv2: "inv2", VComp: ".", HComp: "#", Tensor2: "(*)",
+}
+
+_RESERVED = (set(SYMBOLS) | {"1"}
+             | {token for token in _SYNTAX.values() if token.isidentifier()})
+
 
 def parts(node):
     """(path step, child) pairs of a composite node; [] for a leaf."""
@@ -468,10 +591,14 @@ def parts(node):
 
 def rebuild(node, children):
     """A node of the same class as `node` over `children` (in `parts` order)."""
-    if type(node) is VComp:
+    return _assemble(type(node), children)
+
+
+def _assemble(cls, children):
+    """A composite of class `cls` over `children` (in `parts` order)."""
+    if cls is VComp:
         return VComp(tuple(children))
-    return type(node)(**{name: c for (_, name), c
-                         in zip(_PARTS[type(node)], children)})
+    return cls(**{name: c for (_, name), c in zip(_PARTS[cls], children)})
 
 
 def subterms(node, path=()):
@@ -484,8 +611,6 @@ def subterms(node, path=()):
 def vcompose(ps: Sequence[TwoCellTerm], data: GeneratingData) -> TwoCellTerm:
     """Vertical chain of two-cells in application order; nested chains are
     flattened.  Boundary mismatches over `data` raise TermError."""
-    if not ps:
-        raise TermError("vertical chain must be non-empty")
     chain = VComp(tuple(c for p in ps
                         for c in (p.children if isinstance(p, VComp) else (p,))))
     two_cell_boundary(chain, data)
@@ -546,17 +671,6 @@ def morphism_boundary(t: MorphismTerm, data: GeneratingData,
     names resolved against `data`."""
     if isinstance(t, Gen1):
         return data.one_gen_boundary(t.name)
-    if isinstance(t, Id1):
-        return (t.word, t.word)
-    if isinstance(t, Assoc1):
-        return (ObjTensor(ObjTensor(t.u, t.v), t.w),
-                ObjTensor(t.u, ObjTensor(t.v, t.w)))
-    if isinstance(t, LeftUnitor1):
-        return (ObjTensor(UNIT, t.word), t.word)
-    if isinstance(t, RightUnitor1):
-        return (t.word, ObjTensor(t.word, UNIT))
-    if isinstance(t, Braid1):
-        return (ObjTensor(t.u, t.v), ObjTensor(t.v, t.u))
     if isinstance(t, Adj1):
         s, g = morphism_boundary(t.inner, data, path + ("inv",))
         return (g, s)
@@ -572,103 +686,20 @@ def morphism_boundary(t: MorphismTerm, data: GeneratingData,
         sl, tl = morphism_boundary(t.left, data, path + ("left",))
         sr, tr = morphism_boundary(t.right, data, path + ("right",))
         return (ObjTensor(sl, sr), ObjTensor(tl, tr))
+    if isinstance(t, STRUCTURAL_1):
+        return t.ends()
     raise TermError("not a morphism term: %r" % (t,), path)
-
-
-def _leaf_boundary(p, data):
-    """(source, target) morphism terms of a structural or generator 2-leaf."""
-    if isinstance(p, Gen2):
-        return data.two_gen_boundary(p.name)
-    if isinstance(p, Id2):
-        return (p.f, p.f)
-    if isinstance(p, AssocC):
-        return (Comp1(Comp1(p.f0, p.f1), p.f2),
-                Comp1(p.f0, Comp1(p.f1, p.f2)))
-    if isinstance(p, RC):
-        a, _ = morphism_boundary(p.f, data)
-        return (Comp1(p.f, Id1(a)), p.f)
-    if isinstance(p, LC):
-        _, b = morphism_boundary(p.f, data)
-        return (Comp1(Id1(b), p.f), p.f)
-    if isinstance(p, Eta):
-        a, _ = morphism_boundary(p.f, data)
-        return (Id1(a), Comp1(formal_adjoint(p.f), p.f))
-    if isinstance(p, Eps):
-        _, b = morphism_boundary(p.f, data)
-        return (Comp1(p.f, formal_adjoint(p.f)), Id1(b))
-    if isinstance(p, PhiTensor):
-        return (Comp1(Tensor1(p.f, p.g), Tensor1(p.f1, p.g1)),
-                Tensor1(Comp1(p.f, p.f1), Comp1(p.g, p.g1)))
-    if isinstance(p, Phi0):
-        return (Id1(ObjTensor(p.a, p.a1)), Tensor1(Id1(p.a), Id1(p.a1)))
-    if isinstance(p, AssocF):
-        (a, b) = morphism_boundary(p.f, data)
-        (c, d) = morphism_boundary(p.g, data)
-        (x, y) = morphism_boundary(p.h, data)
-        return (Comp1(Assoc1(b, d, y), Tensor1(Tensor1(p.f, p.g), p.h)),
-                Comp1(Tensor1(p.f, Tensor1(p.g, p.h)), Assoc1(a, c, x)))
-    if isinstance(p, LeftUnitorF):
-        (a, b) = morphism_boundary(p.f, data)
-        return (Comp1(LeftUnitor1(b), Tensor1(Id1(UNIT), p.f)),
-                Comp1(p.f, LeftUnitor1(a)))
-    if isinstance(p, RightUnitorF):
-        (a, b) = morphism_boundary(p.f, data)
-        return (Comp1(RightUnitor1(b), p.f),
-                Comp1(Tensor1(p.f, Id1(UNIT)), RightUnitor1(a)))
-    if isinstance(p, BraidF):
-        (a, b) = morphism_boundary(p.f, data)
-        (c, d) = morphism_boundary(p.g, data)
-        return (Comp1(Braid1(b, d), Tensor1(p.f, p.g)),
-                Comp1(Tensor1(p.g, p.f), Braid1(a, c)))
-    if isinstance(p, Pi):
-        a, b, c, d = p.a, p.b, p.c, p.d
-        lhs = Comp1(Comp1(Tensor1(Id1(a), Assoc1(b, c, d)),
-                          Assoc1(a, ObjTensor(b, c), d)),
-                    Tensor1(Assoc1(a, b, c), Id1(d)))
-        rhs = Comp1(Assoc1(a, b, ObjTensor(c, d)), Assoc1(ObjTensor(a, b), c, d))
-        return (lhs, rhs)
-    if isinstance(p, MuCell):
-        a, b = p.a, p.b
-        lhs = Comp1(Comp1(Tensor1(Id1(a), LeftUnitor1(b)), Assoc1(a, UNIT, b)),
-                    Tensor1(RightUnitor1(a), Id1(b)))
-        return (lhs, Id1(ObjTensor(a, b)))
-    if isinstance(p, LamCell):
-        a, b = p.a, p.b
-        return (Tensor1(LeftUnitor1(a), Id1(b)),
-                Comp1(LeftUnitor1(ObjTensor(a, b)), Assoc1(UNIT, a, b)))
-    if isinstance(p, RhoCell):
-        a, b = p.a, p.b
-        return (Tensor1(Id1(a), RightUnitor1(b)),
-                Comp1(Assoc1(a, b, UNIT), RightUnitor1(ObjTensor(a, b))))
-    if isinstance(p, RCell):
-        a, b, c = p.a, p.b, p.c
-        lhs = Comp1(Comp1(Assoc1(b, c, a), Braid1(a, ObjTensor(b, c))),
-                    Assoc1(a, b, c))
-        rhs = Comp1(Comp1(Tensor1(Id1(b), Braid1(a, c)), Assoc1(b, a, c)),
-                    Tensor1(Braid1(a, b), Id1(c)))
-        return (lhs, rhs)
-    if isinstance(p, SCell):
-        a, b, c = p.a, p.b, p.c
-        lhs = Comp1(Comp1(Adj1(Assoc1(c, a, b)), Braid1(ObjTensor(a, b), c)),
-                    Adj1(Assoc1(a, b, c)))
-        rhs = Comp1(Comp1(Tensor1(Braid1(a, c), Id1(b)), Adj1(Assoc1(a, c, b))),
-                    Tensor1(Id1(a), Braid1(b, c)))
-        return (lhs, rhs)
-    if isinstance(p, SigmaCell):
-        a, b = p.a, p.b
-        return (Id1(ObjTensor(a, b)), Comp1(Braid1(b, a), Braid1(a, b)))
-    raise TermError("not a 2-cell leaf: %r" % (p,))
 
 
 def _strand_paths(cls):
     """(source path, target path) of each morphism parameter on both sides
-    of structural 2-cell `cls`, read off `_leaf_boundary` with one marker
-    leaf ``inv(I[#f])`` per parameter: it equals no sentence the formulas
-    build, and they read no data for it."""
+    of structural 2-cell `cls`, read off its `sides` with one marker leaf
+    ``inv(I[#f])`` per parameter: it equals no sentence the formulas build,
+    and they read no data for it."""
     marker = {name: Adj1(Id1(ObjGen("#" + name))) if kind == "morphism"
               else ObjGen("#" + name) for name, kind in cls.ARGS}
     source, target = ({t: path for path, t in subterms(side)}
-                      for side in _leaf_boundary(cls(**marker), None))
+                      for side in cls(**marker).sides(None))
     return tuple((source[m], target[m]) for m in marker.values()
                  if m in source and m in target)
 
@@ -697,7 +728,7 @@ def _walk(p, data, path, tape):
     an `Inv2` is one leaf, its cell's sides swapped."""
     if isinstance(p, Inv2):
         if not isinstance(p.inner, STRUCTURAL_2):
-            raise TermError("inv2 only applies to structural 2-cells", path)
+            raise TermError("inv2 of a non-invertible cell", path)
         t, s, a, b = _walk(p.inner, data, path + ("inv2",), None)
     elif isinstance(p, VComp):
         if not p.children:
@@ -719,19 +750,21 @@ def _walk(p, data, path, tape):
         sr, tr, ar, br = _walk(p.right, data, path + ("right",), tape)
         return (Tensor1(sl, sr), Tensor1(tl, tr),
                 ObjTensor(al, ar), ObjTensor(bl, br))
-    elif not isinstance(p, STRUCTURAL_2):
+    elif isinstance(p, Gen2):
         # a generator is globular by construction of `data`
-        s, t = _leaf_boundary(p, data)
+        s, t = data.two_gen_boundary(p.name)
         a, b = morphism_boundary(s, data)
-    else:
+    elif isinstance(p, STRUCTURAL_2):
         try:
-            s, t = _leaf_boundary(p, data)
+            s, t = p.sides(data)
             a, b = morphism_boundary(s, data)
             if t is not s:
                 morphism_boundary(t, data)
         except TermError as e:
             # its path inside the sentence names no part of the term
             raise TermError("%s: %s" % (p.SYMBOL, e.message), path) from None
+    else:
+        raise TermError("not a 2-cell leaf: %r" % (p,), path)
     if tape is not None and type(p) is not Id2:
         tape.append((path, p, s, t))
     return (s, t, a, b)
@@ -891,6 +924,31 @@ def _lex(text):
     return tokens
 
 
+class _Level:
+    """The grammar of one term level, read off `SYMBOLS` and `_SYNTAX`: its
+    `name` in messages, its generator and symbol classes, its wrapper
+    keyword, built by `wrap` (``inv(...)`` parses to the formal adjoint),
+    and lexer token kind -> infix composite."""
+
+    def __init__(self, name, union, generator, wrap):
+        self.name, self.generator, self.wrap = name, generator, wrap
+        self.classes = set(get_args(union))
+        syntax = [(c, t) for c, t in _SYNTAX.items() if c in self.classes]
+        self.keyword = next(t for _, t in syntax if t.isidentifier())
+        self.infix = {_lex(t)[0][0]: c for c, t in syntax
+                      if not t.isidentifier()}
+        self.chain = VComp in self.classes
+        # the tensor token has two spellings, so messages name its kind
+        expected = ["tensor" if kind == "TENSOR" else repr(_SYNTAX[c])
+                    for kind, c in self.infix.items()]
+        expected += ["')'"] if self.chain else []
+        self.expected = "%s or %s" % (", ".join(expected[:-1]), expected[-1])
+
+
+_MORPHISM = _Level("morphism", MorphismTerm, Gen1, formal_adjoint)
+_TWO_CELL = _Level("2-cell", TwoCellTerm, Gen2, Inv2)
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _lex(text)
@@ -934,96 +992,57 @@ class _Parser:
     # structural symbols -----------------------------------------------
 
     def _symbol(self, cls):
-        """The bracketed arguments of structural symbol `cls`, read by kind."""
-        grouped = cls is PhiTensor      # phi[(f,g),(f',g')]
+        """The bracketed arguments of structural symbol `cls`, read by kind
+        and parenthesised in runs of ``cls.GROUP`` as `_Symbol` prints them."""
+        group = cls.GROUP
         self.expect("LBRACK")
         args = []
         for i, (_, kind) in enumerate(cls.ARGS):
             if i:
                 self.expect("COMMA")
-            if grouped and i % 2 == 0:
+            if group > 1 and i % group == 0:
                 self.expect("LPAR")
             args.append(self.object_word() if kind == "object"
-                        else self.morphism())
-            if grouped and i % 2 == 1:
+                        else self.term(_MORPHISM))
+            if group > 1 and i % group == group - 1:
                 self.expect("RPAR")
         self.expect("RBRACK")
         return cls(*args)
 
-    # morphism terms ---------------------------------------------------
+    # morphism and two-cell terms --------------------------------------
 
-    def morphism(self):
-        kind, text, pos = self.peek()
+    def term(self, level):
+        """A term at `level` (`_MORPHISM` or `_TWO_CELL`)."""
+        kind, text, pos = self.next()
         if kind == "NAME":
-            self.next()
-            if text == "inv":
+            if text == level.keyword:
                 self.expect("LPAR")
-                inner = self.morphism()
+                inner = self.term(level)
                 self.expect("RPAR")
-                return formal_adjoint(inner)
+                return level.wrap(inner)
             cls = SYMBOLS.get(text)
             if cls is None and text not in _RESERVED:
-                return Gen1(text)
-            if cls in STRUCTURAL_1:
+                return level.generator(text)
+            if cls in level.classes:
                 return self._symbol(cls)
-            raise ParseError("reserved name %r in morphism position" % text, pos)
+            raise ParseError("reserved name %r in %s position"
+                             % (text, level.name), pos)
         if kind == "LPAR":
-            self.next()
-            first = self.morphism()
-            kind2, text2, pos2 = self.next()
-            if kind2 == "SEMI":
-                after = self.morphism()
-                self.expect("RPAR")
-                return Comp1(after, first)
-            if kind2 == "TENSOR":
-                right = self.morphism()
-                self.expect("RPAR")
-                return Tensor1(first, right)
-            raise ParseError("expected ';' or tensor, got %r" % text2, pos2)
-        raise ParseError("expected morphism term, got %r" % text, pos)
-
-    # two-cell terms ---------------------------------------------------
-
-    def two_cell(self):
-        kind, text, pos = self.peek()
-        if kind == "NAME":
-            self.next()
-            if text == "inv2":
-                self.expect("LPAR")
-                inner = self.two_cell()
-                self.expect("RPAR")
-                return Inv2(inner)
-            cls = SYMBOLS.get(text)
-            if cls is None and text not in _RESERVED:
-                return Gen2(text)
-            if cls in STRUCTURAL_2:
-                return self._symbol(cls)
-            raise ParseError("reserved name %r in 2-cell position" % text, pos)
-        if kind == "LPAR":
-            self.next()
-            first = self.two_cell()
-            kind2, text2, pos2 = self.next()
-            if kind2 == "DOT":
-                children = [first, self.two_cell()]
-                while self.peek()[0] == "DOT":
-                    self.next()
-                    children.append(self.two_cell())
-                self.expect("RPAR")
-                return VComp(tuple(children))
-            if kind2 == "HASH":
-                inner = self.two_cell()
-                self.expect("RPAR")
-                return HComp(first, inner)
-            if kind2 == "TENSOR":
-                right = self.two_cell()
-                self.expect("RPAR")
-                return Tensor2(first, right)
-            if kind2 == "RPAR":
-                # unary vertical chain ( P )
-                return VComp((first,))
-            raise ParseError("expected '.', '#', tensor or ')', got %r" % text2,
-                             pos2)
-        raise ParseError("expected 2-cell term, got %r" % text, pos)
+            children = [self.term(level)]
+            kind, text, pos = self.next()
+            cls = level.infix.get(kind)
+            if cls is None:
+                if kind == "RPAR" and level.chain:  # unary chain ( P )
+                    return VComp(tuple(children))
+                raise ParseError("expected %s, got %r"
+                                 % (level.expected, text), pos)
+            children.append(self.term(level))
+            while cls is VComp and self.peek()[0] == kind:
+                self.next()
+                children.append(self.term(level))
+            self.expect("RPAR")
+            return _assemble(cls, children)
+        raise ParseError("expected %s term, got %r" % (level.name, text), pos)
 
 
 def parse_object_word(text: str) -> ObjectWord:
@@ -1036,7 +1055,7 @@ def parse_object_word(text: str) -> ObjectWord:
 
 def parse_morphism(text: str) -> MorphismTerm:
     p = _Parser(text)
-    t = p.morphism()
+    t = p.term(_MORPHISM)
     if not p.at_end():
         raise ParseError("trailing input", p.peek()[2])
     return t
@@ -1044,7 +1063,7 @@ def parse_morphism(text: str) -> MorphismTerm:
 
 def parse_two_cell(text: str, data: Optional[GeneratingData] = None) -> TwoCellTerm:
     p = _Parser(text)
-    t = p.two_cell()
+    t = p.term(_TWO_CELL)
     if not p.at_end():
         raise ParseError("trailing input", p.peek()[2])
     if data is not None:

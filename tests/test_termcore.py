@@ -297,6 +297,39 @@ def test_parse_error_positions():
         tc.parse_object_word("(pt @ pt)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(cap ; cup)", "expected '.', '#', tensor or ')', got ';' (at position 5)"),
+    ("(cap . ", "expected 2-cell term, got '' (at position 7)"),
+    ("id[(ev . ev)]", "expected ';' or tensor, got '.' (at position 7)"),
+    ("id[(ev ; )]", "expected morphism term, got ')' (at position 9)"),
+    ("alpha[pt,pt,pt]",
+     "reserved name 'alpha' in 2-cell position (at position 0)"),
+    ("id[inv2(ev)]",
+     "reserved name 'inv2' in morphism position (at position 3)"),
+    ("inv(cap)", "reserved name 'inv' in 2-cell position (at position 0)"),
+    ("phi[ev,ev,ev,ev]", "expected LPAR, got 'ev' (at position 4)"),
+    ("cap cup", "trailing input (at position 4)"),
+], ids=["semi-in-2-cell", "missing-operand", "dot-in-morphism",
+        "missing-morphism", "1-symbol-as-2-cell", "inv2-as-morphism",
+        "inv-as-2-cell", "ungrouped-phi", "trailing"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(tc.ParseError) as exc:
+        tc.parse_two_cell(text)
+    assert str(exc.value) == message
+
+
+def test_parse_unary_chain_and_adjoint_of_a_composite():
+    unary = tc.parse_two_cell("(cap)")
+    assert unary == tc.VComp((Gen2("cap"),))
+    assert tc.parse_two_cell(str(unary)) == unary
+    # inv(...) over a composite parses to its formal adjoint
+    text = "id[inv((l[pt] ; (r[pt] (*) beta[pt,pt])))]"
+    adjoint = Id2(Comp1(Adj1(LeftUnitor1(P)),
+                        Tensor1(Adj1(RightUnitor1(P)), Adj1(Braid1(P, P)))))
+    assert tc.parse_two_cell(text) == adjoint
+    assert tc.parse_two_cell(str(adjoint)) == adjoint
+
+
 def test_validate_rejects_mutations(uno):
     """Constructor-generated terms validate; mutations of them do not."""
     import random as _random
@@ -394,6 +427,18 @@ def test_validate_reports_the_first_composability_failure(uno, text, entries):
     # horizontal composites, and only the first failure is reported; none
     # is looked for while a name or admissibility check fails
     assert tc.validate(tc.parse_two_cell(text), uno.data).entries == entries
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: vcompose([], d), "empty vertical chain"),
+    (lambda d: tc.two_cell_boundary(Inv2(Gen2("cap")), d),
+     "inv2 of a non-invertible cell"),
+], ids=["empty-vcompose", "inv2-of-generator"])
+def test_walk_faults_read_as_validate_reports_them(uno, call, message):
+    # one check per admissibility fault, worded as `validate` words it
+    with pytest.raises(tc.TermError) as exc:
+        call(uno.data)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("compose, path, symbol", [
