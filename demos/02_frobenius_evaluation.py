@@ -35,7 +35,7 @@ print("Relation verification per algebra (oriented presentation):")
 for A in ALGEBRAS:
     rep = fr.verify_presentation(A, ORI)
     sep = fr.check_separable(A)
-    status = "all %d relations PASS" % len(rep.results) if rep.ok else \
+    status = "all %d relations PASS" % len(rep.checks) if rep.ok else \
         "FAILS %s" % ", ".join(rep.failures())
     print("  %-5s separable=%-5s %s" % (A.name, str(sep.separable), status))
 print()

@@ -171,6 +171,30 @@ def _leaf_nodes(node):
     return out
 
 
+def comp_order(state, comps):
+    """The current diagram's components `comps` in sentence-intrinsic order.
+
+    Ordered by first boundary-port position, then by the leftmost leaf of
+    the sentence tree touching the component; identical for any two movies
+    ending at the same sentence.
+    """
+    port_pos = {}
+    for pos, end in enumerate(list(state.root.src_ports)
+                              + list(state.root.tgt_ports)):
+        if end is not None:
+            port_pos.setdefault(end[0], pos)
+    leaf_pos = {}
+    for i, node in enumerate(_leaf_nodes(state.root)):
+        for k, a in enumerate(node.arc_ids):
+            leaf_pos[a] = (i, k)
+    def key(comp):
+        ppos = min((port_pos[a] for a in comp if a in port_pos),
+                   default=10 ** 9)
+        lpos = min(leaf_pos.get(a, (10 ** 9, 0)) for a in comp)
+        return (ppos, lpos)
+    return sorted(comps, key=key)
+
+
 def _arcs(node, path=()):
     """Arc ids of the subtree of `node` at sentence path `path`, in leaf
     order."""

@@ -20,12 +20,18 @@ class BuildError(Exception):
     pass
 
 
+#: sentence composite -> the 2-cell composite over its whiskered parts,
+#: given in `parts` order: a composite sentence lifts to a horizontal one
+_LIFT = {Comp1: lambda first, after: HComp(after, first), Tensor1: Tensor2}
+
+
 def whisker_cell(sentence, path, cell, data):
     """Embed `cell` at `path` of `sentence`, padding with identities.
 
-    The cell's source, resolved against `data`, is matched against the
-    subterm at `path`, so the padding composes by construction and is
-    built without re-checking.
+    The part of `sentence` on the path is whiskered and every other part
+    is padded with its identity.  The cell's source, resolved against
+    `data`, is matched against the subterm at `path`, so the padding
+    composes by construction and is built without re-checking.
     """
     if not path:
         src = tc.two_cell_source(cell, data)
@@ -34,19 +40,12 @@ def whisker_cell(sentence, path, cell, data):
                              % (src, sentence))
         return cell
     step, rest = path[0], path[1:]
-    if isinstance(sentence, Comp1):
-        if step == "first":
-            return HComp(Id2(sentence.after),
-                         whisker_cell(sentence.first, rest, cell, data))
-        return HComp(whisker_cell(sentence.after, rest, cell, data),
-                     Id2(sentence.first))
-    if isinstance(sentence, Tensor1):
-        if step == "left":
-            return Tensor2(whisker_cell(sentence.left, rest, cell, data),
-                           Id2(sentence.right))
-        return Tensor2(Id2(sentence.left),
-                       whisker_cell(sentence.right, rest, cell, data))
-    raise BuildError("path does not exist in %s" % (sentence,))
+    ps = tc.parts(sentence)
+    if step not in [s for s, _ in ps]:
+        raise BuildError("path does not exist in %s" % (sentence,))
+    return _LIFT[type(sentence)](*(
+        whisker_cell(c, rest, cell, data) if s == step else Id2(c)
+        for s, c in ps))
 
 
 class MovieBuilder:

@@ -145,8 +145,7 @@ def cmd_verify(args, out):
         return _error(EXIT_USAGE, exc)
     except DiagramError as exc:
         return _error(EXIT_FAILED, exc)
-    for name, ok in report.results:
-        out("%s %s" % ("PASS" if ok else "FAIL", name))
+    out(str(report))
     return EXIT_OK if report.ok else EXIT_FAILED
 
 

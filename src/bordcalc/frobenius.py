@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import termcore as tc
-from ._diagram import (MovieListener, _leaf_nodes, run_movie,
+from ._diagram import (MovieListener, comp_order, run_movie,
                        transfer_components)
 from .presentations import Presentation
 
@@ -268,7 +268,7 @@ class Report:
         return all(ok for _, ok, _ in self.checks)
 
     def failures(self):
-        return [(n, d) for n, ok, d in self.checks if not ok]
+        return [n for n, ok, _ in self.checks if not ok]
 
     def __str__(self):
         return "\n".join("%s %s%s" % ("PASS" if ok else "FAIL", n,
@@ -591,7 +591,7 @@ def standard_assignment(A: FrobAlgebra, p: Presentation) -> Assignment:
         raise AlgebraError("algebra %s is not symmetric Frobenius: failed %s"
                            % (A.name, ", ".join(
                                n + (" (%s)" % d if d else "")
-                               for n, d in rep.failures())))
+                               for n, ok, d in rep.checks if not ok)))
     if any(t == "sym" for t in p.two_gen_tags.values()) and A.star is None:
         raise AlgebraError(
             "presentation %s needs a star structure on %s" % (p.name, A.name))
@@ -634,30 +634,6 @@ class TwoCellValue:
         return "\n".join(" ".join(str(x) for x in row) for row in self.matrix)
 
 
-def _comp_order(state, comps):
-    """The current diagram's components `comps` in sentence-intrinsic order.
-
-    Ordered by first boundary-port position, then by the leftmost leaf of
-    the sentence tree touching the component; identical for any two movies
-    ending at the same sentence.
-    """
-    port_pos = {}
-    for pos, end in enumerate(list(state.root.src_ports)
-                              + list(state.root.tgt_ports)):
-        if end is not None:
-            port_pos.setdefault(end[0], pos)
-    leaf_pos = {}
-    for i, node in enumerate(_leaf_nodes(state.root)):
-        for k, a in enumerate(node.arc_ids):
-            leaf_pos[a] = (i, k)
-    def key(comp):
-        ppos = min((port_pos[a] for a in comp if a in port_pos),
-                   default=10 ** 9)
-        lpos = min(leaf_pos.get(a, (10 ** 9, 0)) for a in comp)
-        return (ppos, lpos)
-    return sorted(comps, key=key)
-
-
 def _comp_of(comps, arc):
     for comp in comps:
         if arc in comp:
@@ -685,7 +661,7 @@ class _EvalListener(MovieListener):
 
     def begin(self, state):
         self.comps = state.diagram.components()
-        self.slots = _comp_order(state, self.comps)
+        self.slots = comp_order(state, self.comps)
         self.sources = len(self.slots)
         basis = itertools.product(range(self.A.dim), repeat=self.sources)
         self.state = {(col, idx): Q(1) for col, idx in enumerate(basis)}
@@ -769,7 +745,7 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
     listener = _EvalListener(assignment)
     state = run_movie(report, p.arc_patterns, listener)
     slot_of = {comp: i for i, comp in enumerate(listener.slots)}
-    order = [slot_of[comp] for comp in _comp_order(state, listener.comps)]
+    order = [slot_of[comp] for comp in comp_order(state, listener.comps)]
     matrix = [[Q(0)] * n ** listener.sources for _ in range(n ** len(order))]
     for (col, idx), c in listener.state.items():
         row = 0
@@ -780,30 +756,13 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
                         tuple(tuple(r) for r in matrix))
 
 
-@dataclass
-class VerifyReport:
-    results: List[tuple] = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(ok for _, ok in self.results)
-
-    def failures(self):
-        return [n for n, ok in self.results if not ok]
-
-    def __str__(self):
-        return "\n".join("%s %s" % ("PASS" if ok else "FAIL", n)
-                         for n, ok in self.results)
-
-
-def verify_presentation(A: FrobAlgebra, p: Presentation) -> VerifyReport:
-    """Exact matrix equality of both sides of every relation."""
+def verify_presentation(A: FrobAlgebra, p: Presentation) -> Report:
+    """Exact matrix equality of both sides of every relation, one check
+    per relation."""
     asg = standard_assignment(A, p)
-    rep = VerifyReport()
+    rep = Report()
     for rel in p.relations:
-        lv = evaluate(rel.lhs, asg)
-        rv = evaluate(rel.rhs, asg)
-        rep.results.append((rel.name, lv == rv))
+        rep.add(rel.name, evaluate(rel.lhs, asg) == evaluate(rel.rhs, asg))
     return rep
 
 

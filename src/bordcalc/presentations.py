@@ -25,7 +25,7 @@ the vertical chain (which flattens and splices) is handled by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, get_args
 
 from . import termcore as tc
 from .termcore import (Adj1, Assoc1, AssocC, Braid1, Comp1, Gen1, Gen2, HComp,
@@ -119,23 +119,6 @@ ORIENTED_RELATION_COUNT = 12     # 8 disk/saddle cancels + 4 cusp
 ORIENTED_CUSP_GENERATOR_COUNT = 4
 
 
-def invert_structural(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
-    """Formal inverse of a 2-cell built from structural cells only.
-
-    A chain inverts in reverse order, every other composite part by part.
-    """
-    if isinstance(p, tc.Id2):
-        return p
-    if isinstance(p, tc.Inv2):
-        return p.inner
-    if isinstance(p, tc.STRUCTURAL_2):
-        return Inv2(p)
-    inverses = [invert_structural(c) for _, c in tc.parts(p)]
-    if not inverses:
-        raise PresentationError("cannot invert non-structural cell %r" % (p,))
-    return tc.rebuild(p, inverses[::-1] if isinstance(p, VComp) else inverses)
-
-
 # ---------------------------------------------------------------------------
 # shared constructions
 # ---------------------------------------------------------------------------
@@ -194,14 +177,11 @@ def _morse_cancel_rows(ev, coev):
     pinch_out_b = [HComp(Id2(ev), HComp(Gen2("merge"), Id2(coev))),
                    HComp(Id2(ev), LC(coev))]
 
-    def inv_chain(cells):
-        return [invert_structural(c) for c in reversed(cells)]
-
     rows = []
     for dress, to_dd, pin, pout in (
             ("a", to_dd_a, pinch_in_a, pinch_out_a),
             ("b", to_dd_b, pinch_in_b, pinch_out_b)):
-        from_dd = inv_chain(to_dd)
+        from_dd = [tc.formal_adjoint(c) for c in reversed(to_dd)]
         rows.append(Relation(
             "morse-cancel-split-cup-outer-" + dress,
             VComp((*pin, *to_dd, HComp(Gen2("cup"), Id2(D)), LC(D))),
@@ -345,57 +325,51 @@ _GEN2_MAP = {"cap": "cap", "cup": "cup", "split": "split", "merge": "merge",
              "cusp_up_pos": "cusp_up", "cusp_down_pos": "cusp_down"}
 
 
-def _forget_object(w):
-    if isinstance(w, tc.Unit):
-        return w
-    if isinstance(w, tc.ObjGen):
-        return ObjGen(_POINT_MAP.get(w.name, w.name))
-    return tc.ObjTensor(_forget_object(w.left), _forget_object(w.right))
+#: term level, named as in a structural symbol's `ARGS` -> the node
+#: classes a term of that level is built from
+_LEVELS = {level: set(get_args(union)) for level, union in (
+    ("object", tc.ObjectWord), ("morphism", tc.MorphismTerm),
+    ("2-cell", tc.TwoCellTerm))}
 
 
-def _forget_morphism(t):
-    if isinstance(t, tc.Gen1):
-        return t
-    if isinstance(t, tc.Adj1):
-        return Adj1(_forget_morphism(t.inner))
-    if isinstance(t, tc.STRUCTURAL_1):
-        return _forget_symbol(t)
-    return _forget_parts(t, _forget_morphism)
-
-
-def _forget_parts(node, forget):
-    """`node` rebuilt over its forgotten parts; a leaf left over raises."""
+def _forget(node, level):
+    """`node`, a term of `level`, with its point labels and oriented
+    2-generators forgotten; a node of another level raises."""
+    cls = type(node)
+    if cls not in _LEVELS[level]:
+        raise PresentationError("cannot forget %r as a %s" % (node, level))
+    if cls is ObjGen:
+        return ObjGen(_POINT_MAP.get(node.name, node.name))
+    if cls is Gen2:
+        if node.name in ("cusp_up_neg", "cusp_down_neg"):
+            raise PresentationError(
+                "forgetting the mirror cusp cells is not supported")
+        if node.name not in _GEN2_MAP:
+            raise PresentationError("unknown oriented generator %r"
+                                    % node.name)
+        return Gen2(_GEN2_MAP[node.name])
+    if cls in tc.STRUCTURAL_1 or cls in tc.STRUCTURAL_2:
+        return cls(*(_forget(getattr(node, name), kind)
+                     for name, kind in cls.ARGS))
+    if cls is tc.ObjTensor:
+        return tc.ObjTensor(_forget(node.left, level),
+                            _forget(node.right, level))
+    if cls is Adj1:
+        return Adj1(_forget(node.inner, level))
     ps = tc.parts(node)
-    if not ps:
-        raise PresentationError("cannot forget %r" % (node,))
-    return tc.rebuild(node, [forget(c) for _, c in ps])
-
-
-def _forget_symbol(p):
-    """The same structural symbol with every parameter forgotten."""
-    return type(p)(*(_forget_object(getattr(p, name)) if kind == "object"
-                     else _forget_morphism(getattr(p, name))
-                     for name, kind in p.ARGS))
+    return tc.rebuild(node, [_forget(c, level) for _, c in ps]) if ps else node
 
 
 def forget_orientation(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
-    """Image of an oriented term under the orientation-forgetting map.
+    """Image of an oriented 2-cell term under the orientation-forgetting map.
 
     Point labels collapse, every oriented generator maps to its unoriented
     counterpart.  The negative cusp cells denote the mirror zigzag, which
     the unoriented presentation reaches through its own cusp cells only up
-    to a crossing isotopy; mapping them is not supported and raises.
+    to a crossing isotopy; mapping them is not supported and raises.  An
+    object word or a morphism term raises.
     """
-    if isinstance(p, tc.Gen2):
-        if p.name in ("cusp_up_neg", "cusp_down_neg"):
-            raise PresentationError(
-                "forgetting the mirror cusp cells is not supported")
-        if p.name not in _GEN2_MAP:
-            raise PresentationError("unknown oriented generator %r" % p.name)
-        return Gen2(_GEN2_MAP[p.name])
-    if isinstance(p, tc.STRUCTURAL_2):
-        return _forget_symbol(p)
-    return _forget_parts(p, forget_orientation)
+    return _forget(p, "2-cell")
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +526,15 @@ def equivalent_bounded(t1, t2, p: Presentation, depth: int = 6,
         for term, trail in frontier:
             expanded += 1
             for step in find_matches(term, p):
-                res = step.result
-                if res in seen:
+                # add, then compare sizes: each result is hashed once, and
+                # a frozen term's hash walks the whole term
+                res, size = step.result, len(seen)
+                seen.add(res)
+                if len(seen) == size:
                     continue
                 new_trail = trail + (step,)
                 if res == goal:
                     return SearchResult(True, new_trail, expanded, "found")
-                seen.add(res)
                 if len(seen) > max_visited:
                     return SearchResult(False, (), expanded, "budget")
                 nxt.append((res, new_trail))

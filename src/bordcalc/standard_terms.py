@@ -2,37 +2,44 @@
 
 These are the worked examples used by the test suite, the demos and the
 command line goldens.  Each builder takes the presentation it lives over.
+The closed surfaces are movies, as in the decomposition theorem: a list
+of (sentence path, cell) steps, each cell fired where the path points in
+the current sentence and whiskered there by `build.MovieBuilder`, starting
+from the empty sentence ``I[1]``.
 """
 
 from __future__ import annotations
 
-from . import termcore as tc
-from .termcore import (AssocC, Braid1, Comp1, Gen1, Gen2, Id1, Id2, Inv2, LC,
-                       ObjGen, RC, hcompose, vcompose)
+from .build import MovieBuilder
+from .termcore import (UNIT, AssocC, Braid1, Gen1, Gen2, Id1, Inv2, LC,
+                       ObjGen, RC, vcompose)
+
+#: one handle on the circle ev∘coev: open an identity strip between ev and
+#: coev, split it and merge it back (two saddles), and close the strip
+_HANDLE = [
+    (("after",), Inv2(RC(Gen1("ev")))),
+    (("after", "first"), Gen2("split")),
+    (("after", "first"), Gen2("merge")),
+    (("after",), RC(Gen1("ev"))),
+]
+
+
+def _movie(p, steps):
+    """The vertical chain of `steps` fired from the empty sentence."""
+    builder = MovieBuilder(p, Id1(UNIT))
+    for path, cell in steps:
+        builder.apply(path, cell)
+    return builder.term()
 
 
 def sphere(p):
     """Birth then death: the 2-sphere."""
-    return vcompose([Gen2("cap"), Gen2("cup")], p.data)
-
-
-def _handle(p):
-    ev, coev = Gen1("ev"), Gen1("coev")
-    return [
-        hcompose(Inv2(RC(ev)), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Gen2("split"), p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Gen2("merge"), p.data), Id2(coev), p.data),
-        hcompose(RC(ev), Id2(coev), p.data),
-    ]
+    return genus(p, 0)
 
 
 def genus(p, g: int):
     """Closed orientable surface of genus g: one disk pair, 2g saddles."""
-    cells = [Gen2("cap")]
-    for _ in range(g):
-        cells += _handle(p)
-    cells.append(Gen2("cup"))
-    return vcompose(cells, p.data)
+    return _movie(p, [((), Gen2("cap"))] + _HANDLE * g + [((), Gen2("cup"))])
 
 
 def torus(p):
@@ -47,20 +54,17 @@ def klein_bottle(p):
     ev, coev = Gen1("ev"), Gen1("coev")
     P = ObjGen(p.data.objects[0])
     beta = Braid1(P, P)
-    return vcompose([
-        Gen2("cap"),
-        hcompose(Inv2(RC(ev)), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Gen2("split"), p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev),
-                          hcompose(Id2(coev), Gen2("sym_ev_in"), p.data),
-                          p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), Inv2(AssocC(beta, ev, coev)), p.data),
-                 Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), hcompose(Gen2("merge"), Id2(beta), p.data),
-                          p.data), Id2(coev), p.data),
-        hcompose(hcompose(Id2(ev), LC(beta), p.data), Id2(coev), p.data),
-        hcompose(Gen2("sym_ev_out"), Id2(coev), p.data),
-        Gen2("cup")], p.data)
+    return _movie(p, [
+        ((), Gen2("cap")),
+        (("after",), Inv2(RC(ev))),
+        (("after", "first"), Gen2("split")),
+        (("after", "first", "first"), Gen2("sym_ev_in")),
+        (("after", "first"), Inv2(AssocC(beta, ev, coev))),
+        (("after", "first", "after"), Gen2("merge")),
+        (("after", "first"), LC(beta)),
+        (("after",), Gen2("sym_ev_out")),
+        ((), Gen2("cup")),
+    ])
 
 
 def cusp_zigzag_strip(p, sign: str = ""):

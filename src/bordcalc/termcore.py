@@ -216,22 +216,33 @@ def comp1(*fs: MorphismTerm) -> MorphismTerm:
     return out
 
 
-def formal_adjoint(t: MorphismTerm) -> MorphismTerm:
-    """The formal adjoint t*.
+def formal_adjoint(t):
+    """The formal inverse of a morphism or two-cell term built from
+    structural symbols only: the adjoint t* of a 1-cell, the inverse of
+    a 2-cell.
 
-    Defined on terms built from structural symbols only; 1-generators have
-    no formal adjoint (their duality data lives in presentation 2-cells).
+    `Adj1` and `Inv2` unwrap, a 1-symbol wraps in `Adj1` and a 2-symbol in
+    `Inv2`, but an `Id2` is its own inverse.  A composite inverts part by
+    part, and a composite along the cells' direction (`Comp1`, `VComp`)
+    also reverses its parts.  Generators have no formal inverse (their
+    duality data lives in presentation 2-cells).
     """
-    if isinstance(t, Gen1):
-        raise TermError("1-generator %r has no formal adjoint" % t.name)
-    if isinstance(t, Adj1):
+    cls = type(t)
+    if cls is Adj1 or cls is Inv2:
         return t.inner
-    if isinstance(t, STRUCTURAL_1):
+    if cls is Id2:
+        return t
+    if cls in STRUCTURAL_1:
         return Adj1(t)
-    if isinstance(t, Comp1):
-        return Comp1(formal_adjoint(t.first), formal_adjoint(t.after))
-    if isinstance(t, Tensor1):
-        return Tensor1(formal_adjoint(t.left), formal_adjoint(t.right))
+    if cls in STRUCTURAL_2:
+        return Inv2(t)
+    inverses = [formal_adjoint(c) for _, c in parts(t)]
+    if inverses:
+        return rebuild(t, inverses[::-1] if cls is Comp1 or cls is VComp
+                       else inverses)
+    if cls is Gen1 or cls is Gen2:
+        raise TermError("%s-generator %r has no formal adjoint"
+                        % ("1" if cls is Gen1 else "2", t.name))
     raise TermError("cannot take formal adjoint of %r" % (t,))
 
 
@@ -556,10 +567,10 @@ STRUCTURAL_2 = tuple(c for c in SYMBOLS.values()
 
 #: composite class -> its (path step, field) pairs, in walk order; `VComp`
 #: steps by position.  Every walk that only recurses (rewriting, validation,
-#: orientation forgetting, leaf and subterm enumeration) reads this table
-#: through `parts`, `rebuild` and `subterms`; the boundary formulas, the
-#: formal adjoint and the movie walk are written per composite.  `Adj1`
-#: wraps one structural symbol and is a leaf here.
+#: the formal adjoint, orientation forgetting, whiskering, leaf and subterm
+#: enumeration) reads this table through `parts`, `rebuild` and
+#: `subterms`; the boundary formulas and the movie walk are written per
+#: composite.  `Adj1` wraps one structural symbol and is a leaf here.
 _PARTS = {
     HComp: (("outer", "outer"), ("inner", "inner")),
     Tensor2: (("left", "left"), ("right", "right")),

@@ -10,10 +10,9 @@ it.
 from fractions import Fraction
 
 from bordcalc import termcore as tc
-from bordcalc._diagram import (MovieListener, MovieState, run_movie,
-                               transfer_components)
-from bordcalc.frobenius import (AlgebraError, Assignment, TwoCellValue,
-                                _comp_order)
+from bordcalc._diagram import (MovieListener, MovieState, comp_order,
+                               run_movie, transfer_components)
+from bordcalc.frobenius import AlgebraError, Assignment, TwoCellValue
 
 Q = Fraction
 
@@ -28,7 +27,7 @@ class _EvalListener(MovieListener):
 
     def begin(self, state):
         self.comps = state.diagram.components()
-        order = _comp_order(state, self.comps)
+        order = comp_order(state, self.comps)
         vals = {}
         for comp, v in zip(order, self.initial):
             vals[comp] = v
@@ -182,7 +181,7 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
         init = [A.basis_vec(i) for i in idx]
         listener = _EvalListener(assignment, init)
         state = run_movie(report, p.arc_patterns, listener)
-        tgt_comps = _comp_order(state, listener.comps)
+        tgt_comps = comp_order(state, listener.comps)
         m = len(tgt_comps)
         nrows = n ** m
         colvec = [Q(0)] * nrows

@@ -233,6 +233,12 @@ def test_forget_orientation_rejects_mirror_cusps(ori):
 def test_forget_orientation_invalid_input(uno, ori):
     with pytest.raises(pr.PresentationError):
         pr.forget_orientation(tc.Gen1("ev"))  # not a 2-cell
+    # neither is an object word or a morphism term, at the root or inside
+    for term in (ObjGen("pt+"), Id1(ObjGen("pt+")),
+                 tc.VComp((Gen2("cap"), Id1(tc.UNIT))),
+                 Id2(Id1(Id2(tc.Gen1("ev"))))):
+        with pytest.raises(pr.PresentationError, match="^cannot forget "):
+            pr.forget_orientation(term)
 
 
 def test_relation_count_constants(uno, ori):

@@ -75,8 +75,8 @@ def _structural_runs(side):
     runs, run = [], []
     for c in side.children if isinstance(side, tc.VComp) else (side,):
         try:
-            pr.invert_structural(c)
-        except pr.PresentationError:
+            tc.formal_adjoint(c)
+        except tc.TermError:
             runs.append(run)
             run = []
             continue
@@ -90,4 +90,4 @@ def test_invert_structural_twice_is_identity(p):
             for side in (rel.lhs, rel.rhs) for run in _structural_runs(side)]
     assert runs
     for run in runs:
-        assert pr.invert_structural(pr.invert_structural(run)) == run, str(run)
+        assert tc.formal_adjoint(tc.formal_adjoint(run)) == run, str(run)

@@ -269,12 +269,17 @@ def test_symbol_zoo_printed_form_and_round_trip():
             assert tc.parse_two_cell("inv2(%s)" % text) == Inv2(t)
 
 
-def test_symbol_zoo_forget_orientation():
+def _oriented_symbol_zoo():
+    """The symbol zoo over the oriented presentation's names."""
     Pp, Pm = ObjGen("pt+"), ObjGen("pt-")
-    zoo = _symbol_zoo(Pp, Pm, ObjTensor(Pp, Pm), UNIT,
-                      Gen1("ev"), Adj1(Assoc1(Pp, Pm, Pp)),
-                      Comp1(Gen1("coev"), Id1(Pm)),
-                      Tensor1(RightUnitor1(Pm), Braid1(Pp, Pm)))
+    return _symbol_zoo(Pp, Pm, ObjTensor(Pp, Pm), UNIT,
+                       Gen1("ev"), Adj1(Assoc1(Pp, Pm, Pp)),
+                       Comp1(Gen1("coev"), Id1(Pm)),
+                       Tensor1(RightUnitor1(Pm), Braid1(Pp, Pm)))
+
+
+def test_symbol_zoo_forget_orientation():
+    zoo = _oriented_symbol_zoo()
     cells = [Id2(t) if isinstance(t, tc.STRUCTURAL_1) else t for t in zoo]
     images = [str(pr.forget_orientation(t)) for t in cells]
     expected = [text.replace("pt+", "pt").replace("pt-", "pt")
@@ -583,6 +588,52 @@ def test_formal_adjoint_of_composites():
         Comp1(Adj1(LeftUnitor1(P)), Adj1(RightUnitor1(P)))
     assert tc.parse_morphism("inv((%s (*) %s))" % (l, r)) == \
         Tensor1(Adj1(LeftUnitor1(P)), Adj1(RightUnitor1(P)))
+
+
+def test_formal_adjoint_is_an_involution_on_both_levels():
+    for t in _oriented_symbol_zoo():
+        # a 1-symbol wraps (`I` too), a 2-symbol wraps, an identity 2-cell
+        # is its own inverse
+        wrap = Adj1 if isinstance(t, tc.STRUCTURAL_1) else Inv2
+        expected = t if type(t) is Id2 else wrap(t)
+        assert tc.formal_adjoint(t) == expected, str(t)
+        assert tc.formal_adjoint(expected) == t, str(t)
+    a, b = Assoc1(P, P, P), LeftUnitor1(P)
+    x, y = AssocC(Id1(P), Id1(P), Id1(P)), RC(Id1(PP))
+    composites = [
+        (Adj1(a), a),
+        (Comp1(a, b), Comp1(Adj1(b), Adj1(a))),
+        (Tensor1(a, b), Tensor1(Adj1(a), Adj1(b))),
+        (Inv2(x), x),
+        (tc.VComp((x, y, Id2(a))), tc.VComp((Id2(a), Inv2(y), Inv2(x)))),
+        (tc.HComp(x, y), tc.HComp(Inv2(x), Inv2(y))),
+        (Tensor2(x, Id2(b)), Tensor2(Inv2(x), Id2(b))),
+    ]
+    assert {type(t) for t, _ in composites} == set(tc._SYNTAX)
+    for t, inverse in composites:
+        assert tc.formal_adjoint(t) == inverse, str(t)
+        assert tc.formal_adjoint(inverse) == t, str(t)
+
+
+@pytest.mark.parametrize("term, message", [
+    (Gen1("ev"), "1-generator 'ev' has no formal adjoint"),
+    (Gen2("cap"), "2-generator 'cap' has no formal adjoint"),
+    (tc.HComp(Id2(Gen1("ev")), Gen2("split")),
+     "2-generator 'split' has no formal adjoint"),
+], ids=["1-generator", "2-generator", "inside-a-composite"])
+def test_formal_adjoint_of_a_generator_raises(term, message):
+    with pytest.raises(tc.TermError) as exc:
+        tc.formal_adjoint(term)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("path", [("left",), ("first", "first")],
+                         ids=["unknown-step", "into-a-leaf"])
+def test_whisker_cell_rejects_a_path_not_in_the_sentence(uno, path):
+    sentence = Comp1(Gen1("ev"), Gen1("coev"))
+    with pytest.raises(build.BuildError) as exc:
+        build.whisker_cell(sentence, path, Gen2("cap"), uno.data)
+    assert str(exc.value).startswith("path does not exist in ")
 
 
 # ---------------------------------------------------------------------------
