@@ -11,7 +11,8 @@ depending on the listener,
 * the exact linear map the term evaluates to under an algebra assignment.
 
 Both consumers live in `surface` and `frobenius`; this module owns the
-shared strand bookkeeping.  An event of a structural cell says which old
+shared strand bookkeeping.  A leaf's arcs follow from the generating
+data (`leaf_arc_spec`).  An event of a structural cell says which old
 arcs continue as which new ones, by the strand map its boundary formula
 defines (`termcore.strand_paths`); an event of a generator cell
 continues only the arcs at its boundary points.
@@ -108,19 +109,23 @@ def _strand_order(cls):
 _STRAND_ORDER = {cls: _strand_order(cls) for cls in tc.STRUCTURAL_1}
 
 
-def leaf_arc_spec(leaf, gen_patterns):
+def leaf_arc_spec(leaf, data):
     """Arc wiring of a 1-cell leaf: (n_src, n_tgt, [(end0, end1)]).
 
-    Port references are ("s"|"t", index).  A 1-symbol carries each point
-    of its parameters straight through; arcs run over the parameters in
-    source order, points left to right.
+    Port references are ("s"|"t", index).  A 1-generator is one arc
+    joining its two boundary points in `data`, source points first.  A
+    1-symbol carries its parameters' points straight through, arcs in
+    source order.
     """
     if isinstance(leaf, tc.Gen1):
-        if leaf.name not in gen_patterns:
-            raise DiagramError("no arc pattern for 1-generator %r" % leaf.name)
-        return gen_patterns[leaf.name]
+        ns, nt = (len(tc.obj_points(w)) for w in data.one_gens[leaf.name])
+        ends = [("s", i) for i in range(ns)] + [("t", j) for j in range(nt)]
+        if len(ends) != 2:
+            raise DiagramError("1-generator %r has %d boundary points, not "
+                               "the 2 of one arc" % (leaf.name, len(ends)))
+        return (ns, nt, [tuple(ends)])
     if isinstance(leaf, tc.Adj1):
-        ns, nt, arcs = leaf_arc_spec(leaf.inner, gen_patterns)
+        ns, nt, arcs = leaf_arc_spec(leaf.inner, data)
         flip = lambda p: ("t" if p[0] == "s" else "s", p[1])
         return (nt, ns, [(flip(a), flip(b)) for a, b in arcs])
     if type(leaf) not in _STRAND_ORDER:
@@ -133,33 +138,57 @@ def leaf_arc_spec(leaf, gen_patterns):
     return (len(arcs), len(arcs), arcs)
 
 
-def build_live(term, diagram, gen_patterns):
-    if isinstance(term, tc.Comp1):
-        first = build_live(term.first, diagram, gen_patterns)
-        after = build_live(term.after, diagram, gen_patterns)
-        if len(first.tgt_ports) != len(after.src_ports):
-            raise DiagramError("composition point mismatch")
-        for a, b in zip(first.tgt_ports, after.src_ports):
-            diagram.join(a, b)
-        return LiveNode(term, [first, after], first.src_ports,
-                        after.tgt_ports, [])
-    if isinstance(term, tc.Tensor1):
-        left = build_live(term.left, diagram, gen_patterns)
-        right = build_live(term.right, diagram, gen_patterns)
-        return LiveNode(term, [left, right],
-                        left.src_ports + right.src_ports,
-                        left.tgt_ports + right.tgt_ports, [])
-    ns, nt, arcspec = leaf_arc_spec(term, gen_patterns)
-    src, tgt, ids = [None] * ns, [None] * nt, []
-    for p0, p1 in arcspec:
-        aid = diagram.new_arc()
-        ids.append(aid)
-        for end, port in (((aid, 0), p0), ((aid, 1), p1)):
-            side, idx = port
-            (src if side == "s" else tgt)[idx] = end
-    if any(p is None for p in src + tgt):
-        raise DiagramError("arc pattern misses points of %r" % (term,))
-    return LiveNode(term, [], src, tgt, ids)
+class _Wiring(dict):
+    """Leaf -> `leaf_arc_spec` over `data`, derived once per movie and leaf."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def __missing__(self, leaf):
+        spec = self[leaf] = leaf_arc_spec(leaf, self.data)
+        return spec
+
+
+#: live child index under each sentence step and the 2-cell step over it
+#: (`termcore.LIFT`); chain positions name no sentence node
+_CHILD = {step: i for _, over in tc.LIFT.values()
+          for i, steps in enumerate(over.items()) for step in steps}
+
+
+def _ports(cls, children):
+    """(sources, targets, (ends, starts) meeting pairwise) of a live `cls`
+    node over its `parts`: ``(f ; g)`` joins f's targets to g's sources."""
+    a, b = children
+    if cls is tc.Comp1:
+        return a.src_ports, b.tgt_ports, (a.tgt_ports, b.src_ports)
+    return a.src_ports + b.src_ports, a.tgt_ports + b.tgt_ports, ((), ())
+
+
+def build_live(term, diagram, wiring):
+    """The live node of sentence `term`, its arcs made in `diagram` and its
+    parts' meeting ports joined; parts are read by field, for speed."""
+    cls = type(term)
+    if cls is tc.Comp1:
+        children = [build_live(term.first, diagram, wiring),
+                    build_live(term.after, diagram, wiring)]
+    elif cls is tc.Tensor1:
+        children = [build_live(term.left, diagram, wiring),
+                    build_live(term.right, diagram, wiring)]
+    else:
+        ns, nt, arcspec = wiring[term]
+        src, tgt, ids = [None] * ns, [None] * nt, []
+        for p0, p1 in arcspec:
+            aid = diagram.new_arc()
+            ids.append(aid)
+            for end, (side, idx) in (((aid, 0), p0), ((aid, 1), p1)):
+                (src if side == "s" else tgt)[idx] = end
+        return LiveNode(term, [], src, tgt, ids)
+    src, tgt, (ends, starts) = _ports(cls, children)
+    if len(ends) != len(starts):
+        raise DiagramError("composition point mismatch")
+    for a, b in zip(ends, starts):
+        diagram.join(a, b)
+    return LiveNode(term, children, src, tgt, [])
 
 
 def _leaf_nodes(node):
@@ -179,27 +208,20 @@ def comp_order(state, comps):
     ending at the same sentence.
     """
     port_pos = {}
-    for pos, end in enumerate(list(state.root.src_ports)
-                              + list(state.root.tgt_ports)):
-        if end is not None:
-            port_pos.setdefault(end[0], pos)
-    leaf_pos = {}
-    for i, node in enumerate(_leaf_nodes(state.root)):
-        for k, a in enumerate(node.arc_ids):
-            leaf_pos[a] = (i, k)
-    def key(comp):
-        ppos = min((port_pos[a] for a in comp if a in port_pos),
-                   default=10 ** 9)
-        lpos = min(leaf_pos.get(a, (10 ** 9, 0)) for a in comp)
-        return (ppos, lpos)
-    return sorted(comps, key=key)
+    for pos, (aid, _) in enumerate(state.root.src_ports
+                                   + state.root.tgt_ports):
+        port_pos.setdefault(aid, pos)
+    leaf_pos = {a: (i, k) for i, node in enumerate(_leaf_nodes(state.root))
+                for k, a in enumerate(node.arc_ids)}
+    return sorted(comps, key=lambda comp: (
+        min((port_pos[a] for a in comp if a in port_pos), default=10 ** 9),
+        min(leaf_pos[a] for a in comp)))
 
 
 def _arcs(node, path=()):
-    """Arc ids of the subtree of `node` at sentence path `path`, in leaf
-    order."""
+    """Arc ids, in leaf order, of the subtree of `node` at sentence `path`."""
     for step in path:
-        node = node.children[_SENTENCE_STEP[step]]
+        node = node.children[_CHILD[step]]
     return [a for ln in _leaf_nodes(node) for a in ln.arc_ids]
 
 
@@ -214,9 +236,10 @@ class Event:
 
     Arcs are listed in leaf order; ports list the source then the target
     boundary ends, and the i-th old and new port ends sit on the same
-    boundary point; links are {end: partner} among the event's own arcs.  `strands` maps each old arc of a parameter a structural
-    cell carries through (`termcore.strand_paths`) to the new arc it
-    continues as; a generator cell's map is empty.
+    boundary point; links are {end: partner} among the event's own arcs.
+    `strands` maps each old arc of a parameter a structural cell carries
+    through (`termcore.strand_paths`) to the new arc it continues as; a
+    generator cell's map is empty.
     """
 
     cell: object
@@ -235,33 +258,29 @@ def _own_links(link, arcs):
 
 
 class MovieState:
-    def __init__(self, source_sentence, gen_patterns):
-        self.gen_patterns = gen_patterns
+    def __init__(self, source_sentence, data):
+        self.wiring = _Wiring(data)
         self.diagram = ArcDiagram()
-        self.root = build_live(source_sentence, self.diagram, gen_patterns)
-
-    def locate(self, path):
-        node, parents = self.root, []
-        for step in path:
-            parents.append((node, step))
-            node = node.children[step]
-        return node, parents
+        self.root = build_live(source_sentence, self.diagram, self.wiring)
 
     def apply_event(self, path, cell, source, target):
-        node, parents = self.locate(path)
+        node, parents = self.root, []
+        for step in path:
+            parents.append(node)
+            node = node.children[step]
         if node.term != source:
             raise DiagramError(
                 "movie out of sync at %s: expected %s, found %s"
                 % ("/".join(map(str, path)) or "<root>", source, node.term))
         diagram = self.diagram
         old_arcs = _arcs(node)
+        old_ports = node.src_ports + node.tgt_ports
         # detach boundary of the old subtree; the links left are its own
-        outer_s = [diagram.unjoin(e) for e in node.src_ports]
-        outer_t = [diagram.unjoin(e) for e in node.tgt_ports]
+        outer = [diagram.unjoin(e) for e in old_ports]
         old_links = _own_links(diagram.link, old_arcs)
         for aid in old_arcs:
             diagram.drop_arc(aid)
-        new_node = build_live(target, diagram, self.gen_patterns)
+        new_node = build_live(target, diagram, self.wiring)
         if (len(new_node.src_ports) != len(node.src_ports)
                 or len(new_node.tgt_ports) != len(node.tgt_ports)):
             raise DiagramError("event does not preserve boundary points")
@@ -269,29 +288,19 @@ class MovieState:
         strands = {a: b for old, new in tc.strand_paths(cell)
                    for a, b in zip(_arcs(node, old), _arcs(new_node, new))}
         new_links = _own_links(diagram.link, new_arcs)
-        for end, partner in zip(new_node.src_ports + new_node.tgt_ports,
-                                outer_s + outer_t):
+        new_ports = new_node.src_ports + new_node.tgt_ports
+        for end, partner in zip(new_ports, outer):
             if partner is not None:
                 diagram.join(end, partner)
         if parents:
-            parent, step = parents[-1]
-            parent.children[step] = new_node
-            for up, _ in reversed(parents):
-                if isinstance(up.term, tc.Comp1):
-                    up.src_ports = up.children[0].src_ports
-                    up.tgt_ports = up.children[1].tgt_ports
-                    up.term = tc.Comp1(up.children[1].term, up.children[0].term)
-                else:
-                    up.src_ports = (up.children[0].src_ports
-                                    + up.children[1].src_ports)
-                    up.tgt_ports = (up.children[0].tgt_ports
-                                    + up.children[1].tgt_ports)
-                    up.term = tc.Tensor1(up.children[0].term, up.children[1].term)
+            parents[-1].children[path[-1]] = new_node
+            for up in reversed(parents):
+                up.src_ports, up.tgt_ports, _ = _ports(type(up.term),
+                                                       up.children)
+                up.term = tc.rebuild(up.term, [c.term for c in up.children])
         else:
             self.root = new_node
-        return Event(cell, old_arcs, new_arcs,
-                     node.src_ports + node.tgt_ports,
-                     new_node.src_ports + new_node.tgt_ports,
+        return Event(cell, old_arcs, new_arcs, old_ports, new_ports,
                      old_links, new_links, strands)
 
 
@@ -306,19 +315,12 @@ class MovieListener:
         pass
 
 
-# term path step -> live sentence child: ``Comp1`` nodes list the inner
-# part's sentence first, and a sentence's own ``Comp1`` its first factor;
-# chain positions name no sentence node
-_SENTENCE_STEP = {"inner": 0, "outer": 1, "left": 0, "right": 1,
-                  "first": 0, "after": 1}
-
-
-def run_movie(report, gen_patterns, listener):
-    """Play the tape of a valid term's `termcore.validate` report."""
-    state = MovieState(report.boundary[0], gen_patterns)
+def run_movie(report, data, listener):
+    """Play the tape of a `termcore.validate` report over generating `data`."""
+    state = MovieState(report.boundary[0], data)
     listener.begin(state)
     for path, cell, source, target in report.events:
-        at = tuple(_SENTENCE_STEP[s] for s in path if s in _SENTENCE_STEP)
+        at = tuple(_CHILD[s] for s in path if s in _CHILD)
         listener.event(state, state.apply_event(at, cell, source, target))
     listener.finish(state)
     return state

@@ -12,26 +12,22 @@ import random
 from typing import List, Tuple
 
 from . import termcore as tc
-from .termcore import (AssocC, Comp1, Gen2, HComp, Id1, Id2, Inv2, LC, Phi0,
-                       PhiTensor, RC, Tensor1, Tensor2, VComp)
+from .termcore import (AssocC, Comp1, Gen2, Id1, Id2, Inv2, LC, Phi0,
+                       PhiTensor, RC, Tensor1, VComp)
 
 
 class BuildError(Exception):
     pass
 
 
-#: sentence composite -> the 2-cell composite over its whiskered parts,
-#: given in `parts` order: a composite sentence lifts to a horizontal one
-_LIFT = {Comp1: lambda first, after: HComp(after, first), Tensor1: Tensor2}
-
-
 def whisker_cell(sentence, path, cell, data):
     """Embed `cell` at `path` of `sentence`, padding with identities.
 
-    The part of `sentence` on the path is whiskered and every other part
-    is padded with its identity.  The cell's source, resolved against
-    `data`, is matched against the subterm at `path`, so the padding
-    composes by construction and is built without re-checking.
+    Each composite on the path lifts (`termcore.lift`) over its part on
+    the path, whiskered, and its other parts' identities.  The cell's
+    source, resolved against `data`, is matched against the subterm at
+    `path`, so the padding composes by construction and is built without
+    re-checking.
     """
     if not path:
         src = tc.two_cell_source(cell, data)
@@ -40,12 +36,10 @@ def whisker_cell(sentence, path, cell, data):
                              % (src, sentence))
         return cell
     step, rest = path[0], path[1:]
-    ps = tc.parts(sentence)
-    if step not in [s for s, _ in ps]:
+    if step not in [s for s, _ in tc.parts(sentence)]:
         raise BuildError("path does not exist in %s" % (sentence,))
-    return _LIFT[type(sentence)](*(
-        whisker_cell(c, rest, cell, data) if s == step else Id2(c)
-        for s, c in ps))
+    return tc.lift(sentence, lambda s, c: whisker_cell(c, rest, cell, data)
+                   if s == step else Id2(c))
 
 
 class MovieBuilder:

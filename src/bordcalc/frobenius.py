@@ -743,7 +743,7 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
     if not report.ok:
         raise AlgebraError("invalid term:\n%s" % report)
     listener = _EvalListener(assignment)
-    state = run_movie(report, p.arc_patterns, listener)
+    state = run_movie(report, p.data, listener)
     slot_of = {comp: i for i, comp in enumerate(listener.slots)}
     order = [slot_of[comp] for comp in comp_order(state, listener.comps)]
     matrix = [[Q(0)] * n ** listener.sources for _ in range(n ** len(order))]

@@ -48,15 +48,14 @@ class Relation:
 class Presentation:
     """Generating datum plus relations and evaluation metadata.
 
-    ``arc_patterns`` gives the strand wiring of each 1-generator and
-    ``two_gen_tags`` the semantic class of each 2-generator (cap, cup,
-    split, merge, cusp, sym); both feed the surface and evaluation engines.
+    ``two_gen_tags`` gives the semantic class of each 2-generator (cap, cup,
+    split, merge, cusp, sym) for the surface and evaluation engines; the
+    strands of a 1-generator follow from its boundary in ``data``.
     """
 
     name: str
     data: tc.GeneratingData
     relations: List[Relation]
-    arc_patterns: Dict[str, tuple]
     two_gen_tags: Dict[str, str]
 
     def __post_init__(self):
@@ -217,13 +216,6 @@ def _cusp_rows(updown_pairs):
 # the two presentations
 # ---------------------------------------------------------------------------
 
-#: strand wiring of ev (its two source points joined) and coev (its two
-#: target points joined), the same in both presentations
-_ARC_PATTERNS = {
-    "ev": (2, 0, [(("s", 0), ("s", 1))]),
-    "coev": (0, 2, [(("t", 0), ("t", 1))]),
-}
-
 def bord2_unoriented() -> Presentation:
     """Generators and relations of the unoriented 2D bordism bicategory."""
     P = ObjGen("pt")
@@ -272,7 +264,7 @@ def bord2_unoriented() -> Presentation:
             "cusp_up": "cusp", "cusp_down": "cusp",
             "sym_ev_in": "sym", "sym_ev_out": "sym",
             "sym_coev_in": "sym", "sym_coev_out": "sym"}
-    return Presentation("unoriented", data, relations, _ARC_PATTERNS, tags)
+    return Presentation("unoriented", data, relations, tags)
 
 
 def bord2_oriented() -> Presentation:
@@ -313,7 +305,7 @@ def bord2_oriented() -> Presentation:
     tags = {"cap": "cap", "cup": "cup", "split": "split", "merge": "merge",
             "cusp_up_pos": "cusp", "cusp_down_pos": "cusp",
             "cusp_up_neg": "cusp", "cusp_down_neg": "cusp"}
-    return Presentation("oriented", data, relations, _ARC_PATTERNS, tags)
+    return Presentation("oriented", data, relations, tags)
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,7 @@ def reconstruct(term: tc.TwoCellTerm, presentation) -> CombSurface:
     if not report.ok:
         raise SurfaceError("invalid term:\n%s" % report)
     builder = _Builder()
-    run_movie(report, presentation.arc_patterns, builder)
+    run_movie(report, presentation.data, builder)
     builder.cx.check()
     return CombSurface(builder.cx, term)
 

@@ -14,16 +14,17 @@ class, which holds its parameters, its boundary formula (`ends` of a
 1-symbol, `sides` of a 2-symbol) and its argument grouping, plus its DSL
 name in `SYMBOLS`.  A composite is its `_PARTS` entry (path steps and
 fields), its `_SYNTAX` entry (DSL token, read by printer and parser) and
-its case in the boundary walk.  Boundaries are computed leaf-up, with
-generator names always resolved against the generating datum.  One
-boundary walk decides whether the parts of a two-cell term
-compose: it builds and checks each structural leaf's sentences once, and
-composites compare the object ends their parts carry.  `vcompose`,
-`hcompose` and `validate` all ask it.  `validate` checks each node's
-names and admissibility on its own, reporting every violation, then walks
-the boundary once from the root, reporting the first composability
-failure in movie order.  A small DSL (`parse_*` / `print_*`) gives a
-textual form with a parse/print round-trip guarantee.
+its case in the boundary walk; a sentence composite adds its `LIFT`
+entry.  Boundaries are computed leaf-up, with generator names always
+resolved against the generating datum.  One boundary walk decides whether
+the parts of a two-cell term compose: it builds and checks each
+structural leaf's sentences once, and composites compare the object ends
+their parts carry.  `vcompose`, `hcompose` and `validate` all ask it.
+`validate` checks each node's names and admissibility on its own,
+reporting every violation, then walks the boundary once from the root,
+reporting the first composability failure in movie order.  A small DSL
+(`parse_*` / `print_*`) gives a textual form with a parse/print
+round-trip guarantee.
 """
 
 from __future__ import annotations
@@ -590,6 +591,21 @@ _SYNTAX = {
 
 _RESERVED = (set(SYMBOLS) | {"1"}
              | {token for token in _SYNTAX.values() if token.isidentifier()})
+
+
+#: sentence composite -> the 2-cell composite a cell whiskered into one of
+#: its parts lifts it to, and the 2-cell step over each sentence step in
+#: `parts` order (a cell on the ``first`` of a `Comp1` is ``inner`` in an
+#: `HComp`); `lift` builds it, and the movie walk reads the steps.
+LIFT = {Comp1: (HComp, {"first": "inner", "after": "outer"}),
+        Tensor1: (Tensor2, {"left": "left", "right": "right"})}
+
+
+def lift(sentence, part):
+    """`LIFT` of `sentence`, over ``part(step, child)`` of each part."""
+    cls, over = LIFT[type(sentence)]
+    under = {over[step]: part(step, c) for step, c in parts(sentence)}
+    return _assemble(cls, [under[step] for step, _ in _PARTS[cls]])
 
 
 def parts(node):

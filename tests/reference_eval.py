@@ -164,7 +164,7 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
     report = tc.validate(term, p.data)
     if not report.ok:
         raise AlgebraError("invalid term:\n%s" % report)
-    probe = MovieState(report.boundary[0], p.arc_patterns)
+    probe = MovieState(report.boundary[0], p.data)
     src_comps = probe.diagram.components()
     k = len(src_comps)
     n = A.dim
@@ -180,7 +180,7 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
         idx.reverse()
         init = [A.basis_vec(i) for i in idx]
         listener = _EvalListener(assignment, init)
-        state = run_movie(report, p.arc_patterns, listener)
+        state = run_movie(report, p.data, listener)
         tgt_comps = comp_order(state, listener.comps)
         m = len(tgt_comps)
         nrows = n ** m
