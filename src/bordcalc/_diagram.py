@@ -15,13 +15,16 @@ shared strand bookkeeping.  A leaf's arcs follow from the generating
 data (`leaf_arc_spec`).  An event of a structural cell says which old
 arcs continue as which new ones, by the strand map its boundary formula
 defines (`termcore.strand_paths`); an event of a generator cell
-continues only the arcs at its boundary points.
+continues only the arcs at its boundary points.  `ComponentListener`
+follows the live components through the events as ids: a rerouting
+event walks only its own arcs, any other event only the components
+through its new arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from . import termcore as tc
 
@@ -66,26 +69,6 @@ class ArcDiagram:
         for e in ((aid, 0), (aid, 1)):
             self.unjoin(e)
         self.arcs.remove(aid)
-
-    def components(self) -> List[frozenset]:
-        seen = set()
-        comps = []
-        for aid in sorted(self.arcs):
-            if aid in seen:
-                continue
-            stack, comp = [aid], set()
-            while stack:
-                a = stack.pop()
-                if a in comp:
-                    continue
-                comp.add(a)
-                for e in ((a, 0), (a, 1)):
-                    other = self.link.get(e)
-                    if other is not None and other[0] not in comp:
-                        stack.append(other[0])
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
 
 
 @dataclass
@@ -200,22 +183,23 @@ def _leaf_nodes(node):
     return out
 
 
-def comp_order(state, comps):
-    """The current diagram's components `comps` in sentence-intrinsic order.
+def comp_order(state, comp):
+    """The ids of the live components, `comp` mapping each live arc to its
+    component's id, in sentence-intrinsic order.
 
     Ordered by first boundary-port position, then by the leftmost leaf of
     the sentence tree touching the component; identical for any two movies
     ending at the same sentence.
     """
-    port_pos = {}
+    port_pos, leaf_pos = {}, {}
     for pos, (aid, _) in enumerate(state.root.src_ports
                                    + state.root.tgt_ports):
-        port_pos.setdefault(aid, pos)
-    leaf_pos = {a: (i, k) for i, node in enumerate(_leaf_nodes(state.root))
-                for k, a in enumerate(node.arc_ids)}
-    return sorted(comps, key=lambda comp: (
-        min((port_pos[a] for a in comp if a in port_pos), default=10 ** 9),
-        min(leaf_pos[a] for a in comp)))
+        port_pos.setdefault(comp[aid], pos)
+    for i, node in enumerate(_leaf_nodes(state.root)):
+        for k, aid in enumerate(node.arc_ids):
+            leaf_pos.setdefault(comp[aid], (i, k))
+    return sorted(leaf_pos, key=lambda c: (port_pos.get(c, 10 ** 9),
+                                           leaf_pos[c]))
 
 
 def _arcs(node, path=()):
@@ -315,6 +299,71 @@ class MovieListener:
         pass
 
 
+def _number(link, arcs, into, first):
+    """Number the pieces `link` joins through `arcs` in `into`, from
+    `first` up, overwriting numbers below `first`; returns the next free
+    number."""
+    k = first
+    for start in arcs:
+        if into.get(start, -1) >= first:
+            continue
+        into[start] = k
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for other in (link.get((a, 0)), link.get((a, 1))):
+                if other is not None and into.get(other[0], -1) < first:
+                    into[other[0]] = k
+                    stack.append(other[0])
+        k += 1
+    return k
+
+
+class ComponentListener(MovieListener):
+    """A listener that follows the live components as ids.
+
+    `comp` maps each live arc to the id of its component; `begin` numbers
+    the source's components, and `follow` keeps the map through an event.
+    """
+
+    def begin(self, state):
+        self.comp = {}
+        self._next = _number(state.diagram.link, state.diagram.arcs,
+                             self.comp, 0)
+
+    def follow(self, state, ev, reroute):
+        """The component ids of `ev.old_arcs` and of `ev.new_arcs`, in arc
+        order; call it once per event.
+
+        A rerouting event (a structural, cusp or crossing cell) keeps the
+        ids and walks only its own arcs: each piece its old arcs form must
+        continue, through its boundary points and `strands`, as exactly
+        one piece of its new arcs, one to one and onto, so it joins the
+        same boundary points before and after.  Any other event gives
+        fresh ids to the components through its new arcs.
+        """
+        comp = self.comp
+        old = [comp.pop(a) for a in ev.old_arcs]
+        if reroute:
+            was, now = {}, {}
+            pieces = (_number(ev.old_links, ev.old_arcs, was, 0),
+                      _number(ev.new_links, ev.new_arcs, now, 0))
+            pairs = {(was[a], now[b]) for a, b in ev.strands.items()}
+            pairs.update((was[a], now[b]) for (a, _), (b, _)
+                         in zip(ev.old_ports, ev.new_ports))
+            to = dict(pairs)
+            if not (len(pairs) == len(to) == pieces[0]
+                    == len(set(to.values())) == pieces[1]):
+                raise DiagramError("component transfer is not a bijection")
+            cid = {to[was[a]]: i for a, i in zip(ev.old_arcs, old)}
+            for b in ev.new_arcs:
+                comp[b] = cid[now[b]]
+        else:
+            self._next = _number(state.diagram.link, ev.new_arcs, comp,
+                                 self._next)
+        return old, [comp[b] for b in ev.new_arcs]
+
+
 def run_movie(report, data, listener):
     """Play the tape of a `termcore.validate` report over generating `data`."""
     state = MovieState(report.boundary[0], data)
@@ -324,29 +373,3 @@ def run_movie(report, data, listener):
         listener.event(state, state.apply_event(at, cell, source, target))
     listener.finish(state)
     return state
-
-
-# ---------------------------------------------------------------------------
-# value transfer helpers shared by listeners
-# ---------------------------------------------------------------------------
-
-def transfer_components(before_comps, after_comps, ev):
-    """Match components across an event that creates and destroys none.
-
-    A consumed arc continues as the new arc at its boundary point, or as
-    its `strands` image; every other arc lives on.  Returns dict old_comp
-    -> new_comp; raises if an old component does not land in exactly one
-    new component.
-    """
-    new_of_old = dict(ev.strands)
-    for old_end, new_end in zip(ev.old_ports, ev.new_ports):
-        new_of_old[old_end[0]] = new_end[0]
-    comp_of = {a: nc for nc in after_comps for a in nc}
-    mapping = {}
-    for oc in before_comps:
-        hits = {comp_of.get(new_of_old.get(a, a)) for a in oc}
-        hits.discard(None)
-        if len(hits) != 1:
-            raise DiagramError("component transfer is not a bijection")
-        mapping[oc] = hits.pop()
-    return mapping

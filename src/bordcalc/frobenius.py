@@ -12,9 +12,12 @@ separability (existence of a central element with multiplication one,
 decided by an exact linear system); each failing check names its first
 failing witness in loop order.  `evaluate` runs a two-cell term as a
 movie of strand events and produces the exact linear map between the
-tensor spaces of the boundary 1-manifolds: births insert the unit, deaths
-apply the functional, the two saddles insert the copairing or multiply,
-cusp and crossing cells reroute.
+tensor spaces of the boundary 1-manifolds, one factor per component it
+follows as an id: structural, cusp and crossing cells keep the ids, and
+each generator event takes its local map from `_LOCAL`, keyed by its tag
+and the numbers of components it consumes and produces (births insert
+the unit, deaths apply the functional, the two saddles insert the
+copairing or multiply, cusps multiply by the cusp factor).
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import termcore as tc
-from ._diagram import (MovieListener, comp_order, run_movie,
-                       transfer_components)
+from ._diagram import ComponentListener, comp_order, run_movie
 from .presentations import Presentation
 
 
@@ -521,28 +523,40 @@ def closed_value(A: FrobAlgebra, genus: int) -> Fraction:
 # evaluation of two-cell terms
 # ---------------------------------------------------------------------------
 
-# The local map of each evaluator op on basis vectors of the slots it
-# consumes, as pure tensors (coefficient, one vector per slot it produces).
+def _reroute(A, f, u, v):
+    # two strands re-paired without fusing; the copairing is threaded
+    # between the halves
+    return [(c, (A.mul(u, x), A.mul(y, v))) for c, x, y in A.e_pairs()]
+
+
+def _fission(A, f, v):
+    # one component splits in two
+    return [(c, (A.mul(v, x), y)) for c, x, y in A.e_pairs()]
+
+
+#: The local map of each generator event, keyed by (tag, distinct
+#: components it consumes, distinct components it produces), on basis
+#: vectors of the components it consumes: pure tensors (coefficient, one
+#: vector per component it produces).  A saddle (split: I_{pt pt} to
+#: coev o ev; merge: the reverse) lists its old and new arcs in the same
+#: order, so the components are taken in arc order.
 _LOCAL = {
     # births insert the unit, deaths apply the functional
-    "cap": lambda A, f: [(Q(1), (A.unit,))],
-    "cup": lambda A, f, v: [(A.lam_of(v), ())],
-    "cusp": lambda A, f, v: [(Q(1), (A.mul(v, f),))],
-    # open rerouting: two strands re-paired without fusing; the copairing
-    # is threaded between the halves
-    "reroute": lambda A, f, u, v: [(c, (A.mul(u, x), A.mul(y, v)))
-                                   for c, x, y in A.e_pairs()],
+    ("cap", 0, 1): lambda A, f: [(Q(1), (A.unit,))],
+    ("cup", 1, 0): lambda A, f, v: [(A.lam_of(v), ())],
+    ("cusp", 1, 1): lambda A, f, v: [(Q(1), (A.mul(v, f),))],
+    ("split", 2, 2): _reroute,
+    ("merge", 2, 2): _reroute,
     # two components fuse into one
-    "merge": lambda A, f, u, v: [(Q(1), (A.mul(u, v),))],
-    "split-fuse": lambda A, f, u, v: [(c, (A.mul(A.mul(A.mul(u, x), v), y),))
-                                      for c, x, y in A.e_pairs()],
-    # one component splits in two
-    "fission": lambda A, f, v: [(c, (A.mul(v, x), y))
-                                for c, x, y in A.e_pairs()],
+    ("merge", 2, 1): lambda A, f, u, v: [(Q(1), (A.mul(u, v),))],
+    ("split", 2, 1): lambda A, f, u, v: [
+        (c, (A.mul(A.mul(A.mul(u, x), v), y),)) for c, x, y in A.e_pairs()],
+    ("split", 1, 2): _fission,
+    ("merge", 1, 2): _fission,
     # non-orientable surgery: same component before and after
-    "twist-merge": lambda A, f, v: [(Q(1), (A.star_of(v),))],
-    "twist-split": lambda A, f, v: [(c, (A.mul(A.mul(x, A.star_of(v)), y),))
-                                    for c, x, y in A.e_pairs()],
+    ("merge", 1, 1): lambda A, f, v: [(Q(1), (A.star_of(v),))],
+    ("split", 1, 1): lambda A, f, v: [
+        (c, (A.mul(A.mul(x, A.star_of(v)), y),)) for c, x, y in A.e_pairs()],
 }
 
 
@@ -634,21 +648,14 @@ class TwoCellValue:
         return "\n".join(" ".join(str(x) for x in row) for row in self.matrix)
 
 
-def _comp_of(comps, arc):
-    for comp in comps:
-        if arc in comp:
-            return comp
-    raise AlgebraError("arc missing from components")
-
-
-class _EvalListener(MovieListener):
+class _EvalListener(ComponentListener):
     """Every source column in one walk, on a merged sparse state.
 
-    `slots` lists the live components; `state` maps (source column, basis
-    index of each slot) to a nonzero coefficient.  An event maps the basis
-    indices of the slots it consumes through a sparse local map and
-    appends the slots it produces; entries with equal keys are summed.
-    `comps`, the components after one event, are those before the next.
+    `slots` lists the ids of the live components; `state` maps (source
+    column, basis index of each slot) to a nonzero coefficient.  A
+    rerouting event keeps the ids; a generator event maps the basis
+    indices of the slots it consumes through its `_LOCAL` map and appends
+    the slots it produces, and entries with equal keys are summed.
     """
 
     def __init__(self, assignment):
@@ -657,11 +664,10 @@ class _EvalListener(MovieListener):
         self.sources = 0
         self.slots = []
         self.state = {}
-        self.comps = []
 
     def begin(self, state):
-        self.comps = state.diagram.components()
-        self.slots = comp_order(state, self.comps)
+        super().begin(state)
+        self.slots = comp_order(state, self.comp)
         self.sources = len(self.slots)
         basis = itertools.product(range(self.A.dim), repeat=self.sources)
         self.state = {(col, idx): Q(1) for col, idx in enumerate(basis)}
@@ -670,7 +676,7 @@ class _EvalListener(MovieListener):
         """Replace the slots `consumed` by `produced` through local map op."""
         pos = [self.slots.index(c) for c in consumed]
         keep = [i for i in range(len(self.slots)) if i not in pos]
-        self.slots = [self.slots[i] for i in keep] + list(produced)
+        self.slots = [self.slots[i] for i in keep] + produced
         out = {}
         for (col, idx), c in self.state.items():
             rest = tuple(idx[i] for i in keep)
@@ -679,54 +685,15 @@ class _EvalListener(MovieListener):
                 out[key] = out.get(key, 0) + c * w
         self.state = {key: c for key, c in out.items() if c}
 
-    # -- events ---------------------------------------------------------
-
     def event(self, state, ev):
         cell = ev.cell
-        name = cell.name if isinstance(cell, tc.Gen2) else None
-        tag = self.asg.tag(name) if name else None
-        before_comps = self.comps
-        after_comps = self.comps = state.diagram.components()
-        if tag == "cap":
-            new_comp = _comp_of(after_comps, ev.new_arcs[0])
-            if set(new_comp) != set(ev.new_arcs):
-                raise AlgebraError("birth did not create an isolated circle")
-            self.apply("cap", (), (new_comp,))
-        elif tag == "cup":
-            old_comp = _comp_of(before_comps, ev.old_arcs[0])
-            if set(old_comp) != set(ev.old_arcs):
-                raise AlgebraError("death did not consume an isolated circle")
-            self.apply("cup", (old_comp,), ())
-        elif tag in ("split", "merge"):
-            self._saddle(tag, ev, before_comps, after_comps)
-        else:
-            # structural cells, cusp cells and crossing cells reroute strands
-            mapping = transfer_components(before_comps, after_comps, ev)
-            self.slots = [mapping[s] for s in self.slots]
-            if tag == "cusp":
-                target = _comp_of(after_comps, ev.new_arcs[0])
-                self.apply("cusp", (target,), (target,))
-
-    def _saddle(self, tag, ev, before_comps, after_comps):
-        # split: source I_{pt pt} (two strands), target coev o ev (cup then
-        # cap); merge: source coev o ev, arcs [ev (cup-shaped), coev
-        # (cap-shaped)].  Both list old and new arcs in the same order.
-        b0 = _comp_of(before_comps, ev.old_arcs[0])
-        b1 = _comp_of(before_comps, ev.old_arcs[1])
-        a0 = _comp_of(after_comps, ev.new_arcs[0])
-        a1 = _comp_of(after_comps, ev.new_arcs[1])
-        if b0 != b1 and a0 != a1:
-            self.apply("reroute", (b0, b1), (a0, a1))
-        elif b0 != b1:
-            self.apply("merge" if tag == "merge" else "split-fuse",
-                       (b0, b1), (a0,))
-        elif a0 != a1:
-            self.apply("fission", (b0,), (a0, a1))
-        else:
-            if self.A.star is None:
-                raise AlgebraError(
-                    "non-orientable saddle needs a star structure")
-            self.apply("twist-" + tag, (b0,), (a0,))
+        tag = self.asg.tag(cell.name) if isinstance(cell, tc.Gen2) else None
+        # structural, cusp and crossing cells reroute strands
+        old, new = self.follow(state, ev,
+                               tag not in ("cap", "cup", "split", "merge"))
+        op = (tag, len(set(old)), len(set(new)))
+        if op in _LOCAL:
+            self.apply(op, list(dict.fromkeys(old)), list(dict.fromkeys(new)))
 
 
 def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
@@ -744,8 +711,8 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
         raise AlgebraError("invalid term:\n%s" % report)
     listener = _EvalListener(assignment)
     state = run_movie(report, p.data, listener)
-    slot_of = {comp: i for i, comp in enumerate(listener.slots)}
-    order = [slot_of[comp] for comp in comp_order(state, listener.comps)]
+    slot_of = {cid: i for i, cid in enumerate(listener.slots)}
+    order = [slot_of[cid] for cid in comp_order(state, listener.comp)]
     matrix = [[Q(0)] * n ** listener.sources for _ in range(n ** len(order))]
     for (col, idx), c in listener.state.items():
         row = 0
@@ -905,14 +872,13 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
 
     Unlisted structure constants are zero; each directive (each `mult i j`
     and `star i` row) may appear once, and so may each index within one
-    directive (each `i,j` within `e`).
+    directive (each `i,j` within `e`).  Entries are collected sparsely and
+    the dense tables built once the whole file is read; a file with fewer
+    nonzero `mult` rows than `dim` is refused, since unit . b_i = b_i needs
+    a nonzero row (j, i) for every i.
     """
-    dim = None
-    mult = None
-    unit = None
-    lam = None
-    e = None
-    star = None
+    dim = unit = lam = e = star = None
+    mult = {}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -929,43 +895,47 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
                 dim = int(parts[1])
                 if dim < 1:
                     raise ValueError("dim must be at least 1")
-                mult = [[_vec(dim) for _ in range(dim)] for _ in range(dim)]
             elif key == "mult":
                 i, j = _index(parts[1], dim), _index(parts[2], dim)
                 _once(seen, "mult %d %d" % (i + 1, j + 1))
                 if parts[3] != "->":
                     raise ValueError("expected ->")
-                mult[i][j] = _vec(dim, _entries(parts[4:], dim))
+                mult[i, j] = _entries(parts[4:], dim)
             elif key == "unit":
-                unit = _vec(dim, _entries(parts[1:], dim))
+                unit = _entries(parts[1:], dim)
             elif key == "lambda":
-                lam = _vec(dim, _entries(parts[1:], dim))
+                lam = _entries(parts[1:], dim)
             elif key == "e":
-                e = [[Q(0)] * dim for _ in range(dim)]
+                e = {}
                 for tok in parts[1:]:
                     ij, q = tok.split(":")
                     i, j = (_index(k, dim) for k in ij.split(","))
                     _once(seen, "entry %d,%d" % (i + 1, j + 1))
-                    e[i][j] = parse_rational(q)
-                e = tuple(tuple(r) for r in e)
+                    e[i, j] = parse_rational(q)
             elif key == "star":
                 if star is None:
-                    star = [[Q(0)] * dim for _ in range(dim)]
+                    star = {}
                 i = _index(parts[1], dim)
                 _once(seen, "star %d" % (i + 1))
                 if parts[2] != "->":
                     raise ValueError("expected ->")
-                for k, q in _entries(parts[3:], dim):
-                    star[i][k] = q
+                star[i] = _entries(parts[3:], dim)
             else:
                 raise ValueError("unknown directive %r" % key)
         except (IndexError, ValueError) as exc:
             raise AlgebraError("line %d: %s" % (lineno, exc))
     if dim is None or unit is None:
         raise AlgebraError("missing dim or unit")
+    rows = sum(1 for entries in mult.values() if any(q for _, q in entries))
+    if rows < dim:
+        raise AlgebraError("dim %d needs at least %d nonzero mult rows for "
+                           "a unit, found %d" % (dim, dim, rows))
+    n = range(dim)
     return FrobAlgebra(
         name=name, dim=dim,
-        mult=tuple(tuple(row) for row in mult),
-        unit=unit, lam=lam, e=e,
-        star=tuple(tuple(r) for r in star) if star is not None else None)
-
+        mult=tuple(tuple(_vec(dim, mult.get((i, j), ())) for j in n)
+                   for i in n),
+        unit=_vec(dim, unit), lam=None if lam is None else _vec(dim, lam),
+        e=None if e is None else _dense(dim, e),
+        star=None if star is None else tuple(_vec(dim, star.get(i, ()))
+                                             for i in n))

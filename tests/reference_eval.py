@@ -2,38 +2,35 @@
 
 This is the evaluator `frobenius.evaluate` replaced, kept as a slow
 oracle for the merged sparse walk; only its movie interface follows
-`_diagram`.  Each column runs the whole movie on a list of pure tensors
-(coefficient, value per component) that is never merged.  Only tests use
-it.
+`_diagram` (component ids from `ComponentListener`), and it picks each
+event's local map by its own explicit cases.  Each column runs the whole
+movie on a list of pure tensors (coefficient, value per component) that
+is never merged.  Only tests use it.
 """
 
 from fractions import Fraction
 
 from bordcalc import termcore as tc
-from bordcalc._diagram import (MovieListener, MovieState, comp_order,
-                               run_movie, transfer_components)
+from bordcalc._diagram import (ComponentListener, MovieState, comp_order,
+                               run_movie)
 from bordcalc.frobenius import AlgebraError, Assignment, TwoCellValue
 
 Q = Fraction
 
 
-class _EvalListener(MovieListener):
+class _EvalListener(ComponentListener):
     def __init__(self, assignment, initial_values):
         self.A = assignment.algebra
         self.asg = assignment
         self.initial = initial_values
         self.configs = None
-        self.comps = None
 
     def begin(self, state):
-        self.comps = state.diagram.components()
-        order = comp_order(state, self.comps)
-        vals = {}
-        for comp, v in zip(order, self.initial):
-            vals[comp] = v
+        super().begin(state)
+        order = comp_order(state, self.comp)
         if len(order) != len(self.initial):
             raise AlgebraError("source component mismatch")
-        self.configs = [(Q(1), vals)]
+        self.configs = [(Q(1), dict(zip(order, self.initial)))]
 
     # -- events ---------------------------------------------------------
 
@@ -41,62 +38,36 @@ class _EvalListener(MovieListener):
         cell = ev.cell
         name = cell.name if isinstance(cell, tc.Gen2) else None
         tag = self.asg.tag(name) if name else None
-        before_comps = self.comps
-        after_comps = self.comps = state.diagram.components()
+        # structural cells, cusp cells and crossing cells reroute strands
+        # and keep the component ids
+        old, new = self.follow(state, ev,
+                               tag not in ("cap", "cup", "split", "merge"))
         if tag == "cap":
-            new_comp = self._comp_of(after_comps, ev.new_arcs[0])
-            if set(new_comp) != set(ev.new_arcs):
-                raise AlgebraError("birth did not create an isolated circle")
-            self.configs = [(c, {**vals, new_comp: self.A.unit})
+            self.configs = [(c, {**vals, new[0]: self.A.unit})
                             for c, vals in self.configs]
-            return
-        if tag == "cup":
-            old_comp = self._comp_of(before_comps, ev.old_arcs[0])
-            if set(old_comp) != set(ev.old_arcs):
-                raise AlgebraError("death did not consume an isolated circle")
+        elif tag == "cup":
             out = []
             for c, vals in self.configs:
-                v = vals[old_comp]
-                vals = {k: w for k, w in vals.items() if k != old_comp}
+                v = vals[old[0]]
+                vals = {k: w for k, w in vals.items() if k != old[0]}
                 out.append((c * self.A.lam_of(v), vals))
             self.configs = out
-            return
-        if tag in ("split", "merge"):
-            self._saddle(tag, state, ev, before_comps, after_comps)
-            return
-        # structural cells, cusp cells and crossing cells reroute strands
-        mapping = transfer_components(before_comps, after_comps, ev)
-        out = []
-        for c, vals in self.configs:
-            out.append((c, {mapping.get(k, k): v for k, v in vals.items()}))
-        self.configs = out
-        if tag == "cusp":
-            touched = self._comp_of(before_comps, ev.old_arcs[0]) \
-                if ev.old_arcs else None
-            target = (mapping[touched] if touched is not None
-                      else self._comp_of(after_comps, ev.new_arcs[0]))
+        elif tag in ("split", "merge"):
+            self._saddle(tag, old, new)
+        elif tag == "cusp":
+            target = new[0]
             f = self.asg.cusp_factor
             self.configs = [
                 (c, {**vals, target: self.A.mul(vals[target], f)})
                 for c, vals in self.configs]
 
-    def _comp_of(self, comps, arc):
-        for comp in comps:
-            if arc in comp:
-                return comp
-        raise AlgebraError("arc missing from components")
-
-    def _saddle(self, tag, state, ev, before_comps, after_comps):
+    def _saddle(self, tag, old, new):
         A = self.A
         # split: source I_{pt pt} (two strands), target coev o ev (cup then
         # cap); merge: source coev o ev, arcs [ev (cup-shaped), coev
         # (cap-shaped)].  Both list old and new arcs in the same order.
-        o0, o1 = ev.old_arcs[0], ev.old_arcs[1]
-        cup_arc, cap_arc = ev.new_arcs[0], ev.new_arcs[1]
-        b0 = self._comp_of(before_comps, o0)
-        b1 = self._comp_of(before_comps, o1)
-        a0 = self._comp_of(after_comps, cup_arc)
-        a1 = self._comp_of(after_comps, cap_arc)
+        b0, b1 = old[0], old[1]
+        a0, a1 = new[0], new[1]
         out = []
         if b0 != b1 and a0 != a1:
             # open rerouting: two strands re-paired without fusing; the
@@ -164,9 +135,9 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
     report = tc.validate(term, p.data)
     if not report.ok:
         raise AlgebraError("invalid term:\n%s" % report)
-    probe = MovieState(report.boundary[0], p.data)
-    src_comps = probe.diagram.components()
-    k = len(src_comps)
+    probe = ComponentListener()
+    probe.begin(MovieState(report.boundary[0], p.data))
+    k = len(set(probe.comp.values()))
     n = A.dim
     ncols = n ** k
     columns = []
@@ -181,7 +152,7 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
         init = [A.basis_vec(i) for i in idx]
         listener = _EvalListener(assignment, init)
         state = run_movie(report, p.data, listener)
-        tgt_comps = comp_order(state, listener.comps)
+        tgt_comps = comp_order(state, listener.comp)
         m = len(tgt_comps)
         nrows = n ** m
         colvec = [Q(0)] * nrows

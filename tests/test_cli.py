@@ -261,6 +261,15 @@ def test_eval_verify_algebra_with_a_repeated_index(tmp_path, capsys, command):
     assert "duplicate index 1" in err
 
 
+def test_verify_algebra_with_a_dim_beyond_its_rows(tmp_path, capsys):
+    from tests.test_frobenius import HUGE_DIM
+    alg = tmp_path / "huge.alg"
+    alg.write_text(HUGE_DIM, encoding="utf-8")
+    code, out, err = run(["verify", "--algebra", str(alg)], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "nonzero mult rows" in err
+
+
 def test_verify_names_first_failing_triple(tmp_path, capsys):
     # Q[x]/(x^2) with 1.x = 1 + x and x.x = x: (1.1).x != 1.(1.x)
     alg = tmp_path / "nonassociative.alg"

@@ -5,9 +5,9 @@ mutated a few bytes at a time with a fixed seed, and each command that
 reads the mutated file must end in exit 0, 2, 3 or 4 with at most one
 line on stderr, never a traceback.
 
-An algebra mutation puts one digit in place of another and copies only
-whole lines, so it never declares a `dim` above 9: the algebra parser
-allocates dim * dim vectors of length dim before it reads the next line.
+An algebra mutation may insert digits anywhere, so it can declare a large
+`dim`; the parser refuses a `dim` with fewer nonzero `mult` rows before it
+builds any table of that size.
 """
 
 import pathlib
@@ -29,7 +29,7 @@ TERM_NAMES = [b"ev", b"coev", b"cap", b"cup", b"split", b"merge", b"pt",
               b"lc", b"alpha", b"l", b"r", b"beta", b"inv", b"inv2"]
 ALGEBRA_TOKENS = [b"dim ", b"mult ", b"unit ", b"lambda ", b"e ", b"star ",
                   b"->", b":", b",", b"/", b"-", b" ", b"\n", b"#", b"x",
-                  b"\xff"]
+                  b"\xff"] + [b"%d" % k for k in range(10)]
 
 
 def _copy_bytes(text, i, rng):

@@ -3,6 +3,7 @@
 import pathlib
 import random
 import time
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -584,6 +585,26 @@ def test_algebra_file_errors():
         with pytest.raises(fr.AlgebraError) as exc:
             fr.parse_algebra_file(text)
         assert str(exc.value) == message
+
+
+#: a large `dim` whose tables the file does not fill
+HUGE_DIM = "dim 100000\nunit 1:1\nlambda 1:1\ne 1,1:1\n"
+
+
+def test_algebra_file_dim_beyond_its_mult_rows_is_refused_at_once():
+    # unit . b_i = b_i needs a nonzero mult row (j, i) for every i, so the
+    # tables of a dim the rows cannot fill are never built
+    start = time.perf_counter()
+    with pytest.raises(fr.AlgebraError) as exc:
+        fr.parse_algebra_file(HUGE_DIM)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == ("dim 100000 needs at least 100000 nonzero "
+                              "mult rows for a unit, found 0")
+    with pytest.raises(fr.AlgebraError) as exc:
+        fr.parse_algebra_file("dim 2\nmult 1 1 -> 1:1\nmult 1 2 -> 2:0\n"
+                              "unit 1:1")
+    assert str(exc.value) == ("dim 2 needs at least 2 nonzero mult rows "
+                              "for a unit, found 1")
 
 
 @pytest.mark.parametrize("line, message", [
