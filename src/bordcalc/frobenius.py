@@ -1,12 +1,13 @@
 """Exact algebraic semantics: Frobenius algebras and term evaluation.
 
 Algebras are finite dimensional over the rationals, given by structure
-constants.  Each `FrobAlgebra` is frozen and derives, once, sparse tables
-of its nonzero structure constants (`rows`) and copairing entries
-(`pairs`); products, the checkers and the linear algebra below work on
-sparse vectors {index: coefficient} over these tables, never on dense
-zero arithmetic.  The checkers verify associativity, the Frobenius data
-(a central copairing and a functional with the reproducing
+constants.  Inside this module a vector is a sparse map {index:
+coefficient} without zeros, for all arithmetic and elimination; dense
+tuples are only the `FrobAlgebra` constructor fields, read once into
+sparse tables, and the reported results (`TwoCellValue.matrix`, the
+separability witness and certificate, `center`, `Cocenter`, `CircleMaps`
+and `closed_value`).  The checkers verify associativity, the Frobenius
+data (a central copairing and a functional with the reproducing
 normalization), symmetry (trace-likeness / bicentrality) and
 separability (existence of a central element with multiplication one,
 decided by an exact linear system); each failing check names its first
@@ -59,6 +60,20 @@ def _sparse(v):
     return {i: c for i, c in enumerate(v) if c}
 
 
+def _densify(v, n):
+    """The dense tuple of the sparse vector v, for a reported result."""
+    return tuple(v.get(i, Q(0)) for i in range(n))
+
+
+def _transpose(columns, n):
+    """Sparse rows 0..n-1 of the matrix with the given sparse columns."""
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(columns):
+        for a, c in col.items():
+            rows[a][j] = c
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
@@ -68,34 +83,33 @@ class Elimination:
     """Reduced row echelon data of the exact system rows . x = rhs.
 
     Exactly one of `solution` (free variables set to zero) and
-    `certificate` (a Farkas vector y with y.rows = 0 and y.rhs != 0) is set.
+    `certificate` (a Farkas vector y with y.rows = 0 and y.rhs != 0, keyed
+    by row) is set.  Every vector is sparse.
     """
 
     pivots: tuple              # pivot column of each nonzero row, ascending
-    nullspace: list            # basis of {x : rows . x = 0}, one per free column
-    solution: Optional[tuple]
-    certificate: Optional[tuple]
+    nullspace: list            # basis of {x : rows . x = 0}, per free column
+    solution: Optional[dict]
+    certificate: Optional[dict]
 
 
-def rref(rows: List[Sequence[Fraction]], n: int,
-         rhs: Optional[List[Fraction]] = None) -> Elimination:
-    """Gauss-Jordan elimination over Q of rows of length n (rhs default 0).
+def rref(rows: List[dict], n: int,
+         rhs: Optional[Sequence[Fraction]] = None) -> Elimination:
+    """Gauss-Jordan elimination over Q of sparse rows {column:
+    coefficient} over columns 0..n-1 (rhs, one entry per row, default 0).
 
-    Rows are eliminated as sparse maps {column: coefficient} with the rhs
-    in column n.  The certificate is built on demand: only an inconsistent
-    system is eliminated once more, each row carrying in columns n+1.. the
-    combination of input rows it is, and a zero row with nonzero rhs reads
-    it off.
+    The rhs is eliminated in column n.  The certificate is built on
+    demand: only an inconsistent system is eliminated once more, each row
+    carrying in columns n+1.. the combination of input rows it is, and a
+    zero row with nonzero rhs reads it off.
     """
     m = len(rows)
-    if rhs is None:
-        rhs = [Q(0)] * m
 
     def eliminate(block):
         aug = []
         for i, row in enumerate(rows):
-            r = _sparse(row)
-            if rhs[i]:
+            r = {k: x for k, x in row.items() if x}
+            if rhs is not None and rhs[i]:
                 r[n] = rhs[i]
             if block:
                 r[n + 1 + i] = Q(1)
@@ -125,25 +139,18 @@ def rref(rows: List[Sequence[Fraction]], n: int,
         return aug, pivots
 
     aug, pivots = eliminate(False)
-    nullspace = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        v = [Q(0)] * n
-        v[c] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -aug[i].get(c, Q(0))
-        nullspace.append(tuple(v))
+    # one vector per free column c: x_c = 1, and each pivot row solved
+    nullspace = [{c: Q(1), **{pc: -aug[i][c] for i, pc in enumerate(pivots)
+                              if c in aug[i]}}
+                 for c in range(n) if c not in pivots]
     # past the pivots only the rhs column can be left nonzero
     if any(aug[len(pivots):]):
         aug, _ = eliminate(True)
         row = next(r for r in aug[len(pivots):] if n in r)
-        cert = tuple(row.get(n + 1 + i, Q(0)) / row[n] for i in range(m))
+        cert = {k - n - 1: x / row[n] for k, x in row.items() if k > n}
         return Elimination(tuple(pivots), nullspace, None, cert)
-    x = [Q(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i].get(n, Q(0))
-    return Elimination(tuple(pivots), nullspace, tuple(x), None)
+    sol = {c: aug[i][n] for i, c in enumerate(pivots) if n in aug[i]}
+    return Elimination(tuple(pivots), nullspace, sol, None)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +166,11 @@ class FrobAlgebra:
     functional; `star` an optional involutive anti-automorphism given by
     images of basis vectors.
 
-    The algebra is frozen, and two sparse tables are derived from it once:
-    rows[i][j] lists the nonzero (k, c) of basis_i . basis_j, and `pairs`
-    the nonzero (c, i, j) of the copairing (None without one).
+    The algebra is frozen, and its sparse tables are derived from it once:
+    rows[i][j] lists the nonzero (k, c) of basis_i . basis_j, `pairs` the
+    nonzero (c, i, j) of the copairing (None without one), stars[i] the
+    nonzero (k, c) of star(basis_i) (None without a star), and `one` is
+    the unit as a sparse vector.
     """
 
     name: str
@@ -174,6 +183,8 @@ class FrobAlgebra:
     basis_names: Optional[tuple] = None
     rows: tuple = field(init=False, repr=False, compare=False)
     pairs: Optional[tuple] = field(init=False, repr=False, compare=False)
+    stars: Optional[tuple] = field(init=False, repr=False, compare=False)
+    one: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = range(self.dim)
@@ -182,43 +193,14 @@ class FrobAlgebra:
             for i in n))
         object.__setattr__(self, "pairs", None if self.e is None else tuple(
             (self.e[i][j], i, j) for i in n for j in n if self.e[i][j]))
-
-    # -- arithmetic -----------------------------------------------------
-
-    def mul(self, u, v):
-        out = [Q(0)] * self.dim
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        for k, c in self.rows[i][j]:
-                            out[k] += a * b * c
-        return tuple(out)
-
-    def lam_of(self, v):
-        return sum(a * b for a, b in zip(_functional(self), v))
-
-    def star_of(self, v):
-        if self.star is None:
-            raise AlgebraError("algebra %s has no star structure" % self.name)
-        n = self.dim
-        out = [Q(0)] * n
-        for i in range(n):
-            if v[i] != 0:
-                for k in range(n):
-                    out[k] += v[i] * self.star[i][k]
-        return tuple(out)
-
-    def e_pairs(self):
-        return [(c, self.basis_vec(i), self.basis_vec(j))
-                for c, i, j in _copairing(self)]
-
-    def basis_vec(self, i):
-        return _vec(self.dim, [(i, Q(1))])
+        object.__setattr__(self, "stars", None if self.star is None else
+                           tuple(tuple(_sparse(r).items()) for r in self.star))
+        object.__setattr__(self, "one", _sparse(self.unit))
 
     def handle_element(self):
-        return _vec(self.dim, ((k, c * d) for c, i, j in _copairing(self)
-                               for k, d in self.rows[i][j]))
+        """sum_ij e_ij basis_i . basis_j, as a sparse vector."""
+        return _acc((k, c * d) for c, i, j in _copairing(self)
+                    for k, d in self.rows[i][j])
 
     def label(self, i):
         if self.basis_names:
@@ -242,6 +224,17 @@ def _prod(A, u, v):
     """u . v for sparse vectors {index: coefficient}."""
     return _acc((k, a * b * c) for i, a in u.items() for j, b in v.items()
                 for k, c in A.rows[i][j])
+
+
+def _lam(A, v):
+    lam = _functional(A)
+    return sum((lam[k] * c for k, c in v.items()), Q(0))
+
+
+def _star(A, v):
+    if A.stars is None:
+        raise AlgebraError("algebra %s has no star structure" % A.name)
+    return _acc((m, c * s) for k, c in v.items() for m, s in A.stars[k])
 
 
 def _trace_form(A, lam):
@@ -291,13 +284,17 @@ def check_algebra(A: FrobAlgebra) -> Report:
     rep = Report()
     n = A.dim
     e = [{i: 1} for i in range(n)]
-    bad = _first(_grid(n, 3), lambda i, j, k: (
+    # a triple cannot fail if basis_i.basis_j = 0 = basis_j.basis_k
+    right = [[k for k in range(n) if A.rows[j][k]] for j in range(n)]
+    triples = ((i, j, k) for i, j in _grid(n, 2)
+               for k in (range(n) if A.rows[i][j] else right[j]))
+    bad = _first(triples, lambda i, j, k: (
         _prod(A, _prod(A, e[i], e[j]), e[k])
         != _prod(A, e[i], _prod(A, e[j], e[k]))))
     rep.add("associative", bad is None, "(%d,%d,%d)" % bad if bad else "")
-    unit = _sparse(A.unit)
-    rep.add("unital", all(_prod(A, unit, e[i]) == e[i] == _prod(A, e[i], unit)
-                          for i in range(n)))
+    rep.add("unital", all(
+        _prod(A, A.one, e[i]) == e[i] == _prod(A, e[i], A.one)
+        for i in range(n)))
     return rep
 
 
@@ -320,11 +317,10 @@ def check_frobenius(A: FrobAlgebra) -> Report:
     pairs = _copairing(A)
     # the functional is read only through the copairing: a zero one needs none
     lam = _functional(A) if pairs else (Q(0),) * n
-    unit = _sparse(A.unit)
     rep.add("normalization-left",
-            _acc((j, c * lam[i]) for c, i, j in pairs) == unit)
+            _acc((j, c * lam[i]) for c, i, j in pairs) == A.one)
     rep.add("normalization-right",
-            _acc((i, c * lam[j]) for c, i, j in pairs) == unit)
+            _acc((i, c * lam[j]) for c, i, j in pairs) == A.one)
     # (id (x) b)(e (x) id): v -> sum x_i b(y_i, v), and its mirror
     form = _trace_form(A, lam)
     rep.add("snake", all(
@@ -345,16 +341,11 @@ def check_symmetric(A: FrobAlgebra) -> Report:
         A, lambda i: _prod(A, dict(A.rows[w][i]), e[z]),
         lambda j: _prod(A, dict(A.rows[z][j]), e[w]))) is None)
     if A.star is not None:
-        st = [_sparse(r) for r in A.star]
-
-        def star(u):
-            return _acc((m, c * s) for k, c in u.items()
-                        for m, s in st[k].items())
-
-        rep.add("star-involution", all(star(star(e[i])) == e[i]
+        rep.add("star-involution", all(_star(A, _star(A, e[i])) == e[i]
                                        for i in range(n)))
         rep.add("star-antihom", all(
-            star(_prod(A, e[i], e[j])) == _prod(A, star(e[j]), star(e[i]))
+            _star(A, _prod(A, e[i], e[j]))
+            == _prod(A, _star(A, e[j]), _star(A, e[i]))
             for i, j in _grid(n, 2)))
     return rep
 
@@ -371,10 +362,9 @@ class SeparabilityResult:
 
 def _separability_system(A: FrobAlgebra):
     """(rows, rhs) over the n*n coordinates z_ij of z in A(x)A: z central
-    and mu(z) = 1."""
+    and mu(z) = 1; each row is sparse, rhs has one entry per row."""
     n = A.dim
-    nn = n * n
-    rows, rhs = [], []
+    rows = []
     # centrality: for each w_k and coordinate (a,b):
     #   sum_ij z_ij [ (w x_i)_a (x_j)_b - (x_i)_a (x_j w)_b ] = 0
     for k in range(n):
@@ -385,18 +375,15 @@ def _separability_system(A: FrobAlgebra):
              for b, d in A.rows[j][k] for a in range(n))))
         eqs = {}
         for (a, b, col), c in coef.items():
-            eqs.setdefault((a, b), []).append((col, c))
-        for ab in sorted(eqs):
-            rows.append(_vec(nn, eqs[ab]))
-            rhs.append(Q(0))
+            eqs.setdefault((a, b), {})[col] = c
+        rows += [eqs[ab] for ab in sorted(eqs)]
+    rhs = [Q(0)] * len(rows) + list(A.unit)
     # normalization: sum_ij z_ij (x_i x_j)_a = unit_a
-    norm = [[] for _ in range(n)]
+    norm = [{} for _ in range(n)]
     for i, j in _grid(n, 2):
         for a, c in A.rows[i][j]:
-            norm[a].append((i * n + j, c))
-    rows += [_vec(nn, entries) for entries in norm]
-    rhs += A.unit
-    return rows, rhs
+            norm[a][i * n + j] = c
+    return rows + norm, rhs
 
 
 def check_separable(A: FrobAlgebra) -> SeparabilityResult:
@@ -405,9 +392,11 @@ def check_separable(A: FrobAlgebra) -> SeparabilityResult:
     rows, rhs = _separability_system(A)
     elim = rref(rows, n * n, rhs)
     if elim.solution is None:
-        return SeparabilityResult(False, None, elim.certificate)
+        return SeparabilityResult(False, None,
+                                  _densify(elim.certificate, len(rows)))
     sol = elim.solution
-    witness = tuple(tuple(sol[i * n + j] for j in range(n)) for i in range(n))
+    witness = tuple(tuple(sol.get(i * n + j, Q(0)) for j in range(n))
+                    for i in range(n))
     return SeparabilityResult(True, witness, None)
 
 
@@ -415,11 +404,15 @@ def check_separable(A: FrobAlgebra) -> SeparabilityResult:
 # center, cocenter and the circle maps
 # ---------------------------------------------------------------------------
 
-def center(A: FrobAlgebra) -> List[tuple]:
+def _center(A):
+    """Sparse basis of z(A): the x with [basis_k, x] = 0 for every k."""
     n = A.dim
-    comms = [[_commutator(A, k, i) for i in range(n)] for k in range(n)]
-    return rref([[comms[k][i].get(a, Q(0)) for i in range(n)]
-                 for k in range(n) for a in range(n)], n).nullspace
+    return rref([r for k in range(n) for r in _transpose(
+        [_commutator(A, k, i) for i in range(n)], n)], n).nullspace
+
+
+def center(A: FrobAlgebra) -> List[tuple]:
+    return [_densify(z, A.dim) for z in _center(A)]
 
 
 @dataclass
@@ -433,19 +426,22 @@ class Cocenter:
     def dim(self):
         return len(self.reps)
 
-    def project_vec(self, v):
-        return tuple(sum(r[i] * v[i] for i in range(len(v)))
-                     for r in self.project)
+
+def _cocenter(A):
+    """(free columns, sparse projection rows, Cocenter) of A/[A,A]: basis_c
+    of a free column c represents a class, and entry k of c's nullspace
+    vector is the coordinate at c of basis_k reduced by the commutators."""
+    n = A.dim
+    elim = rref([c for c in (_commutator(A, i, j) for i, j in _grid(n, 2))
+                 if c], n)
+    free = [c for c in range(n) if c not in elim.pivots]
+    return free, elim.nullspace, Cocenter(
+        [_densify({c: Q(1)}, n) for c in free],
+        [_densify(r, n) for r in elim.nullspace])
 
 
 def cocenter(A: FrobAlgebra) -> Cocenter:
-    n = A.dim
-    comms = (_commutator(A, i, j) for i, j in _grid(n, 2))
-    elim = rref([_vec(n, c.items()) for c in comms if c], n)
-    reps = [_vec(n, [(c, Q(1))]) for c in range(n) if c not in elim.pivots]
-    # the quotient coordinate of e_k at free column c is entry k of the
-    # nullspace vector of c: e_k reduced modulo the echelon rows
-    return Cocenter(reps, elim.nullspace)
+    return _cocenter(A)[2]
 
 
 @dataclass
@@ -462,12 +458,12 @@ class CircleMaps:
 def _solve_h_inverse(A):
     H = A.handle_element()
     n = A.dim
-    rows = [[A.mul(A.basis_vec(j), H)[a] for j in range(n)] for a in range(n)]
-    sol = rref(rows, n, list(A.unit)).solution
+    rows = _transpose([_prod(A, {j: 1}, H) for j in range(n)], n)
+    sol = rref(rows, n, A.unit).solution
     if sol is None:
         return None
     # verify (H may be a zero divisor even when the system is solvable)
-    if A.mul(sol, H) != A.unit or A.mul(H, sol) != A.unit:
+    if _prod(A, sol, H) != A.one or _prod(A, H, sol) != A.one:
         return None
     return sol
 
@@ -482,41 +478,38 @@ def _inverse_columns(f, g):
 
 
 def circle_maps(A: FrobAlgebra) -> CircleMaps:
-    zb = center(A)
-    cc = cocenter(A)
+    zb = _center(A)
+    free, project, cc = _cocenter(A)
     n = A.dim
-
-    def u_raw(x):
-        x = _sparse(x)
-        return _vec(n, (t for c, i, j in _copairing(A) for t in _prod(
-            A, _prod(A, {i: c}, x), {j: 1}).items()))
-
     # u on cocenter representatives, in center coordinates
+    rows = _transpose(zb, n)
     u_cols = []
-    for rep in cc.reps:
-        img = u_raw(rep)
-        rows = [[zb[j][a] for j in range(len(zb))] for a in range(n)]
-        sol = rref(rows, len(zb), list(img)).solution
+    for rep in free:
+        img = _acc(t for c, i, j in _copairing(A) for t in _prod(
+            A, _prod(A, {i: c}, {rep: 1}), {j: 1}).items())
+        sol = rref(rows, len(zb), _densify(img, n)).solution
         if sol is None:
             raise AlgebraError("u image left the center")
-        u_cols.append(sol)
+        u_cols.append(_densify(sol, len(zb)))
     hinv = _solve_h_inverse(A)
     v_cols = []
-    for c in zb:
-        w = A.mul(hinv, c) if hinv is not None else c
-        v_cols.append(cc.project_vec(w))
-    inverse = (len(zb) == cc.dim and _inverse_columns(u_cols, v_cols)
+    for z in zb:
+        w = _prod(A, hinv, z) if hinv is not None else z
+        v_cols.append(tuple(sum(r.get(k, 0) * c for k, c in w.items())
+                            for r in project))
+    inverse = (len(zb) == len(free) and _inverse_columns(u_cols, v_cols)
                and _inverse_columns(v_cols, u_cols))
-    return CircleMaps(zb, cc, u_cols, v_cols, inverse)
+    return CircleMaps([_densify(z, n) for z in zb], cc, u_cols, v_cols,
+                      inverse)
 
 
 def closed_value(A: FrobAlgebra, genus: int) -> Fraction:
     """lambda(H^genus): the closed surface oracle."""
     H = A.handle_element()
-    acc = A.unit
+    acc = A.one
     for _ in range(genus):
-        acc = A.mul(acc, H)
-    return A.lam_of(acc)
+        acc = _prod(A, acc, H)
+    return _lam(A, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -526,37 +519,40 @@ def closed_value(A: FrobAlgebra, genus: int) -> Fraction:
 def _reroute(A, f, u, v):
     # two strands re-paired without fusing; the copairing is threaded
     # between the halves
-    return [(c, (A.mul(u, x), A.mul(y, v))) for c, x, y in A.e_pairs()]
+    return [(c, (_prod(A, u, {i: 1}), _prod(A, {j: 1}, v)))
+            for c, i, j in _copairing(A)]
 
 
 def _fission(A, f, v):
     # one component splits in two
-    return [(c, (A.mul(v, x), y)) for c, x, y in A.e_pairs()]
+    return [(c, (_prod(A, v, {i: 1}), {j: 1})) for c, i, j in _copairing(A)]
 
 
 #: The local map of each generator event, keyed by (tag, distinct
 #: components it consumes, distinct components it produces), on basis
 #: vectors of the components it consumes: pure tensors (coefficient, one
-#: vector per component it produces).  A saddle (split: I_{pt pt} to
-#: coev o ev; merge: the reverse) lists its old and new arcs in the same
-#: order, so the components are taken in arc order.
+#: sparse vector per component it produces).  A saddle (split: I_{pt pt}
+#: to coev o ev; merge: the reverse) lists its old and new arcs in the
+#: same order, so the components are taken in arc order.
 _LOCAL = {
     # births insert the unit, deaths apply the functional
-    ("cap", 0, 1): lambda A, f: [(Q(1), (A.unit,))],
-    ("cup", 1, 0): lambda A, f, v: [(A.lam_of(v), ())],
-    ("cusp", 1, 1): lambda A, f, v: [(Q(1), (A.mul(v, f),))],
+    ("cap", 0, 1): lambda A, f: [(Q(1), (A.one,))],
+    ("cup", 1, 0): lambda A, f, v: [(_lam(A, v), ())],
+    ("cusp", 1, 1): lambda A, f, v: [(Q(1), (_prod(A, v, f),))],
     ("split", 2, 2): _reroute,
     ("merge", 2, 2): _reroute,
     # two components fuse into one
-    ("merge", 2, 1): lambda A, f, u, v: [(Q(1), (A.mul(u, v),))],
+    ("merge", 2, 1): lambda A, f, u, v: [(Q(1), (_prod(A, u, v),))],
     ("split", 2, 1): lambda A, f, u, v: [
-        (c, (A.mul(A.mul(A.mul(u, x), v), y),)) for c, x, y in A.e_pairs()],
+        (c, (_prod(A, _prod(A, _prod(A, u, {i: 1}), v), {j: 1}),))
+        for c, i, j in _copairing(A)],
     ("split", 1, 2): _fission,
     ("merge", 1, 2): _fission,
     # non-orientable surgery: same component before and after
-    ("merge", 1, 1): lambda A, f, v: [(Q(1), (A.star_of(v),))],
+    ("merge", 1, 1): lambda A, f, v: [(Q(1), (_star(A, v),))],
     ("split", 1, 1): lambda A, f, v: [
-        (c, (A.mul(A.mul(x, A.star_of(v)), y),)) for c, x, y in A.e_pairs()],
+        (c, (_prod(A, _prod(A, {i: 1}, _star(A, v)), {j: 1}),))
+        for c, i, j in _copairing(A)],
 }
 
 
@@ -564,7 +560,7 @@ _LOCAL = {
 class Assignment:
     algebra: FrobAlgebra
     presentation: Presentation
-    cusp_factor: tuple
+    cusp_factor: dict          # sparse vector the cusp cells multiply by
     _local: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -576,17 +572,15 @@ class Assignment:
         idx under the local map op, computed once per assignment."""
         key = (op, idx)
         if key not in self._local:
-            A = self.algebra
-            acc = {}
-            vecs = [A.basis_vec(i) for i in idx]
-            for c, pure in _LOCAL[op](A, self.cusp_factor, *vecs):
-                terms = [(c, ())]
+            out = []
+            for c, pure in _LOCAL[op](self.algebra, self.cusp_factor,
+                                      *({i: Q(1)} for i in idx)):
+                terms = [((), c)]
                 for v in pure:
-                    terms = [(a * v[i], t + (i,)) for a, t in terms
-                             for i in range(A.dim) if v[i]]
-                for a, t in terms:
-                    acc[t] = acc.get(t, 0) + a
-            self._local[key] = [(t, a) for t, a in acc.items() if a]
+                    terms = [(t + (i,), a * x) for t, a in terms
+                             for i, x in v.items()]
+                out += terms
+            self._local[key] = list(_acc(out).items())
         return self._local[key]
 
 
@@ -610,8 +604,10 @@ def standard_assignment(A: FrobAlgebra, p: Presentation) -> Assignment:
         raise AlgebraError(
             "presentation %s needs a star structure on %s" % (p.name, A.name))
     sep = check_separable(A)
-    factor = A.unit if sep.separable else A.handle_element()
+    factor = A.one if sep.separable else A.handle_element()
     return Assignment(A, p, cusp_factor=factor)
+
+
 
 
 @dataclass

@@ -4,8 +4,11 @@ This is the evaluator `frobenius.evaluate` replaced, kept as a slow
 oracle for the merged sparse walk; only its movie interface follows
 `_diagram` (component ids from `ComponentListener`), and it picks each
 event's local map by its own explicit cases.  Each column runs the whole
-movie on a list of pure tensors (coefficient, value per component) that
-is never merged.  Only tests use it.
+movie on a list of pure tensors (coefficient, dense value per component)
+that is never merged.  Its arithmetic is the dense `mul`, `lam`, `star`
+and `basis` of `tests/reference_frobenius.py`, with the copairing read
+from the algebra's `e` matrix, so it shares none with the module it
+checks.  Only tests use it.
 """
 
 from fractions import Fraction
@@ -14,8 +17,16 @@ from bordcalc import termcore as tc
 from bordcalc._diagram import (ComponentListener, MovieState, comp_order,
                                run_movie)
 from bordcalc.frobenius import AlgebraError, Assignment, TwoCellValue
+from tests import reference_frobenius as ref
 
 Q = Fraction
+
+
+def _pairs(A):
+    """(e_ij, basis_i, basis_j) of each nonzero entry of the copairing."""
+    n = A.dim
+    return [(A.e[i][j], ref.basis(A, i), ref.basis(A, j))
+            for i in range(n) for j in range(n) if A.e[i][j]]
 
 
 class _EvalListener(ComponentListener):
@@ -50,15 +61,16 @@ class _EvalListener(ComponentListener):
             for c, vals in self.configs:
                 v = vals[old[0]]
                 vals = {k: w for k, w in vals.items() if k != old[0]}
-                out.append((c * self.A.lam_of(v), vals))
+                out.append((c * ref.lam(self.A, v), vals))
             self.configs = out
         elif tag in ("split", "merge"):
             self._saddle(tag, old, new)
         elif tag == "cusp":
             target = new[0]
-            f = self.asg.cusp_factor
+            f = tuple(self.asg.cusp_factor.get(k, Q(0))
+                      for k in range(self.A.dim))
             self.configs = [
-                (c, {**vals, target: self.A.mul(vals[target], f)})
+                (c, {**vals, target: ref.mul(self.A, vals[target], f)})
                 for c, vals in self.configs]
 
     def _saddle(self, tag, old, new):
@@ -75,10 +87,10 @@ class _EvalListener(ComponentListener):
             for c, vals in self.configs:
                 u, v = vals[b0], vals[b1]
                 base = {k: w for k, w in vals.items() if k not in (b0, b1)}
-                for ce, x, y in A.e_pairs():
+                for ce, x, y in _pairs(A):
                     nv = dict(base)
-                    nv[a0] = A.mul(u, x)
-                    nv[a1] = A.mul(y, v)
+                    nv[a0] = ref.mul(A, u, x)
+                    nv[a1] = ref.mul(A, y, v)
                     out.append((c * ce, nv))
         elif b0 != b1:
             # two components fuse into one
@@ -87,25 +99,26 @@ class _EvalListener(ComponentListener):
                     u, v = vals[b0], vals[b1]
                     vals = {k: w for k, w in vals.items()
                             if k not in (b0, b1)}
-                    vals[a0] = A.mul(u, v)
+                    vals[a0] = ref.mul(A, u, v)
                     out.append((c, vals))
             else:
                 for c, vals in self.configs:
                     u, v = vals[b0], vals[b1]
                     base = {k: w for k, w in vals.items()
                             if k not in (b0, b1)}
-                    for ce, x, y in A.e_pairs():
+                    for ce, x, y in _pairs(A):
                         nv = dict(base)
-                        nv[a0] = A.mul(A.mul(A.mul(u, x), v), y)
+                        nv[a0] = ref.mul(A, ref.mul(A, ref.mul(A, u, x), v),
+                                         y)
                         out.append((c * ce, nv))
         elif a0 != a1:
             # one component splits in two
             for c, vals in self.configs:
                 v = vals[b0]
                 base = {k: w for k, w in vals.items() if k != b0}
-                for ce, x, y in A.e_pairs():
+                for ce, x, y in _pairs(A):
                     nv = dict(base)
-                    nv[a0] = A.mul(v, x)
+                    nv[a0] = ref.mul(A, v, x)
                     nv[a1] = y
                     out.append((c * ce, nv))
         else:
@@ -118,12 +131,12 @@ class _EvalListener(ComponentListener):
                 base = {k: w for k, w in vals.items() if k != b0}
                 if tag == "merge":
                     nv = dict(base)
-                    nv[a0] = A.star_of(v)
+                    nv[a0] = ref.star(A, v)
                     out.append((c, nv))
                 else:
-                    for ce, x, y in A.e_pairs():
+                    for ce, x, y in _pairs(A):
                         nv = dict(base)
-                        nv[a0] = A.mul(A.mul(x, A.star_of(v)), y)
+                        nv[a0] = ref.mul(A, ref.mul(A, x, ref.star(A, v)), y)
                         out.append((c * ce, nv))
         self.configs = out
 
@@ -149,7 +162,7 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
             idx.append(rem % n)
             rem //= n
         idx.reverse()
-        init = [A.basis_vec(i) for i in idx]
+        init = [ref.basis(A, i) for i in idx]
         listener = _EvalListener(assignment, init)
         state = run_movie(report, p.data, listener)
         tgt_comps = comp_order(state, listener.comp)

@@ -140,11 +140,13 @@ def separability_system(A):
     for k in range(n):
         for a in range(n):
             for b in range(n):
+                # (w x_i)_a (x_j)_b - (x_i)_a (x_j w)_b, where the basis
+                # coordinate (x_j)_b is 1 if j = b and 0 otherwise
                 row = []
                 for i in range(n):
                     for j in range(n):
-                        row.append(prod[k][i][a] * x[j][b]
-                                   - x[i][a] * prod[j][k][b])
+                        row.append((prod[k][i][a] if j == b else 0)
+                                   - (prod[j][k][b] if i == a else 0))
                 if any(c != 0 for c in row):
                     rows.append(row)
                     rhs.append(Q(0))
@@ -162,6 +164,8 @@ def is_separability_idempotent(A, z):
         out = [[Q(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
+                if z[i][j] == 0:
+                    continue   # adds zero
                 wx = mul(A, x[k], x[i])
                 yw = mul(A, x[j], x[k])
                 for a in range(n):
@@ -173,6 +177,8 @@ def is_separability_idempotent(A, z):
     total = [Q(0)] * n
     for i in range(n):
         for j in range(n):
+            if z[i][j] == 0:
+                continue
             prod = mul(A, x[i], x[j])
             for k in range(n):
                 total[k] += z[i][j] * prod[k]

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -279,6 +280,23 @@ def test_verify_names_first_failing_triple(tmp_path, capsys):
     code, out, err = run(["verify", "--algebra", str(alg)], capsys)
     _one_line_error(code, out, err, cli.EXIT_USAGE)
     assert "not symmetric Frobenius: failed associative ((0,0,1))," in err
+
+
+def test_verify_refuses_a_large_non_unital_algebra_quickly(tmp_path,
+                                                          capsys):
+    # dim 120 where only b1 multiplies, as a left unit: associative, but
+    # b_i . b1 = 0 for i > 1, so not unital.  Associativity is tried only
+    # on triples with a nonzero inner product, not on all 120^3.
+    alg = tmp_path / "left_unit.alg"
+    alg.write_text("\n".join(
+        ["dim 120"] + ["mult 1 %d -> %d:1" % (i, i) for i in range(1, 121)]
+        + ["unit 1:1", "lambda 1:1", "e 1,1:1"]) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--algebra", str(alg)], capsys)
+    elapsed = time.perf_counter() - start
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "failed unital, e-central (w=b1), snake, e-bicentral" in err
+    assert elapsed < 3.0, elapsed
 
 
 def test_eval_missing_term_file(tmp_path, capsys):

@@ -16,6 +16,7 @@ from bordcalc import surface as sf
 from bordcalc import termcore as tc
 from bordcalc.termcore import Gen1, Id2, Tensor2, vcompose
 from tests import reference_eval
+from tests import reference_frobenius as ref
 
 
 @pytest.fixture(scope="module")
@@ -61,24 +62,26 @@ def test_m2q_trace_form():
     # b(E_ij, E_kl) = tr(E_ij E_kl) = delta_jk delta_il
     idx = {("E11"): 0, ("E12"): 1, ("E21"): 2, ("E22"): 3}
     def b(i, j):
-        return A.lam_of(A.mul(A.basis_vec(i), A.basis_vec(j)))
+        return ref.lam(A, ref.mul(A, ref.basis(A, i), ref.basis(A, j)))
     assert b(idx["E12"], idx["E21"]) == 1
     assert b(idx["E12"], idx["E12"]) == 0
     assert b(idx["E11"], idx["E11"]) == 1
     # e = sum E_ij (x) E_ji
     assert A.e[idx["E12"]][idx["E21"]] == 1
     assert A.e[idx["E12"]][idx["E12"]] == 0
-    assert A.handle_element() == (Q(2), Q(0), Q(0), Q(2))
+    assert A.handle_element() == {0: Q(2), 3: Q(2)}   # (2, 0, 0, 2)
 
 
 def test_qx2_worked_normalization():
     # lam(1) x-part . 1 + lam(x) . 1 = 1: the spec's worked arithmetic
     A = fr.algebra_qx2()
     left = [Q(0)] * 2
-    for c, x, y in A.e_pairs():
-        lx = A.lam_of(x)
-        for k in range(2):
-            left[k] += c * lx * y[k]
+    for i in range(2):
+        for j in range(2):
+            lx = ref.lam(A, ref.basis(A, i))
+            y = ref.basis(A, j)
+            for k in range(2):
+                left[k] += A.e[i][j] * lx * y[k]
     assert tuple(left) == A.unit
 
 
@@ -111,22 +114,26 @@ def _m2_twisted():
     n = 4
     # lam_u(x) = tr(u x); dual copairing solved from the reproducing identity
     u = (Q(1), Q(0), Q(0), Q(2))
-    lam = tuple(base.lam_of(base.mul(u, base.basis_vec(k))) for k in range(n))
+    x = [ref.basis(base, k) for k in range(n)]
+    lam = tuple(ref.lam(base, ref.mul(base, u, x[k])) for k in range(n))
     rows, rhs = [], []
     for z in range(n):
         for a in range(n):
-            row = []
+            # sparse row over the coordinates (i, j): lam(x_z x_i) where
+            # x_j has coordinate a
+            row = {}
             for i in range(n):
                 for j in range(n):
-                    lam_zi = sum(lam[t] * base.mul(base.basis_vec(z),
-                                                   base.basis_vec(i))[t]
+                    lam_zi = sum(lam[t] * ref.mul(base, x[z], x[i])[t]
                                  for t in range(n))
-                    row.append(lam_zi if base.basis_vec(j)[a] else Q(0))
+                    if lam_zi and x[j][a]:
+                        row[i * n + j] = lam_zi
             rows.append(row)
-            rhs.append(base.basis_vec(z)[a])
+            rhs.append(x[z][a])
     sol = fr.rref(rows, n * n, rhs).solution
     assert sol is not None
-    e = tuple(tuple(sol[i * n + j] for j in range(n)) for i in range(n))
+    e = tuple(tuple(sol.get(i * n + j, Q(0)) for j in range(n))
+              for i in range(n))
     return fr.FrobAlgebra(name="M2-twisted", dim=4, mult=base.mult,
                           unit=base.unit, lam=lam, e=e)
 
@@ -182,7 +189,7 @@ def test_separability_results():
         for j in range(n):
             c = res.witness[i][j]
             if c:
-                prod = A.mul(A.basis_vec(i), A.basis_vec(j))
+                prod = ref.mul(A, ref.basis(A, i), ref.basis(A, j))
                 for k in range(n):
                     acc[k] += c * prod[k]
     assert tuple(acc) == A.unit
@@ -196,8 +203,8 @@ def test_qx2_not_separable_with_certificate():
     rows, rhs = fr._separability_system(A)
     y = res.certificate
     assert len(y) == len(rows)
-    assert all(sum(yi * row[c] for yi, row in zip(y, rows)) == 0
-               for c in range(len(rows[0])))
+    assert all(sum(yi * row.get(c, 0) for yi, row in zip(y, rows)) == 0
+               for c in range(A.dim ** 2))
     assert sum(yi * b for yi, b in zip(y, rhs)) != 0
 
 
@@ -229,15 +236,18 @@ def test_linear_algebra_pinned_values():
 
 
 def test_rref_pivots_nullspace_and_solution():
-    rows = [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(7)]]
+    # sparse rows and results: the dense (-2, 1, 0), (-2, 0, 1) and
+    # (-1, -1, 1) with their zero entries left out
+    rows = [{0: Q(1), 1: Q(2), 2: Q(3)}, {0: Q(2), 1: Q(4), 2: Q(7)}]
     elim = fr.rref(rows, 3, [Q(1), Q(3)])
     assert elim.pivots == (0, 2)
-    assert elim.nullspace == [(Q(-2), Q(1), Q(0))]
-    assert elim.solution == (Q(-2), Q(0), Q(1))
+    assert elim.nullspace == [{0: Q(-2), 1: Q(1)}]
+    assert elim.solution == {0: Q(-2), 2: Q(1)}
     assert elim.certificate is None
-    elim = fr.rref(rows + [[Q(3), Q(6), Q(10)]], 3, [Q(1), Q(3), Q(5)])
+    elim = fr.rref(rows + [{0: Q(3), 1: Q(6), 2: Q(10)}], 3,
+                   [Q(1), Q(3), Q(5)])
     assert elim.solution is None
-    assert elim.certificate == (Q(-1), Q(-1), Q(1))
+    assert elim.certificate == {0: Q(-1), 1: Q(-1), 2: Q(1)}
 
 
 def test_center_of_m2q_is_scalars():
@@ -409,6 +419,19 @@ def test_reference_genus_terms(ori):
                               fr.TwoCellValue)
 
 
+def _perturbed_algebras(per_algebra):
+    """The first `per_algebra` perturbations of each built-in algebra in
+    the reference corpus that are associative and unital."""
+    from tests.test_frobenius_reference import CORPUS
+    taken = {}
+    for label, A in CORPUS:
+        name = label.partition("~")[0]
+        if ("~" in label and taken.get(name, 0) < per_algebra
+                and fr.check_algebra(A).ok):
+            taken[name] = taken.get(name, 0) + 1
+            yield A
+
+
 def test_reference_relations(ori, uno):
     # every built-in algebra accepts both presentations
     for p in (ori, uno):
@@ -417,6 +440,19 @@ def test_reference_relations(ori, uno):
             for rel in p.relations:
                 _assert_same(rel.lhs, asg)
                 _assert_same(rel.rhs, asg)
+    # perturbed algebras, where no relation is forced to hold: each gets
+    # an assignment built directly, with the cusp factor standard_assignment
+    # would pick, and both evaluators must agree on every relation side
+    broken = 0
+    for A in _perturbed_algebras(4):
+        sep = fr.check_separable(A).separable
+        for p in (ori, uno):
+            asg = fr.Assignment(A, p, cusp_factor=A.one if sep
+                                else A.handle_element())
+            for rel in p.relations:
+                broken += _assert_same(rel.lhs, asg) != _assert_same(rel.rhs,
+                                                                     asg)
+    assert broken > 0
 
 
 def test_reference_semantic_corpus(ori):

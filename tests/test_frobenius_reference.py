@@ -1,14 +1,17 @@
 """The sparse algebra tables against the dense reference checks.
 
-`mul`, every check `Report` (names, order, ok flags and witnesses) and
-the separability system are compared with `tests/reference_frobenius.py`
-on every built-in algebra and on seeded one-entry perturbations of each;
-every separability witness and certificate is checked by its defining
-equations.
+The sparse product, every check `Report` (names, order, ok flags and
+witnesses) and the separability system are compared with
+`tests/reference_frobenius.py` on every built-in algebra and on seeded
+one-entry perturbations of each; every separability witness and
+certificate is checked by its defining equations.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction as Q
+
+import pytest
 
 from bordcalc import frobenius as fr
 from tests import reference_frobenius as ref
@@ -56,13 +59,22 @@ def corpus():
 CORPUS = list(corpus())
 
 
+def _sparse(v):
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def _dense(v, n):
+    return tuple(v.get(i, Q(0)) for i in range(n))
+
+
 def test_mul_matches_reference():
     rng = random.Random(7)
     for label, A in CORPUS:
         for _ in range(10):
             u, v = ([rng.choice(VALUES + (Q(0),) * 3) for _ in range(A.dim)]
                     for _ in range(2))
-            assert A.mul(u, v) == ref.mul(A, u, v), (label, u, v)
+            prod = fr._prod(A, _sparse(u), _sparse(v))
+            assert _dense(prod, A.dim) == ref.mul(A, u, v), (label, u, v)
 
 
 def test_reports_match_reference():
@@ -76,7 +88,7 @@ def test_reports_match_reference():
 def test_separability_system_and_results():
     for label, A in CORPUS:
         rows, rhs = fr._separability_system(A)
-        assert ([list(r) for r in rows], list(rhs)) \
+        assert ([list(_dense(r, A.dim ** 2)) for r in rows], list(rhs)) \
             == ref.separability_system(A), label
         res = fr.check_separable(A)
         if res.separable:
@@ -84,9 +96,47 @@ def test_separability_system_and_results():
             continue
         y = res.certificate
         assert len(y) == len(rows), label
-        assert all(sum(yi * row[c] for yi, row in zip(y, rows)) == 0
+        assert all(sum(yi * row.get(c, 0) for yi, row in zip(y, rows)) == 0
                    for c in range(A.dim ** 2)), label
         assert sum(yi * b for yi, b in zip(y, rhs)) != 0, label
+
+
+def matrix_algebra(m):
+    """M_m(Q) on its matrix units, E_ab at index a*m + b: E_ab E_cd is
+    E_ad when b = c and zero otherwise, and the unit is sum_a E_aa.  Only
+    the product and the unit are given."""
+    n = m * m
+
+    def vec(*indices):
+        return tuple(Q(1) if k in indices else Q(0) for k in range(n))
+
+    mult = tuple(tuple(vec(i // m * m + j % m) if i % m == j // m else vec()
+                       for j in range(n)) for i in range(n))
+    return fr.FrobAlgebra(name="M%dQ" % m, dim=n, mult=mult,
+                          unit=vec(*(a * m + a for a in range(m))))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_separability_on_matrix_algebras(m):
+    A = matrix_algebra(m)
+    rows, rhs = fr._separability_system(A)
+    assert ([list(_dense(r, A.dim ** 2)) for r in rows], list(rhs)) \
+        == ref.separability_system(A)
+    res = fr.check_separable(A)
+    assert res.separable and ref.is_separability_idempotent(A, res.witness)
+
+
+def test_separability_system_memory_on_m5():
+    # sparse rows: about 2 MB at its peak, where rows widened to all 625
+    # columns of M_5(Q) (x) M_5(Q) took 27.5 MB
+    A = matrix_algebra(5)
+    tracemalloc.start()
+    try:
+        fr._separability_system(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_corpus_exercises_every_outcome():
