@@ -166,8 +166,9 @@ def cmd_linear(args, out):
         return EXIT_OK
     ok = True
     for move in ln.MOVES:
+        sides = ("left", "right") if move in ln.SIDED_MOVES else ("left",)
         for pos in range(len(d.regions) + 1):
-            for side in ("left", "right"):
+            for side in sides:
                 try:
                     d2 = ln.apply_linear_move(d, move, pos, side)
                 except ln.LinearError:
@@ -178,9 +179,6 @@ def cmd_linear(args, out):
                 out("move %s@%d/%s -> circles=%d intervals=%d %s"
                     % (move, pos, side, c2["circles"], c2["intervals"],
                        "ok" if same else "CHANGED"))
-                if move in ("isotopy", "merge_permutations",
-                            "absorb_transposition", "cancel_cup_cap"):
-                    break  # side is irrelevant for these
     return EXIT_OK if ok else EXIT_FAILED
 
 

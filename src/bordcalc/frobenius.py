@@ -2,11 +2,12 @@
 
 Algebras are finite dimensional over the rationals, given by structure
 constants.  Inside this module a vector is a sparse map {index:
-coefficient} without zeros, for all arithmetic and elimination; dense
-tuples are only the `FrobAlgebra` constructor fields, read once into
-sparse tables, and the reported results (`TwoCellValue.matrix`, the
-separability witness and certificate, `center`, `Cocenter`, `CircleMaps`
-and `closed_value`).  The checkers verify associativity, the Frobenius
+coefficient} without zeros: a `FrobAlgebra` is built from sparse maps and
+holds each structure map once, as a sparse table, all arithmetic and
+elimination runs on sparse vectors, and dense tuples are only the
+reported results (`TwoCellValue.matrix`, the separability witness and
+certificate, `center`, `Cocenter`, `CircleMaps` and `closed_value`).  The
+checkers verify associativity, the Frobenius
 data (a central copairing and a functional with the reproducing
 normalization), symmetry (trace-likeness / bicentrality) and
 separability (existence of a central element with multiplication one,
@@ -40,13 +41,6 @@ class AlgebraError(Exception):
 Q = Fraction
 
 
-def _vec(n, entries=()):
-    v = [Q(0)] * n
-    for i, c in entries:
-        v[i] += c
-    return tuple(v)
-
-
 def _acc(terms):
     """The sparse vector {key: coefficient} summing (key, coefficient)
     terms, zeros dropped."""
@@ -54,10 +48,6 @@ def _acc(terms):
     for key, c in terms:
         out[key] = out.get(key, 0) + c
     return {key: c for key, c in out.items() if c}
-
-
-def _sparse(v):
-    return {i: c for i, c in enumerate(v) if c}
 
 
 def _densify(v, n):
@@ -101,12 +91,15 @@ def rref(rows: List[dict], n: int,
     The rhs is eliminated in column n.  The certificate is built on
     demand: only an inconsistent system is eliminated once more, each row
     carrying in columns n+1.. the combination of input rows it is, and a
-    zero row with nonzero rhs reads it off.
+    zero row with nonzero rhs reads it off.  `holders[c]` is the set of
+    rows with a nonzero in column c < n, so each pivot touches only the
+    rows it clears; the pivot row is the lowest of them not yet a pivot.
     """
     m = len(rows)
 
     def eliminate(block):
         aug = []
+        holders = [set() for _ in range(n)]
         for i, row in enumerate(rows):
             r = {k: x for k, x in row.items() if x}
             if rhs is not None and rhs[i]:
@@ -114,27 +107,42 @@ def rref(rows: List[dict], n: int,
             if block:
                 r[n + 1 + i] = Q(1)
             aug.append(r)
+            for k in r:
+                if k < n:
+                    holders[k].add(i)
         pivots = []
         for c in range(n):
             r = len(pivots)
             if r == m:
                 break
-            p = next((i for i in range(r, m) if c in aug[i]), None)
+            p = min((i for i in holders[c] if i >= r), default=None)
             if p is None:
                 continue
+            # a column both rows hold keeps its holders
+            for k in aug[r].keys() - aug[p].keys():
+                if k < n:
+                    holders[k].remove(r)
+                    holders[k].add(p)
+            for k in aug[p].keys() - aug[r].keys():
+                if k < n:
+                    holders[k].remove(p)
+                    holders[k].add(r)
             aug[r], aug[p] = aug[p], aug[r]
             pv = aug[r][c]
             prow = aug[r] = {k: x / pv for k, x in aug[r].items()}
-            for i in range(m):
-                f = aug[i].get(c) if i != r else None
-                if f:
-                    row = aug[i]
-                    for k, x in prow.items():
-                        y = row.get(k, 0) - f * x
-                        if y:
-                            row[k] = y
-                        else:
-                            del row[k]
+            for i in [i for i in holders[c] if i != r]:
+                f = aug[i][c]
+                row = aug[i]
+                for k, x in prow.items():
+                    y = row.get(k, 0) - f * x
+                    if y:
+                        if k < n and k not in row:
+                            holders[k].add(i)
+                        row[k] = y
+                    else:
+                        del row[k]
+                        if k < n:
+                            holders[k].remove(i)
             pivots.append(c)
         return aug, pivots
 
@@ -157,45 +165,53 @@ def rref(rows: List[dict], n: int,
 # algebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _terms(v):
+    """The nonzero (k, c) of the sparse map v {k: c}, ascending in k."""
+    return tuple((k, Q(c)) for k, c in sorted(v.items()) if c)
+
+
+@dataclass(frozen=True, init=False)
 class FrobAlgebra:
-    """Finite-dimensional rational algebra with optional Frobenius data.
+    """Finite-dimensional rational algebra with optional Frobenius data,
+    held as the sparse tables of its structure maps.
 
-    mult[i][j] is the coordinate vector of basis_i . basis_j; `e` is the
-    matrix of the copairing sum_ij e[i][j] basis_i (x) basis_j; `lam` the
-    functional; `star` an optional involutive anti-automorphism given by
-    images of basis vectors.
+    It is built from sparse maps whose absent entries are zero: `mult`
+    maps (i, j) to basis_i . basis_j as {k: c}; `unit` and `lam` (the
+    functional) are {k: c}; `e` maps (i, j) to the coefficient of basis_i
+    (x) basis_j in the copairing; `star`, an optional involutive
+    anti-automorphism, maps i to star(basis_i) as {k: c}.
 
-    The algebra is frozen, and its sparse tables are derived from it once:
-    rows[i][j] lists the nonzero (k, c) of basis_i . basis_j, `pairs` the
-    nonzero (c, i, j) of the copairing (None without one), stars[i] the
-    nonzero (k, c) of star(basis_i) (None without a star), and `one` is
-    the unit as a sparse vector.
+    Each field holds its table once, zeros dropped and indices ascending:
+    rows[i][j] lists the (k, c) of basis_i . basis_j, `one` is the unit
+    and `lam` the functional as {k: c} (None without one), `pairs` lists
+    the (c, i, j) of the copairing (None without one) and stars[i] the
+    (k, c) of star(basis_i) (None without a star).
     """
 
     name: str
     dim: int
-    mult: tuple
-    unit: tuple
-    lam: Optional[tuple] = None
-    e: Optional[tuple] = None
-    star: Optional[tuple] = None
-    basis_names: Optional[tuple] = None
-    rows: tuple = field(init=False, repr=False, compare=False)
-    pairs: Optional[tuple] = field(init=False, repr=False, compare=False)
-    stars: Optional[tuple] = field(init=False, repr=False, compare=False)
-    one: dict = field(init=False, repr=False, compare=False)
+    rows: tuple
+    one: dict
+    lam: Optional[dict]
+    pairs: Optional[tuple]
+    stars: Optional[tuple]
+    basis_names: Optional[tuple]
 
-    def __post_init__(self):
-        n = range(self.dim)
-        object.__setattr__(self, "rows", tuple(
-            tuple(tuple(_sparse(self.mult[i][j]).items()) for j in n)
-            for i in n))
-        object.__setattr__(self, "pairs", None if self.e is None else tuple(
-            (self.e[i][j], i, j) for i in n for j in n if self.e[i][j]))
-        object.__setattr__(self, "stars", None if self.star is None else
-                           tuple(tuple(_sparse(r).items()) for r in self.star))
-        object.__setattr__(self, "one", _sparse(self.unit))
+    def __init__(self, name, dim, mult, unit, lam=None, e=None, star=None,
+                 basis_names=None):
+        rows = [[()] * dim for _ in range(dim)]
+        for (i, j), v in mult.items():
+            rows[i][j] = _terms(v)
+        for key, value in dict(
+                name=name, dim=dim, rows=tuple(map(tuple, rows)),
+                one=dict(_terms(unit)),
+                lam=None if lam is None else dict(_terms(lam)),
+                pairs=None if e is None else tuple(
+                    (Q(c), i, j) for (i, j), c in sorted(e.items()) if c),
+                stars=None if star is None else tuple(
+                    _terms(star.get(i, {})) for i in range(dim)),
+                basis_names=basis_names).items():
+            object.__setattr__(self, key, value)
 
     def handle_element(self):
         """sum_ij e_ij basis_i . basis_j, as a sparse vector."""
@@ -228,7 +244,7 @@ def _prod(A, u, v):
 
 def _lam(A, v):
     lam = _functional(A)
-    return sum((lam[k] * c for k, c in v.items()), Q(0))
+    return sum((lam.get(k, 0) * c for k, c in v.items()), Q(0))
 
 
 def _star(A, v):
@@ -240,7 +256,8 @@ def _star(A, v):
 def _trace_form(A, lam):
     """form[a][b] = lam(basis_a . basis_b)."""
     n = range(A.dim)
-    return [[sum(lam[k] * c for k, c in A.rows[a][b]) for b in n] for a in n]
+    return [[sum(lam.get(k, 0) * c for k, c in A.rows[a][b]) for b in n]
+            for a in n]
 
 
 def _commutator(A, i, j):
@@ -316,11 +333,11 @@ def check_frobenius(A: FrobAlgebra) -> Report:
     rep.add("e-central", bad is None, "w=%s" % A.label(*bad) if bad else "")
     pairs = _copairing(A)
     # the functional is read only through the copairing: a zero one needs none
-    lam = _functional(A) if pairs else (Q(0),) * n
+    lam = _functional(A) if pairs else {}
     rep.add("normalization-left",
-            _acc((j, c * lam[i]) for c, i, j in pairs) == A.one)
+            _acc((j, c * lam.get(i, 0)) for c, i, j in pairs) == A.one)
     rep.add("normalization-right",
-            _acc((i, c * lam[j]) for c, i, j in pairs) == A.one)
+            _acc((i, c * lam.get(j, 0)) for c, i, j in pairs) == A.one)
     # (id (x) b)(e (x) id): v -> sum x_i b(y_i, v), and its mirror
     form = _trace_form(A, lam)
     rep.add("snake", all(
@@ -340,7 +357,7 @@ def check_symmetric(A: FrobAlgebra) -> Report:
     rep.add("e-bicentral", _first(_grid(n, 2), lambda w, z: _e_central_defect(
         A, lambda i: _prod(A, dict(A.rows[w][i]), e[z]),
         lambda j: _prod(A, dict(A.rows[z][j]), e[w]))) is None)
-    if A.star is not None:
+    if A.stars is not None:
         rep.add("star-involution", all(_star(A, _star(A, e[i])) == e[i]
                                        for i in range(n)))
         rep.add("star-antihom", all(
@@ -377,7 +394,7 @@ def _separability_system(A: FrobAlgebra):
         for (a, b, col), c in coef.items():
             eqs.setdefault((a, b), {})[col] = c
         rows += [eqs[ab] for ab in sorted(eqs)]
-    rhs = [Q(0)] * len(rows) + list(A.unit)
+    rhs = [Q(0)] * len(rows) + list(_densify(A.one, n))
     # normalization: sum_ij z_ij (x_i x_j)_a = unit_a
     norm = [{} for _ in range(n)]
     for i, j in _grid(n, 2):
@@ -459,7 +476,7 @@ def _solve_h_inverse(A):
     H = A.handle_element()
     n = A.dim
     rows = _transpose([_prod(A, {j: 1}, H) for j in range(n)], n)
-    sol = rref(rows, n, A.unit).solution
+    sol = rref(rows, n, _densify(A.one, n)).solution
     if sol is None:
         return None
     # verify (H may be a zero divisor even when the system is solvable)
@@ -600,7 +617,7 @@ def standard_assignment(A: FrobAlgebra, p: Presentation) -> Assignment:
                            % (A.name, ", ".join(
                                n + (" (%s)" % d if d else "")
                                for n, ok, d in rep.checks if not ok)))
-    if any(t == "sym" for t in p.two_gen_tags.values()) and A.star is None:
+    if any(t == "sym" for t in p.two_gen_tags.values()) and A.stars is None:
         raise AlgebraError(
             "presentation %s needs a star structure on %s" % (p.name, A.name))
     sep = check_separable(A)
@@ -733,84 +750,54 @@ def verify_presentation(A: FrobAlgebra, p: Presentation) -> Report:
 # built-in algebras and the algebra file format
 # ---------------------------------------------------------------------------
 
-def _dense(n, entries):
-    m = [[Q(0)] * n for _ in range(n)]
-    for (i, j), c in entries.items():
-        m[i][j] = Q(c)
-    return tuple(tuple(r) for r in m)
+def _identity(n):
+    return {i: {i: 1} for i in range(n)}
 
 
 def algebra_q() -> FrobAlgebra:
     return FrobAlgebra(
-        name="Q", dim=1,
-        mult=((( Q(1),),),),
-        unit=(Q(1),), lam=(Q(1),), e=((Q(1),),), star=((Q(1),),),
-        basis_names=("1",))
+        name="Q", dim=1, mult={(0, 0): {0: 1}}, unit={0: 1}, lam={0: 1},
+        e={(0, 0): 1}, star=_identity(1), basis_names=("1",))
 
 
 def algebra_qq() -> FrobAlgebra:
     """Q x Q with coordinatewise product, lam = sum of coordinates."""
-    n = 2
-    mult = tuple(tuple(_vec(n, [(i, Q(1))]) if i == j else _vec(n)
-                       for j in range(n)) for i in range(n))
     return FrobAlgebra(
-        name="QxQ", dim=2, mult=mult, unit=(Q(1), Q(1)),
-        lam=(Q(1), Q(1)), e=_dense(2, {(0, 0): 1, (1, 1): 1}),
-        star=((Q(1), Q(0)), (Q(0), Q(1))),
-        basis_names=("u1", "u2"))
+        name="QxQ", dim=2, mult={(0, 0): {0: 1}, (1, 1): {1: 1}},
+        unit={0: 1, 1: 1}, lam={0: 1, 1: 1}, e={(0, 0): 1, (1, 1): 1},
+        star=_identity(2), basis_names=("u1", "u2"))
 
 
 def algebra_m2q() -> FrobAlgebra:
     """2x2 matrices with the trace form; basis E11, E12, E21, E22."""
     idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    n = 4
-    mult = [[None] * n for _ in range(n)]
-    for (a, b), i in idx.items():
-        for (c, d), j in idx.items():
-            if b == c:
-                mult[i][j] = _vec(n, [(idx[(a, d)], Q(1))])
-            else:
-                mult[i][j] = _vec(n)
-    e = {}
-    for (a, b), i in idx.items():
-        e[(i, idx[(b, a)])] = 1
-    star = [[Q(0)] * n for _ in range(n)]
-    for (a, b), i in idx.items():
-        star[i][idx[(b, a)]] = Q(1)   # transpose
     return FrobAlgebra(
-        name="M2Q", dim=4, mult=tuple(tuple(r) for r in mult),
-        unit=_vec(4, [(0, Q(1)), (3, Q(1))]),
-        lam=(Q(1), Q(0), Q(0), Q(1)),
-        e=_dense(4, e), star=tuple(tuple(r) for r in star),
+        name="M2Q", dim=4,
+        mult={(i, j): {idx[a, d]: 1} for (a, b), i in idx.items()
+              for (c, d), j in idx.items() if b == c},
+        unit={0: 1, 3: 1}, lam={0: 1, 3: 1},
+        e={(i, idx[b, a]): 1 for (a, b), i in idx.items()},
+        star={i: {idx[b, a]: 1} for (a, b), i in idx.items()},   # transpose
         basis_names=("E11", "E12", "E21", "E22"))
 
 
 def algebra_qz2() -> FrobAlgebra:
     """Group algebra Q[Z/2] = Q[s]/(s^2-1) with lam(a+bs) = a."""
-    n = 2
-    mult = (
-        (_vec(n, [(0, Q(1))]), _vec(n, [(1, Q(1))])),
-        (_vec(n, [(1, Q(1))]), _vec(n, [(0, Q(1))])),
-    )
     return FrobAlgebra(
-        name="QZ2", dim=2, mult=mult, unit=(Q(1), Q(0)),
-        lam=(Q(1), Q(0)), e=_dense(2, {(0, 0): 1, (1, 1): 1}),
-        star=((Q(1), Q(0)), (Q(0), Q(1))),
-        basis_names=("1", "s"))
+        name="QZ2", dim=2,
+        mult={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+              (1, 1): {0: 1}},
+        unit={0: 1}, lam={0: 1}, e={(0, 0): 1, (1, 1): 1},
+        star=_identity(2), basis_names=("1", "s"))
 
 
 def algebra_qx2() -> FrobAlgebra:
     """Q[x]/(x^2) with lam(a+bx) = b: symmetric Frobenius, not separable."""
-    n = 2
-    mult = (
-        (_vec(n, [(0, Q(1))]), _vec(n, [(1, Q(1))])),
-        (_vec(n, [(1, Q(1))]), _vec(n)),
-    )
     return FrobAlgebra(
-        name="Qx2", dim=2, mult=mult, unit=(Q(1), Q(0)),
-        lam=(Q(0), Q(1)), e=_dense(2, {(0, 1): 1, (1, 0): 1}),
-        star=((Q(1), Q(0)), (Q(0), Q(1))),
-        basis_names=("1", "x"))
+        name="Qx2", dim=2,
+        mult={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+        unit={0: 1}, lam={1: 1}, e={(0, 1): 1, (1, 0): 1},
+        star=_identity(2), basis_names=("1", "x"))
 
 
 BUILTIN_ALGEBRAS = {
@@ -838,13 +825,14 @@ def _index(tok, dim):
 
 
 def _entries(toks, dim):
-    """(0-based index, rational) of each `k:q` token; each index once."""
-    out, seen = [], set()
+    """The sparse map {0-based index: rational} of `k:q` tokens; each
+    index once."""
+    out, seen = {}, set()
     for tok in toks:
         k, q = tok.split(":")
         i = _index(k, dim)
         _once(seen, "index %d" % (i + 1))
-        out.append((i, parse_rational(q)))
+        out[i] = parse_rational(q)
     return out
 
 
@@ -868,10 +856,10 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
 
     Unlisted structure constants are zero; each directive (each `mult i j`
     and `star i` row) may appear once, and so may each index within one
-    directive (each `i,j` within `e`).  Entries are collected sparsely and
-    the dense tables built once the whole file is read; a file with fewer
-    nonzero `mult` rows than `dim` is refused, since unit . b_i = b_i needs
-    a nonzero row (j, i) for every i.
+    directive (each `i,j` within `e`).  Entries are collected as the sparse
+    maps `FrobAlgebra` is built from, once the whole file is read; a file
+    with fewer nonzero `mult` rows than `dim` is refused, since unit . b_i
+    = b_i needs a nonzero row (j, i) for every i.
     """
     dim = unit = lam = e = star = None
     mult = {}
@@ -922,16 +910,9 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
             raise AlgebraError("line %d: %s" % (lineno, exc))
     if dim is None or unit is None:
         raise AlgebraError("missing dim or unit")
-    rows = sum(1 for entries in mult.values() if any(q for _, q in entries))
+    rows = sum(1 for entries in mult.values() if any(entries.values()))
     if rows < dim:
         raise AlgebraError("dim %d needs at least %d nonzero mult rows for "
                            "a unit, found %d" % (dim, dim, rows))
-    n = range(dim)
-    return FrobAlgebra(
-        name=name, dim=dim,
-        mult=tuple(tuple(_vec(dim, mult.get((i, j), ())) for j in n)
-                   for i in n),
-        unit=_vec(dim, unit), lam=None if lam is None else _vec(dim, lam),
-        e=None if e is None else _dense(dim, e),
-        star=None if star is None else tuple(_vec(dim, star.get(i, ()))
-                                             for i in n))
+    return FrobAlgebra(name=name, dim=dim, mult=mult, unit=unit, lam=lam,
+                       e=e, star=star)

@@ -84,19 +84,19 @@ def identity_perm(n):
 
 
 def perm_from_cycles(n, cycles) -> Perm:
+    """The permutation of 1..n with the given disjoint cycles; a label
+    that appears twice, in one cycle or in two, is refused."""
     images = list(range(n))
+    seen = set()
     for cyc in cycles:
         for pos in range(len(cyc)):
             a = cyc[pos] - 1
-            b = cyc[(pos + 1) % len(cyc)] - 1
             if not 0 <= a < n:
                 raise LinearError("cycle entry %d out of range" % (a + 1))
-            images[a] = b
-    seen = set()
-    for i in images:
-        if i in seen:
-            raise LinearError("overlapping cycles")
-        seen.add(i)
+            if a in seen:
+                raise LinearError("overlapping cycles")
+            seen.add(a)
+            images[a] = cyc[(pos + 1) % len(cyc)] - 1
     return Perm(tuple(images))
 
 
@@ -287,6 +287,8 @@ def reconstruct_1manifold(d: LinearDiagram) -> dict:
 
 MOVES = ("isotopy", "commute_small_sigma", "absorb_transposition",
          "merge_permutations", "cancel_cup_cap")
+#: The moves whose result depends on `side`; the others ignore it.
+SIDED_MOVES = ("commute_small_sigma",)
 
 
 def apply_linear_move(d: LinearDiagram, move: str, position: int,

@@ -6,9 +6,9 @@ oracle for the merged sparse walk; only its movie interface follows
 event's local map by its own explicit cases.  Each column runs the whole
 movie on a list of pure tensors (coefficient, dense value per component)
 that is never merged.  Its arithmetic is the dense `mul`, `lam`, `star`
-and `basis` of `tests/reference_frobenius.py`, with the copairing read
-from the algebra's `e` matrix, so it shares none with the module it
-checks.  Only tests use it.
+and `basis` of `tests/reference_frobenius.py` on the algebra's dense view,
+with the copairing read from its `e` matrix, so it shares none with the
+module it checks.  Only tests use it.
 """
 
 from fractions import Fraction
@@ -30,8 +30,8 @@ def _pairs(A):
 
 
 class _EvalListener(ComponentListener):
-    def __init__(self, assignment, initial_values):
-        self.A = assignment.algebra
+    def __init__(self, assignment, algebra, initial_values):
+        self.A = algebra
         self.asg = assignment
         self.initial = initial_values
         self.configs = None
@@ -144,7 +144,7 @@ class _EvalListener(ComponentListener):
 def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
     """Exact linear map of a two-cell term under a generator assignment."""
     p = assignment.presentation
-    A = assignment.algebra
+    A = ref.dense(assignment.algebra)
     report = tc.validate(term, p.data)
     if not report.ok:
         raise AlgebraError("invalid term:\n%s" % report)
@@ -163,7 +163,7 @@ def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
             rem //= n
         idx.reverse()
         init = [ref.basis(A, i) for i in idx]
-        listener = _EvalListener(assignment, init)
+        listener = _EvalListener(assignment, A, init)
         state = run_movie(report, p.data, listener)
         tgt_comps = comp_order(state, listener.comp)
         m = len(tgt_comps)

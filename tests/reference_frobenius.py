@@ -1,15 +1,51 @@
 """Reference algebra checks: dense plain loops over `mult`, `e` and `lam`.
 
-A slow oracle for the sparse tables of `frobenius.FrobAlgebra`: every
+A slow oracle for the sparse tables of `frobenius.FrobAlgebra`: `dense`
+spells an algebra's tables out as the dense tuples that `mul`, `lam` and
+`star` read (`maps` gives back the sparse maps it is built from), every
 product here multiplies dense basis vectors entry by entry, and every
 check scans its loops in order and stops at the first failure, whose
-witness it names.  Only tests use it.
+witness it names.
+`rref` is the elimination that scans every row for each pivot, an oracle
+for the column index of `frobenius.rref`.  Only tests use it.
 """
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 Q = Fraction
+
+
+def dense(A):
+    """The dense view the loops below read: mult[i][j][k], unit[k],
+    lam[k], e[i][j] and star[i][k] of the algebra A (None where A has no
+    functional, copairing or star), with its name, dim and labels."""
+    n = range(A.dim)
+
+    def vec(terms):
+        return tuple(dict(terms).get(k, Q(0)) for k in n)
+
+    e = {} if A.pairs is None else {(i, j): c for c, i, j in A.pairs}
+    return SimpleNamespace(
+        name=A.name, dim=A.dim, label=A.label, basis_names=A.basis_names,
+        mult=tuple(tuple(vec(A.rows[i][j]) for j in n) for i in n),
+        unit=vec(A.one.items()),
+        lam=None if A.lam is None else vec(A.lam.items()),
+        e=None if A.pairs is None else tuple(
+            tuple(e.get((i, j), Q(0)) for j in n) for i in n),
+        star=None if A.stars is None else tuple(vec(s) for s in A.stars))
+
+
+def maps(A):
+    """Fresh copies of the sparse maps `mult`, `unit`, `lam`, `e` and
+    `star` that `FrobAlgebra` builds A from, as keyword arguments."""
+    return dict(
+        mult={(i, j): dict(r) for i, row in enumerate(A.rows)
+              for j, r in enumerate(row) if r},
+        unit=dict(A.one), lam=None if A.lam is None else dict(A.lam),
+        e=None if A.pairs is None else {(i, j): c for c, i, j in A.pairs},
+        star=None if A.stars is None else dict(enumerate(map(dict, A.stars))))
 
 
 def basis(A, i):
@@ -71,6 +107,7 @@ def _first(candidates, fails):
 def checks(A):
     """[(name, ok, detail)] of check_symmetric; check_algebra gives the
     first two entries and check_frobenius the first six."""
+    A = dense(A)
     n = A.dim
     out = []
     x = [basis(A, i) for i in range(n)]
@@ -133,6 +170,7 @@ def checks(A):
 def separability_system(A):
     """(rows, rhs) over the coordinates z_ij of z in A (x) A: z central
     (nonzero rows only) and mu(z) = 1."""
+    A = dense(A)
     n = A.dim
     x = [basis(A, i) for i in range(n)]
     prod = [[mul(A, x[i], x[j]) for j in range(n)] for i in range(n)]
@@ -158,6 +196,7 @@ def separability_system(A):
 
 def is_separability_idempotent(A, z):
     """z (an n*n matrix) is central in A (x) A and mu(z) = 1."""
+    A = dense(A)
     n = A.dim
     x = [basis(A, i) for i in range(n)]
     for k in range(n):
@@ -183,3 +222,55 @@ def is_separability_idempotent(A, z):
             for k in range(n):
                 total[k] += z[i][j] * prod[k]
     return tuple(total) == A.unit
+
+
+def rref(rows, n, rhs=None):
+    """(pivots, nullspace, solution, certificate) of `frobenius.rref` on
+    the same sparse system, by Gauss-Jordan elimination that looks up the
+    pivot column in every row for each pivot."""
+    m = len(rows)
+
+    def eliminate(block):
+        aug = []
+        for i, row in enumerate(rows):
+            r = {k: x for k, x in row.items() if x}
+            if rhs is not None and rhs[i]:
+                r[n] = rhs[i]
+            if block:
+                r[n + 1 + i] = Q(1)
+            aug.append(r)
+        pivots = []
+        for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
+            p = next((i for i in range(r, m) if c in aug[i]), None)
+            if p is None:
+                continue
+            aug[r], aug[p] = aug[p], aug[r]
+            pv = aug[r][c]
+            prow = aug[r] = {k: x / pv for k, x in aug[r].items()}
+            for i in range(m):
+                f = aug[i].get(c) if i != r else None
+                if f:
+                    row = aug[i]
+                    for k, x in prow.items():
+                        y = row.get(k, 0) - f * x
+                        if y:
+                            row[k] = y
+                        else:
+                            del row[k]
+            pivots.append(c)
+        return aug, pivots
+
+    aug, pivots = eliminate(False)
+    nullspace = [{c: Q(1), **{pc: -aug[i][c] for i, pc in enumerate(pivots)
+                              if c in aug[i]}}
+                 for c in range(n) if c not in pivots]
+    if any(aug[len(pivots):]):
+        aug, _ = eliminate(True)
+        row = next(r for r in aug[len(pivots):] if n in r)
+        cert = {k - n - 1: x / row[n] for k, x in row.items() if k > n}
+        return tuple(pivots), nullspace, None, cert
+    sol = {c: aug[i][n] for i, c in enumerate(pivots) if n in aug[i]}
+    return tuple(pivots), nullspace, sol, None

@@ -161,7 +161,7 @@ def test_criterion_6_linear_diagram_calculus():
                     applied += 1
                     if ln.reconstruct_1manifold(d2) != census:
                         ok = False
-                    if move != "commute_small_sigma":
+                    if move not in ln.SIDED_MOVES:
                         break
     worked = ln.parse_diagram(
         "(5 cap) [24][35] (5 cup) [] (3 cup) [] (3 cap) [123] (3 cup)")

@@ -1,9 +1,10 @@
 """Seeded mutation fuzzing of the command line.
 
-Every term file in demos/terms and algebra file in demos/algebras is
-mutated a few bytes at a time with a fixed seed, and each command that
-reads the mutated file must end in exit 0, 2, 3 or 4 with at most one
-line on stderr, never a traceback.
+Every term file in demos/terms, algebra file in demos/algebras and linear
+diagram in demos/diagrams is mutated a few bytes at a time with a fixed
+seed, and each command that reads the mutated file must end in exit 0, 2,
+3 or 4 with at most one line on stderr, never a traceback.  The diagrams
+come last, so the term and algebra inputs do not depend on them.
 
 An algebra mutation may insert digits anywhere, so it can declare a large
 `dim`; the parser refuses a `dim` with fewer nonzero `mult` rows before it
@@ -20,6 +21,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 SEED = 15
 TERM_ROUNDS = 30        # mutated inputs per term file
 ALGEBRA_ROUNDS = 24     # mutated inputs per algebra file
+LINEAR_ROUNDS = 150     # mutated inputs per linear diagram
 
 TERM_TOKENS = [b"(", b")", b"[", b"]", b",", b";", b".", b"#", b"(*)",
                "⊗".encode(), b" ", b"inv(", b"inv2(", b"id[", b"I[", b"rc[",
@@ -30,6 +32,9 @@ TERM_NAMES = [b"ev", b"coev", b"cap", b"cup", b"split", b"merge", b"pt",
 ALGEBRA_TOKENS = [b"dim ", b"mult ", b"unit ", b"lambda ", b"e ", b"star ",
                   b"->", b":", b",", b"/", b"-", b" ", b"\n", b"#", b"x",
                   b"\xff"] + [b"%d" % k for k in range(10)]
+LINEAR_TOKENS = [b"(", b")", b"[", b"]", b" ", b",", b"[]", b"(3)",
+                 b"(2 cap)", b"(3 cup)", b"[12]", b"cap", b"cup", b"-", b"x",
+                 b"\xff"] + [b"%d" % k for k in range(1, 6)]
 
 
 def _copy_bytes(text, i, rng):
@@ -58,6 +63,8 @@ TERM_EDITS = (TERM_TOKENS, _copy_bytes,
               _substitute(rb"[A-Za-z_][A-Za-z0-9_'+-]*", TERM_NAMES))
 ALGEBRA_EDITS = (ALGEBRA_TOKENS, _copy_line,
                  _substitute(rb"[0-9]", [b"0", b"1", b"2", b"3", b"4"]))
+LINEAR_EDITS = (LINEAR_TOKENS, _copy_bytes,
+                _substitute(rb"[0-9]", [b"1", b"2", b"3", b"4", b"5"]))
 
 
 def _mutate(text, edits, rng):
@@ -101,6 +108,11 @@ def _inputs():
                  "--algebra", "{}"],
                 ["verify", "--algebra", "{}", "--presentation", "oriented"],
                 ["verify", "--algebra", "{}", "--presentation", "unoriented"]]
+    for path in sorted((DEMOS / "diagrams").glob("*.ld")):
+        for _ in range(LINEAR_ROUNDS):
+            text = _mutate(path.read_bytes(), LINEAR_EDITS, rng)
+            yield "input.ld", text, [["linear", "{}"],
+                                     ["linear", "{}", "--moves"]]
 
 
 def test_mutated_inputs_end_in_a_documented_exit(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import pathlib
 import random
 import time
-import time
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -59,22 +59,23 @@ def test_unit_algebra_trivial():
 
 def test_m2q_trace_form():
     A = fr.algebra_m2q()
+    D = ref.dense(A)
     # b(E_ij, E_kl) = tr(E_ij E_kl) = delta_jk delta_il
     idx = {("E11"): 0, ("E12"): 1, ("E21"): 2, ("E22"): 3}
     def b(i, j):
-        return ref.lam(A, ref.mul(A, ref.basis(A, i), ref.basis(A, j)))
+        return ref.lam(D, ref.mul(D, ref.basis(D, i), ref.basis(D, j)))
     assert b(idx["E12"], idx["E21"]) == 1
     assert b(idx["E12"], idx["E12"]) == 0
     assert b(idx["E11"], idx["E11"]) == 1
     # e = sum E_ij (x) E_ji
-    assert A.e[idx["E12"]][idx["E21"]] == 1
-    assert A.e[idx["E12"]][idx["E12"]] == 0
+    assert D.e[idx["E12"]][idx["E21"]] == 1
+    assert D.e[idx["E12"]][idx["E12"]] == 0
     assert A.handle_element() == {0: Q(2), 3: Q(2)}   # (2, 0, 0, 2)
 
 
 def test_qx2_worked_normalization():
     # lam(1) x-part . 1 + lam(x) . 1 = 1: the spec's worked arithmetic
-    A = fr.algebra_qx2()
+    A = ref.dense(fr.algebra_qx2())
     left = [Q(0)] * 2
     for i in range(2):
         for j in range(2):
@@ -87,16 +88,10 @@ def test_qx2_worked_normalization():
 
 def _random_diagonal_algebra(rng, n):
     weights = [Q(rng.randint(1, 9)) for _ in range(n)]
-    mult = tuple(tuple(fr._vec(n, [(i, Q(1))]) if i == j else fr._vec(n)
-                       for j in range(n)) for i in range(n))
-    e = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        e[i][i] = 1 / weights[i]
     return fr.FrobAlgebra(
-        name="diag", dim=n, mult=mult,
-        unit=tuple(Q(1) for _ in range(n)),
-        lam=tuple(weights),
-        e=tuple(tuple(r) for r in e))
+        name="diag", dim=n, mult={(i, i): {i: 1} for i in range(n)},
+        unit=dict.fromkeys(range(n), 1), lam=dict(enumerate(weights)),
+        e={(i, i): 1 / w for i, w in enumerate(weights)})
 
 
 def test_snake_on_random_diagonal_algebras():
@@ -110,7 +105,8 @@ def test_snake_on_random_diagonal_algebras():
 def _m2_twisted():
     """M2(Q) with the non-central twist u = diag(1,2): Frobenius, not
     symmetric."""
-    base = fr.algebra_m2q()
+    fields = ref.maps(fr.algebra_m2q())
+    base = ref.dense(fr.algebra_m2q())
     n = 4
     # lam_u(x) = tr(u x); dual copairing solved from the reproducing identity
     u = (Q(1), Q(0), Q(0), Q(2))
@@ -132,10 +128,9 @@ def _m2_twisted():
             rhs.append(x[z][a])
     sol = fr.rref(rows, n * n, rhs).solution
     assert sol is not None
-    e = tuple(tuple(sol.get(i * n + j, Q(0)) for j in range(n))
-              for i in range(n))
-    return fr.FrobAlgebra(name="M2-twisted", dim=4, mult=base.mult,
-                          unit=base.unit, lam=lam, e=e)
+    return fr.FrobAlgebra(name="M2-twisted", dim=4, mult=fields["mult"],
+                          unit=fields["unit"], lam=dict(enumerate(lam)),
+                          e={divmod(ij, n): c for ij, c in sol.items()})
 
 
 def test_trace_like_iff_bicentral():
@@ -157,10 +152,10 @@ def qx2_nonassociative():
     associativity triple is (0,0,1), since (1.1).x = 1 + x and
     1.(1.x) = 2 + x."""
     A = fr.algebra_qx2()
-    mult = ((A.mult[0][0], (Q(1), Q(1))), (A.mult[1][0], (Q(0), Q(1))))
-    return fr.FrobAlgebra(name="Qx2-nonassociative", dim=2, mult=mult,
-                          unit=A.unit, lam=A.lam, e=A.e, star=A.star,
-                          basis_names=A.basis_names)
+    fields = ref.maps(A)
+    fields["mult"].update({(0, 1): {0: 1, 1: 1}, (1, 1): {1: 1}})
+    return fr.FrobAlgebra(name="Qx2-nonassociative", dim=2,
+                          basis_names=A.basis_names, **fields)
 
 
 def test_checkers_name_the_first_failure():
@@ -182,7 +177,7 @@ def test_separability_results():
     res = fr.check_separable(fr.algebra_m2q())
     assert res.separable
     # verify the witness: central and mu(witness) = 1
-    A = fr.algebra_m2q()
+    A = ref.dense(fr.algebra_m2q())
     n = A.dim
     acc = [Q(0)] * n
     for i in range(n):
@@ -354,8 +349,9 @@ def test_verify_unoriented_star_algebras(uno):
 
 def test_standard_assignment_requires_structure(uno):
     A = fr.algebra_m2q()
-    nostar = fr.FrobAlgebra(name="m2-nostar", dim=A.dim, mult=A.mult,
-                            unit=A.unit, lam=A.lam, e=A.e)
+    fields = ref.maps(A)
+    del fields["star"]
+    nostar = fr.FrobAlgebra(name="m2-nostar", dim=A.dim, **fields)
     with pytest.raises(fr.AlgebraError):
         fr.standard_assignment(nostar, uno)
 
@@ -573,11 +569,11 @@ def test_algebra_file_round_trip():
         B = fr.parse_algebra_file(
             (ALGEBRA_FILES / filename).read_text(encoding="utf-8"), name=name)
         assert B.dim == A.dim
-        assert B.mult == A.mult
-        assert B.unit == A.unit
+        assert B.rows == A.rows
+        assert B.one == A.one
         assert B.lam == A.lam
-        assert B.e == A.e
-        assert B.star == A.star
+        assert B.pairs == A.pairs
+        assert B.stars == A.stars
 
 
 @pytest.mark.parametrize("text, lineno, index", [
@@ -641,6 +637,26 @@ def test_algebra_file_dim_beyond_its_mult_rows_is_refused_at_once():
                               "unit 1:1")
     assert str(exc.value) == ("dim 2 needs at least 2 nonzero mult rows "
                               "for a unit, found 1")
+
+
+def test_algebra_file_memory_grows_with_its_entries():
+    # Q^300 on its idempotents: 303 lines fill sparse tables of about
+    # 2 MB at the peak, where dense dim^3 tables took about 216 MB
+    n = range(1, 301)
+    text = "".join(["dim 300\n"] + ["mult %d %d -> %d:1\n" % (i, i, i)
+                                    for i in n]
+                   + ["unit", *(" %d:1" % i for i in n), "\nlambda",
+                      *(" %d:1" % i for i in n), "\ne",
+                      *(" %d,%d:1" % (i, i) for i in n), "\n"])
+    tracemalloc.start()
+    try:
+        A = fr.parse_algebra_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, peak
+    assert A.rows[299][299] == ((299, 1),) and not A.rows[0][1]
+    assert len(A.one) == len(A.lam) == len(A.pairs) == 300
 
 
 @pytest.mark.parametrize("line, message", [

@@ -4,9 +4,11 @@ The sparse product, every check `Report` (names, order, ok flags and
 witnesses) and the separability system are compared with
 `tests/reference_frobenius.py` on every built-in algebra and on seeded
 one-entry perturbations of each; every separability witness and
-certificate is checked by its defining equations.
+certificate is checked by its defining equations, and `rref` is compared
+with the row-scanning elimination on seeded random systems.
 """
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction as Q
@@ -19,18 +21,11 @@ from tests import reference_frobenius as ref
 VALUES = (Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2))
 
 
-def _with_entry(rows, index, value):
-    """The nested tuple `rows` with the entry at `index` set to `value`."""
-    if not index:
-        return value
-    head, rest = index[0], index[1:]
-    return tuple(_with_entry(r, rest, value) if k == head else r
-                 for k, r in enumerate(rows))
-
-
 def perturbations(A, rng, count):
     """`count` copies of A, each with one mult, unit, lambda, e or star
-    entry set to a value from VALUES."""
+    entry set to a value from VALUES: mult (i, j, k) is the coefficient of
+    basis_k in basis_i . basis_j and star (i, k) that of basis_k in
+    star(basis_i)."""
     n = A.dim
     shapes = [("mult", 3), ("unit", 1), ("lam", 1), ("e", 2), ("star", 2)]
     out = []
@@ -38,11 +33,15 @@ def perturbations(A, rng, count):
         name, depth = rng.choice(shapes)
         index = tuple(rng.randrange(n) for _ in range(depth))
         value = rng.choice(VALUES)
-        fields = dict(name=A.name, dim=n, mult=A.mult, unit=A.unit,
-                      lam=A.lam, e=A.e, star=A.star,
-                      basis_names=A.basis_names)
-        fields[name] = _with_entry(fields[name], index, value)
-        out.append(fr.FrobAlgebra(**fields))
+        fields = ref.maps(A)
+        if name == "mult":
+            fields[name].setdefault(index[:2], {})[index[2]] = value
+        elif name == "star":
+            fields[name].setdefault(index[0], {})[index[1]] = value
+        else:
+            fields[name][index if name == "e" else index[0]] = value
+        out.append(fr.FrobAlgebra(name=A.name, dim=n,
+                                  basis_names=A.basis_names, **fields))
     return out
 
 
@@ -59,6 +58,18 @@ def corpus():
 CORPUS = list(corpus())
 
 
+def test_corpus_is_the_dense_corpus_it_was():
+    # the dense view of every corpus algebra, pinned, so that a change in
+    # how algebras are built cannot change what the corpus checks
+    digest = hashlib.sha256()
+    for label, A in CORPUS:
+        D = ref.dense(A)
+        digest.update(repr((label, D.name, D.dim, D.mult, D.unit, D.lam, D.e,
+                            D.star, D.basis_names)).encode())
+    assert digest.hexdigest() == ("3c829acf654cc217c241fb7e079cc89d"
+                                  "8959488dde158a5cb7f5d7ec3d02a2de")
+
+
 def _sparse(v):
     return {i: c for i, c in enumerate(v) if c}
 
@@ -70,11 +81,12 @@ def _dense(v, n):
 def test_mul_matches_reference():
     rng = random.Random(7)
     for label, A in CORPUS:
+        D = ref.dense(A)
         for _ in range(10):
             u, v = ([rng.choice(VALUES + (Q(0),) * 3) for _ in range(A.dim)]
                     for _ in range(2))
             prod = fr._prod(A, _sparse(u), _sparse(v))
-            assert _dense(prod, A.dim) == ref.mul(A, u, v), (label, u, v)
+            assert _dense(prod, A.dim) == ref.mul(D, u, v), (label, u, v)
 
 
 def test_reports_match_reference():
@@ -101,19 +113,39 @@ def test_separability_system_and_results():
         assert sum(yi * b for yi, b in zip(y, rhs)) != 0, label
 
 
+def _random_system(rng):
+    """A seeded sparse system (rows, n, rhs): small integer entries, about
+    a third of them nonzero, and an rhs that is absent, zero or random."""
+    m, n = rng.randint(1, 9), rng.randint(1, 9)
+    rows = [{c: Q(rng.randint(-3, 3)) for c in range(n) if rng.random() < 0.35}
+            for _ in range(m)]
+    rhs = rng.choice([None, [Q(0)] * m,
+                      [Q(rng.randint(-2, 2)) for _ in range(m)]])
+    return rows, n, rhs
+
+
+def test_rref_matches_the_row_scanning_elimination():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(600):
+        rows, n, rhs = _random_system(rng)
+        elim = fr.rref(rows, n, rhs)
+        assert (elim.pivots, elim.nullspace, elim.solution,
+                elim.certificate) == ref.rref(rows, n, rhs), (rows, rhs)
+        outcomes.add(elim.solution is not None)
+    assert outcomes == {True, False}
+
+
 def matrix_algebra(m):
     """M_m(Q) on its matrix units, E_ab at index a*m + b: E_ab E_cd is
     E_ad when b = c and zero otherwise, and the unit is sum_a E_aa.  Only
     the product and the unit are given."""
     n = m * m
-
-    def vec(*indices):
-        return tuple(Q(1) if k in indices else Q(0) for k in range(n))
-
-    mult = tuple(tuple(vec(i // m * m + j % m) if i % m == j // m else vec()
-                       for j in range(n)) for i in range(n))
-    return fr.FrobAlgebra(name="M%dQ" % m, dim=n, mult=mult,
-                          unit=vec(*(a * m + a for a in range(m))))
+    return fr.FrobAlgebra(
+        name="M%dQ" % m, dim=n,
+        mult={(i, j): {i // m * m + j % m: 1} for i in range(n)
+              for j in range(n) if i % m == j // m},
+        unit={a * m + a: 1 for a in range(m)})
 
 
 @pytest.mark.parametrize("m", [3, 4])

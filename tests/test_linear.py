@@ -46,6 +46,9 @@ def test_parse_rejects_mismatched_counts():
     ("(3) [1,x] (3)", "cycle entry 'x' is not an integer"),
     ("(3) [1²] (3)", "cycle entry '²' is not an integer"),
     ("(2 cap cup)", "bad region (2 cap cup)"),
+    ("(3) [121] (3)", "overlapping cycles"),
+    ("(3) [12][12] (3)", "overlapping cycles"),
+    ("(3) [1 1] (3)", "overlapping cycles"),
 ])
 def test_parse_rejects_malformed_text(text, message):
     with pytest.raises(ln.LinearError) as err:
@@ -145,6 +148,26 @@ def test_moves_preserve_census_random():
                     assert ln.reconstruct_1manifold(d2) == census, \
                         (move, pos, side, str(d))
                     checked += 1
-                    if move != "commute_small_sigma":
+                    if move not in ln.SIDED_MOVES:
                         break
     assert checked > 200
+
+
+def _outcome(d, move, pos, side):
+    try:
+        return ln.apply_linear_move(d, move, pos, side)
+    except ln.LinearError as exc:
+        return str(exc)
+
+
+def test_only_sided_moves_read_side():
+    rng = random.Random(8)
+    differs = set()
+    for _ in range(120):
+        d = random_diagram(rng)
+        for move in ln.MOVES:
+            for pos in range(len(d.regions) + 1):
+                if _outcome(d, move, pos, "left") \
+                        != _outcome(d, move, pos, "right"):
+                    differs.add(move)
+    assert differs == set(ln.SIDED_MOVES)
