@@ -354,9 +354,17 @@ def check_symmetric(A: FrobAlgebra) -> Report:
     rep.add("trace-like", bad is None,
             "(%s,%s)" % (A.label(bad[0]), A.label(bad[1])) if bad else "")
     e = [{i: 1} for i in range(n)]
-    rep.add("e-bicentral", _first(_grid(n, 2), lambda w, z: _e_central_defect(
-        A, lambda i: _prod(A, dict(A.rows[w][i]), e[z]),
-        lambda j: _prod(A, dict(A.rows[z][j]), e[w]))) is None)
+    # (w, z) cannot fail unless (w.x_i).z or (z.y_j).w is nonzero for some
+    # (c, i, j) of the copairing: `reach` holds each (u, v) for which
+    # (basis_u.basis_x).basis_v may be nonzero, x an index of the copairing
+    ends = {x for _, i, j in _copairing(A) for x in (i, j)}
+    reach = {(u, v) for x in ends for u in range(n) for k, _ in A.rows[u][x]
+             for v in range(n) if A.rows[k][v]}
+    bad = _first(sorted(reach | {(z, w) for w, z in reach}),
+                 lambda w, z: _e_central_defect(
+                     A, lambda i: _prod(A, dict(A.rows[w][i]), e[z]),
+                     lambda j: _prod(A, dict(A.rows[z][j]), e[w])))
+    rep.add("e-bicentral", bad is None)
     if A.stars is not None:
         rep.add("star-involution", all(_star(A, _star(A, e[i])) == e[i]
                                        for i in range(n)))

@@ -16,7 +16,9 @@ canonicalised once, into `Presentation.rules_by_head`, a table keyed by
 the side's first cell: the matcher compares a window only against the
 sides that start with the window's first cell.  A result is spliced in
 place (the new cells replace the window, and only a vertical-chain parent
-absorbs them), so the rest of the term is shared, never re-canonicalised.
+absorbs them), so the rest of the term is shared.  A node memoises its
+canonical form and the matches in its subtree, so a shared subterm is
+never canonicalised or matched again: a result costs its spliced path.
 Rewriting is congruence over the composite nodes, so every walk here
 reaches subterms through `termcore.parts`/`rebuild`/`subterms` and only
 the vertical chain (which flattens and splices) is handled by name.
@@ -379,27 +381,39 @@ class RewriteStep:
     result: tc.TwoCellTerm
 
 
+#: the `canonical` memo of a node that is its own canonical form
+_CANONICAL = "canonical"
+
+
 def canonical(p: tc.TwoCellTerm) -> tc.TwoCellTerm:
     """Flatten nested vertical chains and drop unary chain wrappers.
 
     A node whose parts come back as they are, a chain included, is returned
-    as it is, so rewrite results share their unchanged subterms.
+    as it is, so rewrite results share their unchanged subterms.  The
+    result is memoised on the node; a canonical node holds `_CANONICAL`,
+    not itself, so that no node refers to itself.
     """
+    memo = getattr(p, "_canonical", None)
+    if memo is not None:
+        return p if memo is _CANONICAL else memo
     if isinstance(p, VComp):
         flat = [c for child in p.children for c in _chain(canonical(child))]
         if len(flat) == 1:
-            return flat[0]
-        if len(flat) == len(p.children) and all(
+            out = flat[0]
+        elif len(flat) == len(p.children) and all(
                 c is old for c, old in zip(flat, p.children)):
-            return p
-        return VComp(tuple(flat))
-    ps = tc.parts(p)
-    if not ps:
-        return p
-    children = [canonical(c) for _, c in ps]
-    if all(c is old for c, (_, old) in zip(children, ps)):
-        return p
-    return tc.rebuild(p, children)
+            out = p
+        else:
+            out = VComp(tuple(flat))
+    else:
+        ps = tc.parts(p)
+        children = [canonical(c) for _, c in ps]
+        out = p if all(c is old for c, (_, old) in zip(children, ps)) \
+            else tc.rebuild(p, children)
+    object.__setattr__(out, "_canonical", _CANONICAL)
+    if out is not p:
+        object.__setattr__(p, "_canonical", out)
+    return out
 
 
 def _chain(p):
@@ -407,22 +421,40 @@ def _chain(p):
     return p.children if isinstance(p, VComp) else (p,)
 
 
-def _replace_at(p, path, new):
-    """Canonical `p` with its node at `path` replaced by the canonical node
-    `new`; a vertical-chain parent absorbs a chain put in its place."""
+def _rewrite_at(p, path, i, k, rep):
+    """Canonical `p` with cells i..i+k-1 of the chain at `path` replaced by
+    the cells `rep`; a vertical-chain parent absorbs them, since the chain
+    of each of its cells is that one cell."""
     if not path:
-        return new
+        cells = _chain(p)[:i] + rep + _chain(p)[i + k:]
+        return cells[0] if len(cells) == 1 else VComp(cells)
     step, rest = path[0], path[1:]
     if not rest and type(p) is VComp:
-        return VComp(p.children[:step] + _chain(new) + p.children[step + 1:])
-    return tc.rebuild(p, [_replace_at(c, rest, new) if s == step else c
+        return VComp(p.children[:step] + rep + p.children[step + 1:])
+    return tc.rebuild(p, [_rewrite_at(c, rest, i, k, rep) if s == step else c
                           for s, c in tc.parts(p)])
 
 
-def _splice(chain, i, k, rep):
-    """The canonical node left when chain[i:i+k] is replaced by `rep`."""
-    cells = chain[:i] + rep + chain[i + k:]
-    return cells[0] if len(cells) == 1 else VComp(cells)
+def _matches(node, table):
+    """(path, window start, rule entry) of each relation side of `table`,
+    a `rules_by_head`, in the subtree of canonical `node`, in `find_matches`
+    order with paths relative to `node`: its own chain's hits, then each
+    part's list.  Memoised on the node with the table it was read from."""
+    memo = getattr(node, "_matches", None)
+    if memo is not None and memo[0] is table:
+        return memo[1]
+    chain = _chain(node)
+    # entry[0] is the rule index and entry[3] the pattern; hits sort by
+    # (rule index, window start), which are unique
+    own = sorted((entry[0], i, entry) for i, cell in enumerate(chain)
+                 for entry in table.get(cell, ())
+                 if chain[i:i + len(entry[3])] == entry[3])
+    found = [((), i, entry) for _, i, entry in own]
+    for step, c in tc.parts(node):
+        found += [((step,) + path, i, entry)
+                  for path, i, entry in _matches(c, table)]
+    object.__setattr__(node, "_matches", (table, found))
+    return found
 
 
 def find_matches(t: tc.TwoCellTerm, p: Presentation) -> List[RewriteStep]:
@@ -435,20 +467,10 @@ def find_matches(t: tc.TwoCellTerm, p: Presentation) -> List[RewriteStep]:
     """
     t = canonical(t)
     steps = []
-    for path, node in tc.subterms(t):
-        chain = _chain(node)
-        hits = []
-        for i, cell in enumerate(chain):
-            for index, name, direction, pat, rep in \
-                    p.rules_by_head.get(cell, ()):
-                if chain[i:i + len(pat)] == pat:
-                    hits.append((index, i, name, direction, pat, rep))
-        hits.sort()     # by (rule index, window start), which are unique
-        for _, i, name, direction, pat, rep in hits:
-            k = len(pat)
-            result = _replace_at(t, path, _splice(chain, i, k, rep))
-            steps.append(RewriteStep(name, direction, path, (i, k), pat, rep,
-                                     result))
+    for path, i, (_, name, direction, pat, rep) in _matches(
+            t, p.rules_by_head):
+        steps.append(RewriteStep(name, direction, path, (i, len(pat)), pat,
+                                 rep, _rewrite_at(t, path, i, len(pat), rep)))
     return steps
 
 
@@ -468,7 +490,7 @@ def apply(t: tc.TwoCellTerm, step: RewriteStep) -> tc.TwoCellTerm:
     i, k = step.window
     if chain[i:i + k] != step.matched:
         raise PresentationError("stale step: window no longer matches")
-    return _replace_at(t, step.path, _splice(chain, i, k, step.replacement))
+    return _rewrite_at(t, step.path, i, k, step.replacement)
 
 
 @dataclass(frozen=True)
@@ -518,8 +540,8 @@ def equivalent_bounded(t1, t2, p: Presentation, depth: int = 6,
         for term, trail in frontier:
             expanded += 1
             for step in find_matches(term, p):
-                # add, then compare sizes: each result is hashed once, and
-                # a frozen term's hash walks the whole term
+                # add, then compare sizes: each result is hashed once (a
+                # node caches its hash, so only the spliced path is new)
                 res, size = step.result, len(seen)
                 seen.add(res)
                 if len(seen) == size:

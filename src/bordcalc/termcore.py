@@ -25,6 +25,11 @@ reporting every violation, then walks the boundary once from the root,
 reporting the first composability failure in movie order.  A small DSL
 (`parse_*` / `print_*`) gives a textual form with a parse/print
 round-trip guarantee.
+
+A node caches its hash the first time it is hashed, in its instance
+``__dict__`` and not as a field, so equality, printing and ``repr`` are
+unchanged, and hashing a term that shares its subterms with another
+costs one step per new node.
 """
 
 from __future__ import annotations
@@ -560,6 +565,24 @@ STRUCTURAL_1 = tuple(c for c in SYMBOLS.values()
                      if c in get_args(MorphismTerm))
 STRUCTURAL_2 = tuple(c for c in SYMBOLS.values()
                      if c in get_args(TwoCellTerm))
+
+
+def _cached(fields_hash):
+    """A `__hash__` that computes `fields_hash` once per node."""
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = fields_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+    return __hash__
+
+
+for _cls in {*get_args(ObjectWord), *get_args(MorphismTerm),
+             *get_args(TwoCellTerm)}:
+    _cls._hash = None
+    _cls.__hash__ = _cached(_cls.__hash__)
+del _cls
 
 
 # ---------------------------------------------------------------------------

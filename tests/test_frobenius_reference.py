@@ -9,6 +9,7 @@ with the row-scanning elimination on seeded random systems.
 """
 
 import hashlib
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction as Q
@@ -95,6 +96,38 @@ def test_reports_match_reference():
         assert fr.check_algebra(A).checks == expected[:2], label
         assert fr.check_frobenius(A).checks == expected[:6], label
         assert fr.check_symmetric(A).checks == expected, label
+
+
+def test_e_bicentral_verdict_matches_the_full_scan():
+    """`check_symmetric` tests only the pairs (w, z) that can fail; its
+    verdict is that of the defect on every basis pair."""
+    verdicts = set()
+    for label, A in CORPUS:
+        e = [{i: 1} for i in range(A.dim)]
+        full = not any(fr._e_central_defect(
+            A, lambda i: fr._prod(A, dict(A.rows[w][i]), e[z]),
+            lambda j: fr._prod(A, dict(A.rows[z][j]), e[w]))
+            for w, z in itertools.product(range(A.dim), repeat=2))
+        checks = {name: ok for name, ok, _ in fr.check_symmetric(A).checks}
+        assert checks["e-bicentral"] == full, label
+        verdicts.add(full)
+    assert len(CORPUS) == 65 and verdicts == {True, False}
+
+
+def test_e_bicentral_scan_is_linear_on_a_diagonal_algebra(monkeypatch):
+    """On a diagonal algebra only the pairs (w, w) can fail: the defect is
+    computed once per basis element for e-central and once for
+    e-bicentral, not for all dim^2 pairs."""
+    n = 200
+    A = fr.FrobAlgebra("diag", n, {(i, i): {i: 1} for i in range(n)},
+                       {i: 1 for i in range(n)}, lam={i: 1 for i in range(n)},
+                       e={(i, i): 1 for i in range(n)})
+    calls = []
+    defect = fr._e_central_defect
+    monkeypatch.setattr(fr, "_e_central_defect",
+                        lambda *args: calls.append(1) or defect(*args))
+    assert fr.check_symmetric(A).ok
+    assert len(calls) <= 2 * n
 
 
 def test_separability_system_and_results():

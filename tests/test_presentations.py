@@ -1,6 +1,8 @@
 """Presentations: generator counts, relation balance, rewriting, search."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -192,6 +194,41 @@ def test_equivalent_bounded_found_counts_expansions(uno):
     assert res.stop == "found" and res.nodes_expanded == 1
     same = pr.equivalent_bounded(rel.lhs, rel.lhs, uno, depth=0)
     assert same.stop == "found" and same.nodes_expanded == 0
+
+
+def test_memos_die_with_their_term(uno):
+    """No memo refers to its own node: with the cycle collector off, every
+    node of a matched and searched term is freed once the term is
+    dropped.  The unary chain around the text makes its canonical form a
+    new node."""
+    from bordcalc import standard_terms as st
+    text = "(%s)" % tc.print_two_cell(st.genus(uno, 1))
+    goal = st.genus(uno, 2)
+    gc.disable()
+    try:
+        term = tc.parse_two_cell(text, uno.data)
+        steps = pr.find_matches(term, uno)
+        res = pr.equivalent_bounded(term, goal, uno, depth=2)
+        assert steps and not res.equivalent and res.nodes_expanded > 1
+        refs = [weakref.ref(node) for _, node in tc.subterms(term)]
+        del term, steps, res
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_match_memo_is_keyed_by_presentation(uno, ori):
+    """One node matched against one presentation, then the other, then the
+    first again, answers as a fresh copy of it does each time."""
+    morse = uno.relation("morse-cancel-split-cup-outer-a").lhs
+    text = "(%s (*) (cusp_up . cusp_down))" % tc.print_two_cell(morse)
+    node = tc.parse_two_cell(text, uno.data)
+    answers = []
+    for p in (uno, ori, uno):
+        steps = pr.find_matches(node, p)
+        assert steps == pr.find_matches(tc.parse_two_cell(text), p)
+        answers.append(steps)
+    assert answers[0] == answers[2] != answers[1] and answers[1]
 
 
 @pytest.mark.parametrize("budget", [{"depth": -1}, {"max_visited": -3}])

@@ -5,7 +5,9 @@ genus 0..3, on both presentations, together with every rewrite of those
 terms.  On each term the step lists must agree field by field and every
 result must be canonical; the search must give the same verdict and the
 same trail as the reference search, from genus g to g+1 and to seeded
-goals a few rewrites away.
+goals a few rewrites away.  Each term is matched once more on a fresh
+copy parsed from its text, which carries no memo, while the term itself
+shares memoised subterms with the term it was rewritten from.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import pytest
 from bordcalc import build
 from bordcalc import presentations as pr
 from bordcalc import standard_terms as st
+from bordcalc import termcore as tc
 from tests import reference_rewrite as ref
 
 PRESENTATIONS = (pr.bord2_unoriented(), pr.bord2_oriented())
@@ -44,6 +47,8 @@ def test_find_matches_agrees_with_reference(p):
         steps = pr.find_matches(term, p)
         assert _fields(steps) == _fields(ref.find_matches(term, p, table)), \
             str(term)
+        fresh = tc.parse_two_cell(tc.print_two_cell(term), p.data)
+        assert _fields(pr.find_matches(fresh, p)) == _fields(steps), str(term)
         for step in steps:
             assert pr.canonical(step.result) == step.result
     assert len(corpus) > 1000
