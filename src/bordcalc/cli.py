@@ -9,6 +9,8 @@ including rewrite endpoints whose boundaries differ, and malformed
 linear diagrams; 4 failed verification, failed checks, a failed
 evaluation or surface reconstruction, or an inconclusive rewrite search
 (stdout `UNKNOWN`, with the reason the search stopped on stderr).
+A raised error's exit code comes from one table, `_EXIT`, keyed by error
+class, which `main` looks up along the exception's MRO.
 Errors are one line on stderr (`INVALID ...` for exit 3, `ERROR ...`
 otherwise).  Output ordering is deterministic; a reader that closes
 stdout early ends the output without a traceback.
@@ -32,13 +34,19 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_FAILED = 4
 
+# the exit code of each error class a command may raise
+_EXIT = {
+    tc.ParseError: EXIT_INVALID, tc.TermError: EXIT_INVALID,
+    pr.PresentationError: EXIT_INVALID, ln.LinearError: EXIT_INVALID,
+    DiagramError: EXIT_FAILED, sf.SurfaceError: EXIT_FAILED,
+    fr.AlgebraError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,         # a negative depth or visit budget
+    OSError: EXIT_USAGE,            # an unreadable term, algebra or diagram
+    RecursionError: EXIT_USAGE,     # a term nested deeper than the stack
+}
 
-def _load_presentation(name):
-    if name == "unoriented":
-        return pr.bord2_unoriented()
-    if name == "oriented":
-        return pr.bord2_oriented()
-    raise SystemExit("unknown presentation %r" % name)
+PRESENTATIONS = {"unoriented": pr.bord2_unoriented,
+                 "oriented": pr.bord2_oriented}
 
 
 def _read(path):
@@ -68,58 +76,30 @@ def _read_term(path, presentation):
 
 
 def cmd_check(args, out):
-    p = _load_presentation(args.presentation)
-    try:
-        _read_term(args.file, p)
-    except (tc.ParseError, tc.TermError) as exc:
-        return _error(EXIT_INVALID, exc)
+    _read_term(args.file, PRESENTATIONS[args.presentation]())
     out("VALID")
     return EXIT_OK
 
 
 def cmd_eval(args, out):
-    p = _load_presentation(args.presentation)
-    try:
-        A = _load_algebra(args.algebra)
-        term = _read_term(args.file, p)
-        asg = fr.standard_assignment(A, p)
-    except (tc.ParseError, tc.TermError) as exc:
-        return _error(EXIT_INVALID, exc)
-    except fr.AlgebraError as exc:
-        return _error(EXIT_USAGE, exc)
-    try:
-        value = fr.evaluate(term, asg)
-    except (DiagramError, fr.AlgebraError) as exc:
-        return _error(EXIT_FAILED, exc)
-    out(value.render())
+    p = PRESENTATIONS[args.presentation]()
+    A = _load_algebra(args.algebra)
+    term = _read_term(args.file, p)
+    out(fr.evaluate(term, fr.standard_assignment(A, p)).render())
     return EXIT_OK
 
 
 def cmd_invariants(args, out):
-    p = _load_presentation(args.presentation)
-    try:
-        term = _read_term(args.file, p)
-    except (tc.ParseError, tc.TermError) as exc:
-        return _error(EXIT_INVALID, exc)
-    try:
-        surf = sf.reconstruct(term, p)
-    except (sf.SurfaceError, DiagramError) as exc:
-        return _error(EXIT_FAILED, exc)
-    out(str(sf.invariants(surf)))
+    p = PRESENTATIONS[args.presentation]()
+    out(str(sf.invariants(sf.reconstruct(_read_term(args.file, p), p))))
     return EXIT_OK
 
 
 def cmd_rewrite(args, out):
-    p = _load_presentation(args.presentation)
-    try:
-        t1 = _read_term(args.file, p)
-        t2 = _read_term(args.to, p)
-        res = pr.equivalent_bounded(t1, t2, p, depth=args.depth,
-                                    max_visited=args.max_visited)
-    except (tc.ParseError, tc.TermError, pr.PresentationError) as exc:
-        return _error(EXIT_INVALID, exc)
-    except ValueError as exc:       # a negative depth or visit budget
-        return _error(EXIT_USAGE, exc)
+    p = PRESENTATIONS[args.presentation]()
+    res = pr.equivalent_bounded(_read_term(args.file, p),
+                                _read_term(args.to, p), p, depth=args.depth,
+                                max_visited=args.max_visited)
     if res.equivalent:
         out("EQUIVALENT %d" % len(res.steps))
         for step in res.steps:
@@ -138,28 +118,19 @@ def cmd_rewrite(args, out):
 
 
 def cmd_verify(args, out):
-    p = _load_presentation(args.presentation)
-    try:
-        report = fr.verify_presentation(_load_algebra(args.algebra), p)
-    except fr.AlgebraError as exc:
-        return _error(EXIT_USAGE, exc)
-    except DiagramError as exc:
-        return _error(EXIT_FAILED, exc)
+    report = fr.verify_presentation(_load_algebra(args.algebra),
+                                    PRESENTATIONS[args.presentation]())
     out(str(report))
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
 def cmd_presentation(args, out):
-    p = _load_presentation(args.dump)
-    out(p.manifest().rstrip("\n"))
+    out(PRESENTATIONS[args.dump]().manifest().rstrip("\n"))
     return EXIT_OK
 
 
 def cmd_linear(args, out):
-    try:
-        d = ln.parse_diagram(_read(args.file))
-    except ln.LinearError as exc:
-        return _error(EXIT_INVALID, exc)
+    d = ln.parse_diagram(_read(args.file))
     census = ln.reconstruct_1manifold(d)
     out("circles=%d intervals=%d" % (census["circles"], census["intervals"]))
     if not args.moves:
@@ -193,20 +164,20 @@ def build_parser():
     c = sub.add_parser("check", help="validate a 2-cell term file")
     c.add_argument("file")
     c.add_argument("--presentation", default="unoriented",
-                   choices=("unoriented", "oriented"))
+                   choices=PRESENTATIONS)
     c.set_defaults(func=cmd_check)
 
     c = sub.add_parser("eval", help="evaluate a term into an algebra")
     c.add_argument("file")
     c.add_argument("--algebra", required=True)
     c.add_argument("--presentation", default="oriented",
-                   choices=("unoriented", "oriented"))
+                   choices=PRESENTATIONS)
     c.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("invariants", help="surface invariants of a term")
     c.add_argument("file")
     c.add_argument("--presentation", default="unoriented",
-                   choices=("unoriented", "oriented"))
+                   choices=PRESENTATIONS)
     c.set_defaults(func=cmd_invariants)
 
     c = sub.add_parser("rewrite", help="bounded search between two terms")
@@ -215,18 +186,17 @@ def build_parser():
     c.add_argument("--depth", type=int, default=6)
     c.add_argument("--max-visited", type=int, default=100000)
     c.add_argument("--presentation", default="unoriented",
-                   choices=("unoriented", "oriented"))
+                   choices=PRESENTATIONS)
     c.set_defaults(func=cmd_rewrite)
 
     c = sub.add_parser("verify", help="check all relations in an algebra")
     c.add_argument("--algebra", required=True)
     c.add_argument("--presentation", default="oriented",
-                   choices=("unoriented", "oriented"))
+                   choices=PRESENTATIONS)
     c.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("presentation", help="dump a presentation manifest")
-    c.add_argument("--dump", required=True,
-                   choices=("unoriented", "oriented"))
+    c.add_argument("--dump", required=True, choices=PRESENTATIONS)
     c.set_defaults(func=cmd_presentation)
 
     c = sub.add_parser("linear", help="linear diagram census and moves")
@@ -242,10 +212,11 @@ def main(argv=None):
     lines = []
     try:
         code = args.func(args, lines.append)
-    except OSError as exc:          # an unreadable term, algebra or diagram
-        code = _error(EXIT_USAGE, exc)
-    except RecursionError:          # a term nested deeper than the stack
-        code = _error(EXIT_USAGE, "input nested too deeply")
+    except RecursionError:
+        code = _error(_EXIT[RecursionError], "input nested too deeply")
+    except tuple(_EXIT) as exc:
+        code = _error(next(_EXIT[c] for c in type(exc).__mro__ if c in _EXIT),
+                      exc)
     if args.format == "lines":
         lines = ["%s\t%s" % (args.command, line) for line in lines]
     text = "\n".join(lines)

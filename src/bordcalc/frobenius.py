@@ -646,7 +646,7 @@ class TwoCellValue:
 
     source_components: int
     target_components: int
-    dim: int
+    dim: int = field(compare=False)
     matrix: tuple
 
     @property
@@ -656,12 +656,6 @@ class TwoCellValue:
     @property
     def scalar(self):
         return self.matrix[0][0]
-
-    def __eq__(self, other):
-        return (isinstance(other, TwoCellValue)
-                and self.source_components == other.source_components
-                and self.target_components == other.target_components
-                and self.matrix == other.matrix)
 
     def render(self):
         if self.is_scalar:

@@ -10,6 +10,12 @@ import time
 import pytest
 
 from bordcalc import cli
+from bordcalc import frobenius as fr
+from bordcalc import linear as ln
+from bordcalc import presentations as pr
+from bordcalc import surface as sf
+from bordcalc import termcore as tc
+from bordcalc._diagram import DiagramError
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
@@ -308,8 +314,6 @@ def test_eval_missing_term_file(tmp_path, capsys):
 def test_eval_diagram_error(tmp_path, capsys, monkeypatch):
     # no valid term is known to fail evaluation, so a raising evaluator
     # drives the exit-4 path; the term once raised this error for real
-    from bordcalc import frobenius as fr
-    from bordcalc._diagram import DiagramError
     from tests.test_frobenius import FORMER_DEFECTS
     term = tmp_path / "term.bc"
     term.write_text(FORMER_DEFECTS["oriented"][0], encoding="utf-8")
@@ -349,7 +353,6 @@ def test_rewrite_missing_target_file(tmp_path, capsys):
 def test_invariants_reconstruction_error(tmp_path, capsys, monkeypatch):
     # as above: the terms once raised this error for real, and a raising
     # builder drives the exit-4 path
-    from bordcalc import surface as sf
     from tests.test_frobenius import FORMER_DEFECTS
     argvs = []
     for i, text in enumerate(FORMER_DEFECTS["unoriented"]):
@@ -442,3 +445,57 @@ def test_linear_malformed_diagram_is_one_line(tmp_path, capsys, text):
     code, out, err = run(["linear", str(path)], capsys)
     assert code == cli.EXIT_INVALID and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("INVALID ")
+
+
+# ---------------------------------------------------------------------------
+# every error class from every command's main library call: one exit code
+# ---------------------------------------------------------------------------
+
+# each error class `main` knows, except RecursionError: the arguments that
+# build one, and its documented exit code
+ERROR_CASES = {
+    tc.ParseError: (("injected", 0), 3), tc.TermError: (("injected",), 3),
+    pr.PresentationError: (("injected",), 3),
+    ln.LinearError: (("injected",), 3), DiagramError: (("injected",), 4),
+    sf.SurfaceError: (("injected",), 4), fr.AlgebraError: (("injected",), 2),
+    ValueError: (("injected",), 2), OSError: (("injected",), 2)}
+
+# each command, its main library call and an argv that reaches that call
+MATRIX_COMMANDS = {
+    "check": (tc, "parse_two_cell", ["check", str(DEMOS / "terms/sphere.bc")]),
+    "eval": (fr, "evaluate", ["eval", str(DEMOS / "terms/torus_oriented.bc"),
+                              "--algebra", "M2Q"]),
+    "invariants": (sf, "reconstruct",
+                   ["invariants", str(DEMOS / "terms/sphere.bc")]),
+    "rewrite": (pr, "equivalent_bounded",
+                ["rewrite", str(DEMOS / "terms/cusp_zigzag.bc"),
+                 "--to", str(DEMOS / "rewrite/identity_strip.bc")]),
+    "verify": (fr, "verify_presentation", ["verify", "--algebra", "M2Q"]),
+    "linear": (ln, "reconstruct_1manifold",
+               ["linear", str(DEMOS / "diagrams/paper_figure.ld")]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MATRIX_COMMANDS))
+@pytest.mark.parametrize("error", sorted(ERROR_CASES,
+                                         key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_has_one_exit_code(capsys, monkeypatch, command,
+                                             error):
+    """The command's main library call raises `error`: `main` returns the
+    documented code with one stderr line, and nothing escapes it."""
+    module, name, argv = MATRIX_COMMANDS[command]
+    args, expected = ERROR_CASES[error]
+
+    def raising(*_args, **_kwargs):
+        raise error(*args)
+
+    monkeypatch.setattr(module, name, raising)
+    try:
+        code, out, err = run(argv, capsys)
+    except BaseException as exc:
+        pytest.fail("%s escaped main: %r" % (type(exc).__name__, exc))
+    assert code == expected, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("INVALID injected" if expected == 3
+                          else "ERROR injected"), err

@@ -5,7 +5,9 @@ witnesses) and the separability system are compared with
 `tests/reference_frobenius.py` on every built-in algebra and on seeded
 one-entry perturbations of each; every separability witness and
 certificate is checked by its defining equations, and `rref` is compared
-with the row-scanning elimination on seeded random systems.
+with the row-scanning elimination on seeded random systems.  On the same
+corpus, the oriented relations decide the algebra: they all hold exactly
+when the algebra is separable symmetric Frobenius.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from fractions import Fraction as Q
 import pytest
 
 from bordcalc import frobenius as fr
+from bordcalc import presentations as pr
 from tests import reference_frobenius as ref
 
 VALUES = (Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2))
@@ -215,3 +218,33 @@ def test_corpus_exercises_every_outcome():
                       "star-antihom"}
     seps = {fr.check_separable(A).separable for _, A in CORPUS}
     assert seps == {True, False}
+
+
+STAR_CHECKS = ("star-involution", "star-antihom")
+
+
+def test_oriented_relations_decide_the_algebra():
+    """The classification's converse, on every associative, unital algebra
+    of the corpus: with an assignment built directly (the cusp factor
+    chosen as `standard_assignment` chooses it), no oriented relation
+    fails exactly when the algebra is separable and passes every
+    symmetric Frobenius check.  The star checks are left out: no oriented
+    relation reads `star`, so a perturbed star breaks no relation."""
+    ori = pr.bord2_oriented()
+    verdicts, star_only = [], []
+    for label, A in CORPUS:
+        if not fr.check_algebra(A).ok:
+            continue    # an object of Alg is an associative, unital algebra
+        sep = fr.check_separable(A).separable
+        asg = fr.Assignment(A, ori, cusp_factor=A.one if sep
+                            else A.handle_element())
+        failing = [rel.name for rel in ori.relations
+                   if fr.evaluate(rel.lhs, asg) != fr.evaluate(rel.rhs, asg)]
+        checks = fr.check_symmetric(A).failures()
+        axioms = sep and not [c for c in checks if c not in STAR_CHECKS]
+        assert (not failing) == axioms, (label, failing, checks, sep)
+        verdicts.append(axioms)
+        if axioms and checks:
+            star_only.append(label)
+    assert len(verdicts) == 39 and verdicts.count(True) == 17
+    assert star_only == ["M2Q~1", "M2Q~8", "Q~6", "QZ2~10"]
