@@ -7,10 +7,11 @@ local events (generator cells and structural cells) rewriting that
 `run_movie` plays the tape once, computing no boundary, and yields,
 depending on the listener,
 
-* the glued polygonal complex of the denoted surface, or
+* the invariants of the denoted surface,
+* its glued polygonal complex, or
 * the exact linear map the term evaluates to under an algebra assignment.
 
-Both consumers live in `surface` and `frobenius`; this module owns the
+The consumers live in `surface` and `frobenius`; this module owns the
 shared strand bookkeeping.  A leaf's arcs follow from the generating
 data (`leaf_arc_spec`).  An event of a structural cell says which old
 arcs continue as which new ones, by the strand map its boundary formula

@@ -1,19 +1,19 @@
-"""Topological semantics: combinatorial surfaces denoted by two-cell terms.
+"""Topological semantics: the surfaces denoted by two-cell terms.
 
-`reconstruct` glues one elementary polygon per movie event (disks for
-births, deaths, saddles and cusps; product strips for structural cells)
-and one sheet per arc over the arc's whole life: between events the
-surface is a product, so an arc no event touches keeps its sheet.  The
-result is a polygonal complex of the denoted surface.  `invariants`
-computes connected components, Euler characteristic, orientability and
-boundary circles of every component in one pass over the complex;
-`euler_by_events` recomputes the characteristic of a closed term by
-counting critical events, serving as an independent oracle.
+`reconstruct` plays a term's movie once through a listener that reads
+the invariants of every component off the events: χ as a Morse count,
+orientability from a union-find with a parity bit over the arcs (the
+orientation double cover), and the boundary circles.  The polygonal
+complex (one polygon per event cap, one sheet per arc lifetime) is glued
+from the same tape only when `CombSurface.complex` is first read; it and
+`tests/reference_surface.py` are the listener's oracle, and
+`euler_by_events` recounts χ of a closed term from its critical cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 from . import termcore as tc
@@ -35,33 +35,28 @@ class Complex:
     direction by both faces (orientation-reversing); ``flip=False`` is the
     usual opposed identification.  Slots are numbered from 0 by
     `new_slot`, and each per-slot list is indexed by slot: ``face_of`` (-1
-    until the slot is placed in a face), ``next`` (the following slot of
-    that face), ``mate`` (the glued slot, -1 while free) and ``flip``.
+    until the slot is placed in a face), ``mate`` (the glued slot, -1
+    while free) and ``flip``.
     """
 
     def __init__(self):
         self.faces: List[list] = []
         self.face_of: List[int] = []
-        self.next: List[int] = []
         self.mate: List[int] = []
         self.flip: List[bool] = []
 
     def new_slot(self) -> int:
         self.face_of.append(-1)
-        self.next.append(-1)
         self.mate.append(-1)
         self.flip.append(False)
         return len(self.mate) - 1
 
     def add_face(self, slots):
-        idx = len(self.faces)
-        self.faces.append(slots)
-        for s, t in zip(slots, slots[1:] + slots[:1]):
+        for s in slots:
             if self.face_of[s] >= 0:
                 raise SurfaceError("slot used by two faces")
-            self.face_of[s] = idx
-            self.next[s] = t
-        return idx
+            self.face_of[s] = len(self.faces)
+        self.faces.append(slots)
 
     def glue(self, a, b, flip=False):
         if a == b:
@@ -76,49 +71,82 @@ class Complex:
             if t >= 0 and self.face_of[s] >= 0 and self.face_of[t] < 0:
                 raise SurfaceError("dangling gluing")
 
-    def corner_classes(self) -> List[int]:
-        """Vertex class of every corner.  Corner s is where slot s's edge
-        starts; corners at one vertex get the same class, a slot id."""
-        nxt = self.next
-        find, union = _union_find(len(nxt))
-        for s, t in enumerate(self.mate):
-            if t < s:
-                continue  # free, or met from its mate
-            if self.flip[s]:
-                union(s, t)
-                union(nxt[s], nxt[t])
-            else:
-                union(s, nxt[t])
-                union(nxt[s], t)
-        return [find(s) for s in range(len(nxt))]
 
+# ---------------------------------------------------------------------------
+# event pieces
+# ---------------------------------------------------------------------------
 
-def _union_find(n):
-    """`find` and `union` over a list of n parents; `union` returns whether
-    it joined two classes."""
-    parent = list(range(n))
+def _pieces(ev):
+    """The boundary cycles of the pieces event `ev` fills: (carried, caps).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    A cycle lists (side, arc, direction) in trace order, side "old" or
+    "new", direction +1 where the trace runs end0 -> end1; every old and
+    new arc lies on one cycle.  A closed piece a structural cell carries
+    through (every arc in its strand map) is a tube: `carried` maps each
+    of its new arcs to the old arc it continues, and the new arcs' cycle
+    is dropped.  Every other cycle, in `caps`, bounds one disk.
+    """
+    # a trace leaves an arc by a link among the event's own arcs, or
+    # crosses sides at a boundary point, where the i-th old and new
+    # ports sit together
+    steps = {"old": (ev.old_links, "new",
+                     dict(zip(ev.old_ports, ev.new_ports))),
+             "new": (ev.new_links, "old",
+                     dict(zip(ev.new_ports, ev.old_ports)))}
 
-    def union(x, y):
-        x, y = find(x), find(y)
-        parent[x] = y
-        return x != y
+    def advance(side, arc, direction):
+        exit_end = (arc, 1 if direction == +1 else 0)
+        links, other, across = steps[side]
+        if exit_end in links:
+            narc, nend = links[exit_end]
+        elif exit_end in across:
+            side, (narc, nend) = other, across[exit_end]
+        else:
+            raise SurfaceError("event trace fell off the boundary")
+        return (side, narc, +1 if nend == 0 else -1)
 
-    return find, union
+    traced = {}
+    cycles = []
+    for side, pool in (("old", ev.old_arcs), ("new", ev.new_arcs)):
+        for a0 in pool:
+            if (side, a0) in traced:
+                continue
+            state0 = (side, a0, +1)
+            cycle = []
+            s_, a_, d_ = state0
+            while (s_, a_) not in traced:
+                traced[(s_, a_)] = d_
+                cycle.append((s_, a_, d_))
+                s_, a_, d_ = advance(s_, a_, d_)
+            if (s_, a_, d_) != state0 and traced.get((s_, a_)) != d_:
+                raise SurfaceError("event piece is not a disk")
+            cycles.append(cycle)
+
+    pairs = ev.strands
+    if not pairs:  # a generator cell carries nothing through
+        return {}, cycles
+    carried, caps = {}, []
+    for cycle in cycles:
+        sides = {s for s, _, _ in cycle}
+        arcs = [a for _, a, _ in cycle]
+        if sides == {"old"} and all(a in pairs for a in arcs):
+            for a in arcs:
+                if pairs[a] in carried:
+                    raise SurfaceError("tube target already produced")
+                carried[pairs[a]] = a
+        elif not (sides == {"new"} and all(a in carried for a in arcs)):
+            caps.append(cycle)
+    if any(s == "new" and a in carried for c in caps for s, a, _ in c):
+        raise SurfaceError("new arc produced twice")
+    return carried, caps
 
 
 # ---------------------------------------------------------------------------
-# movie-driven surface assembly
+# the glued complex
 # ---------------------------------------------------------------------------
 
 class _Builder(MovieListener):
-    """Emits one sheet per arc lifetime and one polygon per event boundary
-    cycle.
+    """Emits one sheet per arc lifetime and one polygon per event cap.
 
     A sheet opens when its arc is created, its bottom glued to the edge of
     the face that produced the arc, and closes when an event consumes the
@@ -175,62 +203,11 @@ class _Builder(MovieListener):
         return top
 
     def event(self, state, ev):
-        # a trace leaves an arc by a link among the event's own arcs, or
-        # crosses sides at a boundary point, where the i-th old and new
-        # ports sit together
-        steps = {"old": (ev.old_links, "new",
-                         dict(zip(ev.old_ports, ev.new_ports))),
-                 "new": (ev.new_links, "old",
-                         dict(zip(ev.new_ports, ev.old_ports)))}
-
-        def advance(side, arc, direction):
-            exit_end = (arc, 1 if direction == +1 else 0)
-            links, other, across = steps[side]
-            if exit_end in links:
-                narc, nend = links[exit_end]
-            elif exit_end in across:
-                side, (narc, nend) = other, across[exit_end]
-            else:
-                raise SurfaceError("event trace fell off the boundary")
-            return (side, narc, +1 if nend == 0 else -1)
-
-        traced = {}
-        cycles = []
-        for side, pool in (("old", ev.old_arcs), ("new", ev.new_arcs)):
-            for a0 in pool:
-                if (side, a0) in traced:
-                    continue
-                state0 = (side, a0, +1)
-                cycle = []
-                s_, a_, d_ = state0
-                while (s_, a_) not in traced:
-                    traced[(s_, a_)] = d_
-                    cycle.append((s_, a_, d_))
-                    s_, a_, d_ = advance(s_, a_, d_)
-                if (s_, a_, d_) != state0 and traced.get((s_, a_)) != d_:
-                    raise SurfaceError("event piece is not a disk")
-                cycles.append(cycle)
-
-        # Closed pieces a structural cell carries through (every arc in its
-        # strand map) are tubed, not capped: each old sheet closes and the
-        # sheet of the new arc it continues as opens on top of it.
-        pairs = ev.strands
-        produced = {}
-        emit = []
-        for cycle in cycles:
-            sides = {s for s, _, _ in cycle}
-            arcs = [a for _, a, _ in cycle]
-            if sides == {"old"} and all(a in pairs for a in arcs):
-                for a in arcs:
-                    b = pairs[a]
-                    if b in produced:
-                        raise SurfaceError("tube target already produced")
-                    produced[b] = (self._close(a), -1)
-                continue
-            if sides == {"new"} and all(a in produced for a in arcs):
-                continue
-            emit.append(cycle)
-        for cycle in emit:
+        carried, caps = _pieces(ev)
+        # a tube's old sheets close, and the sheet of the new arc each
+        # continues as opens on top of it
+        produced = {b: (self._close(a), -1) for b, a in carried.items()}
+        for cycle in caps:
             slots = []
             for side, arc, direction in cycle:
                 poly_slot = self.cx.new_slot()
@@ -241,13 +218,8 @@ class _Builder(MovieListener):
                     self.cx.glue(poly_slot, self._close(arc),
                                  flip=(direction == -1))
                 else:
-                    if arc in produced:
-                        raise SurfaceError("new arc produced twice")
                     produced[arc] = (poly_slot, direction)
             self.cx.add_face(slots)
-        for arc in ev.new_arcs:
-            if arc not in produced:
-                raise SurfaceError("new arc missing from the event boundary")
         self._open(state, produced)
 
     def finish(self, state):
@@ -255,13 +227,9 @@ class _Builder(MovieListener):
             self._close(aid)
 
 
-@dataclass
-class CombSurface:
-    """Glued complex of elementary pieces for a two-cell term."""
-
-    complex: Complex
-    term: tc.TwoCellTerm
-
+# ---------------------------------------------------------------------------
+# invariants from the movie
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ComponentInvariants:
@@ -300,79 +268,161 @@ class SurfaceInvariants:
         return " ".join(parts)
 
 
-def reconstruct(term: tc.TwoCellTerm, presentation) -> CombSurface:
-    """Glue the elementary pieces of the surface denoted by `term`.
+class _InvariantsListener(MovieListener):
+    """The invariants of every component, read off the events.
 
-    Pieces are the event polygons (product strips for structural cells)
-    and one sheet per arc lifetime, so the piece count is finer than the
-    minimal handle decomposition; the invariants are unaffected.
+    Each arc is the sheet `_Builder` glues over its lifetime.  The arcs
+    form a union-find with a parity bit: ``up[a] = (parent, parity)`` for
+    every arc that is not a root, the parity saying whether sheet a is
+    flipped against its parent.  Each gluing joins two sheets with
+    `_Builder`'s ``flip`` as parity: ``e == f`` for a link (a, e) ~ (b, f);
+    in a cap, ``d == -1`` for an old arc traced in direction d and
+    ``d == +1`` for a new one; 0 for a tube.  A conflict marks its
+    component's root `twisted` (non-orientable).  Only the source's links
+    are joined: a new arc's links follow from its cap or its tube.
+    ``chi[root]`` counts the source slice (arcs less link pairs) and, per
+    cap, its disk less the runs of linked old arcs it consumes.
     """
+
+    def __init__(self):
+        up, chi, twisted = {}, {}, set()
+
+        def find(x):
+            """(root of x, parity of x against it), compressing the path."""
+            path = []
+            while x in up:
+                path.append(x)
+                x = up[x][0]
+            q = 0
+            for y in reversed(path):
+                q ^= up[y][1]
+                up[y] = (x, q)
+            return x, q
+
+        def union(a, b, odd):
+            """Join sheet a to sheet b flipped by `odd`, under b's root."""
+            (ra, qa), (rb, qb) = find(a), find(b)
+            if ra == rb:
+                if odd ^ qa ^ qb:
+                    twisted.add(rb)
+            else:
+                up[ra] = (rb, odd ^ qa ^ qb)
+                chi[rb] += chi.pop(ra)
+                if ra in twisted:
+                    twisted.add(rb)
+            return rb
+
+        self.up, self.chi, self.twisted = up, chi, twisted
+        self.find, self.union = find, union
+
+    def begin(self, state):
+        d, root = state.diagram, state.root
+        self.chi.update(dict.fromkeys(d.arcs, 1))
+        links = [(x, y) for x, y in d.link.items() if x < y]
+        for (a, e), (b, f) in links:
+            self.chi[self.union(a, b, e == f)] -= 1
+        self.source = (list(d.arcs), links, root.src_ports + root.tgt_ports)
+
+    def event(self, state, ev):
+        up, chi = self.up, self.chi
+        carried, caps = _pieces(ev)
+        for b, a in carried.items():
+            up[b] = (a, 0)
+        for cycle in caps:
+            side0, a0, d0 = cycle[0]
+            if side0 == "old":
+                p0 = d0 == -1
+                r0, q0 = self.find(a0)
+            else:  # a birth: the cycle holds new arcs only
+                p0 = d0 == +1
+                r0, q0, chi[a0] = a0, 0, 0
+            disk = q0 ^ p0  # the disk's orientation against r0's
+            euler, prev = 1, cycle[-1][0]
+            for side, arc, direction in cycle:
+                if side == "old":
+                    euler -= prev != "old"
+                    if arc != a0:
+                        self.union(arc, a0, (direction == -1) ^ p0)
+                elif arc != a0:
+                    up[arc] = (r0, disk ^ (direction == +1))
+                prev = side
+            chi[r0] += euler
+
+    def finish(self, state):
+        """The boundary is the source slice, the target slice and the
+        vertical each root port sweeps.  Its nodes are the slices' arcs,
+        ``2a`` in the source and ``2a + 1`` in the target (an arc no event
+        touches is in both); each class is one circle of its component."""
+        find, chi, root = self.find, self.chi, state.root
+        arcs, links, ports = self.source
+        edges = [(2 * a, 2 * b) for (a, _), (b, _) in links]
+        edges += [(2 * a + 1, 2 * b + 1)
+                  for (a, _), (b, _) in state.diagram.link.items()]
+        edges += [(2 * a, 2 * b + 1) for (a, _), (b, _)
+                  in zip(ports, root.src_ports + root.tgt_ports)]
+        up = {}
+
+        def top(x):
+            while x in up:
+                up[x] = up.get(up[x], up[x])  # halve the path
+                x = up[x]
+            return x
+
+        circles = dict.fromkeys(chi, 0)
+        for a in arcs + list(state.diagram.arcs):
+            circles[find(a)[0]] += 1
+        for x, y in edges:
+            x, y = top(x), top(y)
+            if x != y:
+                up[x] = y
+                circles[find(x // 2)[0]] -= 1
+        comps = [ComponentInvariants(c, r not in self.twisted, circles[r])
+                 for r, c in chi.items()]
+        comps.sort(key=lambda c: (c.euler_characteristic, not c.orientable,
+                                  c.boundary_circles))
+        self.result = SurfaceInvariants(tuple(comps))
+
+
+@dataclass
+class CombSurface:
+    """The surface a two-cell term denotes: its invariants, read off the
+    movie, and the validated tape, from which the polygonal `complex` is
+    glued on first read."""
+
+    term: tc.TwoCellTerm
+    invariants: SurfaceInvariants
+    report: tc.ValidationReport
+    data: tc.GeneratingData
+
+    @cached_property
+    def complex(self) -> Complex:
+        builder = _Builder()
+        run_movie(self.report, self.data, builder)
+        builder.cx.check()
+        return builder.cx
+
+
+def reconstruct(term: tc.TwoCellTerm, presentation) -> CombSurface:
+    """Validate `term` and play its movie once, reading the invariants of
+    the surface it denotes; no complex is glued until one is read."""
     report = tc.validate(term, presentation.data)
     if not report.ok:
         raise SurfaceError("invalid term:\n%s" % report)
-    builder = _Builder()
-    run_movie(report, presentation.data, builder)
-    builder.cx.check()
-    return CombSurface(builder.cx, term)
+    listener = _InvariantsListener()
+    run_movie(report, presentation.data, listener)
+    return CombSurface(term, listener.result, report, presentation.data)
 
 
 def invariants(surface: CombSurface) -> SurfaceInvariants:
-    """Invariants of every component in one pass over the slots.
-
-    Union-finds over lists give the vertex classes (`corner_classes`), the
-    face components with their orientability, and the boundary circles:
-    free slots join their end vertices, so a component has as many
-    circles as boundary vertices less successful joins.  V counts vertex
-    classes, E glued pairs and free slots.
-    """
-    cx = surface.complex
-    nf = len(cx.faces)
-    vertex = cx.corner_classes()
-    # face f in both orientations, 2f and 2f+1, joined to its neighbours in
-    # the orientations the gluings carry over: a component is orientable
-    # when its two orientations stay apart
-    find, union = _union_find(2 * nf)
-    for s, t in enumerate(cx.mate):
-        if t > s:
-            f, g, flip = 2 * cx.face_of[s], 2 * cx.face_of[t], cx.flip[s]
-            union(f, g + flip)
-            union(f + 1, g + 1 - flip)
-    V, E, F, circles = ([0] * 2 * nf for _ in range(4))
-    comp, orientable = [], {}
-    for f in range(nf):
-        up, down = find(2 * f), find(2 * f + 1)
-        c = min(up, down)
-        comp.append(c)
-        orientable[c] = up != down
-        F[c] += 1
-    find, union = _union_find(len(vertex))
-    on_boundary = [False] * len(vertex)
-    for s, f in enumerate(cx.face_of):
-        if f < 0:
-            continue
-        c = comp[f]
-        V[c] += vertex[s] == s
-        t = cx.mate[s]
-        E[c] += t < 0 or t > s
-        if t < 0:
-            ends = (vertex[s], vertex[cx.next[s]])
-            for v in ends:
-                circles[c] += not on_boundary[v]
-                on_boundary[v] = True
-            circles[c] -= union(*ends)
-    comps = [ComponentInvariants(euler_characteristic=V[c] - E[c] + F[c],
-                                 orientable=orientable[c],
-                                 boundary_circles=circles[c])
-             for c in orientable]
-    comps.sort(key=lambda c: (c.euler_characteristic, not c.orientable,
-                              c.boundary_circles))
-    return SurfaceInvariants(tuple(comps))
+    """Components (Euler characteristic, orientability, boundary circles)
+    of the surface, as its movie gave them."""
+    return surface.invariants
 
 
 def euler_by_events(term: tc.TwoCellTerm, presentation) -> int:
     """chi of a closed term by counting cap/cup (+1) and saddle (-1) leaves.
 
-    Independent of the glued complex; only valid for closed terms.
+    Independent of the movie; only valid for closed terms.
     """
     src, tgt = tc.two_cell_boundary(term, presentation.data)
     for sentence in (src, tgt):

@@ -1,4 +1,7 @@
-"""Surface reconstruction, invariants and the event-count oracle."""
+"""Surface reconstruction, invariants and their oracles: the complex
+glued from the same tape, and the event count."""
+
+import pathlib
 
 import pytest
 
@@ -7,7 +10,12 @@ from bordcalc import presentations as pr
 from bordcalc import standard_terms as st
 from bordcalc import surface as sf
 from bordcalc import termcore as tc
-from bordcalc.termcore import Gen1, Id2, Tensor2, vcompose
+from bordcalc.termcore import (Gen1, Gen2, Id1, Id2, Inv2, RC, Tensor2,
+                               vcompose)
+
+from tests import reference_surface as ref
+
+DEMO_TERMS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "terms"
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +34,38 @@ def invariant_tuple(p, t):
             for c in inv.components]
 
 
+#: the Klein bottle's movie up to its last circle, then a sphere born in
+#: front of that circle and merged into it: the merge joins the
+#: non-orientable component to a younger one, so its twist must survive
+#: the join
+KLEIN_MERGED_INTO_SPHERE = (
+    "(cap . (inv2(rc[ev]) # id[coev]) . ((id[ev] # split) # id[coev]) . "
+    "((id[ev] # (id[coev] # sym_ev_in)) # id[coev]) . "
+    "((id[ev] # inv2(assoc2[beta[pt,pt],ev,coev])) # id[coev]) . "
+    "((id[ev] # (merge # id[beta[pt,pt]])) # id[coev]) . "
+    "((id[ev] # lc[beta[pt,pt]]) # id[coev]) . (sym_ev_out # id[coev]) . "
+    "inv2(rc[(coev ; ev)]) . (id[(coev ; ev)] # cap) . "
+    "inv2(assoc2[coev,ev,(coev ; ev)]) . (assoc2[ev,coev,ev] # id[coev]) . "
+    "((id[ev] # merge) # id[coev]) . (rc[ev] # id[coev]) . cup)")
+
+
+def torus_tubing_one_meridian(p):
+    """A torus whose handle carries one of its two meridian circles once
+    through a unitor: that circle does not separate, so the tube's parity
+    decides orientability."""
+    ev = Gen1("ev")
+    b = build.MovieBuilder(p, Id1(tc.UNIT))
+    for path, cell in [((), Gen2("cap")), (("after",), Inv2(RC(ev))),
+                       (("after", "first"), Gen2("split"))]:
+        b.apply(path, cell)
+    b.apply(("after",), Inv2(RC(b.sentence.after)))
+    b.apply(("after", "after", "first"), Gen2("merge"))
+    b.apply(("after",), RC(b.sentence.after.after))
+    b.apply(("after",), RC(ev))
+    b.apply((), Gen2("cup"))
+    return b.term()
+
+
 def test_sphere(uno):
     assert invariant_tuple(uno, st.sphere(uno)) == [(2, True, 0)]
 
@@ -35,8 +75,11 @@ def test_strip_identity(uno):
     assert invariant_tuple(uno, t) == [(1, True, 1)]
 
 
-def test_torus_closed_orientable(uno):
+def test_torus_closed_orientable(uno, ori):
     assert invariant_tuple(uno, st.genus(uno, 1)) == [(0, True, 0)]
+    for p in (uno, ori):
+        t = torus_tubing_one_meridian(p)
+        assert invariant_tuple(p, t) == [(0, True, 0)]
 
 
 def test_higher_genus(uno):
@@ -46,6 +89,8 @@ def test_higher_genus(uno):
 
 def test_klein_bottle(uno):
     assert invariant_tuple(uno, st.klein_bottle(uno)) == [(0, False, 0)]
+    t = tc.parse_two_cell(KLEIN_MERGED_INTO_SPHERE, uno.data)
+    assert invariant_tuple(uno, t) == [(0, False, 0)]
 
 
 def test_genus_formula_from_invariants(uno):
@@ -113,12 +158,12 @@ def test_forget_images_orientable(ori, uno):
 
 def test_invariants_build_corner_classes_once(uno, monkeypatch):
     calls = []
-    corner_classes = sf.Complex.corner_classes
-    monkeypatch.setattr(sf.Complex, "corner_classes",
+    corner_classes = ref.corner_classes
+    monkeypatch.setattr(ref, "corner_classes",
                         lambda cx: calls.append(1) or corner_classes(cx))
     surf = sf.reconstruct(tc.parse_two_cell(
         "((cap . cup) (*) (cap . cup))"), uno)
-    assert len(sf.invariants(surf).components) == 2
+    assert len(ref.complex_invariants(surf.complex).components) == 2
     assert len(calls) == 1
 
 
@@ -141,11 +186,11 @@ def square(cx, bottom_top=None, sides=None):
         cx.glue(b, d, flip=sides)
 
 
-def complex_invariants(build_into):
+def hand_built(build_into):
     cx = sf.Complex()
     build_into(cx)
     cx.check()
-    inv = sf.invariants(sf.CombSurface(cx, None))
+    inv = ref.complex_invariants(cx)
     return [(c.euler_characteristic, c.orientable, c.boundary_circles)
             for c in inv.components]
 
@@ -164,7 +209,7 @@ def rp2(cx):
     (rp2, [(1, False, 0)]),
 ], ids=["disk", "annulus", "moebius", "torus", "klein", "rp2"])
 def test_invariants_of_hand_built_complexes(build_into, expected):
-    assert complex_invariants(build_into) == expected
+    assert hand_built(build_into) == expected
 
 
 def test_invariants_of_a_disjoint_union_in_sorted_order():
@@ -173,7 +218,7 @@ def test_invariants_of_a_disjoint_union_in_sorted_order():
         polygon(cx, 3)
         square(cx, sides=True)
         square(cx, bottom_top=False, sides=False)
-    assert complex_invariants(union) == [
+    assert hand_built(union) == [
         (0, True, 0), (0, False, 1), (1, True, 1), (1, False, 0)]
 
 
@@ -212,3 +257,82 @@ def test_builder_face_count_is_linear_in_genus(uno):
     counts = [len(sf.reconstruct(st.genus(uno, g), uno).complex.faces)
               for g in range(5)]
     assert counts == [4, 16, 28, 40, 52]
+
+
+# -- the listener against the complex -------------------------------------
+
+def listener_corpus(p):
+    """Seeds 0..149 of `random_term` (events=4, max_leaves=20), genus 0..6,
+    a torus with one tube, the Klein bottle (alone and merged into a
+    sphere) where `p` has it, and every demo term that parses over `p`;
+    each with every rewrite `find_matches` offers."""
+    terms = [build.random_term(p, seed, events=4, max_leaves=20)
+             for seed in range(150)]
+    terms += [st.genus(p, g) for g in range(7)]
+    terms.append(torus_tubing_one_meridian(p))
+    if p.name == "unoriented":
+        terms.append(st.klein_bottle(p))
+        terms.append(tc.parse_two_cell(KLEIN_MERGED_INTO_SPHERE, p.data))
+    for path in sorted(DEMO_TERMS.glob("*.bc")):
+        try:
+            terms.append(tc.parse_two_cell(path.read_text(encoding="utf-8"),
+                                           p.data))
+        except (tc.ParseError, tc.TermError):
+            continue
+    for t in terms:
+        yield t
+        for step in pr.find_matches(t, p):
+            yield step.result
+
+
+def outcomes(p, t):
+    """(invariants from the movie, invariants of the complex glued from
+    the same tape with no listener run), each the message of the
+    SurfaceError it raised instead, if any."""
+    try:
+        surf = sf.reconstruct(t, p)
+        listener, report = sf.invariants(surf), surf.report
+    except sf.SurfaceError as e:
+        listener, report = str(e), tc.validate(t, p.data)
+    assert report.ok
+    try:
+        oracle = ref.complex_invariants(
+            sf.CombSurface(t, None, report, p.data).complex)
+    except sf.SurfaceError as e:
+        oracle = str(e)
+    return listener, oracle
+
+
+@pytest.mark.parametrize("name", ["unoriented", "oriented"])
+def test_listener_invariants_equal_the_complex_oracle(uno, ori, name):
+    p = uno if name == "unoriented" else ori
+    terms = closed = 0
+    for t in listener_corpus(p):
+        listener, oracle = outcomes(p, t)
+        assert listener == oracle, tc.print_two_cell(t)
+        terms += 1
+        try:
+            chi = sf.euler_by_events(t, p)
+        except sf.SurfaceError as e:
+            assert str(e) == "term is not closed"
+            continue
+        closed += 1
+        assert listener.euler_characteristic == chi, tc.print_two_cell(t)
+    assert terms > 800 and closed > 15
+
+
+def test_invariants_build_no_complex(uno, ori, monkeypatch):
+    built = []
+    init = sf.Complex.__init__
+    monkeypatch.setattr(sf.Complex, "__init__",
+                        lambda cx: built.append(1) or init(cx))
+    for p in (uno, ori):
+        for t in (st.genus(p, 2), build.random_term(p, 3, events=6)):
+            sf.invariants(sf.reconstruct(t, p))
+    assert built == []
+    surf = sf.reconstruct(st.genus(uno, 2), uno)
+    cx = surf.complex
+    assert len(built) == 1
+    assert surf.complex is cx and len(built) == 1
+    assert ref.complex_invariants(cx) == sf.invariants(surf)
+
