@@ -5,6 +5,7 @@ Layers:
 * `termcore` -- the free symmetric monoidal bicategory term language,
 * `presentations` -- the unoriented/oriented generator-and-relation data
   and a subterm rewrite engine,
+* `_diagram` -- arc diagrams, movie playback, the one component walk,
 * `surface` -- reconstruction of the denoted surfaces and their invariants,
 * `linear` -- the one-dimensional linear-diagram calculus,
 * `frobenius` -- exact evaluation into finite-dimensional Frobenius

@@ -20,6 +20,9 @@ continues only the arcs at its boundary points.  `ComponentListener`
 follows the live components through the events as ids: a rerouting
 event walks only its own arcs, any other event only the components
 through its new arcs.
+
+`number_pieces` is the one component walk, and `census` counts any
+compact 1-manifold wired as an arc diagram.
 """
 
 from __future__ import annotations
@@ -300,10 +303,10 @@ class MovieListener:
         pass
 
 
-def _number(link, arcs, into, first):
-    """Number the pieces `link` joins through `arcs` in `into`, from
-    `first` up, overwriting numbers below `first`; returns the next free
-    number."""
+def number_pieces(link, arcs, into, first):
+    """The one component walk: number the pieces `link` joins through
+    `arcs` in `into`, from `first` up, overwriting numbers below `first`;
+    returns the next free number."""
     k = first
     for start in arcs:
         if into.get(start, -1) >= first:
@@ -320,6 +323,14 @@ def _number(link, arcs, into, first):
     return k
 
 
+def census(diagram):
+    """The circles and intervals of the compact 1-manifold `diagram`
+    wires: pieces with no unlinked end, and pieces with two."""
+    intervals = len(diagram.arcs) - len(diagram.link) // 2
+    pieces = number_pieces(diagram.link, diagram.arcs, {}, 0)
+    return {"circles": pieces - intervals, "intervals": intervals}
+
+
 class ComponentListener(MovieListener):
     """A listener that follows the live components as ids.
 
@@ -329,8 +340,8 @@ class ComponentListener(MovieListener):
 
     def begin(self, state):
         self.comp = {}
-        self._next = _number(state.diagram.link, state.diagram.arcs,
-                             self.comp, 0)
+        self._next = number_pieces(state.diagram.link, state.diagram.arcs,
+                                   self.comp, 0)
 
     def follow(self, state, ev, reroute):
         """The component ids of `ev.old_arcs` and of `ev.new_arcs`, in arc
@@ -347,8 +358,8 @@ class ComponentListener(MovieListener):
         old = [comp.pop(a) for a in ev.old_arcs]
         if reroute:
             was, now = {}, {}
-            pieces = (_number(ev.old_links, ev.old_arcs, was, 0),
-                      _number(ev.new_links, ev.new_arcs, now, 0))
+            pieces = (number_pieces(ev.old_links, ev.old_arcs, was, 0),
+                      number_pieces(ev.new_links, ev.new_arcs, now, 0))
             pairs = {(was[a], now[b]) for a, b in ev.strands.items()}
             pairs.update((was[a], now[b]) for (a, _), (b, _)
                          in zip(ev.old_ports, ev.new_ports))
@@ -360,8 +371,8 @@ class ComponentListener(MovieListener):
             for b in ev.new_arcs:
                 comp[b] = cid[now[b]]
         else:
-            self._next = _number(state.diagram.link, ev.new_arcs, comp,
-                                 self._next)
+            self._next = number_pieces(state.diagram.link, ev.new_arcs,
+                                       comp, self._next)
         return old, [comp[b] for b in ev.new_arcs]
 
 

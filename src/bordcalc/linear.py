@@ -7,15 +7,17 @@ a `cup` region destroys that pair (N on the left, N-2 on the right); a
 plain region carries N sheets through.  Separators map the sheet labels on
 their left to those on their right.
 
-`reconstruct_1manifold` traces the sheets and counts circles and
-intervals; the five moves rewrite diagrams without changing that census.
+`reconstruct_1manifold` counts circles and intervals with `_diagram`'s
+census; the five moves rewrite diagrams without changing that census.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
+
+from ._diagram import ArcDiagram, census
 
 
 class LinearError(Exception):
@@ -216,69 +218,27 @@ def print_diagram(d: LinearDiagram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sheet tracing
+# the 1-manifold
 # ---------------------------------------------------------------------------
 
 def reconstruct_1manifold(d: LinearDiagram) -> dict:
-    """Count circles and intervals of the 1-manifold a diagram denotes.
-
-    Brute-force sheet tracing: nodes live on region boundaries, caps and
-    cups pair the top two sheets, separators rename labels.
-    """
-    regs = d.regions
-    k = len(regs)
-    # distinct node namespaces: ("L", i, s) and ("R", i, s) per region i
-    pairs = []
-
-    def join(a, b):
-        pairs.append((a, b))
-
-    for i, r in enumerate(regs):
-        n = r.count
-        if r.event == "cap":
-            for s in range(n - 2):
-                join(("L", i, s), ("R", i, s))
-            join(("R", i, n - 2), ("R", i, n - 1))
-        elif r.event == "cup":
-            for s in range(n - 2):
-                join(("L", i, s), ("R", i, s))
-            join(("L", i, n - 2), ("L", i, n - 1))
-        else:
-            for s in range(n):
-                join(("L", i, s), ("R", i, s))
-    for i, sep in enumerate(d.separators):
-        for s in range(sep.size):
-            join(("R", i, s), ("L", i + 1, sep(s)))
-    adj = {}
-    for a, b in pairs:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    open_ends = set()
-    for s in range(regs[0].left_count):
-        open_ends.add(("L", 0, s))
-    for s in range(regs[-1].right_count):
-        open_ends.add(("R", k - 1, s))
-    seen = set()
-    circles = intervals = 0
-    for node in sorted(adj):
-        if node in seen:
-            continue
-        comp, stack = set(), [node]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x])
-        seen |= comp
-        ends = sum(1 for x in comp if x in open_ends)
-        if ends == 0:
-            circles += 1
-        elif ends == 2:
-            intervals += 1
-        else:
-            raise LinearError("component with %d open ends" % ends)
-    return {"circles": circles, "intervals": intervals}
+    """Count circles and intervals of the 1-manifold a diagram denotes,
+    wired as arcs: one per sheet a region carries through, one per cap's
+    or cup's top pair; a separator joins the right-edge ends before it to
+    the left-edge ends after it by its permutation."""
+    diagram, ends = ArcDiagram(), []
+    for r, sep in zip(d.regions, (None,) + d.separators):
+        left, right = [None] * r.left_count, [None] * r.right_count
+        for s in range(min(r.left_count, r.right_count)):
+            a = diagram.new_arc()
+            left[s], right[s] = (a, 0), (a, 1)
+        if r.event:
+            a = diagram.new_arc()
+            (right if r.event == "cap" else left)[-2:] = (a, 0), (a, 1)
+        for s, end in enumerate(ends):
+            diagram.join(end, left[sep(s)])
+        ends = right
+    return census(diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +247,7 @@ def reconstruct_1manifold(d: LinearDiagram) -> dict:
 
 MOVES = ("isotopy", "commute_small_sigma", "absorb_transposition",
          "merge_permutations", "cancel_cup_cap")
-#: The moves whose result depends on `side`; the others ignore it.
+#: The moves whose result depends on `side`; the others only check it.
 SIDED_MOVES = ("commute_small_sigma",)
 
 
@@ -308,6 +268,8 @@ def apply_linear_move(d: LinearDiagram, move: str, position: int,
       `position`, whose separator is the cycle (N-2 N-1 N), by a plain
       region.
     """
+    if side not in ("left", "right"):
+        raise LinearError("side must be 'left' or 'right', not %r" % (side,))
     regs, seps = list(d.regions), list(d.separators)
     if move != "isotopy" and not 0 <= position < len(regs):
         raise LinearError("position out of range")

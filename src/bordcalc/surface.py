@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import List, Optional
 
 from . import termcore as tc
-from ._diagram import MovieListener, run_movie
+from ._diagram import MovieListener, number_pieces, run_movie
 
 
 class SurfaceError(Exception):
@@ -321,7 +321,7 @@ class _InvariantsListener(MovieListener):
         links = [(x, y) for x, y in d.link.items() if x < y]
         for (a, e), (b, f) in links:
             self.chi[self.union(a, b, e == f)] -= 1
-        self.source = (list(d.arcs), links, root.src_ports + root.tgt_ports)
+        self.source = (dict(d.link), root.src_ports + root.tgt_ports)
 
     def event(self, state, ev):
         up, chi = self.up, self.chi
@@ -349,35 +349,25 @@ class _InvariantsListener(MovieListener):
             chi[r0] += euler
 
     def finish(self, state):
-        """The boundary is the source slice, the target slice and the
-        vertical each root port sweeps.  Its nodes are the slices' arcs,
-        ``2a`` in the source and ``2a + 1`` in the target (an arc no event
-        touches is in both); each class is one circle of its component."""
-        find, chi, root = self.find, self.chi, state.root
-        arcs, links, ports = self.source
-        edges = [(2 * a, 2 * b) for (a, _), (b, _) in links]
-        edges += [(2 * a + 1, 2 * b + 1)
-                  for (a, _), (b, _) in state.diagram.link.items()]
-        edges += [(2 * a, 2 * b + 1) for (a, _), (b, _)
-                  in zip(ports, root.src_ports + root.tgt_ports)]
-        up = {}
-
-        def top(x):
-            while x in up:
-                up[x] = up.get(up[x], up[x])  # halve the path
-                x = up[x]
-            return x
-
-        circles = dict.fromkeys(chi, 0)
-        for a in arcs + list(state.diagram.arcs):
-            circles[find(a)[0]] += 1
-        for x, y in edges:
-            x, y = top(x), top(y)
-            if x != y:
-                up[x] = y
-                circles[find(x // 2)[0]] -= 1
+        """The boundary: the source slice, the target slice and each root
+        port's vertical, wired as one arc diagram over the nodes ``2a``
+        (arc a of the source) and ``2a + 1`` (arc a of the target; an arc
+        no event touches is in both), every end linked.  Each piece is
+        one circle, counted for the root of its sheets."""
+        source, ports = self.source
+        root = state.root
+        link = {(2 * a + t, e): (2 * b + t, f)
+                for t, slice_link in ((0, source), (1, state.diagram.link))
+                for (a, e), (b, f) in slice_link.items()}
+        for (a, e), (b, f) in zip(ports, root.src_ports + root.tgt_ports):
+            link[2 * a, e], link[2 * b + 1, f] = (2 * b + 1, f), (2 * a, e)
+        piece = {}
+        number_pieces(link, [x for x, _ in link], piece, 0)
+        circles = dict.fromkeys(self.chi, 0)
+        for node in dict(zip(piece.values(), piece)).values():  # one each
+            circles[self.find(node // 2)[0]] += 1
         comps = [ComponentInvariants(c, r not in self.twisted, circles[r])
-                 for r, c in chi.items()]
+                 for r, c in self.chi.items()]
         comps.sort(key=lambda c: (c.euler_characteristic, not c.orientable,
                                   c.boundary_circles))
         self.result = SurfaceInvariants(tuple(comps))

@@ -143,7 +143,7 @@ def test_criterion_5_semantic_rewrite_invariance():
 
 def test_criterion_6_linear_diagram_calculus():
     """Five moves preserve the census on 500 seeded diagrams; the worked
-    diagram matches the tracing oracle."""
+    diagram has the census of the paper's figure."""
     from tests.test_linear import random_diagram
     rng = random.Random(2718)
     ok = True

@@ -8,7 +8,8 @@ from bordcalc import presentations as pr
 from bordcalc import standard_terms as st
 from bordcalc import termcore as tc
 from bordcalc._diagram import (ComponentListener, DiagramError, Event,
-                               MovieListener, leaf_arc_spec, run_movie)
+                               MovieListener, census, leaf_arc_spec,
+                               run_movie)
 
 
 @pytest.fixture(scope="module",
@@ -62,7 +63,8 @@ def _blocks(comp):
 
 class _CheckedIds(ComponentListener):
     """Compares the id map after every event with a traversal of the
-    whole live diagram from scratch."""
+    whole live diagram from scratch, and with the live diagram's census:
+    one id per circle or interval, and two root port ends per interval."""
 
     def __init__(self, tags):
         self.tags = tags
@@ -89,6 +91,12 @@ class _CheckedIds(ComponentListener):
                     stack += [link[e][0] for e in ((a, 0), (a, 1))
                               if e in link]
         assert _blocks(self.comp) == _blocks(seen)
+        count = census(state.diagram)
+        assert count["circles"] + count["intervals"] \
+            == len(set(self.comp.values()))
+        root = state.root
+        assert 2 * count["intervals"] \
+            == len(root.src_ports + root.tgt_ports)
         self.checks += 1
 
 
