@@ -29,7 +29,9 @@ round-trip guarantee.
 A node caches its hash the first time it is hashed, in its instance
 ``__dict__`` and not as a field, so equality, printing and ``repr`` are
 unchanged, and hashing a term that shares its subterms with another
-costs one step per new node.
+costs one step per new node.  In the same way `validate` leaves on each
+2-cell node its boundary walk under the datum, so validating a term that
+shares validated subterms with another walks only its new nodes.
 """
 
 from __future__ import annotations
@@ -582,6 +584,8 @@ for _cls in {*get_args(ObjectWord), *get_args(MorphismTerm),
              *get_args(TwoCellTerm)}:
     _cls._hash = None
     _cls.__hash__ = _cached(_cls.__hash__)
+for _cls in get_args(TwoCellTerm):
+    _cls._walked = None  # see `_walk`
 del _cls
 
 
@@ -775,12 +779,19 @@ def _walk(p, data, path, tape):
     ``<symbol>: <message>``), and composites compare their parts' object
     ends.  Every leaf but an identity appends (path, leaf, source, target)
     to a list `tape` in movie order (the inner part of an `HComp` first);
-    an `Inv2` is one leaf, its cell's sides swapped."""
-    if isinstance(p, Inv2):
-        if not isinstance(p.inner, STRUCTURAL_2):
-            raise TermError("inv2 of a non-invertible cell", path)
-        t, s, a, b = _walk(p.inner, data, path + ("inv2",), None)
-    elif isinstance(p, VComp):
+    an `Inv2` is one leaf, its cell's sides swapped.
+
+    A walk that records a tape memoises each node it walks as `_walked`,
+    with `data`; a node validated under `data` is not walked again under
+    it: its stored ends are returned and, for a tape, its leaves replayed
+    from their own memos.  A walk without a tape writes no memo, since
+    `validate` checks the names that composing does not read."""
+    memo = getattr(p, "_walked", None)
+    if memo is not None and memo[0] is data:
+        if tape is not None:
+            _replay(p, data, path, tape)
+        return memo[1]
+    if isinstance(p, VComp):
         if not p.children:
             raise TermError("empty vertical chain", path)
         ends = [_walk(c, data, path + (i,), tape)
@@ -788,18 +799,33 @@ def _walk(p, data, path, tape):
         for i in range(len(ends) - 1):
             if ends[i][1] != ends[i + 1][0]:
                 raise TermError("non-composable vertical chain", path + (i,))
-        return (ends[0][0], ends[-1][1]) + ends[0][2:]
+        ends = (ends[0][0], ends[-1][1]) + ends[0][2:]
     elif isinstance(p, HComp):
         si, ti, a, b = _walk(p.inner, data, path + ("inner",), tape)
         so, to, b2, c = _walk(p.outer, data, path + ("outer",), tape)
         if b2 != b:
             raise TermError("horizontal mismatch", path)
-        return (Comp1(so, si), Comp1(to, ti), a, c)
+        ends = (Comp1(so, si), Comp1(to, ti), a, c)
     elif isinstance(p, Tensor2):
         sl, tl, al, bl = _walk(p.left, data, path + ("left",), tape)
         sr, tr, ar, br = _walk(p.right, data, path + ("right",), tape)
-        return (Tensor1(sl, sr), Tensor1(tl, tr),
+        ends = (Tensor1(sl, sr), Tensor1(tl, tr),
                 ObjTensor(al, ar), ObjTensor(bl, br))
+    else:
+        ends = _leaf_ends(p, data, path)
+        if tape is not None and type(p) is not Id2:
+            tape.append((path, p) + ends[:2])
+    if tape is not None:
+        object.__setattr__(p, "_walked", (data, ends))
+    return ends
+
+
+def _leaf_ends(p, data, path):
+    """`_walk` of a 2-cell leaf."""
+    if isinstance(p, Inv2):
+        if not isinstance(p.inner, STRUCTURAL_2):
+            raise TermError("inv2 of a non-invertible cell", path)
+        t, s, a, b = _walk(p.inner, data, path + ("inv2",), None)
     elif isinstance(p, Gen2):
         # a generator is globular by construction of `data`
         s, t = data.two_gen_boundary(p.name)
@@ -815,9 +841,27 @@ def _walk(p, data, path, tape):
             raise TermError("%s: %s" % (p.SYMBOL, e.message), path) from None
     else:
         raise TermError("not a 2-cell leaf: %r" % (p,), path)
-    if tape is not None and type(p) is not Id2:
-        tape.append((path, p, s, t))
     return (s, t, a, b)
+
+
+#: composite class -> its part fields in movie order, which are also its
+#: path steps
+_MOVIE = {HComp: ("inner", "outer"), Tensor2: ("left", "right")}
+
+
+def _replay(p, data, path, tape):
+    """Append the tape of `p`, walked under `data` before, from the memos
+    of its leaves; a part whose memo another datum has since overwritten
+    is walked again."""
+    cls = type(p)
+    if cls is VComp:
+        for i, c in enumerate(p.children):
+            _walk(c, data, path + (i,), tape)
+    elif cls in _MOVIE:
+        for step in _MOVIE[cls]:
+            _walk(getattr(p, step), data, path + (step,), tape)
+    elif cls is not Id2:
+        tape.append((path, p) + p._walked[1][:2])
 
 
 def two_cell_boundary(p: TwoCellTerm,
@@ -918,6 +962,17 @@ def _validate_leaf(p, data, report, path):
         report.add(path, "not a 2-cell leaf: %r" % (p,))
 
 
+def _check_names(p, data, report, path):
+    """`_validate_leaf` of every node in `subterms` order, but of no node
+    under one already validated under `data`."""
+    memo = getattr(p, "_walked", None)
+    if memo is not None and memo[0] is data:
+        return
+    _validate_leaf(p, data, report, path)
+    for step, c in parts(p):
+        _check_names(c, data, report, path + (step,))
+
+
 def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
     """Check that `term` is a paragraph over `data`.
 
@@ -926,11 +981,12 @@ def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
     from the root decides composability: it reports the first failure in
     movie order, at its path, whether a vertical chain, a horizontal
     composite or a structural leaf's own sentences.  The walk records the
-    tape `_diagram.run_movie` plays.
+    tape `_diagram.run_movie` plays.  A node validated under `data` before
+    is not walked again under it (see `_walk`): neither pass enters it, and
+    its tape is replayed from its leaves' memos.
     """
     report = ValidationReport()
-    for path, p in subterms(term):
-        _validate_leaf(p, data, report, path)
+    _check_names(term, data, report, ())
     if report.ok:
         tape = []
         try:

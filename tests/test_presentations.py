@@ -198,20 +198,26 @@ def test_equivalent_bounded_found_counts_expansions(uno):
 
 def test_memos_die_with_their_term(uno):
     """No memo refers to its own node: with the cycle collector off, every
-    node of a matched and searched term is freed once the term is
-    dropped.  The unary chain around the text makes its canonical form a
-    new node."""
+    node of a validated, reconstructed, evaluated, matched and searched
+    term is freed once the term and the results are dropped.  The unary
+    chain around the text makes its canonical form a new node."""
+    from bordcalc import frobenius as fr
     from bordcalc import standard_terms as st
+    from bordcalc import surface as sf
     text = "(%s)" % tc.print_two_cell(st.genus(uno, 1))
     goal = st.genus(uno, 2)
+    asg = fr.standard_assignment(fr.algebra_m2q(), uno)
     gc.disable()
     try:
         term = tc.parse_two_cell(text, uno.data)
+        surface = sf.reconstruct(term, uno)
+        value = fr.evaluate(term, asg)
+        assert sf.euler_by_events(term, uno) == 0 and value.matrix
         steps = pr.find_matches(term, uno)
         res = pr.equivalent_bounded(term, goal, uno, depth=2)
         assert steps and not res.equivalent and res.nodes_expanded > 1
         refs = [weakref.ref(node) for _, node in tc.subterms(term)]
-        del term, steps, res
+        del term, surface, value, steps, res
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()

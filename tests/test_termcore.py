@@ -21,6 +21,11 @@ def uno():
     return pr.bord2_unoriented()
 
 
+@pytest.fixture(scope="module")
+def ori():
+    return pr.bord2_oriented()
+
+
 def test_object_parse_trivia(uno):
     assert tc.parse_object_word("(pt ⊗ pt)") == PP
     assert tc.parse_object_word("1") == UNIT
@@ -514,6 +519,46 @@ def test_validate_tape_is_the_movie_of_random_terms(p):
             if isinstance(cell, Inv2):
                 assert (target, source) \
                     == tc.two_cell_boundary(cell.inner, p.data)
+
+
+# ---------------------------------------------------------------------------
+# the validation memo
+# ---------------------------------------------------------------------------
+
+def test_only_validate_writes_the_walk_memo(uno):
+    """Composing reads no object names, so a walk without a tape must not
+    mark a node as validated: `validate` still reports the bad name."""
+    cell = tc.parse_two_cell("id[I[zz]]")
+    tc.two_cell_boundary(cell, uno.data)
+    chain = vcompose([cell], uno.data)
+    both = hcompose(cell, cell, uno.data)
+    assert str(tc.validate(cell, uno.data)) \
+        == "<root>: unknown object generator 'zz'"
+    assert str(tc.validate(chain, uno.data)) \
+        == "0: unknown object generator 'zz'"
+    assert str(tc.validate(both, uno.data)) \
+        == "outer: unknown object generator 'zz'\n" \
+        "inner: unknown object generator 'zz'"
+
+
+@pytest.mark.parametrize("text", [
+    "(split . merge)", "(cusp_up . cusp_down)",
+    "(cusp_up_neg . cusp_down_neg)", "((cap . cup) (*) (split . merge))",
+])
+def test_walk_memo_is_keyed_by_data(uno, ori, text):
+    """One node validated under one datum, then the other, then the first
+    again reads as a fresh copy does each time, also when its last part
+    was validated under the other datum in between.  `(split . merge)`
+    has other ends under each datum; the cusps are valid under one."""
+    node = tc.parse_two_cell(text)
+    reports = []
+    for p in (uno, ori, uno):
+        report = tc.validate(node, p.data)
+        assert report == tc.validate(tc.parse_two_cell(text), p.data)
+        reports.append(report)
+    assert reports[0] == reports[2] != reports[1]
+    tc.validate(tc.parts(node)[-1][1], ori.data)
+    assert tc.validate(node, uno.data) == reports[0]
 
 
 # ---------------------------------------------------------------------------
