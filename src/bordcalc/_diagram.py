@@ -86,16 +86,6 @@ class LiveNode:
     arc_ids: list
 
 
-def _strand_order(cls):
-    """(source, target) order of the parameters of 1-symbol `cls`, read off
-    its `ends` with one marker object per parameter."""
-    leaf = cls(**{name: tc.ObjGen(name) for name, _ in cls.ARGS})
-    return [tc.obj_points(w) for w in leaf.ends()]
-
-
-_STRAND_ORDER = {cls: _strand_order(cls) for cls in tc.STRUCTURAL_1}
-
-
 def leaf_arc_spec(leaf, data):
     """Arc wiring of a 1-cell leaf: (n_src, n_tgt, [(end0, end1)]).
 
@@ -115,9 +105,9 @@ def leaf_arc_spec(leaf, data):
         ns, nt, arcs = leaf_arc_spec(leaf.inner, data)
         flip = lambda p: ("t" if p[0] == "s" else "s", p[1])
         return (nt, ns, [(flip(a), flip(b)) for a, b in arcs])
-    if type(leaf) not in _STRAND_ORDER:
+    if type(leaf) not in tc.STRUCTURAL_1:
         raise DiagramError("unsupported 1-cell leaf %r" % (leaf,))
-    source, target = _STRAND_ORDER[type(leaf)]
+    source, target = (params for params, _, _ in tc.reading(type(leaf)))
     n = {m: len(tc.obj_points(getattr(leaf, m))) for m in source}
     points = lambda side: [(m, k) for m in side for k in range(n[m])]
     at = {x: j for j, x in enumerate(points(target))}

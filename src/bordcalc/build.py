@@ -1,15 +1,17 @@
 """Helpers for composing two-cell terms movie-style.
 
 `MovieBuilder` tracks a current sentence and whiskers each applied cell
-into position, producing a vertical chain; `applicable_events` enumerates
-the generator and structural cells that can fire anywhere in a sentence,
-which drives the seeded random-term corpora.
+into position, producing a vertical chain; `applicable_events` lists the
+cells that can fire anywhere in a sentence, the generators by source and
+each `FIRED` structural cell where a side of its formula matches, which
+drives the seeded random-term corpora.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from operator import attrgetter
+from typing import List, Tuple, get_args
 
 from . import termcore as tc
 from .termcore import (AssocC, Comp1, Gen2, Id1, Id2, Inv2, LC, Phi0,
@@ -62,41 +64,48 @@ class MovieBuilder:
         return VComp(tuple(self.cells) or (Id2(self.sentence),))
 
 
+#: the structural cells a subterm may fire, in order: (class, 0) fires the
+#: cell where its source matches, (class, 1) its `Inv2` where its target does
+FIRED = ((RC, 0), (LC, 0), (AssocC, 0), (AssocC, 1), (PhiTensor, 0),
+         (Phi0, 0), (Phi0, 1), (PhiTensor, 1), (RC, 1), (LC, 1))
+
+
+def _matchers(fired):
+    """Sentence class -> (class tests below the root, parameter getters,
+    cell class, side) of each `fired` entry a subterm of that class may
+    match, in order, read off `termcore.reading`: a side must hold each
+    parameter once and else only their ends and nodes tested by class."""
+    get = lambda at: attrgetter(".".join(at)) if at else lambda node: node
+    entries = []
+    for cls, side in fired:
+        params, classes, opaque = tc.reading(cls)[side]
+        if opaque or len(params) < len(cls.ARGS):
+            raise BuildError("side %d of %s is not matched by class"
+                             % (side, cls.SYMBOL))
+        entries.append((classes[0][1] if classes else None,
+                        [(get(at), c) for at, c in classes[1:]],
+                        [get(params[n]) for n, _ in cls.ARGS], cls, side))
+    return {root: [e[1:] for e in entries if e[0] in (root, None)]
+            for root in get_args(tc.MorphismTerm)}
+
+
+_MATCHERS = _matchers(FIRED)
+
+
 def applicable_events(presentation, sentence) -> List[Tuple[tuple, object]]:
-    """(path, cell) pairs that can fire somewhere in `sentence`."""
-    data = presentation.data
+    """(path, cell) pairs that can fire somewhere in `sentence`: at each
+    subterm, its generators, then each `FIRED` cell whose side it matches."""
+    by_source = presentation.gens_by_source
     out = []
     for path, sub in tc.subterms(sentence):
-        for name, (src, _tgt) in data.two_gens.items():
-            if sub == src:
-                out.append((path, Gen2(name)))
-        if isinstance(sub, Comp1):
-            if isinstance(sub.first, Id1):
-                out.append((path, RC(sub.after)))
-            if isinstance(sub.after, Id1):
-                out.append((path, LC(sub.first)))
-            if isinstance(sub.after, Comp1):
-                out.append((path, AssocC(sub.first, sub.after.first,
-                                         sub.after.after)))
-            if isinstance(sub.first, Comp1):
-                out.append((path, Inv2(AssocC(sub.first.first,
-                                              sub.first.after, sub.after))))
-            if isinstance(sub.after, Tensor1) and isinstance(sub.first, Tensor1):
-                out.append((path, PhiTensor(sub.after.left, sub.after.right,
-                                            sub.first.left, sub.first.right)))
-        if isinstance(sub, Id1) and isinstance(sub.word, tc.ObjTensor):
-            out.append((path, Phi0(sub.word.left, sub.word.right)))
-        if isinstance(sub, Tensor1) and isinstance(sub.left, Id1) \
-                and isinstance(sub.right, Id1):
-            out.append((path, Inv2(Phi0(sub.left.word, sub.right.word))))
-        if isinstance(sub, Tensor1) and isinstance(sub.left, Comp1) \
-                and isinstance(sub.right, Comp1):
-            out.append((path, Inv2(PhiTensor(
-                sub.left.after, sub.right.after,
-                sub.left.first, sub.right.first))))
-        # room-making inverse unitors (kept rare by the caller)
-        out.append((path, Inv2(RC(sub))))
-        out.append((path, Inv2(LC(sub))))
+        out += [(path, Gen2(name)) for name in by_source.get(sub, ())]
+        for tests, args, cls, side in _MATCHERS[type(sub)]:
+            for get, c in tests:
+                if type(get(sub)) is not c:
+                    break
+            else:
+                cell = cls(*[get(sub) for get in args])
+                out.append((path, Inv2(cell) if side else cell))
     return out
 
 
@@ -127,19 +136,12 @@ def random_term(presentation, seed: int, events: int = 6,
     leaves = 0
     for _ in range(events):
         cands = applicable_events(presentation, builder.sentence)
-        gen_cands = [(p, c) for p, c in cands if isinstance(c, Gen2)]
-        struct_cands = [(p, c) for p, c in cands if not isinstance(c, Gen2)]
-        roll = rng.random()
-        pool = gen_cands if (gen_cands and roll < 0.55) else struct_cands
-        if not pool:
-            pool = cands
-        if not pool:
-            break
+        gen_cands = [(p, c) for p, c in cands if type(c) is Gen2]
+        struct_cands = [(p, c) for p, c in cands if type(c) is not Gen2]
+        # the inverse unitors fire at every subterm, so no pool is empty
+        pool = gen_cands if rng.random() < 0.55 and gen_cands else struct_cands
         path, cell = pool[rng.randrange(len(pool))]
-        try:
-            builder.apply(path, cell)
-        except (BuildError, tc.TermError):
-            continue
+        builder.apply(path, cell)
         leaves += tc.count_leaves(builder.cells[-1])
         if leaves > max_leaves:
             break

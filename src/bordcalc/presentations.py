@@ -26,7 +26,7 @@ the vertical chain (which flattens and splices) is handled by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, get_args
 
 from . import termcore as tc
@@ -67,6 +67,10 @@ class Presentation:
             if lb != rb:
                 raise PresentationError(
                     "relation %r is not boundary-balanced" % rel.name)
+        # source sentence -> the 2-generators from it, in `two_gens` order
+        self.gens_by_source = {}
+        for name, (src, _) in self.data.two_gens.items():
+            self.gens_by_source.setdefault(src, []).append(name)
         # first cell -> (rule index, name, direction, pattern chain,
         # replacement chain) of every relation side that starts with it,
         # canonicalised once; rules count lr before rl, in relation order
@@ -345,11 +349,9 @@ def _forget(node, level):
     if cls in tc.STRUCTURAL_1 or cls in tc.STRUCTURAL_2:
         return cls(*(_forget(getattr(node, name), kind)
                      for name, kind in cls.ARGS))
-    if cls is tc.ObjTensor:
-        return tc.ObjTensor(_forget(node.left, level),
-                            _forget(node.right, level))
-    if cls is Adj1:
-        return Adj1(_forget(node.inner, level))
+    if cls is tc.ObjTensor or cls is Adj1:  # parts of its own level
+        return cls(*(_forget(getattr(node, f.name), level)
+                     for f in fields(cls)))
     ps = tc.parts(node)
     return tc.rebuild(node, [_forget(c, level) for _, c in ps]) if ps else node
 
@@ -436,25 +438,22 @@ def _rewrite_at(p, path, i, k, rep):
 
 
 def _matches(node, table):
-    """(path, window start, rule entry) of each relation side of `table`,
-    a `rules_by_head`, in the subtree of canonical `node`, in `find_matches`
-    order with paths relative to `node`: its own chain's hits, then each
-    part's list.  Memoised on the node with the table it was read from."""
+    """(table, own hits, parts with hits) of canonical `node` under
+    `table`, a `rules_by_head`: the sorted (rule index, window start,
+    entry) of each relation side in its own chain (entry[3] is its
+    pattern), and the (step, memo) of each part, in `parts` order, whose
+    subtree holds one.  Memoised on the node, so each hit is held once."""
     memo = getattr(node, "_matches", None)
-    if memo is not None and memo[0] is table:
-        return memo[1]
-    chain = _chain(node)
-    # entry[0] is the rule index and entry[3] the pattern; hits sort by
-    # (rule index, window start), which are unique
-    own = sorted((entry[0], i, entry) for i, cell in enumerate(chain)
-                 for entry in table.get(cell, ())
-                 if chain[i:i + len(entry[3])] == entry[3])
-    found = [((), i, entry) for _, i, entry in own]
-    for step, c in tc.parts(node):
-        found += [((step,) + path, i, entry)
-                  for path, i, entry in _matches(c, table)]
-    object.__setattr__(node, "_matches", (table, found))
-    return found
+    if memo is None or memo[0] is not table:
+        chain = _chain(node)
+        below = [(step, _matches(c, table)) for step, c in tc.parts(node)]
+        memo = (table, tuple(sorted(
+            (entry[0], i, entry) for i, cell in enumerate(chain)
+            for entry in table.get(cell, ())
+            if chain[i:i + len(entry[3])] == entry[3])),
+            tuple((step, m) for step, m in below if m[1] or m[2]))
+        object.__setattr__(node, "_matches", memo)
+    return memo
 
 
 def find_matches(t: tc.TwoCellTerm, p: Presentation) -> List[RewriteStep]:
@@ -466,11 +465,15 @@ def find_matches(t: tc.TwoCellTerm, p: Presentation) -> List[RewriteStep]:
     within one by rule index, then window start.
     """
     t = canonical(t)
-    steps = []
-    for path, i, (_, name, direction, pat, rep) in _matches(
-            t, p.rules_by_head):
-        steps.append(RewriteStep(name, direction, path, (i, len(pat)), pat,
-                                 rep, _rewrite_at(t, path, i, len(pat), rep)))
+    steps, todo = [], [((), _matches(t, p.rules_by_head))]
+    while todo:
+        path, (_, own, below) = todo.pop()
+        for _, i, (_, name, direction, pat, rep) in own:
+            steps.append(RewriteStep(name, direction, path, (i, len(pat)),
+                                     pat, rep,
+                                     _rewrite_at(t, path, i, len(pat), rep)))
+        for step, memo in reversed(below):
+            todo.append((path + (step,), memo))
     return steps
 
 

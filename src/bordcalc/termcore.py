@@ -12,19 +12,20 @@ Terms are immutable; equality is exact tree equality (no implicit
 rebracketing).  Each term node has one home.  A structural symbol is its
 class, which holds its parameters, its boundary formula (`ends` of a
 1-symbol, `sides` of a 2-symbol) and its argument grouping, plus its DSL
-name in `SYMBOLS`.  A composite is its `_PARTS` entry (path steps and
-fields), its `_SYNTAX` entry (DSL token, read by printer and parser) and
-its case in the boundary walk; a sentence composite adds its `LIFT`
-entry.  Boundaries are computed leaf-up, with generator names always
-resolved against the generating datum.  One boundary walk decides whether
-the parts of a two-cell term compose: it builds and checks each
-structural leaf's sentences once, and composites compare the object ends
-their parts carry.  `vcompose`, `hcompose` and `validate` all ask it.
-`validate` checks each node's names and admissibility on its own,
-reporting every violation, then walks the boundary once from the root,
-reporting the first composability failure in movie order.  A small DSL
-(`parse_*` / `print_*`) gives a textual form with a parse/print
-round-trip guarantee.
+name in `SYMBOLS`; `reading` reads its formula off one marked instance:
+where each parameter sits and which nodes must be of which class.  A
+composite is its `_PARTS` entry (path steps and fields), its `_SYNTAX`
+entry (DSL token, read by printer and parser) and its case in the
+boundary walk; a sentence composite adds its `LIFT` entry.  Boundaries are
+computed leaf-up, with generator names always resolved against the
+generating datum.  One boundary walk decides whether the parts of a
+two-cell term compose: it builds and checks each structural leaf's
+sentences once, and composites compare the object ends their parts
+carry.  `vcompose`, `hcompose` and `validate` all ask it.  `validate`
+checks each node's names and admissibility on its own, reporting every
+violation, then walks the boundary once from the root, reporting the
+first composability failure in movie order.  A small DSL (`parse_*` /
+`print_*`) gives a textual form with a parse/print round-trip guarantee.
 
 A node caches its hash the first time it is hashed, in its instance
 ``__dict__`` and not as a field, so equality, printing and ``repr`` are
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Optional, Sequence, Tuple, Union, get_args
 
 
@@ -543,8 +545,8 @@ TwoCellTerm = Union[Gen2, Id2, AssocC, RC, LC, Eta, Eps, PhiTensor, Phi0,
 #: validation, the reserved names and orientation forgetting all read this
 #: table and the class; the class alone holds the parameters (its fields),
 #: the boundary formula (`ends` or `sides`) and any argument grouping.  The
-#: strand map of each 2-symbol (`strand_paths`) and the strand wiring of
-#: each 1-symbol (`_diagram.leaf_arc_spec`) derive from its formula.
+#: strand maps (`strand_paths`, `_diagram.leaf_arc_spec`) and the cells
+#: `build` fires read each formula once, through `reading`.
 SYMBOLS = {
     "I": Id1, "alpha": Assoc1, "l": LeftUnitor1, "r": RightUnitor1,
     "beta": Braid1,
@@ -708,23 +710,15 @@ class GeneratingData:
             if morphism_boundary(src, self) != morphism_boundary(tgt, self):
                 raise TermError("2-generator %r is not globular" % name)
 
-    def one_gen_boundary(self, name):
-        if name not in self.one_gens:
-            raise TermError("unknown 1-generator %r" % name)
-        return self.one_gens[name]
-
-    def two_gen_boundary(self, name):
-        if name not in self.two_gens:
-            raise TermError("unknown 2-generator %r" % name)
-        return self.two_gens[name]
-
 
 def morphism_boundary(t: MorphismTerm, data: GeneratingData,
                       path=()) -> Tuple[ObjectWord, ObjectWord]:
     """(source, target) object words of a morphism term, its 1-generator
     names resolved against `data`."""
     if isinstance(t, Gen1):
-        return data.one_gen_boundary(t.name)
+        if t.name not in data.one_gens:
+            raise TermError("unknown 1-generator %r" % t.name)
+        return data.one_gens[t.name]
     if isinstance(t, Adj1):
         s, g = morphism_boundary(t.inner, data, path + ("inv",))
         return (g, s)
@@ -745,20 +739,45 @@ def morphism_boundary(t: MorphismTerm, data: GeneratingData,
     raise TermError("not a morphism term: %r" % (t,), path)
 
 
-def _strand_paths(cls):
-    """(source path, target path) of each morphism parameter on both sides
-    of structural 2-cell `cls`, read off its `sides` with one marker leaf
-    ``inv(I[#f])`` per parameter: it equals no sentence the formulas build,
-    and they read no data for it."""
-    marker = {name: Adj1(Id1(ObjGen("#" + name))) if kind == "morphism"
-              else ObjGen("#" + name) for name, kind in cls.ARGS}
-    source, target = ({t: path for path, t in subterms(side)}
-                      for side in cls(**marker).sides(None))
-    return tuple((source[m], target[m]) for m in marker.values()
-                 if m in source and m in target)
+@cache
+def reading(cls):
+    """(params, classes, opaque) of each side of the formula of `cls`, read
+    once, on first use, off `cls` over markers ``#a`` and ``inv(I[#f])``
+    (ends ``#f``): each parameter's path of fields, left to right; each
+    (path, class) a match tests, parents first; each path no match can
+    test, a parameter met again or a piece of a marker (`formal_adjoint`
+    gives back the marker's own ``I[#f]``).  A parameter's ends are not
+    read: composing fixes them."""
+    names = {Adj1(Id1(ObjGen("#" + n))) if kind == "morphism"
+             else ObjGen("#" + n): n for n, kind in cls.ARGS}
+    leaf = cls(**{name: marker for marker, name in names.items()})
+    pieces = [m.inner for m in names if type(m) is Adj1]
+
+    def read(node, path, out):
+        params, classes, opaque = out
+        name = names.get(node)
+        if name is not None and name not in params:
+            params[name] = path
+        elif name is not None or any(node is p for p in pieces):
+            opaque.append(path)
+        elif all(node != p.word for p in pieces):
+            classes.append((path, type(node)))
+            for f in fields(node):
+                read(getattr(node, f.name), path + (f.name,), out)
+        return out
+
+    return tuple(read(side, (), ({}, [], [])) for side in (
+        leaf.ends() if cls in STRUCTURAL_1 else leaf.sides(None)))
 
 
-_STRAND_PATHS = {cls: _strand_paths(cls) for cls in STRUCTURAL_2}
+@cache
+def _strand_paths(cls, inverse):
+    """`strand_paths` of a leaf of class `cls`, or of an `Inv2` of one."""
+    if cls not in STRUCTURAL_2:
+        return ()
+    (s, _, _), (t, _, _) = reading(cls)[::-1] if inverse else reading(cls)
+    return tuple((s[n], t[n]) for n, kind in cls.ARGS
+                 if kind == "morphism" and n in s and n in t)
 
 
 def strand_paths(cell):
@@ -766,10 +785,8 @@ def strand_paths(cell):
     2-leaf `cell` carries through: a structural cell denotes a product
     bordism.  `Inv2` swaps its cell's paths; a generator has none, since
     every strand of its sentences reaches a boundary point."""
-    if type(cell) is Inv2:
-        return tuple((new, old) for old, new
-                     in _STRAND_PATHS[type(cell.inner)])
-    return _STRAND_PATHS.get(type(cell), ())
+    inverse = type(cell) is Inv2
+    return _strand_paths(type(cell.inner if inverse else cell), inverse)
 
 
 def _walk(p, data, path, tape):
@@ -782,15 +799,16 @@ def _walk(p, data, path, tape):
     an `Inv2` is one leaf, its cell's sides swapped.
 
     A walk that records a tape memoises each node it walks as `_walked`,
-    with `data`; a node validated under `data` is not walked again under
-    it: its stored ends are returned and, for a tape, its leaves replayed
-    from their own memos.  A walk without a tape writes no memo, since
-    `validate` checks the names that composing does not read."""
+    one flat tuple of `data` and the four ends; a node validated under
+    `data` is not walked again under it: its stored ends are returned
+    and, for a tape, its leaves replayed from their own memos.  A walk
+    without a tape writes no memo, since `validate` checks the names that
+    composing does not read."""
     memo = getattr(p, "_walked", None)
     if memo is not None and memo[0] is data:
         if tape is not None:
             _replay(p, data, path, tape)
-        return memo[1]
+        return memo[1:]
     if isinstance(p, VComp):
         if not p.children:
             raise TermError("empty vertical chain", path)
@@ -816,7 +834,7 @@ def _walk(p, data, path, tape):
         if tape is not None and type(p) is not Id2:
             tape.append((path, p) + ends[:2])
     if tape is not None:
-        object.__setattr__(p, "_walked", (data, ends))
+        object.__setattr__(p, "_walked", (data,) + ends)
     return ends
 
 
@@ -827,8 +845,10 @@ def _leaf_ends(p, data, path):
             raise TermError("inv2 of a non-invertible cell", path)
         t, s, a, b = _walk(p.inner, data, path + ("inv2",), None)
     elif isinstance(p, Gen2):
+        if p.name not in data.two_gens:
+            raise TermError("unknown 2-generator %r" % p.name)
         # a generator is globular by construction of `data`
-        s, t = data.two_gen_boundary(p.name)
+        s, t = data.two_gens[p.name]
         a, b = morphism_boundary(s, data)
     elif isinstance(p, STRUCTURAL_2):
         try:
@@ -861,7 +881,7 @@ def _replay(p, data, path, tape):
         for step in _MOVIE[cls]:
             _walk(getattr(p, step), data, path + (step,), tape)
     elif cls is not Id2:
-        tape.append((path, p) + p._walked[1][:2])
+        tape.append((path, p) + p._walked[1:3])
 
 
 def two_cell_boundary(p: TwoCellTerm,
@@ -1151,27 +1171,25 @@ class _Parser:
         raise ParseError("expected %s term, got %r" % (level.name, text), pos)
 
 
-def parse_object_word(text: str) -> ObjectWord:
+def _parse(text, read):
+    """`read` of a parser over all of `text`."""
     p = _Parser(text)
-    w = p.object_word()
-    if not p.at_end():
-        raise ParseError("trailing input", p.peek()[2])
-    return w
-
-
-def parse_morphism(text: str) -> MorphismTerm:
-    p = _Parser(text)
-    t = p.term(_MORPHISM)
+    t = read(p)
     if not p.at_end():
         raise ParseError("trailing input", p.peek()[2])
     return t
 
 
+def parse_object_word(text: str) -> ObjectWord:
+    return _parse(text, _Parser.object_word)
+
+
+def parse_morphism(text: str) -> MorphismTerm:
+    return _parse(text, lambda p: p.term(_MORPHISM))
+
+
 def parse_two_cell(text: str, data: Optional[GeneratingData] = None) -> TwoCellTerm:
-    p = _Parser(text)
-    t = p.term(_TWO_CELL)
-    if not p.at_end():
-        raise ParseError("trailing input", p.peek()[2])
+    t = _parse(text, lambda p: p.term(_TWO_CELL))
     if data is not None:
         report = validate(t, data)
         if not report.ok:

@@ -237,6 +237,21 @@ def test_match_memo_is_keyed_by_presentation(uno, ori):
     assert answers[0] == answers[2] != answers[1] and answers[1]
 
 
+def test_match_memo_holds_each_hit_once(uno):
+    """Each node keeps only its own chain's hits and the parts below it
+    that hold one, so a term's memos hold as many hits as it has steps,
+    whatever their depth."""
+    term = pr.canonical(build.random_term(uno, 3, events=9))
+    steps = pr.find_matches(term, uno)
+    assert max(len(step.path) for step in steps) >= 2
+    assert sum(len(node._matches[1])
+               for _, node in tc.subterms(term)) == len(steps)
+    for _, node in tc.subterms(term):
+        _, _, below = node._matches
+        assert below == tuple((s, c._matches) for s, c in tc.parts(node)
+                              if any(c._matches[1:]))
+
+
 @pytest.mark.parametrize("budget", [{"depth": -1}, {"max_visited": -3}])
 def test_equivalent_bounded_rejects_negative_budget(uno, budget):
     rel = uno.relation("cusp-inversion-pt-strip")

@@ -561,6 +561,18 @@ def test_walk_memo_is_keyed_by_data(uno, ori, text):
     assert tc.validate(node, uno.data) == reports[0]
 
 
+def test_walk_memo_is_one_flat_tuple(uno):
+    """Each validated node holds (data, source, target, source object,
+    target object), and its ends are those of `two_cell_boundary`."""
+    term = tc.parse_two_cell("((cap . cup) (*) (split . merge))")
+    tc.validate(term, uno.data)
+    for _, node in tc.subterms(term):
+        memo = node._walked
+        assert len(memo) == 5 and memo[0] is uno.data
+        assert memo[1:3] == tc.two_cell_boundary(tc.parse_two_cell(
+            str(node)), uno.data)
+
+
 # ---------------------------------------------------------------------------
 # every structural 2-cell, in both semantics
 # ---------------------------------------------------------------------------
