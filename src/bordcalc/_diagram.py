@@ -13,13 +13,17 @@ depending on the listener,
 
 The consumers live in `surface` and `frobenius`; this module owns the
 shared strand bookkeeping.  A leaf's arcs follow from the generating
-data (`leaf_arc_spec`).  An event of a structural cell says which old
-arcs continue as which new ones, by the strand map its boundary formula
-defines (`termcore.strand_paths`); an event of a generator cell
-continues only the arcs at its boundary points.  `ComponentListener`
-follows the live components through the events as ids: a rerouting
-event walks only its own arcs, any other event only the components
-through its new arcs.
+data (`leaf_arc_spec`), and an event's wiring from its 2-leaf alone, so
+each leaf is compiled once per datum into the table ``data.shapes``: a
+1-leaf to its arcs, a 2-leaf to the `Shape` of its events.  An event
+splices its shape's target in at fresh arc ids, and the listeners read
+the shape's pieces and component transfer through the event's arcs.  A
+structural cell continues old arcs by the strand map of its formula
+(`termcore.strand_paths`), a generator cell only those at its boundary
+points.  `ComponentListener` follows the live components as ids: a
+rerouting event keeps them through its shape's transfer, checked to be
+one to one once per shape, and any other event gives fresh ids to the
+components through its new arcs.
 
 `number_pieces` is the one component walk, and `census` counts any
 compact 1-manifold wired as an arc diagram.
@@ -28,6 +32,7 @@ compact 1-manifold wired as an arc diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict
 
 from . import termcore as tc
@@ -51,10 +56,11 @@ class ArcDiagram:
         self.link: Dict[tuple, tuple] = {}
         self._next = 0
 
-    def new_arc(self) -> int:
+    def new_arc(self, n=1) -> int:
+        """The first of `n` fresh arc ids, which run on consecutively."""
         i = self._next
-        self._next = i + 1
-        self.arcs.add(i)
+        self._next = i + n
+        self.arcs.update(range(i, i + n))
         return i
 
     def join(self, end_a, end_b):
@@ -68,11 +74,6 @@ class ArcDiagram:
         if other is not None:
             self.link.pop(other, None)
         return other
-
-    def drop_arc(self, aid):
-        for e in ((aid, 0), (aid, 1)):
-            self.unjoin(e)
-        self.arcs.remove(aid)
 
 
 @dataclass
@@ -115,17 +116,6 @@ def leaf_arc_spec(leaf, data):
     return (len(arcs), len(arcs), arcs)
 
 
-class _Wiring(dict):
-    """Leaf -> `leaf_arc_spec` over `data`, derived once per movie and leaf."""
-
-    def __init__(self, data):
-        self.data = data
-
-    def __missing__(self, leaf):
-        spec = self[leaf] = leaf_arc_spec(leaf, self.data)
-        return spec
-
-
 #: live child index under each sentence step and the 2-cell step over it
 #: (`termcore.LIFT`); chain positions name no sentence node
 _CHILD = {step: i for _, over in tc.LIFT.values()
@@ -141,31 +131,30 @@ def _ports(cls, children):
     return a.src_ports + b.src_ports, a.tgt_ports + b.tgt_ports, ((), ())
 
 
-def build_live(term, diagram, wiring):
-    """The live node of sentence `term`, its arcs made in `diagram` and its
-    parts' meeting ports joined; parts are read by field, for speed."""
+def build_live(term, diagram, data):
+    """The live node of sentence `term` over `data`, its arcs made in
+    `diagram` and its parts' meeting ports joined; each leaf's wiring is
+    read from ``data.shapes``."""
     cls = type(term)
-    if cls is tc.Comp1:
-        children = [build_live(term.first, diagram, wiring),
-                    build_live(term.after, diagram, wiring)]
-    elif cls is tc.Tensor1:
-        children = [build_live(term.left, diagram, wiring),
-                    build_live(term.right, diagram, wiring)]
-    else:
-        ns, nt, arcspec = wiring[term]
-        src, tgt, ids = [None] * ns, [None] * nt, []
-        for p0, p1 in arcspec:
-            aid = diagram.new_arc()
-            ids.append(aid)
-            for end, (side, idx) in (((aid, 0), p0), ((aid, 1), p1)):
-                (src if side == "s" else tgt)[idx] = end
-        return LiveNode(term, [], src, tgt, ids)
-    src, tgt, (ends, starts) = _ports(cls, children)
-    if len(ends) != len(starts):
-        raise DiagramError("composition point mismatch")
-    for a, b in zip(ends, starts):
-        diagram.join(a, b)
-    return LiveNode(term, children, src, tgt, [])
+    if cls in tc.LIFT:
+        children = [build_live(c, diagram, data) for _, c in tc.parts(term)]
+        src, tgt, (ends, starts) = _ports(cls, children)
+        if len(ends) != len(starts):
+            raise DiagramError("composition point mismatch")
+        for a, b in zip(ends, starts):
+            diagram.join(a, b)
+        return LiveNode(term, children, src, tgt, [])
+    spec = data.shapes.get(term)
+    if spec is None:
+        spec = data.shapes[term] = leaf_arc_spec(term, data)
+    ns, nt, arcspec = spec
+    src, tgt, ids = [None] * ns, [None] * nt, []
+    for p0, p1 in arcspec:
+        aid = diagram.new_arc()
+        ids.append(aid)
+        for end, (side, idx) in (((aid, 0), p0), ((aid, 1), p1)):
+            (src if side == "s" else tgt)[idx] = end
+    return LiveNode(term, [], src, tgt, ids)
 
 
 def _leaf_nodes(node):
@@ -204,42 +193,177 @@ def _arcs(node, path=()):
 
 
 # ---------------------------------------------------------------------------
+# event shapes
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class Shape:
+    """The events of one 2-leaf, in arc numbers relative to the event:
+    old arcs ``0..n_old-1`` in the source's leaf order, new arcs
+    ``0..n_new-1`` in the target's, and `skeleton` the target's live node.
+
+    Ports list the source then the target boundary ends, and the i-th old
+    and new port ends sit on the same boundary point; links are {end:
+    partner} among the event's own arcs.  `strands` maps each old arc of
+    a parameter a structural cell carries through (`termcore.strand_paths`)
+    to the new arc it continues as; a generator cell's map is empty.
+    `transfer` gives each new arc an old arc whose piece continues as its
+    piece, through the boundary points and `strands`; it is None unless
+    the pieces continue one to one and onto.
+    """
+
+    n_old: int
+    n_new: int
+    old_ports: list
+    new_ports: list
+    old_links: dict
+    new_links: dict
+    strands: dict
+    skeleton: LiveNode
+
+    def __post_init__(self):
+        was, now = {}, {}
+        pieces = (number_pieces(self.old_links, range(self.n_old), was, 0),
+                  number_pieces(self.new_links, range(self.n_new), now, 0))
+        pairs = {(was[a], now[b]) for a, b in self.strands.items()}
+        pairs.update((was[a], now[b]) for (a, _), (b, _)
+                     in zip(self.old_ports, self.new_ports))
+        back = {n: o for o, n in pairs}
+        self.transfer = None
+        if (len(pairs) == len(back) == pieces[1]
+                == len(set(back.values())) == pieces[0]):
+            arc = {piece: a for a, piece in was.items()}
+            self.transfer = tuple(arc[back[now[b]]]
+                                  for b in range(self.n_new))
+
+    @cached_property
+    def pieces(self):
+        """The boundary cycles of the pieces the event fills: (carried, caps).
+
+        A cycle lists (side, arc, direction) in trace order, side "old" or
+        "new", direction +1 where the trace runs end0 -> end1; every arc
+        lies on one cycle.  A closed piece a structural cell carries through
+        (every arc in its strand map) is a tube: `carried` maps each of its
+        new arcs to the old arc it continues, and its new cycle is dropped.
+        Every other cycle, in `caps`, bounds one disk.
+        """
+        # a trace leaves an arc by a link among the event's own arcs, or
+        # crosses sides at a boundary point, where the i-th old and new
+        # ports sit together
+        steps = {"old": (self.old_links, "new",
+                         dict(zip(self.old_ports, self.new_ports))),
+                 "new": (self.new_links, "old",
+                         dict(zip(self.new_ports, self.old_ports)))}
+
+        def advance(side, arc, direction):
+            exit_end = (arc, 1 if direction == +1 else 0)
+            links, other, across = steps[side]
+            if exit_end in links:
+                narc, nend = links[exit_end]
+            elif exit_end in across:
+                side, (narc, nend) = other, across[exit_end]
+            else:
+                raise DiagramError("event trace fell off the boundary")
+            return (side, narc, +1 if nend == 0 else -1)
+
+        traced = {}
+        cycles = []
+        for side, pool in (("old", range(self.n_old)),
+                           ("new", range(self.n_new))):
+            for a0 in pool:
+                if (side, a0) in traced:
+                    continue
+                state0 = (side, a0, +1)
+                cycle = []
+                s_, a_, d_ = state0
+                while (s_, a_) not in traced:
+                    traced[(s_, a_)] = d_
+                    cycle.append((s_, a_, d_))
+                    s_, a_, d_ = advance(s_, a_, d_)
+                if (s_, a_, d_) != state0 and traced.get((s_, a_)) != d_:
+                    raise DiagramError("event piece is not a disk")
+                cycles.append(cycle)
+
+        pairs = self.strands
+        if not pairs:  # a generator cell carries nothing through
+            return {}, cycles
+        carried, caps = {}, []
+        for cycle in cycles:
+            sides = {s for s, _, _ in cycle}
+            arcs = [a for _, a, _ in cycle]
+            if sides == {"old"} and all(a in pairs for a in arcs):
+                for a in arcs:
+                    if pairs[a] in carried:
+                        raise DiagramError("tube target already produced")
+                    carried[pairs[a]] = a
+            elif not (sides == {"new"} and all(a in carried for a in arcs)):
+                caps.append(cycle)
+        if any(s == "new" and a in carried for c in caps for s, a, _ in c):
+            raise DiagramError("new arc produced twice")
+        return carried, caps
+
+
+def _compile(cell, source, target, data):
+    """The `Shape` of 2-leaf `cell`, whose sides over `data` are the
+    sentences `source` and `target`, each built on a diagram of its own."""
+    old_d, new_d = ArcDiagram(), ArcDiagram()
+    old, new = build_live(source, old_d, data), build_live(target, new_d, data)
+    if (len(new.src_ports) != len(old.src_ports)
+            or len(new.tgt_ports) != len(old.tgt_ports)):
+        raise DiagramError("event does not preserve boundary points")
+    strands = {a: b for o, n in tc.strand_paths(cell)
+               for a, b in zip(_arcs(old, o), _arcs(new, n))}
+    return Shape(len(old_d.arcs), len(new_d.arcs),
+                 old.src_ports + old.tgt_ports, new.src_ports + new.tgt_ports,
+                 old_d.link, new_d.link, strands, new)
+
+
+def _instantiate(node, base):
+    """A copy of live node `node` with every arc id moved up by `base`."""
+    if node.children:
+        children = [_instantiate(c, base) for c in node.children]
+        src, tgt, _ = _ports(type(node.term), children)
+        return LiveNode(node.term, children, src, tgt, [])
+    return LiveNode(node.term, [],
+                    [(base + a, e) for a, e in node.src_ports],
+                    [(base + a, e) for a, e in node.tgt_ports],
+                    [base + a for a in node.arc_ids])
+
+
+# ---------------------------------------------------------------------------
 # movie events
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Event:
     """One movie step: the leaf `cell` that fired (an `Inv2`, not its
-    inner cell) and the wiring of the old subsentence and its replacement.
-
-    Arcs are listed in leaf order; ports list the source then the target
-    boundary ends, and the i-th old and new port ends sit on the same
-    boundary point; links are {end: partner} among the event's own arcs.
-    `strands` maps each old arc of a parameter a structural cell carries
-    through (`termcore.strand_paths`) to the new arc it continues as; a
-    generator cell's map is empty.
-    """
+    inner cell), its `shape`, the old arcs it replaced, in leaf order, and
+    the `base` its new arcs are numbered from: the shape's old arc i is
+    ``old_arcs[i]`` and its new arc j is ``base + j``."""
 
     cell: object
+    shape: Shape
     old_arcs: list
-    new_arcs: list
-    old_ports: list
-    new_ports: list
-    old_links: dict
-    new_links: dict
-    strands: dict
+    base: int
 
+    @property
+    def new_arcs(self):
+        return range(self.base, self.base + self.shape.n_new)
 
-def _own_links(link, arcs):
-    """{end: partner} of the links at the ends of `arcs`."""
-    return {e: link[e] for a in arcs for e in ((a, 0), (a, 1)) if e in link}
+    def pieces(self):
+        """The shape's `Shape.pieces` in this event's arcs."""
+        old, base = self.old_arcs, self.base
+        carried, caps = self.shape.pieces
+        return ({base + b: old[a] for b, a in carried.items()},
+                [[(s, old[a] if s == "old" else base + a, d)
+                  for s, a, d in cycle] for cycle in caps])
 
 
 class MovieState:
     def __init__(self, source_sentence, data):
-        self.wiring = _Wiring(data)
+        self.data = data
         self.diagram = ArcDiagram()
-        self.root = build_live(source_sentence, self.diagram, self.wiring)
+        self.root = build_live(source_sentence, self.diagram, data)
 
     def apply_event(self, path, cell, source, target):
         node, parents = self.root, []
@@ -250,24 +374,23 @@ class MovieState:
             raise DiagramError(
                 "movie out of sync at %s: expected %s, found %s"
                 % ("/".join(map(str, path)) or "<root>", source, node.term))
-        diagram = self.diagram
+        shapes = self.data.shapes
+        shape = shapes.get(cell)
+        if shape is None:
+            shape = shapes[cell] = _compile(cell, source, target, self.data)
+        diagram, link = self.diagram, self.diagram.link
         old_arcs = _arcs(node)
-        old_ports = node.src_ports + node.tgt_ports
-        # detach boundary of the old subtree; the links left are its own
-        outer = [diagram.unjoin(e) for e in old_ports]
-        old_links = _own_links(diagram.link, old_arcs)
-        for aid in old_arcs:
-            diagram.drop_arc(aid)
-        new_node = build_live(target, diagram, self.wiring)
-        if (len(new_node.src_ports) != len(node.src_ports)
-                or len(new_node.tgt_ports) != len(node.tgt_ports)):
-            raise DiagramError("event does not preserve boundary points")
-        new_arcs = _arcs(new_node)
-        strands = {a: b for old, new in tc.strand_paths(cell)
-                   for a, b in zip(_arcs(node, old), _arcs(new_node, new))}
-        new_links = _own_links(diagram.link, new_arcs)
-        new_ports = new_node.src_ports + new_node.tgt_ports
-        for end, partner in zip(new_ports, outer):
+        outer = [diagram.unjoin(e) for e in node.src_ports + node.tgt_ports]
+        for aid in old_arcs:  # the links left are the old arcs' own
+            link.pop((aid, 0), None)
+            link.pop((aid, 1), None)
+        diagram.arcs.difference_update(old_arcs)
+        base = diagram.new_arc(shape.n_new)
+        for (a, e), (b, f) in shape.new_links.items():
+            link[base + a, e] = (base + b, f)
+        new_node = _instantiate(shape.skeleton, base)
+        for end, partner in zip(new_node.src_ports + new_node.tgt_ports,
+                                outer):
             if partner is not None:
                 diagram.join(end, partner)
         if parents:
@@ -278,8 +401,7 @@ class MovieState:
                 up.term = tc.rebuild(up.term, [c.term for c in up.children])
         else:
             self.root = new_node
-        return Event(cell, old_arcs, new_arcs, old_ports, new_ports,
-                     old_links, new_links, strands)
+        return Event(cell, shape, old_arcs, base)
 
 
 class MovieListener:
@@ -338,31 +460,21 @@ class ComponentListener(MovieListener):
         order; call it once per event.
 
         A rerouting event (a structural, cusp or crossing cell) keeps the
-        ids and walks only its own arcs: each piece its old arcs form must
-        continue, through its boundary points and `strands`, as exactly
-        one piece of its new arcs, one to one and onto, so it joins the
-        same boundary points before and after.  Any other event gives
-        fresh ids to the components through its new arcs.
+        ids through its shape's `Shape.transfer`, and one whose shape has
+        none is refused.  Any other event gives fresh ids to the
+        components through its new arcs.
         """
         comp = self.comp
         old = [comp.pop(a) for a in ev.old_arcs]
         if reroute:
-            was, now = {}, {}
-            pieces = (number_pieces(ev.old_links, ev.old_arcs, was, 0),
-                      number_pieces(ev.new_links, ev.new_arcs, now, 0))
-            pairs = {(was[a], now[b]) for a, b in ev.strands.items()}
-            pairs.update((was[a], now[b]) for (a, _), (b, _)
-                         in zip(ev.old_ports, ev.new_ports))
-            to = dict(pairs)
-            if not (len(pairs) == len(to) == pieces[0]
-                    == len(set(to.values())) == pieces[1]):
+            transfer = ev.shape.transfer
+            if transfer is None:
                 raise DiagramError("component transfer is not a bijection")
-            cid = {to[was[a]]: i for a, i in zip(ev.old_arcs, old)}
-            for b in ev.new_arcs:
-                comp[b] = cid[now[b]]
-        else:
-            self._next = number_pieces(state.diagram.link, ev.new_arcs,
-                                       comp, self._next)
+            new = [old[a] for a in transfer]
+            comp.update(zip(ev.new_arcs, new))
+            return old, new
+        self._next = number_pieces(state.diagram.link, ev.new_arcs, comp,
+                                   self._next)
         return old, [comp[b] for b in ev.new_arcs]
 
 

@@ -73,75 +73,6 @@ class Complex:
 
 
 # ---------------------------------------------------------------------------
-# event pieces
-# ---------------------------------------------------------------------------
-
-def _pieces(ev):
-    """The boundary cycles of the pieces event `ev` fills: (carried, caps).
-
-    A cycle lists (side, arc, direction) in trace order, side "old" or
-    "new", direction +1 where the trace runs end0 -> end1; every old and
-    new arc lies on one cycle.  A closed piece a structural cell carries
-    through (every arc in its strand map) is a tube: `carried` maps each
-    of its new arcs to the old arc it continues, and the new arcs' cycle
-    is dropped.  Every other cycle, in `caps`, bounds one disk.
-    """
-    # a trace leaves an arc by a link among the event's own arcs, or
-    # crosses sides at a boundary point, where the i-th old and new
-    # ports sit together
-    steps = {"old": (ev.old_links, "new",
-                     dict(zip(ev.old_ports, ev.new_ports))),
-             "new": (ev.new_links, "old",
-                     dict(zip(ev.new_ports, ev.old_ports)))}
-
-    def advance(side, arc, direction):
-        exit_end = (arc, 1 if direction == +1 else 0)
-        links, other, across = steps[side]
-        if exit_end in links:
-            narc, nend = links[exit_end]
-        elif exit_end in across:
-            side, (narc, nend) = other, across[exit_end]
-        else:
-            raise SurfaceError("event trace fell off the boundary")
-        return (side, narc, +1 if nend == 0 else -1)
-
-    traced = {}
-    cycles = []
-    for side, pool in (("old", ev.old_arcs), ("new", ev.new_arcs)):
-        for a0 in pool:
-            if (side, a0) in traced:
-                continue
-            state0 = (side, a0, +1)
-            cycle = []
-            s_, a_, d_ = state0
-            while (s_, a_) not in traced:
-                traced[(s_, a_)] = d_
-                cycle.append((s_, a_, d_))
-                s_, a_, d_ = advance(s_, a_, d_)
-            if (s_, a_, d_) != state0 and traced.get((s_, a_)) != d_:
-                raise SurfaceError("event piece is not a disk")
-            cycles.append(cycle)
-
-    pairs = ev.strands
-    if not pairs:  # a generator cell carries nothing through
-        return {}, cycles
-    carried, caps = {}, []
-    for cycle in cycles:
-        sides = {s for s, _, _ in cycle}
-        arcs = [a for _, a, _ in cycle]
-        if sides == {"old"} and all(a in pairs for a in arcs):
-            for a in arcs:
-                if pairs[a] in carried:
-                    raise SurfaceError("tube target already produced")
-                carried[pairs[a]] = a
-        elif not (sides == {"new"} and all(a in carried for a in arcs)):
-            caps.append(cycle)
-    if any(s == "new" and a in carried for c in caps for s, a, _ in c):
-        raise SurfaceError("new arc produced twice")
-    return carried, caps
-
-
-# ---------------------------------------------------------------------------
 # the glued complex
 # ---------------------------------------------------------------------------
 
@@ -203,7 +134,7 @@ class _Builder(MovieListener):
         return top
 
     def event(self, state, ev):
-        carried, caps = _pieces(ev)
+        carried, caps = ev.pieces()
         # a tube's old sheets close, and the sheet of the new arc each
         # continues as opens on top of it
         produced = {b: (self._close(a), -1) for b, a in carried.items()}
@@ -325,7 +256,7 @@ class _InvariantsListener(MovieListener):
 
     def event(self, state, ev):
         up, chi = self.up, self.chi
-        carried, caps = _pieces(ev)
+        carried, caps = ev.pieces()
         for b, a in carried.items():
             up[b] = (a, 0)
         for cycle in caps:

@@ -692,12 +692,15 @@ class GeneratingData:
 
     ``one_gens`` maps a name to (source, target) object words; ``two_gens``
     maps a name to (source, target) morphism terms.  Globularity of every
-    2-generator is checked on construction.
+    2-generator is checked on construction.  ``shapes`` is the movie's
+    table of leaves compiled over this datum (`_diagram`), keyed by leaf;
+    it takes no part in equality.
     """
 
     objects: Tuple[str, ...]
     one_gens: dict
     two_gens: dict
+    shapes: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         names = list(self.objects) + list(self.one_gens) + list(self.two_gens)

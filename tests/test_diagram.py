@@ -1,15 +1,27 @@
 """Movie playback: strand wiring read off the generating data, the
-sentence a movie ends at, and the component ids listeners follow."""
+sentence a movie ends at, the component ids listeners follow, and the
+event shapes compiled once per 2-leaf, checked against the reference
+path that rebuilds every event (`tests/reference_diagram.py`)."""
+
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from bordcalc import _diagram
 from bordcalc import build
+from bordcalc import frobenius as fr
 from bordcalc import presentations as pr
 from bordcalc import standard_terms as st
+from bordcalc import surface as sf
 from bordcalc import termcore as tc
 from bordcalc._diagram import (ComponentListener, DiagramError, Event,
-                               MovieListener, census, leaf_arc_spec,
-                               run_movie)
+                               MovieListener, MovieState, Shape, census,
+                               leaf_arc_spec, run_movie)
+from tests import reference_diagram as rd
+
+DEMO_TERMS = Path(__file__).resolve().parent.parent / "demos" / "terms"
+MORSE = ("cap", "cup", "split", "merge")
 
 
 @pytest.fixture(scope="module",
@@ -112,33 +124,236 @@ def test_component_ids_partition_the_live_arcs(p):
     assert listener.checks > 2 * len(terms)
 
 
-def _rerouting(old_arcs, old_links, old_ports, new_arcs, new_ports):
-    """A rerouting event with no strands and no links among its new
-    arcs, whose i-th old port end becomes the i-th new one."""
-    return Event(tc.Id2(tc.Gen1("ev")), old_arcs, new_arcs, old_ports,
-                 new_ports, old_links, {}, {})
+EV = tc.Id2(tc.Gen1("ev"))
+
+
+def _rerouting(n_old, old_links, old_ports, n_new, new_ports):
+    """The shape of a rerouting event with no strands and no links among
+    its new arcs, whose i-th old port end becomes the i-th new one."""
+    return Shape(n_old, n_new, old_ports, new_ports, old_links, {}, {}, None)
 
 
 def test_a_rerouting_event_keeps_the_component_ids():
     listener = ComponentListener()
     listener.comp = {0: 10}
-    ev = _rerouting([0], {}, [(0, 0), (0, 1)], [2], [(2, 0), (2, 1)])
+    shape = _rerouting(1, {}, [(0, 0), (0, 1)], 1, [(0, 0), (0, 1)])
+    ev = Event(EV, shape, [0], 2)
     assert listener.follow(None, ev, True) == ([10], [10])
     assert listener.comp == {2: 10}
 
 
-@pytest.mark.parametrize("old_links, new_arcs, new_ports", [
+@pytest.mark.parametrize("old_links, n_new, new_ports", [
     # two pieces of old arcs continue as one piece
-    ({}, [2], [(2, 0), (2, 1)]),
+    ({}, 1, [(0, 0), (0, 1)]),
     # one piece of old arcs continues as two pieces
-    ({(0, 1): (1, 1), (1, 1): (0, 1)}, [2, 3], [(2, 0), (3, 0)]),
+    ({(0, 1): (1, 1), (1, 1): (0, 1)}, 2, [(0, 0), (1, 0)]),
 ], ids=["two-into-one", "one-into-two"])
-def test_a_rerouting_event_must_be_a_bijection(old_links, new_arcs,
-                                               new_ports):
+def test_a_rerouting_event_must_be_a_bijection(old_links, n_new, new_ports):
     listener = ComponentListener()
     listener.comp = {0: 10, 1: 11}
-    ev = _rerouting([0, 1], old_links, [(0, 0), (1, 0)], new_arcs,
-                    new_ports)
+    shape = _rerouting(2, old_links, [(0, 0), (1, 0)], n_new, new_ports)
+    assert shape.transfer is None
     with pytest.raises(DiagramError,
                        match="^component transfer is not a bijection$"):
-        listener.follow(None, ev, True)
+        listener.follow(None, Event(EV, shape, [0, 1], 2), True)
+
+
+def test_a_refused_shape_is_not_stored():
+    """A leaf whose compiling raises leaves no entry, so it is refused
+    again, not taken from the table, the next time it fires."""
+    pp = tc.ObjTensor(tc.ObjGen("pt"), tc.ObjGen("pt"))
+    x = tc.Gen1("x")
+    data = tc.GeneratingData(objects=("pt",), one_gens={"x": (pp, pp)},
+                             two_gens={"f": (tc.Id1(pp), x)})
+    report = tc.validate(tc.Gen2("f"), data)
+    assert report.ok
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="'x' has 4 boundary points"):
+            run_movie(report, data, MovieListener())
+        assert tc.Gen2("f") not in data.shapes and x not in data.shapes
+
+
+class _Shapes(MovieListener):
+    def __init__(self):
+        self.seen = []
+
+    def event(self, state, ev):
+        self.seen.append(ev.shape)
+
+
+def test_equal_leaves_from_two_parses_share_one_shape():
+    p = pr.bord2_unoriented()
+    text = str(st.genus(p, 2))
+    reports = [tc.validate(tc.parse_two_cell(text, p.data), p.data)
+               for _ in range(2)]
+    (_, a, _, _), (_, b, _, _) = (r.events[0] for r in reports)
+    assert a == b and a is not b
+    listeners = [_Shapes(), _Shapes()]
+    run_movie(reports[0], p.data, listeners[0])
+    size = len(p.data.shapes)
+    run_movie(reports[1], p.data, listeners[1])
+    assert len(p.data.shapes) == size
+    first, second = (lst.seen for lst in listeners)
+    assert len(first) == len(second) == len(reports[0].events)
+    assert all(x is y for x, y in zip(first, second))
+
+
+def test_each_generating_data_compiles_its_own_shape():
+    cap = tc.Gen2("cap")
+    shapes = []
+    for p in (pr.bord2_unoriented(), pr.bord2_oriented()):
+        run_movie(tc.validate(cap, p.data), p.data, MovieListener())
+        shapes.append(p.data.shapes[cap])
+    assert shapes[0] is not shapes[1]
+
+
+@pytest.mark.parametrize("make", [pr.bord2_unoriented, pr.bord2_oriented],
+                         ids=["unoriented", "oriented"])
+def test_each_distinct_leaf_is_compiled_once(make, monkeypatch):
+    p = make()
+    compiled = Counter()
+    compile_shape = _diagram._compile
+
+    def counted(cell, *args):
+        compiled[cell] += 1
+        return compile_shape(cell, *args)
+
+    monkeypatch.setattr(_diagram, "_compile", counted)
+    term = st.genus(p, 6)
+    terms = [term, st.genus(p, 6)]
+    terms += [pr.apply(term, step) for step in pr.find_matches(term, p)]
+    leaves = set()
+    for t in terms:
+        report = tc.validate(t, p.data)
+        leaves.update(cell for _, cell, _, _ in report.events)
+        run_movie(report, p.data, MovieListener())
+    assert set(compiled) == leaves
+    assert set(compiled.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# the shape path against the reference path
+# ---------------------------------------------------------------------------
+
+def _oracle_corpus(p):
+    """Random terms with every rewrite of each, the closed genus terms,
+    the Klein bottle, every demo term that is valid over `p`, and both
+    sides of every relation."""
+    terms = []
+    for seed in range(150):
+        for events in (5, 9):
+            t = build.random_term(p, seed, events=events)
+            terms.append(t)
+            terms += [pr.apply(t, step) for step in pr.find_matches(t, p)]
+    terms += [st.genus(p, g) for g in range(8)]
+    if "sym_ev_in" in p.data.two_gens:
+        terms.append(st.klein_bottle(p))
+    for path in sorted(DEMO_TERMS.glob("*.bc")):
+        try:
+            terms.append(tc.parse_two_cell(path.read_text(encoding="utf-8"),
+                                           p.data))
+        except (tc.ParseError, tc.TermError):
+            pass
+    terms += [side for rel in p.relations for side in (rel.lhs, rel.rhs)]
+    return [t for t in terms if tc.validate(t, p.data).ok]
+
+
+def _rename(ren, xs, ys):
+    """Grow the one-to-one renaming `ren` (forward and back dicts) by
+    ``xs[i] -> ys[i]``; False where it would stop being one to one."""
+    fwd, back = ren
+    xs, ys = list(xs), list(ys)
+    for x, y in zip(xs, ys):
+        if fwd.setdefault(x, y) != y or back.setdefault(y, x) != x:
+            return False
+    return len(xs) == len(ys)
+
+
+def _event_in(ev, ren):
+    """The ports, links, strands and pieces of shape event `ev` in live
+    arc ids renamed by `ren`, in the reference event's layout."""
+    s = ev.shape
+
+    def end(side, x):
+        a = ev.old_arcs[x[0]] if side == "old" else ev.base + x[0]
+        return (ren[a], x[1])
+
+    carried, caps = ev.pieces()
+    return ([end("old", x) for x in s.old_ports],
+            [end("new", x) for x in s.new_ports],
+            {end("old", x): end("old", y) for x, y in s.old_links.items()},
+            {end("new", x): end("new", y) for x, y in s.new_links.items()},
+            {end("old", (a, 0))[0]: end("new", (b, 0))[0]
+             for a, b in s.strands.items()},
+            ({ren[b]: ren[a] for b, a in carried.items()},
+             [[(side, ren[a], d) for side, a, d in c] for c in caps]))
+
+
+def _lockstep(report, p, asg):
+    """Play `report` by shapes and by the reference side by side, each
+    through an M2Q evaluator (which follows the component ids) and an
+    invariants listener, and compare every event; returns the failures
+    found."""
+    new = MovieState(report.boundary[0], p.data)
+    ref = rd.MovieState(report.boundary[0], p.data)
+    plays = [(new, fr._EvalListener(asg), sf._InvariantsListener()),
+             (ref, rd.EvalListener(asg), sf._InvariantsListener())]
+    for state, *listeners in plays:
+        for listener in listeners:
+            listener.begin(state)
+    (_, ids, inv), (_, ref_ids, ref_inv) = plays
+    arcs, cids = ({}, {}), ({}, {})
+    live = _diagram._arcs(new.root)
+    bad = []
+    if not (_rename(arcs, live, _diagram._arcs(ref.root))
+            and _rename(cids, [ids.comp[a] for a in live],
+                        [ref_ids.comp[arcs[0][a]] for a in live])):
+        bad.append("source slice")
+    for i, (path, cell, source, target) in enumerate(report.events):
+        at = tuple(_diagram._CHILD[s] for s in path if s in _diagram._CHILD)
+        ev = new.apply_event(at, cell, source, target)
+        rev = ref.apply_event(at, cell, source, target)
+        got = []
+        for (state, *listeners), e in zip(plays, (ev, rev)):
+            comp = listeners[0].comp
+            old = [comp[a] for a in e.old_arcs]
+            for listener in listeners:
+                listener.event(state, e)
+            got.append(old + [comp[b] for b in e.new_arcs])
+        if not (_rename(arcs, ev.old_arcs, rev.old_arcs)
+                and _rename(arcs, ev.new_arcs, rev.new_arcs)):
+            bad.append("event %d: arcs" % i)
+        elif _event_in(ev, arcs[0]) != (
+                rev.old_ports, rev.new_ports, rev.old_links, rev.new_links,
+                rev.strands, rev.pieces()):
+            bad.append("event %d: wiring or pieces" % i)
+        if not _rename(cids, *got):
+            bad.append("event %d: component ids" % i)
+    for state, *listeners in plays:
+        for listener in listeners:
+            listener.finish(state)
+    ren = arcs[0]
+    if ({ren[a] for a in new.diagram.arcs} != ref.diagram.arcs
+            or {(ren[a], e): (ren[b], f) for (a, e), (b, f)
+                in new.diagram.link.items()} != ref.diagram.link):
+        bad.append("live diagram")
+    if not new.root.term == ref.root.term == report.boundary[1]:
+        bad.append("live sentence")
+    if inv.result != ref_inv.result:
+        bad.append("invariants")
+    if rd.value(new, ids) != rd.value(ref, ref_ids):
+        bad.append("M2Q value")
+    return bad
+
+
+def test_shapes_play_every_movie_as_the_reference_does(p):
+    """Every event of the corpus, played by shapes and by rebuilding it:
+    the same arcs up to renaming, ports, links, strands, pieces and
+    component ids, and at the end the same live diagram and sentence,
+    invariants and M2Q values."""
+    asg = fr.standard_assignment(fr.algebra_m2q(), p)
+    terms = _oracle_corpus(p)
+    failures = [(str(t), bad) for t in terms
+                if (bad := _lockstep(tc.validate(t, p.data), p, asg))]
+    assert len(terms) > 2500
+    assert failures == []
