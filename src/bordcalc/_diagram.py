@@ -13,17 +13,17 @@ depending on the listener,
 
 The consumers live in `surface` and `frobenius`; this module owns the
 shared strand bookkeeping.  A leaf's arcs follow from the generating
-data (`leaf_arc_spec`), and an event's wiring from its 2-leaf alone, so
-each leaf is compiled once per datum into the table ``data.shapes``: a
-1-leaf to its arcs, a 2-leaf to the `Shape` of its events.  An event
-splices its shape's target in at fresh arc ids, and the listeners read
-the shape's pieces and component transfer through the event's arcs.  A
-structural cell continues old arcs by the strand map of its formula
-(`termcore.strand_paths`), a generator cell only those at its boundary
-points.  `ComponentListener` follows the live components as ids: a
-rerouting event keeps them through its shape's transfer, checked to be
-one to one once per shape, and any other event gives fresh ids to the
-components through its new arcs.
+data (`leaf_arc_spec`) and an event's wiring from its 2-leaf alone, so
+each leaf is compiled once per datum into ``data.shapes`` (a 1-leaf to
+its arcs, a 2-leaf to a `Shape`), under a copy of the leaf; the table is
+emptied at `SHAPES_LIMIT`.  An event splices its shape's target in at
+fresh arc ids, and the listeners read the shape's pieces and transfer
+through the event's arcs.  A structural cell continues old arcs by its
+formula's strand map (`termcore.strand_paths`), a generator cell only
+those at its boundary points.  `ComponentListener` keeps the component
+ids through a rerouting event by its shape's transfer, checked one to
+one once per shape; any other event gives fresh ids to the components
+through its new arcs.
 
 `number_pieces` is the one component walk, and `census` counts any
 compact 1-manifold wired as an arc diagram.
@@ -146,7 +146,7 @@ def build_live(term, diagram, data):
         return LiveNode(term, children, src, tgt, [])
     spec = data.shapes.get(term)
     if spec is None:
-        spec = data.shapes[term] = leaf_arc_spec(term, data)
+        spec = _keep(data.shapes, term, leaf_arc_spec(term, data))
     ns, nt, arcspec = spec
     src, tgt, ids = [None] * ns, [None] * nt, []
     for p0, p1 in arcspec:
@@ -157,13 +157,22 @@ def build_live(term, diagram, data):
     return LiveNode(term, [], src, tgt, ids)
 
 
+#: entries a ``data.shapes`` table holds before it is emptied
+SHAPES_LIMIT = 512
+
+
+def _keep(table, leaf, entry):
+    """`entry`, kept in `table` under a copy of `leaf`; empties a full one."""
+    if len(table) >= SHAPES_LIMIT:
+        table.clear()
+    table[tc.fresh(leaf)] = entry
+    return entry
+
+
 def _leaf_nodes(node):
     if not node.children:
         return [node]
-    out = []
-    for c in node.children:
-        out.extend(_leaf_nodes(c))
-    return out
+    return [leaf for c in node.children for leaf in _leaf_nodes(c)]
 
 
 def comp_order(state, comp):
@@ -207,9 +216,7 @@ class Shape:
     partner} among the event's own arcs.  `strands` maps each old arc of
     a parameter a structural cell carries through (`termcore.strand_paths`)
     to the new arc it continues as; a generator cell's map is empty.
-    `transfer` gives each new arc an old arc whose piece continues as its
-    piece, through the boundary points and `strands`; it is None unless
-    the pieces continue one to one and onto.
+    `transfer` and `pieces` are derived on first read.
     """
 
     n_old: int
@@ -221,7 +228,10 @@ class Shape:
     strands: dict
     skeleton: LiveNode
 
-    def __post_init__(self):
+    @cached_property
+    def transfer(self):
+        """For each new arc, an old arc whose piece continues as its piece
+        through the boundary points and `strands`; None unless one to one."""
         was, now = {}, {}
         pieces = (number_pieces(self.old_links, range(self.n_old), was, 0),
                   number_pieces(self.new_links, range(self.n_new), now, 0))
@@ -229,12 +239,11 @@ class Shape:
         pairs.update((was[a], now[b]) for (a, _), (b, _)
                      in zip(self.old_ports, self.new_ports))
         back = {n: o for o, n in pairs}
-        self.transfer = None
-        if (len(pairs) == len(back) == pieces[1]
+        if not (len(pairs) == len(back) == pieces[1]
                 == len(set(back.values())) == pieces[0]):
-            arc = {piece: a for a, piece in was.items()}
-            self.transfer = tuple(arc[back[now[b]]]
-                                  for b in range(self.n_new))
+            return None
+        arc = {piece: a for a, piece in was.items()}
+        return tuple(arc[back[now[b]]] for b in range(self.n_new))
 
     @cached_property
     def pieces(self):
@@ -248,8 +257,7 @@ class Shape:
         Every other cycle, in `caps`, bounds one disk.
         """
         # a trace leaves an arc by a link among the event's own arcs, or
-        # crosses sides at a boundary point, where the i-th old and new
-        # ports sit together
+        # crosses sides at a boundary point, at the same port position
         steps = {"old": (self.old_links, "new",
                          dict(zip(self.old_ports, self.new_ports))),
                  "new": (self.new_links, "old",
@@ -266,28 +274,22 @@ class Shape:
                 raise DiagramError("event trace fell off the boundary")
             return (side, narc, +1 if nend == 0 else -1)
 
-        traced = {}
-        cycles = []
+        traced, cycles = {}, []
         for side, pool in (("old", range(self.n_old)),
                            ("new", range(self.n_new))):
             for a0 in pool:
                 if (side, a0) in traced:
                     continue
-                state0 = (side, a0, +1)
-                cycle = []
-                s_, a_, d_ = state0
+                cycle, (s_, a_, d_) = [], (side, a0, +1)
                 while (s_, a_) not in traced:
                     traced[(s_, a_)] = d_
                     cycle.append((s_, a_, d_))
                     s_, a_, d_ = advance(s_, a_, d_)
-                if (s_, a_, d_) != state0 and traced.get((s_, a_)) != d_:
+                if (s_, a_, d_) != (side, a0, +1) and traced.get((s_, a_)) != d_:
                     raise DiagramError("event piece is not a disk")
                 cycles.append(cycle)
 
-        pairs = self.strands
-        if not pairs:  # a generator cell carries nothing through
-            return {}, cycles
-        carried, caps = {}, []
+        pairs, carried, caps = self.strands, {}, []
         for cycle in cycles:
             sides = {s for s, _, _ in cycle}
             arcs = [a for _, a, _ in cycle]
@@ -374,10 +376,10 @@ class MovieState:
             raise DiagramError(
                 "movie out of sync at %s: expected %s, found %s"
                 % ("/".join(map(str, path)) or "<root>", source, node.term))
-        shapes = self.data.shapes
-        shape = shapes.get(cell)
+        shape = self.data.shapes.get(cell)
         if shape is None:
-            shape = shapes[cell] = _compile(cell, source, target, self.data)
+            shape = _keep(self.data.shapes, cell, _compile(
+                cell, source, tc.fresh(target), self.data))
         diagram, link = self.diagram, self.diagram.link
         old_arcs = _arcs(node)
         outer = [diagram.unjoin(e) for e in node.src_ports + node.tgt_ports]

@@ -650,6 +650,16 @@ def rebuild(node, children):
     return _assemble(type(node), children)
 
 
+def fresh(node):
+    """An equal copy of term `node` sharing no node, so no memo, with it."""
+    if isinstance(node, tuple):
+        return tuple(map(fresh, node))
+    if isinstance(node, str):
+        return node
+    return type(node)(**{f.name: fresh(getattr(node, f.name))
+                         for f in fields(node)})
+
+
 def _assemble(cls, children):
     """A composite of class `cls` over `children` (in `parts` order)."""
     if cls is VComp:
@@ -693,8 +703,8 @@ class GeneratingData:
     ``one_gens`` maps a name to (source, target) object words; ``two_gens``
     maps a name to (source, target) morphism terms.  Globularity of every
     2-generator is checked on construction.  ``shapes`` is the movie's
-    table of leaves compiled over this datum (`_diagram`), keyed by leaf;
-    it takes no part in equality.
+    table of leaves compiled over this datum (`_diagram`), keyed by a
+    `fresh` copy of each leaf; it takes no part in equality.
     """
 
     objects: Tuple[str, ...]

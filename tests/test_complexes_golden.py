@@ -15,6 +15,7 @@ import pathlib
 
 from bordcalc import presentations as pr
 from bordcalc import surface as sf
+from bordcalc._diagram import DiagramError
 
 from tests.test_rewrite_golden import _terms
 
@@ -24,7 +25,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "complexes.txt"
 def _digest(term, p):
     try:
         cx = sf.reconstruct(term, p).complex
-    except sf.SurfaceError as e:
+    except (sf.SurfaceError, DiagramError) as e:
         return "error %s" % e
     blob = repr((cx.faces, cx.mate, cx.flip)).encode("utf-8")
     return "%d %s" % (len(cx.faces), hashlib.sha256(blob).hexdigest())

@@ -3,6 +3,7 @@ sentence a movie ends at, the component ids listeners follow, and the
 event shapes compiled once per 2-leaf, checked against the reference
 path that rebuilds every event (`tests/reference_diagram.py`)."""
 
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -205,6 +206,48 @@ def test_each_generating_data_compiles_its_own_shape():
         run_movie(tc.validate(cap, p.data), p.data, MovieListener())
         shapes.append(p.data.shapes[cap])
     assert shapes[0] is not shapes[1]
+
+
+def _nodes(x):
+    """Every term node within `x`, symbol parameters included."""
+    if isinstance(x, tuple):
+        return [n for c in x for n in _nodes(c)]
+    if not dataclasses.is_dataclass(x):
+        return []
+    return [x] + [n for f in dataclasses.fields(x)
+                  for n in _nodes(getattr(x, f.name))]
+
+
+def _skeleton_terms(node):
+    return [node.term] + [t for c in node.children
+                          for t in _skeleton_terms(c)]
+
+
+def test_the_table_keeps_no_node_of_a_played_term():
+    """Keys and skeletons are copies the table owns, so no node of a
+    term's tape lives on in the table once the term is dropped."""
+    p = pr.bord2_unoriented()
+    report = tc.validate(st.genus(p, 2), p.data)
+    run_movie(report, p.data, MovieListener())
+    played = {id(n) for _, cell, source, target in report.events
+              for n in _nodes((cell, source, target))}
+    kept = list(p.data.shapes)
+    kept += [t for shape in p.data.shapes.values()
+             if isinstance(shape, Shape)
+             for t in _skeleton_terms(shape.skeleton)]
+    assert len(kept) > len(p.data.shapes)
+    assert not played & {id(n) for n in _nodes(tuple(kept))}
+
+
+def test_a_full_table_is_emptied_before_it_grows(monkeypatch):
+    """Past `SHAPES_LIMIT` entries the table starts again, and the movie
+    reads the same as with room to spare."""
+    p, roomy = pr.bord2_unoriented(), pr.bord2_unoriented()
+    term = st.genus(p, 3)
+    expected = sf.invariants(sf.reconstruct(term, roomy))
+    monkeypatch.setattr(_diagram, "SHAPES_LIMIT", 4)
+    assert sf.invariants(sf.reconstruct(term, p)) == expected
+    assert 0 < len(p.data.shapes) <= 4 < len(roomy.data.shapes)
 
 
 @pytest.mark.parametrize("make", [pr.bord2_unoriented, pr.bord2_oriented],

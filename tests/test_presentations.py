@@ -196,14 +196,17 @@ def test_equivalent_bounded_found_counts_expansions(uno):
     assert same.stop == "found" and same.nodes_expanded == 0
 
 
-def test_memos_die_with_their_term(uno):
+def test_memos_die_with_their_term():
     """No memo refers to its own node: with the cycle collector off, every
     node of a validated, reconstructed, evaluated, matched and searched
     term is freed once the term and the results are dropped.  The unary
-    chain around the text makes its canonical form a new node."""
+    chain around the text makes its canonical form a new node, and the
+    presentation is a fresh one, so its movie tables first meet every
+    leaf in this term."""
     from bordcalc import frobenius as fr
     from bordcalc import standard_terms as st
     from bordcalc import surface as sf
+    uno = pr.bord2_unoriented()
     text = "(%s)" % tc.print_two_cell(st.genus(uno, 1))
     goal = st.genus(uno, 2)
     asg = fr.standard_assignment(fr.algebra_m2q(), uno)

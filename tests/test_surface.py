@@ -9,6 +9,7 @@ from bordcalc import build
 from bordcalc import presentations as pr
 from bordcalc import standard_terms as st
 from bordcalc import surface as sf
+from bordcalc._diagram import DiagramError
 from bordcalc import termcore as tc
 from bordcalc.termcore import (Gen1, Gen2, Id1, Id2, Inv2, RC, Tensor2,
                                vcompose)
@@ -288,17 +289,17 @@ def listener_corpus(p):
 def outcomes(p, t):
     """(invariants from the movie, invariants of the complex glued from
     the same tape with no listener run), each the message of the
-    SurfaceError it raised instead, if any."""
+    SurfaceError or DiagramError it raised instead, if any."""
     try:
         surf = sf.reconstruct(t, p)
         listener, report = sf.invariants(surf), surf.report
-    except sf.SurfaceError as e:
+    except (sf.SurfaceError, DiagramError) as e:
         listener, report = str(e), tc.validate(t, p.data)
     assert report.ok
     try:
         oracle = ref.complex_invariants(
             sf.CombSurface(t, None, report, p.data).complex)
-    except sf.SurfaceError as e:
+    except (sf.SurfaceError, DiagramError) as e:
         oracle = str(e)
     return listener, oracle
 
