@@ -11,7 +11,7 @@ both sides of a row have the same boundary.
 
 `find_matches`/`apply` rewrite by the relations (exact subterm matching
 modulo vertical-chain flattening) and `equivalent_bounded` searches the
-rewrite graph breadth-first within a budget.  Each relation side is
+rewrite graph from both ends within a budget.  Each relation side is
 canonicalised once, into `Presentation.rules_by_head`, a table keyed by
 the side's first cell: the matcher compares a window only against the
 sides that start with the window's first cell.  A result is spliced in
@@ -500,11 +500,13 @@ def apply(t: tc.TwoCellTerm, step: RewriteStep) -> tc.TwoCellTerm:
 class SearchResult:
     """Outcome of `equivalent_bounded`.
 
-    ``nodes_expanded`` counts the terms whose rewrites were enumerated.
-    ``stop`` says why the search ended: ``found`` (``steps`` is a path),
-    ``depth`` (the last level the depth allows was reached), ``budget``
-    (more than ``max_visited`` terms were seen) or ``exhausted`` (no new
-    term was left to expand).
+    ``nodes_expanded`` counts the terms whose rewrites were enumerated,
+    from both ends; rebuilding the goal side of a trail is not counted.
+    ``stop`` says why the search ended: ``found`` (``steps`` is a shortest
+    path), ``depth`` (as many levels as the depth allows were expanded),
+    ``budget`` (more than ``max_visited`` terms were seen from the two
+    ends together, both ends included) or ``exhausted`` (one end had no
+    new term left to expand).
     """
 
     equivalent: bool
@@ -518,7 +520,16 @@ class SearchResult:
 
 def equivalent_bounded(t1, t2, p: Presentation, depth: int = 6,
                        max_visited: int = 100000) -> SearchResult:
-    """Breadth-first search for a rewrite path from t1 to t2.
+    """Search for a shortest rewrite path from t1 to t2 from both ends.
+
+    The rewrite graph is symmetric (every relation is used both ways), so
+    a frontier grows from each end; each round expands the smaller one by
+    a whole level (the start's on a tie), and the search stops at the
+    first result the other end has seen.  `depth` bounds the levels
+    expanded in total, so it bounds the length of the path.  The goal
+    side of the path is rebuilt from its terms: from each term, the first
+    step in `find_matches` order back to the term that reached it from
+    the goal, at one `find_matches` call per step.
 
     `equivalent` implies genuine equivalence in the presented bicategory;
     a negative result is only "unknown within the budget", even when the
@@ -535,27 +546,48 @@ def equivalent_bounded(t1, t2, p: Presentation, depth: int = 6,
     start, goal = canonical(t1), canonical(t2)
     if start == goal:
         return SearchResult(True, (), 0, "found")
-    frontier = [(start, ())]
-    seen = {start}
+    # per end: its frontier, and its seen dict, term -> (parent term, step
+    # from the parent) or None at the end itself
+    frontiers, seen = [[start], [goal]], ({start: None}, {goal: None})
     expanded = 0
     for _ in range(depth):
+        side = int(len(frontiers[1]) < len(frontiers[0]))
+        own, other = seen[side], seen[1 - side]
         nxt = []
-        for term, trail in frontier:
+        for term in frontiers[side]:
             expanded += 1
             for step in find_matches(term, p):
                 # add, then compare sizes: each result is hashed once (a
                 # node caches its hash, so only the spliced path is new)
-                res, size = step.result, len(seen)
-                seen.add(res)
-                if len(seen) == size:
+                res, size = step.result, len(own)
+                own.setdefault(res, (term, step))
+                if len(own) == size:
                     continue
-                new_trail = trail + (step,)
-                if res == goal:
-                    return SearchResult(True, new_trail, expanded, "found")
-                if len(seen) > max_visited:
+                if res in other:
+                    return SearchResult(True, _trail(res, seen, p), expanded,
+                                        "found")
+                if len(own) + len(other) > max_visited:
                     return SearchResult(False, (), expanded, "budget")
-                nxt.append((res, new_trail))
-        frontier = nxt
-        if not frontier:
+                nxt.append(res)
+        frontiers[side] = nxt
+        if not nxt:
             return SearchResult(False, (), expanded, "exhausted")
     return SearchResult(False, (), expanded, "depth")
+
+
+def _trail(meet, seen, p):
+    """The steps from the start through `meet` to the goal: the start's
+    links as they were taken, then, for each goal-side link, the first
+    step from its term whose result is the term that reached it."""
+    steps, term = [], meet
+    while seen[0][term] is not None:
+        term, step = seen[0][term]
+        steps.append(step)
+    steps.reverse()
+    term = meet
+    while seen[1][term] is not None:
+        parent = seen[1][term][0]
+        steps.append(next(s for s in find_matches(term, p)
+                          if s.result == parent))
+        term = parent
+    return tuple(steps)

@@ -188,6 +188,21 @@ def test_equivalent_bounded_stop_reason(uno, monkeypatch, g, depth,
     assert (res.nodes_expanded == 0) == (depth == 0)
 
 
+def test_max_visited_counts_terms_from_both_ends(uno):
+    """The goal counts against `max_visited` as the start does: a budget
+    that holds the start and its first level but not the goal as well
+    stops that level on `budget`; one more term lets it end on `depth`."""
+    from bordcalc import standard_terms as st
+    start, goal = st.genus(uno, 1), st.genus(uno, 2)
+    level = {s.result for s in pr.find_matches(start, uno)}
+    level.discard(pr.canonical(start))
+    for max_visited, stop in ((len(level) + 1, "budget"),
+                              (len(level) + 2, "depth")):
+        res = pr.equivalent_bounded(start, goal, uno, depth=1,
+                                    max_visited=max_visited)
+        assert res.stop == stop and res.nodes_expanded == 1
+
+
 def test_equivalent_bounded_found_counts_expansions(uno):
     rel = uno.relation("cusp-inversion-pt-strip")
     res = pr.equivalent_bounded(rel.lhs, rel.rhs, uno, depth=1)
