@@ -6,10 +6,14 @@ coefficient} without zeros: a `FrobAlgebra` is built from sparse maps and
 holds each structure map once, as a sparse table, all arithmetic and
 elimination runs on sparse vectors, and dense tuples are only the
 reported results (`TwoCellValue.matrix`, the separability witness and
-certificate, `center`, `Cocenter`, `CircleMaps` and `closed_value`).  The
-checkers verify associativity, the Frobenius
-data (a central copairing and a functional with the reproducing
-normalization), symmetry (trace-likeness / bicentrality) and
+certificate, `center`, `Cocenter`, `CircleMaps` and `closed_value`).
+Integral constants are held as `int`, so the tables, the checks, the
+local maps and the evaluator's state of an integral algebra are integer
+arithmetic; `Fraction` appears where `rref` divides and in every entry of
+a reported result, and mixed `int`/`Fraction` arithmetic keeps a rational
+algebra exact on the same code.  The checkers verify associativity, the
+Frobenius data (a central copairing and a functional with the
+reproducing normalization), symmetry (trace-likeness / bicentrality) and
 separability (existence of a central element with multiplication one,
 decided by an exact linear system); each failing check names its first
 failing witness in loop order.  `evaluate` runs a two-cell term as a
@@ -25,6 +29,7 @@ copairing or multiply, cusps multiply by the cusp factor).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -105,7 +110,7 @@ def rref(rows: List[dict], n: int,
             if rhs is not None and rhs[i]:
                 r[n] = rhs[i]
             if block:
-                r[n + 1 + i] = Q(1)
+                r[n + 1 + i] = 1
             aug.append(r)
             for k in r:
                 if k < n:
@@ -128,7 +133,8 @@ def rref(rows: List[dict], n: int,
                     holders[k].remove(p)
                     holders[k].add(r)
             aug[r], aug[p] = aug[p], aug[r]
-            pv = aug[r][c]
+            # a Fraction divisor: int / int would be a float
+            pv = Q(aug[r][c])
             prow = aug[r] = {k: x / pv for k, x in aug[r].items()}
             for i in [i for i in holders[c] if i != r]:
                 f = aug[i][c]
@@ -155,7 +161,8 @@ def rref(rows: List[dict], n: int,
     if any(aug[len(pivots):]):
         aug, _ = eliminate(True)
         row = next(r for r in aug[len(pivots):] if n in r)
-        cert = {k - n - 1: x / row[n] for k, x in row.items() if k > n}
+        y = Q(row[n])
+        cert = {k - n - 1: x / y for k, x in row.items() if k > n}
         return Elimination(tuple(pivots), nullspace, None, cert)
     sol = {c: aug[i][n] for i, c in enumerate(pivots) if n in aug[i]}
     return Elimination(tuple(pivots), nullspace, sol, None)
@@ -165,9 +172,16 @@ def rref(rows: List[dict], n: int,
 # algebras
 # ---------------------------------------------------------------------------
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    c = Q(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _terms(v):
-    """The nonzero (k, c) of the sparse map v {k: c}, ascending in k."""
-    return tuple((k, Q(c)) for k, c in sorted(v.items()) if c)
+    """The nonzero (k, c) of the sparse map v {k: c}, ascending in k, each
+    c exact."""
+    return tuple((k, _exact(c)) for k, c in sorted(v.items()) if c)
 
 
 @dataclass(frozen=True, init=False)
@@ -181,7 +195,8 @@ class FrobAlgebra:
     (x) basis_j in the copairing; `star`, an optional involutive
     anti-automorphism, maps i to star(basis_i) as {k: c}.
 
-    Each field holds its table once, zeros dropped and indices ascending:
+    Each field holds its table once, zeros dropped and indices ascending,
+    each coefficient an int when it is integral and a Fraction otherwise:
     rows[i][j] lists the (k, c) of basis_i . basis_j, `one` is the unit
     and `lam` the functional as {k: c} (None without one), `pairs` lists
     the (c, i, j) of the copairing (None without one) and stars[i] the
@@ -207,7 +222,7 @@ class FrobAlgebra:
                 one=dict(_terms(unit)),
                 lam=None if lam is None else dict(_terms(lam)),
                 pairs=None if e is None else tuple(
-                    (Q(c), i, j) for (i, j), c in sorted(e.items()) if c),
+                    (_exact(c), i, j) for (i, j), c in sorted(e.items()) if c),
                 stars=None if star is None else tuple(
                     _terms(star.get(i, {})) for i in range(dim)),
                 basis_names=basis_names).items():
@@ -520,7 +535,8 @@ def circle_maps(A: FrobAlgebra) -> CircleMaps:
     v_cols = []
     for z in zb:
         w = _prod(A, hinv, z) if hinv is not None else z
-        v_cols.append(tuple(sum(r.get(k, 0) * c for k, c in w.items())
+        # a zero image sums nothing: start from Q(0), not the int 0
+        v_cols.append(tuple(sum((r.get(k, 0) * c for k, c in w.items()), Q(0))
                             for r in project))
     inverse = (len(zb) == len(free) and _inverse_columns(u_cols, v_cols)
                and _inverse_columns(v_cols, u_cols))
@@ -561,20 +577,20 @@ def _fission(A, f, v):
 #: same order, so the components are taken in arc order.
 _LOCAL = {
     # births insert the unit, deaths apply the functional
-    ("cap", 0, 1): lambda A, f: [(Q(1), (A.one,))],
+    ("cap", 0, 1): lambda A, f: [(1, (A.one,))],
     ("cup", 1, 0): lambda A, f, v: [(_lam(A, v), ())],
-    ("cusp", 1, 1): lambda A, f, v: [(Q(1), (_prod(A, v, f),))],
+    ("cusp", 1, 1): lambda A, f, v: [(1, (_prod(A, v, f),))],
     ("split", 2, 2): _reroute,
     ("merge", 2, 2): _reroute,
     # two components fuse into one
-    ("merge", 2, 1): lambda A, f, u, v: [(Q(1), (_prod(A, u, v),))],
+    ("merge", 2, 1): lambda A, f, u, v: [(1, (_prod(A, u, v),))],
     ("split", 2, 1): lambda A, f, u, v: [
         (c, (_prod(A, _prod(A, _prod(A, u, {i: 1}), v), {j: 1}),))
         for c, i, j in _copairing(A)],
     ("split", 1, 2): _fission,
     ("merge", 1, 2): _fission,
     # non-orientable surgery: same component before and after
-    ("merge", 1, 1): lambda A, f, v: [(Q(1), (_star(A, v),))],
+    ("merge", 1, 1): lambda A, f, v: [(1, (_star(A, v),))],
     ("split", 1, 1): lambda A, f, v: [
         (c, (_prod(A, _prod(A, {i: 1}, _star(A, v)), {j: 1}),))
         for c, i, j in _copairing(A)],
@@ -594,18 +610,19 @@ class Assignment:
 
     def local(self, op, idx):
         """Sparse image [(basis indices, coefficient)] of the basis tensor
-        idx under the local map op, computed once per assignment."""
+        idx under the local map op, computed once per assignment; an
+        integral coefficient is stored as an int."""
         key = (op, idx)
         if key not in self._local:
             out = []
             for c, pure in _LOCAL[op](self.algebra, self.cusp_factor,
-                                      *({i: Q(1)} for i in idx)):
+                                      *({i: 1} for i in idx)):
                 terms = [((), c)]
                 for v in pure:
                     terms = [(t + (i,), a * x) for t, a in terms
                              for i, x in v.items()]
                 out += terms
-            self._local[key] = list(_acc(out).items())
+            self._local[key] = [(t, _exact(c)) for t, c in _acc(out).items()]
         return self._local[key]
 
 
@@ -667,7 +684,8 @@ class _EvalListener(ComponentListener):
     """Every source column in one walk, on a merged sparse state.
 
     `slots` lists the ids of the live components; `state` maps (source
-    column, basis index of each slot) to a nonzero coefficient.  A
+    column, basis index of each slot) to a nonzero coefficient, seeded
+    with the int 1, so it stays int while the local maps are.  A
     rerouting event keeps the ids; a generator event maps the basis
     indices of the slots it consumes through its `_LOCAL` map and appends
     the slots it produces, and entries with equal keys are summed.
@@ -685,7 +703,7 @@ class _EvalListener(ComponentListener):
         self.slots = comp_order(state, self.comp)
         self.sources = len(self.slots)
         basis = itertools.product(range(self.A.dim), repeat=self.sources)
-        self.state = {(col, idx): Q(1) for col, idx in enumerate(basis)}
+        self.state = {(col, idx): 1 for col, idx in enumerate(basis)}
 
     def apply(self, op, consumed, produced):
         """Replace the slots `consumed` by `produced` through local map op."""
@@ -811,7 +829,15 @@ BUILTIN_ALGEBRAS = {
 }
 
 
+#: an `.alg` coefficient: an integer or p/q, and nothing else that
+#: `Fraction` would read (decimals, underscores, exponents: `1e999999999`
+#: would build a billion-digit integer before any check)
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def parse_rational(text: str) -> Fraction:
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError("invalid rational %r" % text)
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -20,11 +20,12 @@ Q = Fraction
 def dense(A):
     """The dense view the loops below read: mult[i][j][k], unit[k],
     lam[k], e[i][j] and star[i][k] of the algebra A (None where A has no
-    functional, copairing or star), with its name, dim and labels."""
+    functional, copairing or star), with its name, dim and labels.  Every
+    entry is a Fraction, whether A holds it as an int or not."""
     n = range(A.dim)
 
     def vec(terms):
-        return tuple(dict(terms).get(k, Q(0)) for k in n)
+        return tuple(Q(dict(terms).get(k, 0)) for k in n)
 
     e = {} if A.pairs is None else {(i, j): c for c, i, j in A.pairs}
     return SimpleNamespace(
@@ -33,7 +34,7 @@ def dense(A):
         unit=vec(A.one.items()),
         lam=None if A.lam is None else vec(A.lam.items()),
         e=None if A.pairs is None else tuple(
-            tuple(e.get((i, j), Q(0)) for j in n) for i in n),
+            tuple(Q(e.get((i, j), 0)) for j in n) for i in n),
         star=None if A.stars is None else tuple(vec(s) for s in A.stars))
 
 

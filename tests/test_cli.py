@@ -268,6 +268,17 @@ def test_eval_verify_algebra_with_a_repeated_index(tmp_path, capsys, command):
     assert "duplicate index 1" in err
 
 
+def test_verify_refuses_an_exponent_coefficient_at_once(tmp_path, capsys):
+    alg = tmp_path / "exponent.alg"
+    alg.write_text("dim 1\nmult 1 1 -> 1:1\nunit 1:1e999999999\n",
+                   encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--algebra", str(alg)], capsys)
+    assert time.perf_counter() - start < 1.0
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert "line 3: invalid rational '1e999999999'" in err
+
+
 def test_verify_algebra_with_a_dim_beyond_its_rows(tmp_path, capsys):
     from tests.test_frobenius import HUGE_DIM
     alg = tmp_path / "huge.alg"

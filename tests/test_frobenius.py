@@ -415,6 +415,26 @@ def test_reference_genus_terms(ori):
                               fr.TwoCellValue)
 
 
+#: Q with lambda(1) = 1/2 and the copairing 2 (1 (x) 1): symmetric and
+#: separable, with a rational functional and handle element H = 2, so the
+#: genus-g surface is lambda(H^g) = 2^(g-1)
+HALF_ALG = "dim 1\nmult 1 1 -> 1:1\nunit 1:1\nlambda 1:1/2\ne 1,1:2\n"
+
+
+def test_rational_algebra_through_standard_assignment(ori):
+    # the one rational algebra that reaches `standard_assignment`: every
+    # built-in algebra is integral, and the perturbation corpus builds its
+    # assignments directly
+    A = fr.parse_algebra_file(HALF_ALG, name="Qhalf")
+    asg = fr.standard_assignment(A, ori)
+    for g in range(7):
+        v = _assert_same(stt.genus(ori, g), asg)
+        assert v.is_scalar and v.scalar == fr.closed_value(A, g) \
+            == Q(2) ** (g - 1), g
+        assert isinstance(v.scalar, Q), g
+    assert fr.verify_presentation(A, ori).ok
+
+
 def _perturbed_algebras(per_algebra):
     """The first `per_algebra` perturbations of each built-in algebra in
     the reference corpus that are associative and unital."""
@@ -670,6 +690,12 @@ def test_algebra_file_errors():
          "line 4: duplicate mult 1 2"),
         ("dim 2\nunit 1:1\nstar 1 -> 1:1\nstar 2 -> 2:1\nstar 1 -> 2:1",
          "line 5: duplicate star 1"),
+        # a coefficient is an integer or p/q: Fraction would also read
+        # these, and 10**999999999 before any check
+        ("dim 2\nunit 1:1e999999999", "line 2: invalid rational "
+         "'1e999999999'"),
+        ("dim 2\nunit 1:1\nlambda 1:0.5", "line 3: invalid rational '0.5'"),
+        ("dim 2\nunit 1:1\ne 1,1:1_0", "line 3: invalid rational '1_0'"),
     ]:
         with pytest.raises(fr.AlgebraError) as exc:
             fr.parse_algebra_file(text)

@@ -5,9 +5,11 @@ witnesses) and the separability system are compared with
 `tests/reference_frobenius.py` on every built-in algebra and on seeded
 one-entry perturbations of each; every separability witness and
 certificate is checked by its defining equations, and `rref` is compared
-with the row-scanning elimination on seeded random systems.  On the same
-corpus, the oriented relations decide the algebra: they all hold exactly
-when the algebra is separable symmetric Frobenius.
+with the row-scanning elimination on seeded random systems, as drawn and
+with int entries.  Every reported value on the corpus is a Fraction,
+though the tables of an integral algebra hold ints.  On the same corpus,
+the oriented relations decide the algebra: they all hold exactly when the
+algebra is separable symmetric Frobenius.
 """
 
 import hashlib
@@ -160,16 +162,63 @@ def _random_system(rng):
     return rows, n, rhs
 
 
+def _all_fractions(values):
+    return all(isinstance(x, Q) for x in values)
+
+
 def test_rref_matches_the_row_scanning_elimination():
+    """Each seeded system is solved twice: as drawn, and with every entry
+    an int, as an integral algebra's tables hold it.  rref divides by a
+    Fraction, so no float reaches its results either way."""
     rng = random.Random(17)
     outcomes = set()
     for _ in range(600):
         rows, n, rhs = _random_system(rng)
-        elim = fr.rref(rows, n, rhs)
-        assert (elim.pivots, elim.nullspace, elim.solution,
-                elim.certificate) == ref.rref(rows, n, rhs), (rows, rhs)
+        expected = ref.rref(rows, n, rhs)
+        ints = ([{c: int(x) for c, x in r.items()} for r in rows],
+                None if rhs is None else [int(b) for b in rhs])
+        for rows_, rhs_ in ((rows, rhs), ints):
+            elim = fr.rref(rows_, n, rhs_)
+            assert (elim.pivots, elim.nullspace, elim.solution,
+                    elim.certificate) == expected, (rows_, rhs_)
+            assert _all_fractions(x for v in elim.nullspace + [
+                elim.solution or {}, elim.certificate or {}]
+                for x in v.values()), (rows_, rhs_)
         outcomes.add(elim.solution is not None)
     assert outcomes == {True, False}
+
+
+def test_reported_values_are_fractions():
+    """The tables of an integral algebra hold ints, but every value
+    `frobenius` reports is a Fraction: the separability witness and
+    certificate, center, cocenter, circle maps, closed values and
+    evaluated matrices, on every algebra of the corpus."""
+    ori = pr.bord2_oriented()
+    circles = evaluated = 0
+    for label, A in CORPUS:
+        res, cc = fr.check_separable(A), fr.cocenter(A)
+        reported = [res.witness or (), (res.certificate or (),),
+                    fr.center(A), cc.reps, cc.project]
+        if A.pairs is not None:
+            try:
+                cm = fr.circle_maps(A)
+            except fr.AlgebraError:
+                pass    # a perturbed algebra's u may leave the center
+            else:
+                circles += 1
+                reported += [cm.center_basis, cm.u, cm.v, cm.cocenter.reps,
+                             cm.cocenter.project]
+            if A.lam is not None:
+                reported.append([[fr.closed_value(A, g) for g in range(4)]])
+        if fr.check_algebra(A).ok and A.lam is not None and A.pairs:
+            asg = fr.Assignment(A, ori, cusp_factor=A.one)
+            for rel in ori.relations:
+                reported += [fr.evaluate(rel.lhs, asg).matrix,
+                             fr.evaluate(rel.rhs, asg).matrix]
+                evaluated += 2
+        assert _all_fractions(x for rows in reported for row in rows
+                              for x in row), label
+    assert circles >= len(fr.BUILTIN_ALGEBRAS) and evaluated > 0
 
 
 def matrix_algebra(m):
