@@ -844,9 +844,22 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError("zero denominator in %r" % text) from None
 
 
+#: an `.alg` dimension or 1-based index: an integer in ASCII digits, as
+#: in `_RATIONAL`; `int` would also read underscores and other scripts'
+#: digits (`1_0`, the Arabic-Indic `٢`), so a file could read differently
+#: from how it looks
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
+
+
+def _integer(tok, what):
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError("invalid %s %r" % (what, tok))
+    return int(tok)
+
+
 def _index(tok, dim):
     """The 0-based position of a 1-based `.alg` index, range-checked."""
-    k = int(tok)
+    k = _integer(tok, "index")
     if not 1 <= k <= dim:
         raise ValueError("index %d out of range 1..%d" % (k, dim))
     return k - 1
@@ -904,7 +917,7 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
             if key in ("dim", "unit", "lambda", "e"):
                 _once(seen, key)
             if key == "dim":
-                dim = int(parts[1])
+                dim = _integer(parts[1], "dim")
                 if dim < 1:
                     raise ValueError("dim must be at least 1")
             elif key == "mult":

@@ -25,7 +25,8 @@ carry.  `vcompose`, `hcompose` and `validate` all ask it.  `validate`
 checks each node's names and admissibility on its own, reporting every
 violation, then walks the boundary once from the root, reporting the
 first composability failure in movie order.  A small DSL (`parse_*` /
-`print_*`) gives a textual form with a parse/print round-trip guarantee.
+`print_*`) gives a textual form with a parse/print round-trip guarantee;
+one parse reads each repeated parenthesised subterm once, into one node.
 
 A node caches its hash the first time it is hashed, in its instance
 ``__dict__`` and not as a field, so equality, printing and ``repr`` are
@@ -40,6 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from functools import cache
+from itertools import accumulate, repeat
 from typing import Optional, Sequence, Tuple, Union, get_args
 
 
@@ -995,15 +997,25 @@ def _validate_leaf(p, data, report, path):
         report.add(path, "not a 2-cell leaf: %r" % (p,))
 
 
-def _check_names(p, data, report, path):
+def _check_names(p, data, report, path, seen):
     """`_validate_leaf` of every node in `subterms` order, but of no node
-    under one already validated under `data`."""
+    under one already validated under `data`.  A parse shares repeated
+    subterms, so a composite can be met again at another path: `seen`
+    holds the id of each composite this pass has entered, and one met
+    again is skipped while the pass has found nothing, since it was found
+    clean; once the report has an entry, each is checked again and so
+    reported at every path."""
     memo = getattr(p, "_walked", None)
     if memo is not None and memo[0] is data:
         return
+    ps = parts(p)
+    if ps:
+        if id(p) in seen and not report.entries:
+            return
+        seen.add(id(p))
     _validate_leaf(p, data, report, path)
-    for step, c in parts(p):
-        _check_names(c, data, report, path + (step,))
+    for step, c in ps:
+        _check_names(c, data, report, path + (step,), seen)
 
 
 def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
@@ -1016,10 +1028,14 @@ def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
     composite or a structural leaf's own sentences.  The walk records the
     tape `_diagram.run_movie` plays.  A node validated under `data` before
     is not walked again under it (see `_walk`): neither pass enters it, and
-    its tape is replayed from its leaves' memos.
+    its tape is replayed from its leaves' memos.  So a node that occurs at
+    several paths of `term`, as equal parenthesised subterms of one parsed
+    text do, is walked once and replayed at its other paths; the names
+    pass checks it once unless it finds a violation, and then reports
+    each at every path (see `_check_names`).
     """
     report = ValidationReport()
-    _check_names(term, data, report, ())
+    _check_names(term, data, report, (), set())
     if report.ok:
         tape = []
         try:
@@ -1034,33 +1050,43 @@ def validate(term: TwoCellTerm, data: GeneratingData) -> ValidationReport:
 # DSL lexer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<TENSOR>\(\*\)|⊗)
-  | (?P<LPAR>\()
-  | (?P<RPAR>\))
-  | (?P<LBRACK>\[)
-  | (?P<RBRACK>\])
-  | (?P<COMMA>,)
-  | (?P<SEMI>;)
-  | (?P<DOT>\.)
-  | (?P<HASH>\#)
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_'+-]*|\d+)
-  | (?P<WS>\s+)
-""", re.VERBOSE)
+#: one token per match; `split` leaves the text between tokens, which
+#: must be whitespace
+_TOKEN_RE = re.compile(
+    r"(\(\*\)|⊗|[()\[\],;.#]|[A-Za-z_][A-Za-z0-9_'+-]*|\d+)")
+
+#: token text -> kind; every other token is a NAME
+_KINDS = {"(*)": "TENSOR", "⊗": "TENSOR", "(": "LPAR", ")": "RPAR",
+          "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI",
+          ".": "DOT", "#": "HASH"}
 
 
 def _lex(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        if m.lastgroup != "WS":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    """The (kind, text, position) tokens of `text`, ending in EOF, and a
+    list `close` that holds at the index of each '(' the index of the ')'
+    that closes it (0 at every other token, and at a '(' never closed).
+    Whitespace separates tokens; any other character no token matches is
+    a `ParseError` at its position."""
+    pieces = _TOKEN_RE.split(text)  # gap, token, gap, ..., token, gap
+    starts = list(accumulate(map(len, pieces), initial=0))
+    if "".join(pieces[::2]).strip():
+        for gap, start in zip(pieces[::2], starts[::2]):
+            rest = gap.lstrip()
+            if rest:
+                raise ParseError("unexpected character %r" % rest[0],
+                                 start + len(gap) - len(rest))
+    words = pieces[1::2]
+    tokens = list(zip(map(_KINDS.get, words, repeat("NAME")), words,
+                      starts[1::2]))
     tokens.append(("EOF", "", len(text)))
-    return tokens
+    close = [0] * len(tokens)
+    opened = []
+    for i, word in enumerate(words):
+        if word == "(":
+            opened.append(i)
+        elif word == ")" and opened:
+            close[opened.pop()] = i
+    return tokens, close
 
 
 class _Level:
@@ -1074,7 +1100,7 @@ class _Level:
         self.classes = set(get_args(union))
         syntax = [(c, t) for c, t in _SYNTAX.items() if c in self.classes]
         self.keyword = next(t for _, t in syntax if t.isidentifier())
-        self.infix = {_lex(t)[0][0]: c for c, t in syntax
+        self.infix = {_KINDS[t]: c for c, t in syntax
                       if not t.isidentifier()}
         self.chain = VComp in self.classes
         # the tensor token has two spellings, so messages name its kind
@@ -1089,9 +1115,20 @@ _TWO_CELL = _Level("2-cell", TwoCellTerm, Gen2, Inv2)
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text.
+
+    A term in parentheses whose text this parser has read before at the
+    same level is not read again: `spans` maps (level, text of the span)
+    to the node read there, and the parser returns that node and skips to
+    the span's ')'.  Equal parenthesised subterms of one text are one
+    object; the table lives as long as the parser, one `parse_*` call, so
+    no node is shared between two calls."""
+
     def __init__(self, text):
-        self.tokens = _lex(text)
+        self.text = text
+        self.tokens, self.close = _lex(text)
         self.i = 0
+        self.spans = {}
 
     def peek(self):
         return self.tokens[self.i]
@@ -1167,20 +1204,32 @@ class _Parser:
             raise ParseError("reserved name %r in %s position"
                              % (text, level.name), pos)
         if kind == "LPAR":
+            # a term read from '(' ends at the ')' that closes it, so a
+            # span of equal text is the same tokens and reads to an equal
+            # node; an unclosed '(' (close 0) keys no text a read span has
+            end = self.close[self.i - 1]
+            key = (level, self.text[pos:self.tokens[end][2] + 1])
+            node = self.spans.get(key)
+            if node is not None:
+                self.i = end + 1
+                return node
             children = [self.term(level)]
             kind, text, pos = self.next()
             cls = level.infix.get(kind)
             if cls is None:
-                if kind == "RPAR" and level.chain:  # unary chain ( P )
-                    return VComp(tuple(children))
-                raise ParseError("expected %s, got %r"
-                                 % (level.expected, text), pos)
-            children.append(self.term(level))
-            while cls is VComp and self.peek()[0] == kind:
-                self.next()
+                if kind != "RPAR" or not level.chain:
+                    raise ParseError("expected %s, got %r"
+                                     % (level.expected, text), pos)
+                node = VComp(tuple(children))  # unary chain ( P )
+            else:
                 children.append(self.term(level))
-            self.expect("RPAR")
-            return _assemble(cls, children)
+                while cls is VComp and self.peek()[0] == kind:
+                    self.next()
+                    children.append(self.term(level))
+                self.expect("RPAR")
+                node = _assemble(cls, children)
+            self.spans[key] = node
+            return node
         raise ParseError("expected %s term, got %r" % (level.name, text), pos)
 
 

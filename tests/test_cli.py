@@ -268,6 +268,20 @@ def test_eval_verify_algebra_with_a_repeated_index(tmp_path, capsys, command):
     assert "duplicate index 1" in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("dim 4", "dim 0_4", "line 2: invalid dim '0_4'"),
+    ("mult 1 2 ->", "mult 1 ٢ ->", "line 4: invalid index '٢'"),
+])
+def test_verify_refuses_an_index_not_in_ascii_digits(tmp_path, capsys, old,
+                                                     new, message):
+    alg = tmp_path / "digits.alg"
+    alg.write_text((DEMOS / "algebras/m2q.alg").read_text(encoding="utf-8")
+                   .replace(old, new), encoding="utf-8")
+    code, out, err = run(["verify", "--algebra", str(alg)], capsys)
+    _one_line_error(code, out, err, cli.EXIT_USAGE)
+    assert message in err
+
+
 def test_verify_refuses_an_exponent_coefficient_at_once(tmp_path, capsys):
     alg = tmp_path / "exponent.alg"
     alg.write_text("dim 1\nmult 1 1 -> 1:1\nunit 1:1e999999999\n",

@@ -696,6 +696,17 @@ def test_algebra_file_errors():
          "'1e999999999'"),
         ("dim 2\nunit 1:1\nlambda 1:0.5", "line 3: invalid rational '0.5'"),
         ("dim 2\nunit 1:1\ne 1,1:1_0", "line 3: invalid rational '1_0'"),
+        # so are dim and every index: int would read 1_0 as 10 and the
+        # Arabic-Indic digit two as 2
+        ("dim 1_0\nunit 1:1", "line 1: invalid dim '1_0'"),
+        ("dim ٢\nunit 1:1", "line 1: invalid dim '٢'"),
+        ("dim 2\nmult ٢ ٢ -> 2:1\nunit 1:1", "line 2: invalid index '٢'"),
+        ("dim 2\nmult 1 1_0 -> 1:1\nunit 1:1",
+         "line 2: invalid index '1_0'"),
+        ("dim 2\nunit ١:1", "line 2: invalid index '١'"),
+        ("dim 2\nunit 1:1\nlambda 0x1:1", "line 3: invalid index '0x1'"),
+        ("dim 2\nunit 1:1\ne 1,٢:1", "line 3: invalid index '٢'"),
+        ("dim 2\nunit 1:1\nstar ２ -> 1:1", "line 3: invalid index '２'"),
     ]:
         with pytest.raises(fr.AlgebraError) as exc:
             fr.parse_algebra_file(text)

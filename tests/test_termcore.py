@@ -319,13 +319,45 @@ def test_parse_error_positions():
     ("inv(cap)", "reserved name 'inv' in 2-cell position (at position 0)"),
     ("phi[ev,ev,ev,ev]", "expected LPAR, got 'ev' (at position 4)"),
     ("cap cup", "trailing input (at position 4)"),
+    ("(cap @ cup)", "unexpected character '@' (at position 5)"),
+    ("(cap .\xa0cup\xff)", "unexpected character '\xff' (at position 10)"),
+    ("(cap (* cup)", "unexpected character '*' (at position 6)"),
+    ("(cap .\u200bcup)", "unexpected character '\\u200b' (at position 6)"),
+    ("(cap . cup", "expected RPAR, got '' (at position 10)"),
+    ("id[(ev ⊗ ⊗ coev)]",
+     "expected morphism term, got '⊗' (at position 9)"),
 ], ids=["semi-in-2-cell", "missing-operand", "dot-in-morphism",
         "missing-morphism", "1-symbol-as-2-cell", "inv2-as-morphism",
-        "inv-as-2-cell", "ungrouped-phi", "trailing"])
+        "inv-as-2-cell", "ungrouped-phi", "trailing", "stray-at",
+        "stray-xff", "half-tensor", "zero-width-space", "unclosed",
+        "doubled-tensor"])
 def test_parse_error_messages(text, message):
     with pytest.raises(tc.ParseError) as exc:
         tc.parse_two_cell(text)
     assert str(exc.value) == message
+
+
+def test_lexer_separators_and_tensor_spellings():
+    # any Unicode whitespace separates tokens, none is needed around
+    # punctuation, and the tensor is spelt (*) or ⊗ at both levels
+    plain = tc.parse_two_cell("(id[(ev (*) coev)] # (cap (*) cup))")
+    for text in ["(id[(ev ⊗ coev)] # (cap ⊗ cup))",
+                 "(id[(ev⊗coev)]#(cap(*)cup))",
+                 "\u3000(id[(ev\xa0⊗\u2003coev)]\n#\t(cap ⊗ cup))\u2003"]:
+        assert tc.parse_two_cell(text) == plain
+    assert str(plain) == "(id[(ev (*) coev)] # (cap (*) cup))"
+    assert tc.parse_object_word("(pt⊗(pt (*) 1))") == ObjTensor(
+        P, ObjTensor(P, UNIT))
+
+
+def test_a_non_ascii_digit_is_a_name_that_validation_refuses(uno):
+    # a run of digits of any script lexes as one name, as the word "1"
+    # does; no generator has such a name, so validation refuses it
+    assert tc.parse_two_cell("\u0662") == Gen2("\u0662")
+    assert tc.parse_two_cell("(cap . 1\u0662)") == tc.VComp(
+        (Gen2("cap"), Gen2("1\u0662")))
+    report = tc.validate(tc.parse_two_cell("(cap . \u0662)"), uno.data)
+    assert str(report) == "1: unknown 2-generator '\u0662'"
 
 
 def test_parse_unary_chain_and_adjoint_of_a_composite():

@@ -5,7 +5,7 @@ structural leaves, nested mismatches, an unknown generator) and, on both
 presentations, every one-leaf mutation of `build.random_term` seeds
 0..39: each 2-generator leaf in turn is renamed to the next generator in
 sorted order.  For every term the transcript holds a header line and the
-printed report.
+printed report, which the term's printed form, parsed, must also give.
 """
 
 import pathlib
@@ -58,7 +58,11 @@ def _transcript():
                              % (p.name, seed,
                                 "/".join(map(str, path)) or "<root>",
                                 old, new))
-                lines.append(str(tc.validate(mutated, p.data)))
+                report = str(tc.validate(mutated, p.data))
+                # a parse of the printed term reads the same report
+                assert str(tc.validate(tc.parse_two_cell(str(mutated)),
+                                       p.data)) == report
+                lines.append(report)
     return "\n".join(lines) + "\n"
 
 
