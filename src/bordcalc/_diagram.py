@@ -16,8 +16,9 @@ shared strand bookkeeping.  A leaf's arcs follow from the generating
 data (`leaf_arc_spec`) and an event's wiring from its 2-leaf alone, so
 each leaf is compiled once per datum into ``data.shapes`` (a 1-leaf to
 its arcs, a 2-leaf to a `Shape`), under a copy of the leaf; the table is
-emptied at `SHAPES_LIMIT`.  An event splices its shape's target in at
-fresh arc ids, and the listeners read the shape's pieces and transfer
+emptied at `SHAPES_LIMIT`.  An event builds the node it splices in on
+its shape's skeleton, at fresh arc ids, and leaves the sentences above
+stale until read; the listeners read the shape's pieces and transfer
 through the event's arcs.  A structural cell continues old arcs by its
 formula's strand map (`termcore.strand_paths`), a generator cell only
 those at its boundary points.  `ComponentListener` keeps the component
@@ -76,15 +77,39 @@ class ArcDiagram:
         return other
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class LiveNode:
-    """Mirror of the current sentence tree; leaves carry their arc ids."""
+    """A node of the live sentence tree.  A composite keeps its `children`
+    (in `termcore.parts` order); a splice below leaves its `sentence`
+    stale until read, and its `ports` are derived on each read.  A leaf
+    keeps its arc range and `wiring`, and its ports once derived."""
 
-    term: tc.MorphismTerm
-    children: list
-    src_ports: list
-    tgt_ports: list
-    arc_ids: list
+    _term: tc.MorphismTerm
+    children: list = ()
+    arcs: range = ()
+    wiring: tuple = None
+    stale: bool = False
+    _ports: tuple = None
+
+    def sentence(self):
+        """The node's sentence, rebuilt from its children's if stale."""
+        if self.stale:
+            self._term = tc.rebuild(self._term,
+                                    [c.sentence() for c in self.children])
+            self.stale = False
+        return self._term
+
+    def ports(self):
+        """(source ends, target ends) of the node, in boundary order."""
+        if self.children:
+            a, b = self.children
+            return _meet(type(self._term), a.ports(), b.ports())[:2]
+        if self._ports is None:
+            (ns, nt, arcspec), k0 = self.wiring, self.arcs.start
+            self._ports = ports = [None] * ns, [None] * nt
+            for k, ((s0, i0), (s1, i1)) in enumerate(arcspec, k0):
+                ports[s0 == "t"][i0], ports[s1 == "t"][i1] = (k, 0), (k, 1)
+        return self._ports
 
 
 def leaf_arc_spec(leaf, data):
@@ -122,39 +147,33 @@ _CHILD = {step: i for _, over in tc.LIFT.values()
           for i, steps in enumerate(over.items()) for step in steps}
 
 
-def _ports(cls, children):
-    """(sources, targets, (ends, starts) meeting pairwise) of a live `cls`
-    node over its `parts`: ``(f ; g)`` joins f's targets to g's sources."""
-    a, b = children
+def _meet(cls, a, b):
+    """(sources, targets, (ends, starts) meeting pairwise) of a `cls` node
+    over parts with ends `a`, `b`: ``(f ; g)`` joins f's targets to g's."""
     if cls is tc.Comp1:
-        return a.src_ports, b.tgt_ports, (a.tgt_ports, b.src_ports)
-    return a.src_ports + b.src_ports, a.tgt_ports + b.tgt_ports, ((), ())
+        return a[0], b[1], (a[1], b[0])
+    return a[0] + b[0], a[1] + b[1], ((), ())
 
 
 def build_live(term, diagram, data):
-    """The live node of sentence `term` over `data`, its arcs made in
-    `diagram` and its parts' meeting ports joined; each leaf's wiring is
-    read from ``data.shapes``."""
+    """The live node of sentence `term` and its (source, target) ends, its
+    arcs made in `diagram`, meeting ends joined, wirings in ``data.shapes``."""
     cls = type(term)
     if cls in tc.LIFT:
-        children = [build_live(c, diagram, data) for _, c in tc.parts(term)]
-        src, tgt, (ends, starts) = _ports(cls, children)
+        (a, pa), (b, pb) = [build_live(c, diagram, data)
+                            for _, c in tc.parts(term)]
+        src, tgt, (ends, starts) = _meet(cls, pa, pb)
         if len(ends) != len(starts):
             raise DiagramError("composition point mismatch")
-        for a, b in zip(ends, starts):
-            diagram.join(a, b)
-        return LiveNode(term, children, src, tgt, [])
+        for x, y in zip(ends, starts):
+            diagram.join(x, y)
+        return LiveNode(term, [a, b]), (src, tgt)
     spec = data.shapes.get(term)
     if spec is None:
         spec = _keep(data.shapes, term, leaf_arc_spec(term, data))
-    ns, nt, arcspec = spec
-    src, tgt, ids = [None] * ns, [None] * nt, []
-    for p0, p1 in arcspec:
-        aid = diagram.new_arc()
-        ids.append(aid)
-        for end, (side, idx) in (((aid, 0), p0), ((aid, 1), p1)):
-            (src if side == "s" else tgt)[idx] = end
-    return LiveNode(term, [], src, tgt, ids)
+    base = diagram.new_arc(len(spec[2]))
+    node = LiveNode(term, (), range(base, base + len(spec[2])), spec)
+    return node, node.ports()
 
 
 #: entries a ``data.shapes`` table holds before it is emptied
@@ -184,11 +203,11 @@ def comp_order(state, comp):
     ending at the same sentence.
     """
     port_pos, leaf_pos = {}, {}
-    for pos, (aid, _) in enumerate(state.root.src_ports
-                                   + state.root.tgt_ports):
+    src, tgt = state.root.ports()
+    for pos, (aid, _) in enumerate(src + tgt):
         port_pos.setdefault(comp[aid], pos)
     for i, node in enumerate(_leaf_nodes(state.root)):
-        for k, aid in enumerate(node.arc_ids):
+        for k, aid in enumerate(node.arcs):
             leaf_pos.setdefault(comp[aid], (i, k))
     return sorted(leaf_pos, key=lambda c: (port_pos.get(c, 10 ** 9),
                                            leaf_pos[c]))
@@ -198,7 +217,9 @@ def _arcs(node, path=()):
     """Arc ids, in leaf order, of the subtree of `node` at sentence `path`."""
     for step in path:
         node = node.children[_CHILD[step]]
-    return [a for ln in _leaf_nodes(node) for a in ln.arc_ids]
+    if not node.children:
+        return node.arcs
+    return [a for ln in _leaf_nodes(node) for a in ln.arcs]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +230,8 @@ def _arcs(node, path=()):
 class Shape:
     """The events of one 2-leaf, in arc numbers relative to the event:
     old arcs ``0..n_old-1`` in the source's leaf order, new arcs
-    ``0..n_new-1`` in the target's, and `skeleton` the target's live node.
+    ``0..n_new-1`` in the target's, and `skeleton` the target's live tree
+    as lists of parts over each leaf's (arcs, wiring), with no terms.
 
     Ports list the source then the target boundary ends, and the i-th old
     and new port ends sit on the same boundary point; links are {end:
@@ -226,7 +248,7 @@ class Shape:
     old_links: dict
     new_links: dict
     strands: dict
-    skeleton: LiveNode
+    skeleton: object
 
     @cached_property
     def transfer(self):
@@ -309,27 +331,25 @@ def _compile(cell, source, target, data):
     """The `Shape` of 2-leaf `cell`, whose sides over `data` are the
     sentences `source` and `target`, each built on a diagram of its own."""
     old_d, new_d = ArcDiagram(), ArcDiagram()
-    old, new = build_live(source, old_d, data), build_live(target, new_d, data)
-    if (len(new.src_ports) != len(old.src_ports)
-            or len(new.tgt_ports) != len(old.tgt_ports)):
+    (old, po), (new, pn) = (build_live(source, old_d, data),
+                            build_live(target, new_d, data))
+    if len(pn[0]) != len(po[0]) or len(pn[1]) != len(po[1]):
         raise DiagramError("event does not preserve boundary points")
     strands = {a: b for o, n in tc.strand_paths(cell)
                for a, b in zip(_arcs(old, o), _arcs(new, n))}
-    return Shape(len(old_d.arcs), len(new_d.arcs),
-                 old.src_ports + old.tgt_ports, new.src_ports + new.tgt_ports,
-                 old_d.link, new_d.link, strands, new)
+    skeleton = lambda n: ([skeleton(c) for c in n.children] if n.children
+                          else (n.arcs, n.wiring))
+    return Shape(len(old_d.arcs), len(new_d.arcs), sum(po, []), sum(pn, []),
+                 old_d.link, new_d.link, strands, skeleton(new))
 
 
-def _instantiate(node, base):
-    """A copy of live node `node` with every arc id moved up by `base`."""
-    if node.children:
-        children = [_instantiate(c, base) for c in node.children]
-        src, tgt, _ = _ports(type(node.term), children)
-        return LiveNode(node.term, children, src, tgt, [])
-    return LiveNode(node.term, [],
-                    [(base + a, e) for a, e in node.src_ports],
-                    [(base + a, e) for a, e in node.tgt_ports],
-                    [base + a for a in node.arc_ids])
+def _instantiate(skeleton, term, base):
+    """The live node of sentence `term` on `skeleton`, arc ids up by `base`."""
+    if type(skeleton) is list:
+        return LiveNode(term, [_instantiate(s, c, base) for s, (_, c)
+                               in zip(skeleton, tc.parts(term))])
+    a, wiring = skeleton
+    return LiveNode(term, (), range(base + a.start, base + a.stop), wiring)
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +385,25 @@ class MovieState:
     def __init__(self, source_sentence, data):
         self.data = data
         self.diagram = ArcDiagram()
-        self.root = build_live(source_sentence, self.diagram, data)
+        self.root = build_live(source_sentence, self.diagram, data)[0]
 
     def apply_event(self, path, cell, source, target):
         node, parents = self.root, []
         for step in path:
             parents.append(node)
             node = node.children[step]
-        if node.term != source:
+        if node.sentence() != source:
             raise DiagramError(
                 "movie out of sync at %s: expected %s, found %s"
-                % ("/".join(map(str, path)) or "<root>", source, node.term))
+                % ("/".join(map(str, path)) or "<root>", source,
+                   node.sentence()))
         shape = self.data.shapes.get(cell)
         if shape is None:
-            shape = _keep(self.data.shapes, cell, _compile(
-                cell, source, tc.fresh(target), self.data))
+            shape = _keep(self.data.shapes, cell,
+                          _compile(cell, source, target, self.data))
         diagram, link = self.diagram, self.diagram.link
         old_arcs = _arcs(node)
-        outer = [diagram.unjoin(e) for e in node.src_ports + node.tgt_ports]
+        outer = [diagram.unjoin((old_arcs[a], e)) for a, e in shape.old_ports]
         for aid in old_arcs:  # the links left are the old arcs' own
             link.pop((aid, 0), None)
             link.pop((aid, 1), None)
@@ -390,17 +411,14 @@ class MovieState:
         base = diagram.new_arc(shape.n_new)
         for (a, e), (b, f) in shape.new_links.items():
             link[base + a, e] = (base + b, f)
-        new_node = _instantiate(shape.skeleton, base)
-        for end, partner in zip(new_node.src_ports + new_node.tgt_ports,
-                                outer):
+        for (b, f), partner in zip(shape.new_ports, outer):
             if partner is not None:
-                diagram.join(end, partner)
+                diagram.join((base + b, f), partner)
+        new_node = _instantiate(shape.skeleton, target, base)
         if parents:
             parents[-1].children[path[-1]] = new_node
-            for up in reversed(parents):
-                up.src_ports, up.tgt_ports, _ = _ports(type(up.term),
-                                                       up.children)
-                up.term = tc.rebuild(up.term, [c.term for c in up.children])
+            for up in parents:
+                up.stale = True
         else:
             self.root = new_node
         return Event(cell, shape, old_arcs, base)

@@ -200,7 +200,7 @@ class SurfaceInvariants:
 
 
 class _InvariantsListener(MovieListener):
-    """The invariants of every component, read off the events.
+    """The invariants of every component, read off each event's shape.
 
     Each arc is the sheet `_Builder` glues over its lifetime.  The arcs
     form a union-find with a parity bit: ``up[a] = (parent, parity)`` for
@@ -252,30 +252,30 @@ class _InvariantsListener(MovieListener):
         links = [(x, y) for x, y in d.link.items() if x < y]
         for (a, e), (b, f) in links:
             self.chi[self.union(a, b, e == f)] -= 1
-        self.source = (dict(d.link), root.src_ports + root.tgt_ports)
+        self.source = (dict(d.link), sum(root.ports(), []))
 
     def event(self, state, ev):
-        up, chi = self.up, self.chi
-        carried, caps = ev.pieces()
+        up, chi, old, base = self.up, self.chi, ev.old_arcs, ev.base
+        carried, caps = ev.shape.pieces
         for b, a in carried.items():
-            up[b] = (a, 0)
+            up[base + b] = (old[a], 0)
         for cycle in caps:
             side0, a0, d0 = cycle[0]
             if side0 == "old":
-                p0 = d0 == -1
+                a0, p0 = old[a0], d0 == -1
                 r0, q0 = self.find(a0)
             else:  # a birth: the cycle holds new arcs only
-                p0 = d0 == +1
+                a0, p0 = base + a0, d0 == +1
                 r0, q0, chi[a0] = a0, 0, 0
             disk = q0 ^ p0  # the disk's orientation against r0's
             euler, prev = 1, cycle[-1][0]
             for side, arc, direction in cycle:
                 if side == "old":
                     euler -= prev != "old"
-                    if arc != a0:
-                        self.union(arc, a0, (direction == -1) ^ p0)
-                elif arc != a0:
-                    up[arc] = (r0, disk ^ (direction == +1))
+                    if old[arc] != a0:
+                        self.union(old[arc], a0, (direction == -1) ^ p0)
+                elif base + arc != a0:
+                    up[base + arc] = (r0, disk ^ (direction == +1))
                 prev = side
             chi[r0] += euler
 
@@ -286,11 +286,10 @@ class _InvariantsListener(MovieListener):
         no event touches is in both), every end linked.  Each piece is
         one circle, counted for the root of its sheets."""
         source, ports = self.source
-        root = state.root
         link = {(2 * a + t, e): (2 * b + t, f)
                 for t, slice_link in ((0, source), (1, state.diagram.link))
                 for (a, e), (b, f) in slice_link.items()}
-        for (a, e), (b, f) in zip(ports, root.src_ports + root.tgt_ports):
+        for (a, e), (b, f) in zip(ports, sum(state.root.ports(), [])):
             link[2 * a, e], link[2 * b + 1, f] = (2 * b + 1, f), (2 * a, e)
         piece = {}
         number_pieces(link, [x for x, _ in link], piece, 0)

@@ -1,15 +1,20 @@
 """Reference movie playback: every event rebuilt from its sentences.
 
 This is the event path that compiling each 2-leaf once into a
-`_diagram.Shape` replaced, kept as the oracle for it.  Its `MovieState`
-builds each event's target on the live diagram with
-`_diagram.build_live`, reads the event's own links back off that diagram
-and walks both subtrees for the strand map.  `WalkingFollow.follow`
-transfers the component ids of a rerouting event by walking the event's
-own arcs, and `Event.pieces` traces the boundary cycles of the whole
-event in its live arc ids.  `EvalListener` is the evaluator on those
-ids, and `value` reads an evaluator listener's result.  Only tests use
-it.
+`_diagram.Shape` and splicing it into a lazy live tree replaced, kept as
+the oracle for both.  Its `LiveNode` carries its term and both port
+lists, and `_ports` derives a composite's from its children's.  Its
+`MovieState` builds the source and each event's target on the live
+diagram with its own `build_live`, reads the event's own links back off
+that diagram, walks both subtrees for the strand map and rebuilds the
+ports and term of every ancestor of the node it replaced.  It shares
+only the arc diagram, the 1-leaf wiring (`_diagram.leaf_arc_spec`) and
+the component walk with `_diagram`.  `WalkingFollow.follow` transfers
+the component ids of a rerouting event by walking the event's own arcs,
+and `Event.pieces` traces the boundary cycles of the whole event in its
+live arc ids.  `EvalListener` is the evaluator on those ids,
+`InvariantsListener` reads the surface invariants off those pieces, and
+`value` reads an evaluator listener's result.  Only tests use it.
 """
 
 from dataclasses import dataclass
@@ -17,8 +22,73 @@ from fractions import Fraction
 
 from bordcalc import _diagram as dg
 from bordcalc import frobenius as fr
+from bordcalc import surface as sf
 from bordcalc import termcore as tc
-from bordcalc._diagram import DiagramError, build_live, number_pieces
+from bordcalc._diagram import (ArcDiagram, DiagramError, leaf_arc_spec,
+                               number_pieces)
+
+
+@dataclass
+class LiveNode:
+    """Mirror of the current sentence tree; leaves carry their arc ids.
+    `sentence`, `ports` and `arcs` read it as listeners read a
+    `_diagram.LiveNode`."""
+
+    term: tc.MorphismTerm
+    children: list
+    src_ports: list
+    tgt_ports: list
+    arcs: list
+
+    def sentence(self):
+        return self.term
+
+    def ports(self):
+        return self.src_ports, self.tgt_ports
+
+
+def _ports(cls, children):
+    """(sources, targets, (ends, starts) meeting pairwise) of a live `cls`
+    node over its `parts`: ``(f ; g)`` joins f's targets to g's sources."""
+    a, b = children
+    if cls is tc.Comp1:
+        return a.src_ports, b.tgt_ports, (a.tgt_ports, b.src_ports)
+    return a.src_ports + b.src_ports, a.tgt_ports + b.tgt_ports, ((), ())
+
+
+def build_live(term, diagram, data):
+    """The live node of sentence `term` over `data`, its arcs made in
+    `diagram` and its parts' meeting ports joined."""
+    cls = type(term)
+    if cls in tc.LIFT:
+        children = [build_live(c, diagram, data) for _, c in tc.parts(term)]
+        src, tgt, (ends, starts) = _ports(cls, children)
+        if len(ends) != len(starts):
+            raise DiagramError("composition point mismatch")
+        for a, b in zip(ends, starts):
+            diagram.join(a, b)
+        return LiveNode(term, children, src, tgt, [])
+    ns, nt, arcspec = leaf_arc_spec(term, data)
+    src, tgt, ids = [None] * ns, [None] * nt, []
+    for p0, p1 in arcspec:
+        aid = diagram.new_arc()
+        ids.append(aid)
+        for end, (side, idx) in (((aid, 0), p0), ((aid, 1), p1)):
+            (src if side == "s" else tgt)[idx] = end
+    return LiveNode(term, [], src, tgt, ids)
+
+
+def _leaf_nodes(node):
+    if not node.children:
+        return [node]
+    return [leaf for c in node.children for leaf in _leaf_nodes(c)]
+
+
+def _arcs(node, path=()):
+    """Arc ids, in leaf order, of the subtree of `node` at sentence `path`."""
+    for step in path:
+        node = node.children[dg._CHILD[step]]
+    return [a for ln in _leaf_nodes(node) for a in ln.arcs]
 
 
 @dataclass
@@ -45,7 +115,12 @@ def _own_links(link, arcs):
     return {e: link[e] for a in arcs for e in ((a, 0), (a, 1)) if e in link}
 
 
-class MovieState(dg.MovieState):
+class MovieState:
+    def __init__(self, source_sentence, data):
+        self.data = data
+        self.diagram = ArcDiagram()
+        self.root = build_live(source_sentence, self.diagram, data)
+
     def apply_event(self, path, cell, source, target):
         node, parents = self.root, []
         for step in path:
@@ -54,7 +129,7 @@ class MovieState(dg.MovieState):
         if node.term != source:
             raise DiagramError("movie out of sync at %s" % (path,))
         diagram = self.diagram
-        old_arcs = dg._arcs(node)
+        old_arcs = _arcs(node)
         old_ports = node.src_ports + node.tgt_ports
         # detach boundary of the old subtree; the links left are its own
         outer = [diagram.unjoin(e) for e in old_ports]
@@ -67,10 +142,10 @@ class MovieState(dg.MovieState):
         if (len(new_node.src_ports) != len(node.src_ports)
                 or len(new_node.tgt_ports) != len(node.tgt_ports)):
             raise DiagramError("event does not preserve boundary points")
-        new_arcs = dg._arcs(new_node)
+        new_arcs = _arcs(new_node)
         strands = {a: b for old, new in tc.strand_paths(cell)
-                   for a, b in zip(dg._arcs(node, old),
-                                   dg._arcs(new_node, new))}
+                   for a, b in zip(_arcs(node, old),
+                                   _arcs(new_node, new))}
         new_links = _own_links(diagram.link, new_arcs)
         new_ports = new_node.src_ports + new_node.tgt_ports
         for end, partner in zip(new_ports, outer):
@@ -79,8 +154,8 @@ class MovieState(dg.MovieState):
         if parents:
             parents[-1].children[path[-1]] = new_node
             for up in reversed(parents):
-                up.src_ports, up.tgt_ports, _ = dg._ports(type(up.term),
-                                                          up.children)
+                up.src_ports, up.tgt_ports, _ = _ports(type(up.term),
+                                                       up.children)
                 up.term = tc.rebuild(up.term, [c.term for c in up.children])
         else:
             self.root = new_node
@@ -170,6 +245,36 @@ def _pieces(ev):
 
 class EvalListener(WalkingFollow, fr._EvalListener):
     """The `frobenius` evaluator listener on walked component ids."""
+
+
+class InvariantsListener(sf._InvariantsListener):
+    """`surface._InvariantsListener` on the pieces an event traces in its
+    live arc ids (`Event.pieces`), not on its shape's."""
+
+    def event(self, state, ev):
+        up, chi = self.up, self.chi
+        carried, caps = ev.pieces()
+        for b, a in carried.items():
+            up[b] = (a, 0)
+        for cycle in caps:
+            side0, a0, d0 = cycle[0]
+            if side0 == "old":
+                p0 = d0 == -1
+                r0, q0 = self.find(a0)
+            else:  # a birth: the cycle holds new arcs only
+                p0 = d0 == +1
+                r0, q0, chi[a0] = a0, 0, 0
+            disk = q0 ^ p0  # the disk's orientation against r0's
+            euler, prev = 1, cycle[-1][0]
+            for side, arc, direction in cycle:
+                if side == "old":
+                    euler -= prev != "old"
+                    if arc != a0:
+                        self.union(arc, a0, (direction == -1) ^ p0)
+                elif arc != a0:
+                    up[arc] = (r0, disk ^ (direction == +1))
+                prev = side
+            chi[r0] += euler
 
 
 def value(state, listener):

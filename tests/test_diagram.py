@@ -52,8 +52,8 @@ def test_a_generator_with_four_boundary_points_stops_a_movie():
 
 
 def test_every_movie_ends_at_its_target(p):
-    """After the last event the live sentence is the term's target, so
-    every event rebuilt the sentences above the one it rewrote."""
+    """After the last event the live sentence, rebuilt where splices left
+    it stale, is the term's target."""
     terms = [build.random_term(p, seed, events=events)
              for seed in range(150) for events in (5, 9)]
     terms.append(st.genus(p, 2))
@@ -61,9 +61,59 @@ def test_every_movie_ends_at_its_target(p):
     for term in terms:
         report = tc.validate(term, p.data)
         state = run_movie(report, p.data, MovieListener())
-        if state.root.term != report.boundary[1]:
+        if state.root.sentence() != report.boundary[1]:
             mismatches.append(str(term))
     assert mismatches == []
+
+
+def _at(path):
+    """The live child path of a tape path, as `run_movie` reads it."""
+    return tuple(_diagram._CHILD[s] for s in path if s in _diagram._CHILD)
+
+
+def _out_of_sync(report, p, events):
+    """The one line `run_movie` refuses `report` with, its tape replaced
+    by `events`."""
+    with pytest.raises(DiagramError) as exc:
+        run_movie(dataclasses.replace(report, events=events), p.data,
+                  MovieListener())
+    assert len(str(exc.value).splitlines()) == 1
+    return str(exc.value)
+
+
+def test_an_event_out_of_sync_with_the_live_sentence_stops_the_movie(p):
+    """Each event's source is compared with the live sentence at its
+    path, also where an earlier splice below left that sentence stale."""
+    report = tc.validate(st.genus(p, 1), p.data)
+    events = report.events
+    at = [_at(path) for path, _, _, _ in events]
+    # event k lands on the composite event k - 1 rewrote below
+    k = next(k for k in range(1, len(at)) if at[k - 1][:len(at[k])]
+             == at[k] != at[k - 1])
+    assert at[k]
+    state = MovieState(report.boundary[0], p.data)
+    for path, *event in events[:k - 1]:
+        state.apply_event(_at(path), *event)
+    node = state.root
+    for i in at[k]:
+        node = node.children[i]
+    stale = node.sentence()  # the sentence before event k - 1
+    path_k, cell_k, source_k, target_k = events[k]
+    assert stale != source_k
+    where = "movie out of sync at %s: " % "/".join(map(str, at[k]))
+    tampered = list(events)
+    tampered[k] = (path_k, cell_k, stale, target_k)
+    assert _out_of_sync(report, p, tampered) == (
+        where + "expected %s, found %s" % (stale, source_k))
+    swapped = list(events)
+    swapped[k - 1], swapped[k] = events[k], events[k - 1]
+    assert _out_of_sync(report, p, swapped).startswith(where)
+    path_0, cell_0, source_0, target_0 = events[0]
+    assert source_0 != target_0
+    tampered = [(path_0, cell_0, target_0, target_0)] + events[1:]
+    assert _out_of_sync(report, p, tampered).startswith(
+        "movie out of sync at %s: " % ("/".join(map(str, at[0]))
+                                       or "<root>"))
 
 
 def _blocks(comp):
@@ -107,9 +157,8 @@ class _CheckedIds(ComponentListener):
         count = census(state.diagram)
         assert count["circles"] + count["intervals"] \
             == len(set(self.comp.values()))
-        root = state.root
-        assert 2 * count["intervals"] \
-            == len(root.src_ports + root.tgt_ports)
+        src, tgt = state.root.ports()
+        assert 2 * count["intervals"] == len(src) + len(tgt)
         self.checks += 1
 
 
@@ -209,8 +258,11 @@ def test_each_generating_data_compiles_its_own_shape():
 
 
 def _nodes(x):
-    """Every term node within `x`, symbol parameters included."""
-    if isinstance(x, tuple):
+    """Every dataclass instance (a term node, symbol parameters included,
+    or a shape) within `x`, through tuples, lists and dicts too."""
+    if isinstance(x, dict):
+        x = tuple(x.items())
+    if isinstance(x, (tuple, list)):
         return [n for c in x for n in _nodes(c)]
     if not dataclasses.is_dataclass(x):
         return []
@@ -218,25 +270,18 @@ def _nodes(x):
                   for n in _nodes(getattr(x, f.name))]
 
 
-def _skeleton_terms(node):
-    return [node.term] + [t for c in node.children
-                          for t in _skeleton_terms(c)]
-
-
 def test_the_table_keeps_no_node_of_a_played_term():
-    """Keys and skeletons are copies the table owns, so no node of a
-    term's tape lives on in the table once the term is dropped."""
+    """Keys are copies the table owns and shapes hold no term (a skeleton
+    is parts over arc ranges and wirings), so no node of a term's tape
+    lives on in the table once the term is dropped."""
     p = pr.bord2_unoriented()
     report = tc.validate(st.genus(p, 2), p.data)
     run_movie(report, p.data, MovieListener())
     played = {id(n) for _, cell, source, target in report.events
               for n in _nodes((cell, source, target))}
-    kept = list(p.data.shapes)
-    kept += [t for shape in p.data.shapes.values()
-             if isinstance(shape, Shape)
-             for t in _skeleton_terms(shape.skeleton)]
-    assert len(kept) > len(p.data.shapes)
-    assert not played & {id(n) for n in _nodes(tuple(kept))}
+    kept = _nodes(p.data.shapes)
+    assert any(isinstance(n, Shape) for n in kept)
+    assert not played & {id(n) for n in kept}
 
 
 def test_a_full_table_is_emptied_before_it_grows(monkeypatch):
@@ -332,15 +377,24 @@ def _event_in(ev, ren):
              [[(side, ren[a], d) for side, a, d in c] for c in caps]))
 
 
+def _frame(new, ref, ren):
+    """Whether the live sentence and the root ports that `new` derives on
+    read are the ones `ref` stores, its arcs renamed by `ren`."""
+    src, tgt = new.root.ports()
+    return (new.root.sentence() == ref.root.term
+            and [(ren.get(a), e) for a, e in src] == ref.root.src_ports
+            and [(ren.get(a), e) for a, e in tgt] == ref.root.tgt_ports)
+
+
 def _lockstep(report, p, asg):
     """Play `report` by shapes and by the reference side by side, each
     through an M2Q evaluator (which follows the component ids) and an
-    invariants listener, and compare every event; returns the failures
-    found."""
+    invariants listener, and compare every frame and event; returns the
+    failures found."""
     new = MovieState(report.boundary[0], p.data)
     ref = rd.MovieState(report.boundary[0], p.data)
     plays = [(new, fr._EvalListener(asg), sf._InvariantsListener()),
-             (ref, rd.EvalListener(asg), sf._InvariantsListener())]
+             (ref, rd.EvalListener(asg), rd.InvariantsListener())]
     for state, *listeners in plays:
         for listener in listeners:
             listener.begin(state)
@@ -348,14 +402,14 @@ def _lockstep(report, p, asg):
     arcs, cids = ({}, {}), ({}, {})
     live = _diagram._arcs(new.root)
     bad = []
-    if not (_rename(arcs, live, _diagram._arcs(ref.root))
+    if not (_rename(arcs, live, rd._arcs(ref.root))
             and _rename(cids, [ids.comp[a] for a in live],
-                        [ref_ids.comp[arcs[0][a]] for a in live])):
+                        [ref_ids.comp[arcs[0][a]] for a in live])
+            and _frame(new, ref, arcs[0])):
         bad.append("source slice")
     for i, (path, cell, source, target) in enumerate(report.events):
-        at = tuple(_diagram._CHILD[s] for s in path if s in _diagram._CHILD)
-        ev = new.apply_event(at, cell, source, target)
-        rev = ref.apply_event(at, cell, source, target)
+        ev = new.apply_event(_at(path), cell, source, target)
+        rev = ref.apply_event(_at(path), cell, source, target)
         got = []
         for (state, *listeners), e in zip(plays, (ev, rev)):
             comp = listeners[0].comp
@@ -372,6 +426,8 @@ def _lockstep(report, p, asg):
             bad.append("event %d: wiring or pieces" % i)
         if not _rename(cids, *got):
             bad.append("event %d: component ids" % i)
+        if not _frame(new, ref, arcs[0]):
+            bad.append("event %d: live sentence or root ports" % i)
     for state, *listeners in plays:
         for listener in listeners:
             listener.finish(state)
@@ -380,7 +436,7 @@ def _lockstep(report, p, asg):
             or {(ren[a], e): (ren[b], f) for (a, e), (b, f)
                 in new.diagram.link.items()} != ref.diagram.link):
         bad.append("live diagram")
-    if not new.root.term == ref.root.term == report.boundary[1]:
+    if not new.root.sentence() == ref.root.term == report.boundary[1]:
         bad.append("live sentence")
     if inv.result != ref_inv.result:
         bad.append("invariants")
@@ -392,8 +448,9 @@ def _lockstep(report, p, asg):
 def test_shapes_play_every_movie_as_the_reference_does(p):
     """Every event of the corpus, played by shapes and by rebuilding it:
     the same arcs up to renaming, ports, links, strands, pieces and
-    component ids, and at the end the same live diagram and sentence,
-    invariants and M2Q values."""
+    component ids, after every event the same live sentence and root
+    ports, and at the end the same live diagram, invariants and M2Q
+    values."""
     asg = fr.standard_assignment(fr.algebra_m2q(), p)
     terms = _oracle_corpus(p)
     failures = [(str(t), bad) for t in terms
