@@ -16,15 +16,16 @@ shared strand bookkeeping.  A leaf's arcs follow from the generating
 data (`leaf_arc_spec`) and an event's wiring from its 2-leaf alone, so
 each leaf is compiled once per datum into ``data.shapes`` (a 1-leaf to
 its arcs, a 2-leaf to a `Shape`), under a copy of the leaf; the table is
-emptied at `SHAPES_LIMIT`.  An event builds the node it splices in on
-its shape's skeleton, at fresh arc ids, and leaves the sentences above
-stale until read; the listeners read the shape's pieces and transfer
-through the event's arcs.  A structural cell continues old arcs by its
-formula's strand map (`termcore.strand_paths`), a generator cell only
-those at its boundary points.  `ComponentListener` keeps the component
-ids through a rerouting event by its shape's transfer, checked one to
-one once per shape; any other event gives fresh ids to the components
-through its new arcs.
+emptied at `SHAPES_LIMIT`.  An event finds its node by its tape path
+(`_CHILD`), builds the node it splices in on its shape's skeleton, at
+fresh arc ids, and leaves the sentences above stale until read.  A
+structural cell continues old arcs by its formula's strand map
+(`termcore.strand_paths`), a generator cell only those at its boundary
+points.  `Shape.pieces` traces the pieces of an event once per shape; a
+rerouting event (a structural, cusp or crossing cell) fills strips and
+tubes only, and `ComponentListener` keeps the component ids through the
+`Shape.transfer` read off them; any other event gives fresh ids to the
+components through its new arcs.
 
 `number_pieces` is the one component walk, and `census` counts any
 compact 1-manifold wired as an arc diagram.
@@ -238,7 +239,7 @@ class Shape:
     partner} among the event's own arcs.  `strands` maps each old arc of
     a parameter a structural cell carries through (`termcore.strand_paths`)
     to the new arc it continues as; a generator cell's map is empty.
-    `transfer` and `pieces` are derived on first read.
+    `pieces` is derived on first read, and `transfer` from it.
     """
 
     n_old: int
@@ -252,20 +253,18 @@ class Shape:
 
     @cached_property
     def transfer(self):
-        """For each new arc, an old arc whose piece continues as its piece
-        through the boundary points and `strands`; None unless one to one."""
-        was, now = {}, {}
-        pieces = (number_pieces(self.old_links, range(self.n_old), was, 0),
-                  number_pieces(self.new_links, range(self.n_new), now, 0))
-        pairs = {(was[a], now[b]) for a, b in self.strands.items()}
-        pairs.update((was[a], now[b]) for (a, _), (b, _)
-                     in zip(self.old_ports, self.new_ports))
-        back = {n: o for o, n in pairs}
-        if not (len(pairs) == len(back) == pieces[1]
-                == len(set(back.values())) == pieces[0]):
-            return None
-        arc = {piece: a for a, piece in was.items()}
-        return tuple(arc[back[now[b]]] for b in range(self.n_new))
+        """For each new arc, an old arc of the piece it continues, read off
+        `pieces`: a carried tube's own, or a strip's (a cap cycle of one
+        run of old arcs and one of new); None if a piece is neither."""
+        carried, caps = self.pieces
+        back = dict(carried)
+        for cycle in caps:
+            sides = [s for s, _, _ in cycle]
+            if sum(s != t for s, t in zip(sides, sides[-1:] + sides)) != 2:
+                return None
+            old = next(a for s, a, _ in cycle if s == "old")
+            back.update((a, old) for s, a, _ in cycle if s == "new")
+        return tuple(back[b] for b in range(self.n_new))
 
     @cached_property
     def pieces(self):
@@ -388,10 +387,13 @@ class MovieState:
         self.root = build_live(source_sentence, self.diagram, data)[0]
 
     def apply_event(self, path, cell, source, target):
+        """Play one tape entry, as `termcore.validate` records it."""
         node, parents = self.root, []
         for step in path:
-            parents.append(node)
-            node = node.children[step]
+            if step in _CHILD:
+                at = _CHILD[step]
+                parents.append(node)
+                node = node.children[at]
         if node.sentence() != source:
             raise DiagramError(
                 "movie out of sync at %s: expected %s, found %s"
@@ -416,7 +418,7 @@ class MovieState:
                 diagram.join((base + b, f), partner)
         new_node = _instantiate(shape.skeleton, target, base)
         if parents:
-            parents[-1].children[path[-1]] = new_node
+            parents[-1].children[at] = new_node
             for up in parents:
                 up.stale = True
         else:
@@ -502,8 +504,7 @@ def run_movie(report, data, listener):
     """Play the tape of a `termcore.validate` report over generating `data`."""
     state = MovieState(report.boundary[0], data)
     listener.begin(state)
-    for path, cell, source, target in report.events:
-        at = tuple(_CHILD[s] for s in path if s in _CHILD)
-        listener.event(state, state.apply_event(at, cell, source, target))
+    for entry in report.events:
+        listener.event(state, state.apply_event(*entry))
     listener.finish(state)
     return state

@@ -564,6 +564,11 @@ def _reroute(A, f, u, v):
             for c, i, j in _copairing(A)]
 
 
+def _fuse(A, f, u, v):
+    # two components fuse into one: a pair of pants, whichever saddle
+    return [(1, (_prod(A, u, v),))]
+
+
 def _fission(A, f, v):
     # one component splits in two
     return [(c, (_prod(A, v, {i: 1}), {j: 1})) for c, i, j in _copairing(A)]
@@ -582,11 +587,8 @@ _LOCAL = {
     ("cusp", 1, 1): lambda A, f, v: [(1, (_prod(A, v, f),))],
     ("split", 2, 2): _reroute,
     ("merge", 2, 2): _reroute,
-    # two components fuse into one
-    ("merge", 2, 1): lambda A, f, u, v: [(1, (_prod(A, u, v),))],
-    ("split", 2, 1): lambda A, f, u, v: [
-        (c, (_prod(A, _prod(A, _prod(A, u, {i: 1}), v), {j: 1}),))
-        for c, i, j in _copairing(A)],
+    ("merge", 2, 1): _fuse,
+    ("split", 2, 1): _fuse,
     ("split", 1, 2): _fission,
     ("merge", 1, 2): _fission,
     # non-orientable surgery: same component before and after

@@ -712,7 +712,8 @@ class GeneratingData:
     objects: Tuple[str, ...]
     one_gens: dict
     two_gens: dict
-    shapes: dict = field(default_factory=dict, compare=False, repr=False)
+    shapes: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self):
         names = list(self.objects) + list(self.one_gens) + list(self.two_gens)
@@ -785,23 +786,18 @@ def reading(cls):
         leaf.ends() if cls in STRUCTURAL_1 else leaf.sides(None)))
 
 
-@cache
-def _strand_paths(cls, inverse):
-    """`strand_paths` of a leaf of class `cls`, or of an `Inv2` of one."""
-    if cls not in STRUCTURAL_2:
-        return ()
-    (s, _, _), (t, _, _) = reading(cls)[::-1] if inverse else reading(cls)
-    return tuple((s[n], t[n]) for n, kind in cls.ARGS
-                 if kind == "morphism" and n in s and n in t)
-
-
 def strand_paths(cell):
     """(old path, new path) of each parameter subsentence an event of
     2-leaf `cell` carries through: a structural cell denotes a product
     bordism.  `Inv2` swaps its cell's paths; a generator has none, since
     every strand of its sentences reaches a boundary point."""
     inverse = type(cell) is Inv2
-    return _strand_paths(type(cell.inner if inverse else cell), inverse)
+    cls = type(cell.inner if inverse else cell)
+    if cls not in STRUCTURAL_2:
+        return ()
+    (s, _, _), (t, _, _) = reading(cls)[::-1] if inverse else reading(cls)
+    return tuple((s[n], t[n]) for n, kind in cls.ARGS
+                 if kind == "morphism" and n in s and n in t)
 
 
 def _walk(p, data, path, tape):
@@ -880,8 +876,8 @@ def _leaf_ends(p, data, path):
 
 
 #: composite class -> its part fields in movie order, which are also its
-#: path steps
-_MOVIE = {HComp: ("inner", "outer"), Tensor2: ("left", "right")}
+#: path steps: the 2-cell steps of `LIFT`, in `parts` order
+_MOVIE = {cls: tuple(over.values()) for cls, over in LIFT.values()}
 
 
 def _replay(p, data, path, tape):
@@ -1056,9 +1052,9 @@ _TOKEN_RE = re.compile(
     r"(\(\*\)|⊗|[()\[\],;.#]|[A-Za-z_][A-Za-z0-9_'+-]*|\d+)")
 
 #: token text -> kind; every other token is a NAME
-_KINDS = {"(*)": "TENSOR", "⊗": "TENSOR", "(": "LPAR", ")": "RPAR",
-          "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI",
-          ".": "DOT", "#": "HASH"}
+_TOKEN_KINDS = {"(*)": "TENSOR", "⊗": "TENSOR", "(": "LPAR", ")": "RPAR",
+                "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI",
+                ".": "DOT", "#": "HASH"}
 
 
 def _lex(text):
@@ -1076,7 +1072,7 @@ def _lex(text):
                 raise ParseError("unexpected character %r" % rest[0],
                                  start + len(gap) - len(rest))
     words = pieces[1::2]
-    tokens = list(zip(map(_KINDS.get, words, repeat("NAME")), words,
+    tokens = list(zip(map(_TOKEN_KINDS.get, words, repeat("NAME")), words,
                       starts[1::2]))
     tokens.append(("EOF", "", len(text)))
     close = [0] * len(tokens)
@@ -1100,7 +1096,7 @@ class _Level:
         self.classes = set(get_args(union))
         syntax = [(c, t) for c, t in _SYNTAX.items() if c in self.classes]
         self.keyword = next(t for _, t in syntax if t.isidentifier())
-        self.infix = {_KINDS[t]: c for c, t in syntax
+        self.infix = {_TOKEN_KINDS[t]: c for c, t in syntax
                       if not t.isidentifier()}
         self.chain = VComp in self.classes
         # the tensor token has two spellings, so messages name its kind

@@ -9,9 +9,11 @@ diagram with its own `build_live`, reads the event's own links back off
 that diagram, walks both subtrees for the strand map and rebuilds the
 ports and term of every ancestor of the node it replaced.  It shares
 only the arc diagram, the 1-leaf wiring (`_diagram.leaf_arc_spec`) and
-the component walk with `_diagram`.  `WalkingFollow.follow` transfers
-the component ids of a rerouting event by walking the event's own arcs,
-and `Event.pieces` traces the boundary cycles of the whole event in its
+the component walk with `_diagram`, and its `apply_event` takes a live
+child path, not a tape path.  `WalkingFollow.follow` transfers the
+component ids of a rerouting event by `pairing`, which pairs the pieces
+of the event's own arcs through its boundary points and strands, and
+`Event.pieces` traces the boundary cycles of the whole event in its
 live arc ids.  `EvalListener` is the evaluator on those ids,
 `InvariantsListener` reads the surface invariants off those pieces, and
 `value` reads an evaluator listener's result.  Only tests use it.
@@ -163,6 +165,24 @@ class MovieState:
                      old_links, new_links, strands)
 
 
+def pairing(ev):
+    """(was, now, to) of an event `ev` in the reference layout: its old
+    and new pieces numbered apart by its own links, and the new piece
+    each old piece continues as through the boundary points and the
+    strands; `to` is None unless that pairing is one to one."""
+    was, now = {}, {}
+    pieces = (number_pieces(ev.old_links, ev.old_arcs, was, 0),
+              number_pieces(ev.new_links, ev.new_arcs, now, 0))
+    pairs = {(was[a], now[b]) for a, b in ev.strands.items()}
+    pairs.update((was[a], now[b]) for (a, _), (b, _)
+                 in zip(ev.old_ports, ev.new_ports))
+    to = dict(pairs)
+    if not (len(pairs) == len(to) == pieces[0]
+            == len(set(to.values())) == pieces[1]):
+        to = None
+    return was, now, to
+
+
 class WalkingFollow(dg.ComponentListener):
     """`ComponentListener` whose rerouting events walk their own arcs."""
 
@@ -170,15 +190,8 @@ class WalkingFollow(dg.ComponentListener):
         comp = self.comp
         old = [comp.pop(a) for a in ev.old_arcs]
         if reroute:
-            was, now = {}, {}
-            pieces = (number_pieces(ev.old_links, ev.old_arcs, was, 0),
-                      number_pieces(ev.new_links, ev.new_arcs, now, 0))
-            pairs = {(was[a], now[b]) for a, b in ev.strands.items()}
-            pairs.update((was[a], now[b]) for (a, _), (b, _)
-                         in zip(ev.old_ports, ev.new_ports))
-            to = dict(pairs)
-            if not (len(pairs) == len(to) == pieces[0]
-                    == len(set(to.values())) == pieces[1]):
+            was, now, to = pairing(ev)
+            if to is None:
                 raise DiagramError("component transfer is not a bijection")
             cid = {to[was[a]]: i for a, i in zip(ev.old_arcs, old)}
             for b in ev.new_arcs:

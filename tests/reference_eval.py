@@ -93,24 +93,13 @@ class _EvalListener(ComponentListener):
                     nv[a1] = ref.mul(A, y, v)
                     out.append((c * ce, nv))
         elif b0 != b1:
-            # two components fuse into one
-            if tag == "merge":
-                for c, vals in self.configs:
-                    u, v = vals[b0], vals[b1]
-                    vals = {k: w for k, w in vals.items()
-                            if k not in (b0, b1)}
-                    vals[a0] = ref.mul(A, u, v)
-                    out.append((c, vals))
-            else:
-                for c, vals in self.configs:
-                    u, v = vals[b0], vals[b1]
-                    base = {k: w for k, w in vals.items()
-                            if k not in (b0, b1)}
-                    for ce, x, y in _pairs(A):
-                        nv = dict(base)
-                        nv[a0] = ref.mul(A, ref.mul(A, ref.mul(A, u, x), v),
-                                         y)
-                        out.append((c * ce, nv))
+            # two components fuse into one, by either saddle: a pair of
+            # pants multiplies
+            for c, vals in self.configs:
+                u, v = vals[b0], vals[b1]
+                vals = {k: w for k, w in vals.items() if k not in (b0, b1)}
+                vals[a0] = ref.mul(A, u, v)
+                out.append((c, vals))
         elif a0 != a1:
             # one component splits in two
             for c, vals in self.configs:

@@ -16,7 +16,7 @@ from bordcalc import presentations as pr
 from bordcalc import standard_terms as st
 from bordcalc import surface as sf
 from bordcalc import termcore as tc
-from bordcalc._diagram import (ComponentListener, DiagramError, Event,
+from bordcalc._diagram import (ComponentListener, DiagramError,
                                MovieListener, MovieState, Shape, census,
                                leaf_arc_spec, run_movie)
 from tests import reference_diagram as rd
@@ -67,7 +67,8 @@ def test_every_movie_ends_at_its_target(p):
 
 
 def _at(path):
-    """The live child path of a tape path, as `run_movie` reads it."""
+    """The live child path under a tape path, as the reference engine
+    takes it."""
     return tuple(_diagram._CHILD[s] for s in path if s in _diagram._CHILD)
 
 
@@ -83,7 +84,8 @@ def _out_of_sync(report, p, events):
 
 def test_an_event_out_of_sync_with_the_live_sentence_stops_the_movie(p):
     """Each event's source is compared with the live sentence at its
-    path, also where an earlier splice below left that sentence stale."""
+    path, also where an earlier splice below left that sentence stale,
+    and the refusal names the event's own 2-cell path on the tape."""
     report = tc.validate(st.genus(p, 1), p.data)
     events = report.events
     at = [_at(path) for path, _, _, _ in events]
@@ -92,15 +94,16 @@ def test_an_event_out_of_sync_with_the_live_sentence_stops_the_movie(p):
              == at[k] != at[k - 1])
     assert at[k]
     state = MovieState(report.boundary[0], p.data)
-    for path, *event in events[:k - 1]:
-        state.apply_event(_at(path), *event)
+    for event in events[:k - 1]:
+        state.apply_event(*event)
     node = state.root
     for i in at[k]:
         node = node.children[i]
     stale = node.sentence()  # the sentence before event k - 1
     path_k, cell_k, source_k, target_k = events[k]
     assert stale != source_k
-    where = "movie out of sync at %s: " % "/".join(map(str, at[k]))
+    assert any(type(step) is int for step in path_k)
+    where = "movie out of sync at %s: " % "/".join(map(str, path_k))
     tampered = list(events)
     tampered[k] = (path_k, cell_k, stale, target_k)
     assert _out_of_sync(report, p, tampered) == (
@@ -112,7 +115,7 @@ def test_an_event_out_of_sync_with_the_live_sentence_stops_the_movie(p):
     assert source_0 != target_0
     tampered = [(path_0, cell_0, target_0, target_0)] + events[1:]
     assert _out_of_sync(report, p, tampered).startswith(
-        "movie out of sync at %s: " % ("/".join(map(str, at[0]))
+        "movie out of sync at %s: " % ("/".join(map(str, path_0))
                                        or "<root>"))
 
 
@@ -174,38 +177,49 @@ def test_component_ids_partition_the_live_arcs(p):
     assert listener.checks > 2 * len(terms)
 
 
-EV = tc.Id2(tc.Gen1("ev"))
+class _Rerouted(ComponentListener):
+    """Follows every event as a rerouting one, and keeps the ids at the
+    root port ends before and after each."""
+
+    def begin(self, state):
+        super().begin(state)
+        self.at_ports = [self._at_ports(state)]
+
+    def event(self, state, ev):
+        self.follow(state, ev, True)
+        self.at_ports.append(self._at_ports(state))
+
+    def _at_ports(self, state):
+        src, tgt = state.root.ports()
+        return [self.comp[a] for a, _ in src + tgt]
 
 
-def _rerouting(n_old, old_links, old_ports, n_new, new_ports):
-    """The shape of a rerouting event with no strands and no links among
-    its new arcs, whose i-th old port end becomes the i-th new one."""
-    return Shape(n_old, n_new, old_ports, new_ports, old_links, {}, {}, None)
+@pytest.mark.parametrize("cell", ["cusp_up", "sym_ev_in", "phi0[pt,pt]",
+                                  "inv2(phi0[pt,pt])"])
+def test_a_rerouting_event_keeps_the_component_ids(cell):
+    """A cusp, a crossing or a structural cell is a product bordism: each
+    boundary point stays on the component it was on, and no id is new."""
+    p = pr.bord2_unoriented()
+    report = tc.validate(tc.parse_two_cell(cell, p.data), p.data)
+    listener = _Rerouted()
+    state = run_movie(report, p.data, listener)
+    before, after = listener.at_ports
+    assert before == after
+    assert set(listener.comp.values()) == set(before)
+    assert listener._next == len(set(before))
+    assert state.data.shapes[report.events[0][1]].transfer is not None
 
 
-def test_a_rerouting_event_keeps_the_component_ids():
-    listener = ComponentListener()
-    listener.comp = {0: 10}
-    shape = _rerouting(1, {}, [(0, 0), (0, 1)], 1, [(0, 0), (0, 1)])
-    ev = Event(EV, shape, [0], 2)
-    assert listener.follow(None, ev, True) == ([10], [10])
-    assert listener.comp == {2: 10}
-
-
-@pytest.mark.parametrize("old_links, n_new, new_ports", [
-    # two pieces of old arcs continue as one piece
-    ({}, 1, [(0, 0), (0, 1)]),
-    # one piece of old arcs continues as two pieces
-    ({(0, 1): (1, 1), (1, 1): (0, 1)}, 2, [(0, 0), (1, 0)]),
-], ids=["two-into-one", "one-into-two"])
-def test_a_rerouting_event_must_be_a_bijection(old_links, n_new, new_ports):
-    listener = ComponentListener()
-    listener.comp = {0: 10, 1: 11}
-    shape = _rerouting(2, old_links, [(0, 0), (1, 0)], n_new, new_ports)
-    assert shape.transfer is None
+@pytest.mark.parametrize("cell", MORSE)
+def test_a_rerouting_event_must_be_a_bijection(cell):
+    """A birth, a death or a saddle fills a piece that is no strip and no
+    tube, so its shape has no transfer and is refused as rerouting."""
+    p = pr.bord2_unoriented()
+    report = tc.validate(tc.Gen2(cell), p.data)
     with pytest.raises(DiagramError,
                        match="^component transfer is not a bijection$"):
-        listener.follow(None, Event(EV, shape, [0, 1], 2), True)
+        run_movie(report, p.data, _Rerouted())
+    assert p.data.shapes[tc.Gen2(cell)].transfer is None
 
 
 def test_a_refused_shape_is_not_stored():
@@ -377,6 +391,20 @@ def _event_in(ev, ren):
              [[(side, ren[a], d) for side, a, d in c] for c in caps]))
 
 
+def _pairs_as_transfer(ev, rev, ren):
+    """Whether the transfer of `ev`'s shape, read off its pieces, is the
+    reference pairing of the pieces of `rev` through its boundary points
+    and strands (`reference_diagram.pairing`), `ev`'s arcs renamed by
+    `ren`: both refuse, or each new arc continues the old piece that the
+    pairing continues as its piece."""
+    was, now, to = rd.pairing(rev)
+    transfer = ev.shape.transfer
+    if transfer is None or to is None:
+        return transfer is None and to is None
+    return all(to[was[ren[ev.old_arcs[a]]]] == now[ren[ev.base + b]]
+               for b, a in enumerate(transfer))
+
+
 def _frame(new, ref, ren):
     """Whether the live sentence and the root ports that `new` derives on
     read are the ones `ref` stores, its arcs renamed by `ren`."""
@@ -390,7 +418,8 @@ def _lockstep(report, p, asg):
     """Play `report` by shapes and by the reference side by side, each
     through an M2Q evaluator (which follows the component ids) and an
     invariants listener, and compare every frame and event; returns the
-    failures found."""
+    failures found.  The shape engine takes each tape path as recorded,
+    the reference its live child path (`_at`)."""
     new = MovieState(report.boundary[0], p.data)
     ref = rd.MovieState(report.boundary[0], p.data)
     plays = [(new, fr._EvalListener(asg), sf._InvariantsListener()),
@@ -408,7 +437,7 @@ def _lockstep(report, p, asg):
             and _frame(new, ref, arcs[0])):
         bad.append("source slice")
     for i, (path, cell, source, target) in enumerate(report.events):
-        ev = new.apply_event(_at(path), cell, source, target)
+        ev = new.apply_event(path, cell, source, target)
         rev = ref.apply_event(_at(path), cell, source, target)
         got = []
         for (state, *listeners), e in zip(plays, (ev, rev)):
@@ -424,6 +453,8 @@ def _lockstep(report, p, asg):
                 rev.old_ports, rev.new_ports, rev.old_links, rev.new_links,
                 rev.strands, rev.pieces()):
             bad.append("event %d: wiring or pieces" % i)
+        elif not _pairs_as_transfer(ev, rev, arcs[0]):
+            bad.append("event %d: transfer" % i)
         if not _rename(cids, *got):
             bad.append("event %d: component ids" % i)
         if not _frame(new, ref, arcs[0]):
@@ -447,8 +478,8 @@ def _lockstep(report, p, asg):
 
 def test_shapes_play_every_movie_as_the_reference_does(p):
     """Every event of the corpus, played by shapes and by rebuilding it:
-    the same arcs up to renaming, ports, links, strands, pieces and
-    component ids, after every event the same live sentence and root
+    the same arcs up to renaming, ports, links, strands, pieces, transfer
+    (against the reference's port-and-strand pairing) and component ids, after every event the same live sentence and root
     ports, and at the end the same live diagram, invariants and M2Q
     values."""
     asg = fr.standard_assignment(fr.algebra_m2q(), p)

@@ -371,6 +371,60 @@ def test_klein_value_recorded(uno):
     assert v.is_scalar  # value recorded, not asserted
 
 
+#: (sentence path, cell) steps from ``(I[1] (*) I[pt])`` that open a
+#: circle beside the strand and fuse the two by the split saddle, the
+#: last step; the strand then carries a disk glued on along an arc
+FUSE_A_CIRCLE = [
+    ("left", "cap"),
+    ("right", "inv2(rc[I[pt]])"),
+    ("", "inv2(phi[(ev,I[pt]),(coev,I[pt])])"),
+    ("after", "inv2(rc[(ev (*) I[pt])])"),
+    ("after/first", "eta[alpha[pt,pt,pt]]"),
+    ("after/first/after", "inv2(rc[inv(alpha[pt,pt,pt])])"),
+    ("after/first/after/first", "phi0[pt,(pt ⊗ pt)]"),
+    ("after/first/after/first/right", "split"),
+]
+
+#: steps from ``I[1]`` that cap a circle and open ``(I[1] (*) I[pt])`` on
+#: one of its strands, at `FUSED_PREFIX`
+CAP_AND_OPEN = [
+    ("", "cap"),
+    ("after", "inv2(rc[ev])"),
+    ("after/first", "phi0[pt,pt]"),
+    ("after/first/right", "eta[inv(l[pt])]"),
+    ("after/first/right/after", "inv2(rc[l[pt]])"),
+    ("after/first/right/after/first", "phi0[1,pt]"),
+]
+FUSED_PREFIX = "after/first/right/after/first/"
+
+
+def _movie(p, start, steps):
+    builder = build.MovieBuilder(p, tc.parse_morphism(start))
+    for path, cell in steps:
+        builder.apply(tuple(path.split("/")) if path else (),
+                      tc.parse_two_cell(cell, p.data))
+    return builder.term()
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_a_split_saddle_that_fuses_two_components_multiplies(uno, name):
+    """A split saddle that fuses two components is a pair of pants, as a
+    merge saddle that does is: a circle fused into a strand leaves the
+    identity strip, and two capped circles fused leave one disk."""
+    strip = _movie(uno, "(I[1] (*) I[pt])", FUSE_A_CIRCLE)
+    disk = _movie(uno, "I[1]", CAP_AND_OPEN + [
+        ((FUSED_PREFIX + path).rstrip("/"), cell)
+        for path, cell in FUSE_A_CIRCLE])
+    for t in (strip, disk):
+        assert sf.invariants(sf.reconstruct(t, uno)).components == (
+            sf.ComponentInvariants(1, True, 1),)
+    asg = fr.standard_assignment(ALGEBRAS[name](), uno)
+    assert _assert_same(strip, asg) == fr.evaluate(
+        tc.parse_two_cell("id[I[pt]]", uno.data), asg)
+    assert _assert_same(disk, asg) == fr.evaluate(tc.Gen2("cap"), asg)
+    assert ("split", 2, 1) in {op for op, _ in asg._local}
+
+
 def test_evaluate_genus_scaling(ori):
     """One walk on a merged state: genus 12 on M2Q well inside a second."""
     A = fr.algebra_m2q()
