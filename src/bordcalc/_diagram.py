@@ -9,7 +9,7 @@ depending on the listener,
 
 * the invariants of the denoted surface,
 * its glued polygonal complex, or
-* the exact linear map the term evaluates to under an algebra assignment.
+* the algebra-free program `frobenius` plays under any assignment.
 
 The consumers live in `surface` and `frobenius`; this module owns the
 shared strand bookkeeping.  A leaf's arcs follow from the generating

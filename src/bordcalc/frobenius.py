@@ -16,14 +16,16 @@ Frobenius data (a central copairing and a functional with the
 reproducing normalization), symmetry (trace-likeness / bicentrality) and
 separability (existence of a central element with multiplication one,
 decided by an exact linear system); each failing check names its first
-failing witness in loop order.  `evaluate` runs a two-cell term as a
-movie of strand events and produces the exact linear map between the
-tensor spaces of the boundary 1-manifolds, one factor per component it
-follows as an id: structural, cusp and crossing cells keep the ids, and
-each generator event takes its local map from `_LOCAL`, keyed by its tag
-and the numbers of components it consumes and produces (births insert
-the unit, deaths apply the functional, the two saddles insert the
-copairing or multiply, cusps multiply by the cusp factor).
+failing witness in loop order.  `evaluate` gives the exact linear map of
+a two-cell term between the tensor spaces of its boundary 1-manifolds,
+one factor per component.  Its movie of strand events is compiled once
+per presentation into an algebra-free program, memoised on the term:
+structural, cusp and crossing cells keep the component ids, and each
+generator event names its local map in `_LOCAL` by its tag and the
+numbers of components it consumes and produces.  The program is played
+per assignment (births insert the unit, deaths apply the functional, the
+saddles insert the copairing or multiply, cusps multiply by the cusp
+factor), so `verify_presentation` reuses its relation sides' programs.
 """
 
 from __future__ import annotations
@@ -683,79 +685,93 @@ class TwoCellValue:
 
 
 class _EvalListener(ComponentListener):
-    """Every source column in one walk, on a merged sparse state.
+    """Records a term's component program, the part of evaluation that no
+    algebra enters.
 
-    `slots` lists the ids of the live components; `state` maps (source
-    column, basis index of each slot) to a nonzero coefficient, seeded
-    with the int 1, so it stays int while the local maps are.  A
-    rerouting event keeps the ids; a generator event maps the basis
-    indices of the slots it consumes through its `_LOCAL` map and appends
-    the slots it produces, and entries with equal keys are summed.
+    `slots` lists the ids of the live components.  A rerouting event keeps
+    the ids; a generator event with a `_LOCAL` map appends (its key, the
+    positions of the slots it consumes, those of the slots it keeps) to
+    `ops`, keeps those slots and appends the ones it produces.  `finish`
+    sets `program` to (sources, ops, the slot of each target component in
+    `comp_order`).
     """
 
-    def __init__(self, assignment):
-        self.A = assignment.algebra
-        self.asg = assignment
-        self.sources = 0
-        self.slots = []
-        self.state = {}
+    def __init__(self, presentation):
+        self.tags = presentation.two_gen_tags
 
     def begin(self, state):
         super().begin(state)
         self.slots = comp_order(state, self.comp)
         self.sources = len(self.slots)
-        basis = itertools.product(range(self.A.dim), repeat=self.sources)
-        self.state = {(col, idx): 1 for col, idx in enumerate(basis)}
-
-    def apply(self, op, consumed, produced):
-        """Replace the slots `consumed` by `produced` through local map op."""
-        pos = [self.slots.index(c) for c in consumed]
-        keep = [i for i in range(len(self.slots)) if i not in pos]
-        self.slots = [self.slots[i] for i in keep] + produced
-        out = {}
-        for (col, idx), c in self.state.items():
-            rest = tuple(idx[i] for i in keep)
-            for tail, w in self.asg.local(op, tuple(idx[i] for i in pos)):
-                key = (col, rest + tail)
-                out[key] = out.get(key, 0) + c * w
-        self.state = {key: c for key, c in out.items() if c}
+        self.ops = []
 
     def event(self, state, ev):
         cell = ev.cell
-        tag = self.asg.tag(cell.name) if isinstance(cell, tc.Gen2) else None
+        tag = self.tags.get(cell.name) if isinstance(cell, tc.Gen2) else None
         # structural, cusp and crossing cells reroute strands
         old, new = self.follow(state, ev,
                                tag not in ("cap", "cup", "split", "merge"))
         op = (tag, len(set(old)), len(set(new)))
         if op in _LOCAL:
-            self.apply(op, list(dict.fromkeys(old)), list(dict.fromkeys(new)))
+            pos = tuple(self.slots.index(c) for c in dict.fromkeys(old))
+            keep = tuple(i for i in range(len(self.slots)) if i not in pos)
+            self.slots = [self.slots[i] for i in keep]
+            self.slots += dict.fromkeys(new)
+            self.ops.append((op, pos, keep))
+
+    def finish(self, state):
+        slot_of = {cid: i for i, cid in enumerate(self.slots)}
+        self.program = (self.sources, tuple(self.ops), tuple(
+            slot_of[cid] for cid in comp_order(state, self.comp)))
 
 
-def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
-    """Exact linear map of a two-cell term under a generator assignment.
-
-    The movie is walked once for all source basis columns together.  The
-    state maps (column, basis index of each live component) to a
-    coefficient; each event rewrites only the indices of the components it
-    touches, and entries that land on the same key are summed.
-    """
-    p = assignment.presentation
-    n = assignment.algebra.dim
+def _compile(term, p):
+    """The component program of `term` under presentation `p`, memoised
+    as (p, program) in the term's `_program` once its movie has run; an
+    invalid term raises `AlgebraError` and is given no memo."""
+    memo = getattr(term, "_program", None)
+    if memo is not None and memo[0] is p:
+        return memo[1]
     report = tc.validate(term, p.data)
     if not report.ok:
         raise AlgebraError("invalid term:\n%s" % report)
-    listener = _EvalListener(assignment)
-    state = run_movie(report, p.data, listener)
-    slot_of = {cid: i for i, cid in enumerate(listener.slots)}
-    order = [slot_of[cid] for cid in comp_order(state, listener.comp)]
-    matrix = [[Q(0)] * n ** listener.sources for _ in range(n ** len(order))]
-    for (col, idx), c in listener.state.items():
+    listener = _EvalListener(p)
+    run_movie(report, p.data, listener)
+    object.__setattr__(term, "_program", (p, listener.program))
+    return listener.program
+
+
+def _play(program, assignment):
+    """The `TwoCellValue` of a component program under `assignment`, all
+    source columns on one sparse state {(column, basis index of each
+    slot): coefficient}, seeded with the int 1; each op maps the indices
+    of the slots it consumes through its local map, and entries that land
+    on the same key are summed."""
+    sources, ops, order = program
+    n = assignment.algebra.dim
+    state = {(col, idx): 1 for col, idx in
+             enumerate(itertools.product(range(n), repeat=sources))}
+    for op, pos, keep in ops:
+        out = {}
+        for (col, idx), c in state.items():
+            rest = tuple(idx[i] for i in keep)
+            for tail, w in assignment.local(op, tuple(idx[i] for i in pos)):
+                key = (col, rest + tail)
+                out[key] = out.get(key, 0) + c * w
+        state = {key: c for key, c in out.items() if c}
+    matrix = [[Q(0)] * n ** sources for _ in range(n ** len(order))]
+    for (col, idx), c in state.items():
         row = 0
         for i in order:
             row = row * n + idx[i]
         matrix[row][col] += c
-    return TwoCellValue(listener.sources, len(order), n,
+    return TwoCellValue(sources, len(order), n,
                         tuple(tuple(r) for r in matrix))
+
+
+def evaluate(term: tc.TwoCellTerm, assignment: Assignment) -> TwoCellValue:
+    """Exact linear map of a two-cell term under a generator assignment."""
+    return _play(_compile(term, assignment.presentation), assignment)
 
 
 def verify_presentation(A: FrobAlgebra, p: Presentation) -> Report:

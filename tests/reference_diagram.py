@@ -14,13 +14,12 @@ child path, not a tape path.  `WalkingFollow.follow` transfers the
 component ids of a rerouting event by `pairing`, which pairs the pieces
 of the event's own arcs through its boundary points and strands, and
 `Event.pieces` traces the boundary cycles of the whole event in its
-live arc ids.  `EvalListener` is the evaluator on those ids,
-`InvariantsListener` reads the surface invariants off those pieces, and
-`value` reads an evaluator listener's result.  Only tests use it.
+live arc ids.  `EvalListener` records the evaluator's component program
+on those ids, and `InvariantsListener` reads the surface invariants off
+those pieces.  Only tests use it.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from bordcalc import _diagram as dg
 from bordcalc import frobenius as fr
@@ -257,7 +256,7 @@ def _pieces(ev):
 
 
 class EvalListener(WalkingFollow, fr._EvalListener):
-    """The `frobenius` evaluator listener on walked component ids."""
+    """The `frobenius` program recorder on walked component ids."""
 
 
 class InvariantsListener(sf._InvariantsListener):
@@ -289,19 +288,3 @@ class InvariantsListener(sf._InvariantsListener):
                 prev = side
             chi[r0] += euler
 
-
-def value(state, listener):
-    """The `frobenius.TwoCellValue` a finished `frobenius` evaluator
-    listener holds, its target factors in `comp_order` of `state`."""
-    n = listener.A.dim
-    slot_of = {cid: i for i, cid in enumerate(listener.slots)}
-    order = [slot_of[cid] for cid in dg.comp_order(state, listener.comp)]
-    matrix = [[Fraction(0)] * n ** listener.sources
-              for _ in range(n ** len(order))]
-    for (col, idx), c in listener.state.items():
-        row = 0
-        for i in order:
-            row = row * n + idx[i]
-        matrix[row][col] += c
-    return fr.TwoCellValue(listener.sources, len(order), n,
-                           tuple(tuple(r) for r in matrix))

@@ -416,14 +416,15 @@ def _frame(new, ref, ren):
 
 def _lockstep(report, p, asg):
     """Play `report` by shapes and by the reference side by side, each
-    through an M2Q evaluator (which follows the component ids) and an
-    invariants listener, and compare every frame and event; returns the
-    failures found.  The shape engine takes each tape path as recorded,
-    the reference its live child path (`_at`)."""
+    through the evaluator's program recorder (which follows the component
+    ids) and an invariants listener, and compare every frame and event,
+    the programs op by op; returns the failures found.  The shape engine
+    takes each tape path as recorded, the reference its live child path
+    (`_at`)."""
     new = MovieState(report.boundary[0], p.data)
     ref = rd.MovieState(report.boundary[0], p.data)
-    plays = [(new, fr._EvalListener(asg), sf._InvariantsListener()),
-             (ref, rd.EvalListener(asg), rd.InvariantsListener())]
+    plays = [(new, fr._EvalListener(p), sf._InvariantsListener()),
+             (ref, rd.EvalListener(p), rd.InvariantsListener())]
     for state, *listeners in plays:
         for listener in listeners:
             listener.begin(state)
@@ -457,6 +458,8 @@ def _lockstep(report, p, asg):
             bad.append("event %d: transfer" % i)
         if not _rename(cids, *got):
             bad.append("event %d: component ids" % i)
+        if ids.ops != ref_ids.ops:
+            bad.append("event %d: program op" % i)
         if not _frame(new, ref, arcs[0]):
             bad.append("event %d: live sentence or root ports" % i)
     for state, *listeners in plays:
@@ -471,7 +474,9 @@ def _lockstep(report, p, asg):
         bad.append("live sentence")
     if inv.result != ref_inv.result:
         bad.append("invariants")
-    if rd.value(new, ids) != rd.value(ref, ref_ids):
+    if ids.program != ref_ids.program:
+        bad.append("program")
+    elif fr._play(ids.program, asg) != fr._play(ref_ids.program, asg):
         bad.append("M2Q value")
     return bad
 
@@ -479,9 +484,11 @@ def _lockstep(report, p, asg):
 def test_shapes_play_every_movie_as_the_reference_does(p):
     """Every event of the corpus, played by shapes and by rebuilding it:
     the same arcs up to renaming, ports, links, strands, pieces, transfer
-    (against the reference's port-and-strand pairing) and component ids, after every event the same live sentence and root
-    ports, and at the end the same live diagram, invariants and M2Q
-    values."""
+    (against the reference's port-and-strand pairing), component ids and
+    program ops (key, consumed and kept slot positions), after every
+    event the same live sentence and root ports, and at the end the same
+    live diagram, invariants, program (with its target order) and M2Q
+    values of both programs."""
     asg = fr.standard_assignment(fr.algebra_m2q(), p)
     terms = _oracle_corpus(p)
     failures = [(str(t), bad) for t in terms

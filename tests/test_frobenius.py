@@ -4,6 +4,7 @@ import pathlib
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -357,10 +358,62 @@ def test_standard_assignment_requires_structure(uno):
 
 
 def test_evaluate_rejects_an_invalid_term(uno):
+    """On every call, and without leaving a program memo on the term."""
     asg = fr.standard_assignment(fr.algebra_m2q(), uno)
-    with pytest.raises(fr.AlgebraError) as exc:
-        fr.evaluate(tc.parse_two_cell("(cap . cap)"), asg)
-    assert str(exc.value) == "invalid term:\n0: non-composable vertical chain"
+    term = tc.parse_two_cell("(cap . cap)")
+    for _ in range(2):
+        with pytest.raises(fr.AlgebraError) as exc:
+            fr.evaluate(term, asg)
+        assert str(exc.value) == \
+            "invalid term:\n0: non-composable vertical chain"
+        assert "_program" not in vars(term)
+
+
+def _count_movies(monkeypatch):
+    """A list that `frobenius` appends to on every movie it plays."""
+    runs = []
+
+    def run_movie(report, data, listener):
+        runs.append(report)
+        return real(report, data, listener)
+    real = fr.run_movie
+    monkeypatch.setattr(fr, "run_movie", run_movie)
+    return runs
+
+
+def test_the_program_memo_is_only_a_memo(ori, uno, monkeypatch):
+    """Every relation side of both presentations, on every built-in
+    algebra: a fresh copy's first evaluation (cold memo), its second (warm
+    memo), the reference evaluator and one more copy evaluated on all five
+    algebras agree, and the movie of that copy runs once."""
+    runs = _count_movies(monkeypatch)
+    for p in (ori, uno):
+        asgs = [fr.standard_assignment(mk(), p) for mk in ALGEBRAS.values()]
+        for rel in p.relations:
+            for side in (rel.lhs, rel.rhs):
+                shared, before = tc.fresh(side), len(runs)
+                for asg in asgs:
+                    term = tc.fresh(side)
+                    assert "_program" not in vars(term)
+                    cold = fr.evaluate(term, asg)
+                    assert vars(term)["_program"][0] is p
+                    assert cold == fr.evaluate(term, asg) \
+                        == reference_eval.evaluate(term, asg) \
+                        == fr.evaluate(shared, asg), rel.name
+                assert len(runs) == before + len(asgs) + 1, rel.name
+
+
+def test_a_term_recompiles_under_each_presentation(ori, uno, monkeypatch):
+    """A term valid under both presentations is compiled again whenever
+    it is evaluated under the other one, to the same value."""
+    runs = _count_movies(monkeypatch)
+    term = stt.genus(uno, 2)
+    A = fr.algebra_m2q()
+    values = []
+    for i, p in enumerate((uno, ori, uno)):
+        values.append(fr.evaluate(term, fr.standard_assignment(A, p)))
+        assert len(runs) == i + 1 and vars(term)["_program"][0] is p
+    assert {v.scalar for v in values} == {fr.closed_value(A, 2)}
 
 
 def test_klein_value_recorded(uno):
@@ -422,7 +475,88 @@ def test_a_split_saddle_that_fuses_two_components_multiplies(uno, name):
     assert _assert_same(strip, asg) == fr.evaluate(
         tc.parse_two_cell("id[I[pt]]", uno.data), asg)
     assert _assert_same(disk, asg) == fr.evaluate(tc.Gen2("cap"), asg)
-    assert ("split", 2, 1) in {op for op, _ in asg._local}
+    assert ("split", 2, 1) in _keys(strip, uno)
+
+
+#: `FUSE_A_CIRCLE`, then the merge saddle back at the split's own path,
+#: which splits the strand's component into the strand and a circle: one
+#: orientable component with chi = 0 and two boundary circles
+SPLIT_OFF_A_CIRCLE = FUSE_A_CIRCLE + [("after/first/after/first/right",
+                                       "merge")]
+
+
+def _inverse(cell):
+    return cell[len("inv2("):-1] if cell.startswith("inv2(") \
+        else "inv2(%s)" % cell
+
+
+#: steps that undo `FUSE_A_CIRCLE`'s structural cells and close the circle
+#: `SPLIT_OFF_A_CIRCLE` leaves with a cup
+CLOSE_THE_CIRCLE = [(path, _inverse(cell))
+                    for path, cell in FUSE_A_CIRCLE[-2:0:-1]] + [("left",
+                                                                  "cup")]
+
+
+def _keys(term, p):
+    """The `_LOCAL` keys of the program of `term` under `p`, in order."""
+    return [op for op, _, _ in fr._compile(term, p)[1]]
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_a_merge_saddle_that_splits_a_component_inserts_the_copairing(
+        uno, name):
+    """A merge saddle that cuts one component in two is the copairing's
+    pair of pants, as a split saddle that does is: with the circle it
+    splits off closed by a cup, the strand carries an annulus capped off,
+    the identity strip."""
+    annulus = _movie(uno, "(I[1] (*) I[pt])", SPLIT_OFF_A_CIRCLE)
+    strip = _movie(uno, "(I[1] (*) I[pt])",
+                   SPLIT_OFF_A_CIRCLE + CLOSE_THE_CIRCLE)
+    assert sf.invariants(sf.reconstruct(annulus, uno)).components == (
+        sf.ComponentInvariants(0, True, 2),)
+    assert sf.invariants(sf.reconstruct(strip, uno)).components == (
+        sf.ComponentInvariants(1, True, 1),)
+    # slot positions pinned: a program must not depend on the hash seed
+    assert fr._compile(annulus, uno) == (1, (
+        (("cap", 0, 1), (), (0,)), (("split", 2, 1), (1, 0), ()),
+        (("merge", 1, 2), (0,), ())), (1, 0))
+    assert _keys(strip, uno) == _keys(annulus, uno) + [("cup", 1, 0)]
+    asg = fr.standard_assignment(ALGEBRAS[name](), uno)
+    value = _assert_same(annulus, asg)
+    assert (value.source_components, value.target_components) == (1, 2)
+    assert _assert_same(strip, asg) == fr.evaluate(
+        tc.parse_two_cell("id[I[pt]]", uno.data), asg)
+
+
+#: the keys that need a same-component saddle, which no term reaches
+#: before a non-orientable surface can be built to order
+UNREACHED = {("merge", 1, 1), ("split", 1, 1)}
+
+
+def test_every_local_map_but_the_same_component_saddles_is_reached(ori,
+                                                                   uno):
+    """The programs of the relation sides, the fusion and splitting terms
+    above and `random_term` seeds 0..299 at 5, 7 and 9 events under both
+    presentations reach every `_LOCAL` key but `UNREACHED`."""
+    reached = Counter()
+    for p in (ori, uno):
+        for rel in p.relations:
+            reached.update(_keys(rel.lhs, p) + _keys(rel.rhs, p))
+    for start, steps in [("(I[1] (*) I[pt])", FUSE_A_CIRCLE),
+                         ("I[1]", CAP_AND_OPEN + [
+                             ((FUSED_PREFIX + path).rstrip("/"), cell)
+                             for path, cell in FUSE_A_CIRCLE]),
+                         ("(I[1] (*) I[pt])", SPLIT_OFF_A_CIRCLE)]:
+        reached.update(_keys(_movie(uno, start, steps), uno))
+    corpus = Counter()
+    for p in (ori, uno):
+        for seed in range(300):
+            for events in (5, 7, 9):
+                corpus.update(_keys(build.random_term(p, seed, events=events),
+                                    p))
+    assert set(reached + corpus) == set(fr._LOCAL) - UNREACHED
+    # the only random terms that reroute two strands by a saddle
+    assert (corpus["merge", 2, 2], corpus["split", 2, 2]) == (2, 11)
 
 
 def test_evaluate_genus_scaling(ori):
