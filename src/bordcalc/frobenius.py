@@ -609,9 +609,6 @@ class Assignment:
     _local: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def tag(self, name):
-        return self.presentation.two_gen_tags.get(name)
-
     def local(self, op, idx):
         """Sparse image [(basis indices, coefficient)] of the basis tensor
         idx under the local map op, computed once per assignment; an

@@ -9,6 +9,10 @@ their left to those on their right.
 
 `reconstruct_1manifold` counts circles and intervals with `_diagram`'s
 census; the five moves rewrite diagrams without changing that census.
+Read right to left, a diagram is its mirror: regions reversed, caps and
+cups swapped, each separator reversed in order and inverted.  So a move
+at a cup is the same move at the cap it mirrors to, with `side` swapped,
+and only the cap's rule is written out.
 """
 
 from __future__ import annotations
@@ -45,20 +49,10 @@ class Perm:
         return Perm(tuple(other.images[self.images[i]]
                           for i in range(self.size)))
 
-    def fixes_top_pair(self):
-        n = self.size
-        return n >= 2 and self.images[n - 1] == n - 1 \
-            and self.images[n - 2] == n - 2
-
-    def restrict(self, k) -> "Perm":
-        if any(self.images[i] >= k for i in range(k)):
-            raise LinearError("permutation does not restrict")
-        return Perm(tuple(self.images[:k]))
-
-    def extend(self, n) -> "Perm":
-        if n < self.size:
-            raise LinearError("cannot shrink a permutation")
-        return Perm(tuple(self.images) + tuple(range(self.size, n)))
+    def inverse(self) -> "Perm":
+        # the label sent to j is the j-th once sorted by image
+        return Perm(tuple(sorted(range(self.size),
+                                 key=self.images.__getitem__)))
 
     def cycles(self):
         seen, out = set(), []
@@ -133,6 +127,11 @@ class LinearDiagram:
     def __post_init__(self):
         if not self.regions:
             raise LinearError("diagram must have at least one region")
+        for r in self.regions:
+            if r.event and r.count < 2:
+                raise LinearError("critical region needs at least two sheets")
+            if r.count < 0:
+                raise LinearError("negative sheet count")
         if len(self.separators) != len(self.regions) - 1:
             raise LinearError("need one separator between adjacent regions")
         for i, sep in enumerate(self.separators):
@@ -142,11 +141,6 @@ class LinearDiagram:
                 raise LinearError(
                     "separator %d has size %d between counts %d and %d"
                     % (i, sep.size, left, right))
-        for r in self.regions:
-            if r.event and r.count < 2:
-                raise LinearError("critical region needs at least two sheets")
-            if r.count < 0:
-                raise LinearError("negative sheet count")
 
     def __str__(self):
         parts = [str(self.regions[0])]
@@ -168,15 +162,16 @@ def _integer(text, what):
 def parse_diagram(text: str) -> LinearDiagram:
     """Parse the textual format `(5 cap) [24][35] (5 cup) [] (3 cup)`.
 
-    Text outside regions and separators must be blank.
+    Text outside regions and separators must be blank; an empty region
+    `()` is an error.
     """
     leftover = _LD_TOKENS.sub(" ", text).split()
     if leftover:
         raise LinearError("unexpected text %r" % leftover[0])
     regions, separators = [], []
     expect_region = True
-    for reg_body, sep_body in _LD_TOKENS.findall(text):
-        if reg_body:
+    for reg_body, sep_body in (m.groups() for m in _LD_TOKENS.finditer(text)):
+        if sep_body is None:
             parts = reg_body.split()
             if not 1 <= len(parts) <= 2:
                 raise LinearError("bad region (%s)" % reg_body)
@@ -251,6 +246,14 @@ MOVES = ("isotopy", "commute_small_sigma", "absorb_transposition",
 SIDED_MOVES = ("commute_small_sigma",)
 
 
+def _mirror(d: LinearDiagram) -> LinearDiagram:
+    """The diagram read right to left."""
+    swap = {"cap": "cup", "cup": "cap", None: None}
+    return LinearDiagram(
+        tuple(Region(r.count, swap[r.event]) for r in reversed(d.regions)),
+        tuple(sep.inverse() for sep in reversed(d.separators)))
+
+
 def apply_linear_move(d: LinearDiagram, move: str, position: int,
                       side: str = "left") -> LinearDiagram:
     """Apply one of the five moves at a region position.
@@ -267,102 +270,71 @@ def apply_linear_move(d: LinearDiagram, move: str, position: int,
     * cancel_cup_cap: replace the cap-sep-cup triple starting at
       `position`, whose separator is the cycle (N-2 N-1 N), by a plain
       region.
+
+    Commute and absorb are written for a cap.  At a cup, once the cup's
+    own preconditions hold, each is the cap's rule with `side` swapped,
+    applied to the mirrored diagram and mirrored back.
     """
     if side not in ("left", "right"):
         raise LinearError("side must be 'left' or 'right', not %r" % (side,))
     regs, seps = list(d.regions), list(d.separators)
-    if move != "isotopy" and not 0 <= position < len(regs):
+    if not 0 <= position < len(regs) + (move == "isotopy"):
         raise LinearError("position out of range")
     if move == "isotopy":
-        if not 0 <= position <= len(regs):
-            raise LinearError("position out of range")
-        if position == 0:
-            n = regs[0].left_count
-            regs.insert(0, Region(n, None))
-            seps.insert(0, identity_perm(n))
-        else:
-            n = regs[position - 1].right_count
-            regs.insert(position, Region(n, None))
-            seps.insert(position - 1, identity_perm(n))
-        return LinearDiagram(tuple(regs), tuple(seps))
-    if move == "merge_permutations":
-        r = regs[position]
-        if r.event is not None:
+        n = regs[position - 1].right_count if position else regs[0].left_count
+        regs.insert(position, Region(n, None))
+        seps.insert(max(position - 1, 0), identity_perm(n))
+    elif move == "merge_permutations":
+        if regs[position].event is not None:
             raise LinearError("can only merge across a plain region")
         if len(regs) == 1:
             raise LinearError("cannot remove the only region")
-        left = seps[position - 1] if position > 0 else None
-        right = seps[position] if position < len(seps) else None
-        if left is not None and right is not None:
-            combined = left.then(right)
-            del regs[position]
-            del seps[position]
-            seps[position - 1] = combined
-        elif left is not None:
-            del regs[position]
-            del seps[position - 1]
-        elif right is not None:
-            del regs[position]
-            del seps[position]
-        return LinearDiagram(tuple(regs), tuple(seps))
-    if move == "absorb_transposition":
-        r = regs[position]
-        if r.event not in ("cap", "cup"):
-            raise LinearError("absorb applies at a critical region")
-        n = r.count
-        swap = perm_from_cycles(n, [[n - 1, n]])
-        if r.event == "cap":
+        # an end region takes its one separator along; else the two compose
+        del regs[position]
+        around = slice(max(position - 1, 0), position + 1)
+        pair = seps[around]
+        seps[around] = [pair[0].then(pair[1])] if len(pair) == 2 else []
+    elif move in ("absorb_transposition", "commute_small_sigma"):
+        event, n = regs[position].event, regs[position].count
+        if event is None:
+            raise LinearError("%s applies at a critical region"
+                              % move.split("_")[0])
+        if event == "cup":
+            if move == "absorb_transposition" and position == 0:
+                raise LinearError("cup has no left separator")
+            return _mirror(apply_linear_move(
+                _mirror(d), move, len(regs) - 1 - position,
+                "right" if side == "left" else "left"))
+        if move == "absorb_transposition":
             if position == len(seps):
                 raise LinearError("cap has no right separator")
-            seps[position] = swap.then(seps[position])
-        else:
-            if position == 0:
-                raise LinearError("cup has no left separator")
-            seps[position - 1] = seps[position - 1].then(swap)
-        return LinearDiagram(tuple(regs), tuple(seps))
-    if move == "commute_small_sigma":
-        r = regs[position]
-        if r.event not in ("cap", "cup"):
-            raise LinearError("commute applies at a critical region")
-        n = r.count
-        has_left = position > 0
-        has_right = position < len(seps)
-        if not (has_left and has_right):
+            seps[position] = perm_from_cycles(n, [[n - 1, n]]).then(
+                seps[position])
+        elif not 0 < position < len(seps):
             raise LinearError("region needs separators on both sides")
-        big_on_right = (r.event == "cap")
-        if (side == "right") == big_on_right:
+        elif side == "right":
             # consume the big-side separator; it must fix the critical pair
-            idx = position if big_on_right else position - 1
-            sigma = seps[idx]
-            if not sigma.fixes_top_pair():
+            big = seps[position].images
+            if big[n - 2:] != (n - 2, n - 1):
                 raise LinearError("separator moves the critical pair")
-            small = sigma.restrict(n - 2)
-            seps[idx] = identity_perm(n)
-            other = position - 1 if big_on_right else position
-            seps[other] = (seps[other].then(small) if big_on_right
-                           else small.then(seps[other]))
+            seps[position - 1] = seps[position - 1].then(Perm(big[:n - 2]))
+            seps[position] = identity_perm(n)
         else:
             # consume the small-side separator and extend it across
-            idx = position - 1 if big_on_right else position
-            small = seps[idx]
-            seps[idx] = identity_perm(n - 2)
-            other = position if big_on_right else position - 1
-            seps[other] = (small.extend(n).then(seps[other]) if big_on_right
-                           else seps[other].then(small.extend(n)))
-        return LinearDiagram(tuple(regs), tuple(seps))
-    if move == "cancel_cup_cap":
+            small = Perm(seps[position - 1].images + (n - 2, n - 1))
+            seps[position - 1] = identity_perm(n - 2)
+            seps[position] = small.then(seps[position])
+    elif move == "cancel_cup_cap":
         if position + 1 >= len(regs):
             raise LinearError("need two regions from the position")
         r1, r2 = regs[position], regs[position + 1]
         if r1.event != "cap" or r2.event != "cup" or r1.count != r2.count:
             raise LinearError("cancel applies to a cap-cup pair")
         n = r1.count
-        sigma = seps[position]
-        want = perm_from_cycles(n, [[n - 2, n - 1, n]])
-        if sigma != want:
+        if seps[position] != perm_from_cycles(n, [[n - 2, n - 1, n]]):
             raise LinearError("separator is not the canonical 3-cycle")
-        plain = Region(n - 2, None)
-        regs[position:position + 2] = [plain]
+        regs[position:position + 2] = [Region(n - 2, None)]
         del seps[position]
-        return LinearDiagram(tuple(regs), tuple(seps))
-    raise LinearError("unknown move %r" % move)
+    else:
+        raise LinearError("unknown move %r" % move)
+    return LinearDiagram(tuple(regs), tuple(seps))

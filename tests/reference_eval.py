@@ -48,7 +48,7 @@ class _EvalListener(ComponentListener):
     def event(self, state, ev):
         cell = ev.cell
         name = cell.name if isinstance(cell, tc.Gen2) else None
-        tag = self.asg.tag(name) if name else None
+        tag = self.asg.presentation.two_gen_tags.get(name) if name else None
         # structural cells, cusp cells and crossing cells reroute strands
         # and keep the component ids
         old, new = self.follow(state, ev,

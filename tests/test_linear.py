@@ -51,6 +51,10 @@ def test_parse_rejects_mismatched_counts():
     ("(3) [121] (3)", "overlapping cycles"),
     ("(3) [12][12] (3)", "overlapping cycles"),
     ("(3) [1 1] (3)", "overlapping cycles"),
+    ("(3) () (3)", "bad region ()"),
+    ("()", "bad region ()"),
+    ("(-2) [] (-2)", "negative sheet count"),
+    ("(1 cap) [] (3)", "critical region needs at least two sheets"),
 ])
 def test_parse_rejects_malformed_text(text, message):
     with pytest.raises(ln.LinearError) as err:
@@ -187,11 +191,32 @@ def test_apply_linear_move_refuses_an_unknown_side(side):
             % (side,)
 
 
-def _outcome(d, move, pos, side):
+def _outcome(d, move, pos, side, apply=ln.apply_linear_move):
     try:
-        return ln.apply_linear_move(d, move, pos, side)
+        return apply(d, move, pos, side)
     except ln.LinearError as exc:
         return str(exc)
+
+
+def test_moves_equal_the_reference_moves():
+    """Every move, position and side gives the diagram, or the error
+    text, that the moves written out separately for caps and cups give,
+    on the paper figure and on 3000 seeded diagrams."""
+    rng = random.Random(1)
+    diagrams = [ln.parse_diagram(PAPER_DIAGRAM)]
+    diagrams += [random_diagram(rng) for _ in range(3000)]
+    compared = applied = 0
+    for d in diagrams:
+        for move in ln.MOVES + ("unknown",):
+            for pos in range(-1, len(d.regions) + 2):
+                for side in ("left", "right", "middle"):
+                    got = _outcome(d, move, pos, side)
+                    want = _outcome(d, move, pos, side,
+                                    reference_linear.apply_linear_move)
+                    assert got == want, (str(d), move, pos, side)
+                    compared += 1
+                    applied += not isinstance(want, str)
+    assert compared > 300000 and applied > 30000
 
 
 def test_only_sided_moves_read_side():
