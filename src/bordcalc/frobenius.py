@@ -880,12 +880,20 @@ def _index(tok, dim):
     return k - 1
 
 
+def _fields(tok, form):
+    """The fields of `.alg` token `tok` laid out as `form`, e.g. `i,j:q`."""
+    m = re.fullmatch(re.sub(r"\w", "([^,:]*)", form), tok)
+    if m is None:
+        raise ValueError("expected %s, got %r" % (form, tok))
+    return m.groups()
+
+
 def _entries(toks, dim):
     """The sparse map {0-based index: rational} of `k:q` tokens; each
     index once."""
     out, seen = {}, set()
     for tok in toks:
-        k, q = tok.split(":")
+        k, q = _fields(tok, "k:q")
         i = _index(k, dim)
         _once(seen, "index %d" % (i + 1))
         out[i] = parse_rational(q)
@@ -896,6 +904,11 @@ def _once(seen, directive):
     if directive in seen:
         raise ValueError("duplicate %s" % directive)
     seen.add(directive)
+
+
+#: the form of each directive with operands that must be there
+_OPERANDS = {"dim": "dim n", "mult": "mult i j -> k:q ...",
+             "star": "star i -> k:q ..."}
 
 
 def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
@@ -948,8 +961,8 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
             elif key == "e":
                 e = {}
                 for tok in parts[1:]:
-                    ij, q = tok.split(":")
-                    i, j = (_index(k, dim) for k in ij.split(","))
+                    i, j, q = _fields(tok, "i,j:q")
+                    i, j = _index(i, dim), _index(j, dim)
                     _once(seen, "entry %d,%d" % (i + 1, j + 1))
                     e[i, j] = parse_rational(q)
             elif key == "star":
@@ -962,7 +975,10 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
                 star[i] = _entries(parts[3:], dim)
             else:
                 raise ValueError("unknown directive %r" % key)
-        except (IndexError, ValueError) as exc:
+        except IndexError:
+            raise AlgebraError("line %d: expected %s"
+                               % (lineno, _OPERANDS[key])) from None
+        except ValueError as exc:
             raise AlgebraError("line %d: %s" % (lineno, exc))
     if dim is None or unit is None:
         raise AlgebraError("missing dim or unit")

@@ -150,6 +150,9 @@ class LinearDiagram:
         return " ".join(parts)
 
 
+#: the most sheets, over all its regions, of a diagram `parse_diagram` reads
+MAX_SHEETS = 10000
+
 _LD_TOKENS = re.compile(r"\(([^)]*)\)|(\[[^\]]*\](?:\s*\[[^\]]*\])*)")
 
 
@@ -163,19 +166,23 @@ def parse_diagram(text: str) -> LinearDiagram:
     """Parse the textual format `(5 cap) [24][35] (5 cup) [] (3 cup)`.
 
     Text outside regions and separators must be blank; an empty region
-    `()` is an error.
+    `()` is an error, and so is a diagram of more than `MAX_SHEETS` sheets
+    over all its regions.
     """
     leftover = _LD_TOKENS.sub(" ", text).split()
     if leftover:
         raise LinearError("unexpected text %r" % leftover[0])
     regions, separators = [], []
-    expect_region = True
+    expect_region, sheets = True, 0
     for reg_body, sep_body in (m.groups() for m in _LD_TOKENS.finditer(text)):
         if sep_body is None:
             parts = reg_body.split()
             if not 1 <= len(parts) <= 2:
                 raise LinearError("bad region (%s)" % reg_body)
             count = _integer(parts[0], "sheet count")
+            sheets += abs(count)
+            if sheets > MAX_SHEETS:
+                raise LinearError("more than %d sheets" % MAX_SHEETS)
             event = parts[1] if len(parts) > 1 else None
             if event not in (None, "cap", "cup"):
                 raise LinearError("unknown region event %r" % event)

@@ -1,13 +1,14 @@
 """Generators, relations and rewriting for the 2D bordism presentations.
 
-`bord2_unoriented` and `bord2_oriented` build the concrete presentations:
-point objects, the evaluation/coevaluation elbows, four Morse cells (birth
-and death disks, the two saddles), cusp cells, and (unoriented only) the
-four elbow/crossing interchange cells; the relation list holds the
-saddle/disk cancellation rows expanded over their placement variants, the
-cusp inversion rows and the crossing cancellation rows.  `Presentation`
-checks once that every side composes over the generating data and that
-both sides of a row have the same boundary.
+`bord2_unoriented` and `bord2_oriented` state their cusp cells and
+(unoriented only) the four elbow/crossing interchange cells; `_bord2` adds
+the point objects, the evaluation/coevaluation elbows and four Morse cells
+(birth and death disks, the two saddles).  Each relation row is written
+once: a generator's time reverse is the generator with its sides swapped,
+each cap-merge cancellation row is its split-cup row reversed, and each
+invertible pair (cusps, crossings) gives its two cancellation rows.
+`Presentation` checks once that every side composes over the generating
+data and that both sides of a row have the same boundary.
 
 `find_matches`/`apply` rewrite by the relations (exact subterm matching
 modulo vertical-chain flattening) and `equivalent_bounded` searches the
@@ -100,10 +101,9 @@ class Presentation:
         for n in sorted(self.data.two_gens):
             s, t = self.data.two_gens[n]
             lines.append("2-gen %s [%s] : %s => %s"
-                         % (n, self.two_gen_tags.get(n, "?"), s, t))
+                         % (n, self.two_gen_tags[n], s, t))
         lines.append("cusp-generators %d"
-                     % sum(1 for t in self.two_gen_tags.values()
-                           if t == "cusp"))
+                     % list(self.two_gen_tags.values()).count("cusp"))
         lines.append("relations %d" % len(self.relations))
         for rel in self.relations:
             lines.append("relation %s : %s == %s" % (rel.name, rel.lhs, rel.rhs))
@@ -156,66 +156,76 @@ def _zigzag_mirror(ev, coev, a, b, incoming):
     )
 
 
-def _morse_cancel_rows(ev, coev):
+def _reversed(p, partner):
+    """The time reverse of 2-cell term `p`: each generator becomes its
+    `partner` (its sides swapped), each structural leaf its formal
+    inverse, and a vertical chain runs backwards."""
+    cls = type(p)
+    if cls is Gen2:
+        return Gen2(partner[p.name])
+    if cls is not VComp and cls is not HComp:
+        return tc.formal_adjoint(p)
+    reverses = [_reversed(c, partner) for _, c in tc.parts(p)]
+    return tc.rebuild(p, reverses[::-1] if cls is VComp else reverses)
+
+
+def _morse_cancel_rows(ev, coev, partner):
     """Disk/saddle cancellation rows on the circle D = ev o coev.
 
     Eight rows: {split then cup, cap then merge} x {outer, inner circle}
-    x {pinch dressed at the ev side, at the coev side}.
+    x {pinch dressed at the ev side, at the coev side}.  Each cap-merge
+    row is its split-cup row played backwards.
     """
-    D = Comp1(ev, coev)
-    pinch = Comp1(coev, ev)
-
-    # rebracketing (ev o pinch) o coev => D o D
-    to_dd_a = [AssocC(coev, pinch, ev),
-               HComp(Id2(ev), AssocC(coev, ev, coev)),
-               Inv2(AssocC(D, coev, ev))]
+    D, pinch = Comp1(ev, coev), Comp1(coev, ev)
     # rebracketing ev o (pinch o coev) => D o D
-    to_dd_b = [HComp(Id2(ev), AssocC(coev, ev, coev)),
-               Inv2(AssocC(D, coev, ev))]
-
-    pinch_in_a = [HComp(Inv2(RC(ev)), Id2(coev)),
-                  HComp(HComp(Id2(ev), Gen2("split")), Id2(coev))]
-    pinch_in_b = [HComp(Id2(ev), Inv2(LC(coev))),
-                  HComp(Id2(ev), HComp(Gen2("split"), Id2(coev)))]
-    pinch_out_a = [HComp(HComp(Id2(ev), Gen2("merge")), Id2(coev)),
-                   HComp(RC(ev), Id2(coev))]
-    pinch_out_b = [HComp(Id2(ev), HComp(Gen2("merge"), Id2(coev))),
-                   HComp(Id2(ev), LC(coev))]
+    to_dd = [HComp(Id2(ev), AssocC(coev, ev, coev)),
+             Inv2(AssocC(D, coev, ev))]
+    # the split dressed at the ev side (a) or the coev side (b), bracketed
+    # as ev o (pinch o coev)
+    split_a = [HComp(Inv2(RC(ev)), Id2(coev)),
+               HComp(HComp(Id2(ev), Gen2("split")), Id2(coev)),
+               AssocC(coev, pinch, ev)]
+    split_b = [HComp(Id2(ev), Inv2(LC(coev))),
+               HComp(Id2(ev), HComp(Gen2("split"), Id2(coev)))]
 
     rows = []
-    for dress, to_dd, pin, pout in (
-            ("a", to_dd_a, pinch_in_a, pinch_out_a),
-            ("b", to_dd_b, pinch_in_b, pinch_out_b)):
-        from_dd = [tc.formal_adjoint(c) for c in reversed(to_dd)]
-        rows.append(Relation(
-            "morse-cancel-split-cup-outer-" + dress,
-            VComp((*pin, *to_dd, HComp(Gen2("cup"), Id2(D)), LC(D))),
-            VComp((Id2(D),))))
-        rows.append(Relation(
-            "morse-cancel-split-cup-inner-" + dress,
-            VComp((*pin, *to_dd, HComp(Id2(D), Gen2("cup")), RC(D))),
-            VComp((Id2(D),))))
-        rows.append(Relation(
-            "morse-cancel-cap-merge-outer-" + dress,
-            VComp((Inv2(LC(D)), HComp(Gen2("cap"), Id2(D)), *from_dd, *pout)),
-            VComp((Id2(D),))))
-        rows.append(Relation(
-            "morse-cancel-cap-merge-inner-" + dress,
-            VComp((Inv2(RC(D)), HComp(Id2(D), Gen2("cap")), *from_dd, *pout)),
-            VComp((Id2(D),))))
+    for dress, pin in (("a", split_a), ("b", split_b)):
+        cancels = [Relation("morse-cancel-split-cup-%s-%s" % (circle, dress),
+                            VComp((*pin, *to_dd, cup, unitor)),
+                            VComp((Id2(D),)))
+                   for circle, cup, unitor in (
+                       ("outer", HComp(Gen2("cup"), Id2(D)), LC(D)),
+                       ("inner", HComp(Id2(D), Gen2("cup")), RC(D)))]
+        rows += cancels + [
+            Relation(rel.name.replace("split-cup", "cap-merge"),
+                     _reversed(rel.lhs, partner), _reversed(rel.rhs, partner))
+            for rel in cancels]
     return rows
 
 
-def _cusp_rows(updown_pairs):
-    rows = []
-    for name, up, down, strip, zig in updown_pairs:
-        rows.append(Relation("cusp-inversion-%s-strip" % name,
-                             VComp((Gen2(up), Gen2(down))),
-                             VComp((Id2(strip),))))
-        rows.append(Relation("cusp-inversion-%s-zigzag" % name,
-                             VComp((Gen2(down), Gen2(up))),
-                             VComp((Id2(zig),))))
-    return rows
+def _bord2(name, objects, PP, gens, inverse_pairs):
+    """The presentation `name` on the points `objects`: the elbows
+    ev: PP -> 1 and coev: 1 -> PP, the four Morse cells, then `gens`.  Its
+    relations: the Morse cancellation rows, then for each (x, row, shape)
+    of `inverse_pairs`, y being x's reverse, row-strip x.y = id[source of
+    x] and row-shape y.x = id[target of x].  Tags: names up to the `_`."""
+    ev, coev = Gen1("ev"), Gen1("coev")
+    # the circle D: 1 -> 1 and two strips pinched, PP -> PP
+    D, pinch = Comp1(ev, coev), Comp1(coev, ev)
+    two_gens = {"cap": (Id1(UNIT), D), "cup": (D, Id1(UNIT)),
+                "split": (Id1(PP), pinch), "merge": (pinch, Id1(PP)), **gens}
+    data = tc.GeneratingData(objects, {"ev": (PP, UNIT), "coev": (UNIT, PP)},
+                             two_gens)
+    by_ends = {ends: n for n, ends in two_gens.items()}
+    partner = {n: by_ends[t, s] for n, (s, t) in two_gens.items()}
+    relations = _morse_cancel_rows(ev, coev, partner)
+    for x, row, shape in inverse_pairs:
+        (s, t), y = two_gens[x], partner[x]
+        for suffix, cells, side in (("strip", (x, y), s), (shape, (y, x), t)):
+            relations.append(Relation("%s-%s" % (row, suffix), VComp(
+                tuple(map(Gen2, cells))), VComp((Id2(side),))))
+    return Presentation(name, data, relations,
+                        {n: n.split("_")[0] for n in two_gens})
 
 
 # ---------------------------------------------------------------------------
@@ -225,52 +235,17 @@ def _cusp_rows(updown_pairs):
 def bord2_unoriented() -> Presentation:
     """Generators and relations of the unoriented 2D bordism bicategory."""
     P = ObjGen("pt")
-    PP = tc.ObjTensor(P, P)
     ev, coev = Gen1("ev"), Gen1("coev")
-    beta = Braid1(P, P)
-    D = Comp1(ev, coev)            # the circle, as a 1 -> 1 sentence
-    pinch = Comp1(coev, ev)        # two strips pinched, pt(x)pt -> pt(x)pt
     Z = _zigzag(ev, coev, P, P, P)
-
-    two_gens = {
-        "cap": (Id1(UNIT), D),
-        "cup": (D, Id1(UNIT)),
-        "split": (Id1(PP), pinch),
-        "merge": (pinch, Id1(PP)),
-        "cusp_up": (Id1(P), Z),
-        "cusp_down": (Z, Id1(P)),
-        "sym_ev_in": (ev, Comp1(ev, beta)),
-        "sym_ev_out": (Comp1(ev, beta), ev),
-        "sym_coev_in": (coev, Comp1(beta, coev)),
-        "sym_coev_out": (Comp1(beta, coev), coev),
-    }
-    data = tc.GeneratingData(
-        objects=("pt",),
-        one_gens={"ev": (PP, UNIT), "coev": (UNIT, PP)},
-        two_gens=two_gens)
-
-    relations = _morse_cancel_rows(ev, coev)
-    relations += _cusp_rows([("pt", "cusp_up", "cusp_down", Id1(P), Z)])
-    relations += [
-        Relation("sym-cancel-ev-strip",
-                 VComp((Gen2("sym_ev_in"), Gen2("sym_ev_out"))),
-                 VComp((Id2(ev),))),
-        Relation("sym-cancel-ev-crossed",
-                 VComp((Gen2("sym_ev_out"), Gen2("sym_ev_in"))),
-                 VComp((Id2(Comp1(ev, beta)),))),
-        Relation("sym-cancel-coev-strip",
-                 VComp((Gen2("sym_coev_in"), Gen2("sym_coev_out"))),
-                 VComp((Id2(coev),))),
-        Relation("sym-cancel-coev-crossed",
-                 VComp((Gen2("sym_coev_out"), Gen2("sym_coev_in"))),
-                 VComp((Id2(Comp1(beta, coev)),))),
-    ]
-
-    tags = {"cap": "cap", "cup": "cup", "split": "split", "merge": "merge",
-            "cusp_up": "cusp", "cusp_down": "cusp",
-            "sym_ev_in": "sym", "sym_ev_out": "sym",
-            "sym_coev_in": "sym", "sym_coev_out": "sym"}
-    return Presentation("unoriented", data, relations, tags)
+    # ev and coev with their two strands crossed
+    xev, xcoev = Comp1(ev, Braid1(P, P)), Comp1(Braid1(P, P), coev)
+    return _bord2("unoriented", ("pt",), tc.ObjTensor(P, P), {
+        "cusp_up": (Id1(P), Z), "cusp_down": (Z, Id1(P)),
+        "sym_ev_in": (ev, xev), "sym_ev_out": (xev, ev),
+        "sym_coev_in": (coev, xcoev), "sym_coev_out": (xcoev, coev),
+    }, [("cusp_up", "cusp-inversion-pt", "zigzag"),
+        ("sym_ev_in", "sym-cancel-ev", "crossed"),
+        ("sym_coev_in", "sym-cancel-coev", "crossed")])
 
 
 def bord2_oriented() -> Presentation:
@@ -280,38 +255,14 @@ def bord2_oriented() -> Presentation:
     each of the two cusp shapes (four cells, recorded in the manifest).
     """
     Pp, Pm = ObjGen("pt+"), ObjGen("pt-")
-    PP = tc.ObjTensor(Pp, Pm)
     ev, coev = Gen1("ev"), Gen1("coev")
-    D = Comp1(ev, coev)
-    pinch = Comp1(coev, ev)
     Zp = _zigzag(ev, coev, Pp, Pm, Pp)          # snake on the positive point
     Zm = _zigzag_mirror(ev, coev, Pp, Pm, Pm)   # mirror snake on the negative
-
-    two_gens = {
-        "cap": (Id1(UNIT), D),
-        "cup": (D, Id1(UNIT)),
-        "split": (Id1(PP), pinch),
-        "merge": (pinch, Id1(PP)),
-        "cusp_up_pos": (Id1(Pp), Zp),
-        "cusp_down_pos": (Zp, Id1(Pp)),
-        "cusp_up_neg": (Id1(Pm), Zm),
-        "cusp_down_neg": (Zm, Id1(Pm)),
-    }
-    data = tc.GeneratingData(
-        objects=("pt+", "pt-"),
-        one_gens={"ev": (PP, UNIT), "coev": (UNIT, PP)},
-        two_gens=two_gens)
-
-    relations = _morse_cancel_rows(ev, coev)
-    relations += _cusp_rows([
-        ("pos", "cusp_up_pos", "cusp_down_pos", Id1(Pp), Zp),
-        ("neg", "cusp_up_neg", "cusp_down_neg", Id1(Pm), Zm),
-    ])
-
-    tags = {"cap": "cap", "cup": "cup", "split": "split", "merge": "merge",
-            "cusp_up_pos": "cusp", "cusp_down_pos": "cusp",
-            "cusp_up_neg": "cusp", "cusp_down_neg": "cusp"}
-    return Presentation("oriented", data, relations, tags)
+    return _bord2("oriented", ("pt+", "pt-"), tc.ObjTensor(Pp, Pm), {
+        "cusp_up_pos": (Id1(Pp), Zp), "cusp_down_pos": (Zp, Id1(Pp)),
+        "cusp_up_neg": (Id1(Pm), Zm), "cusp_down_neg": (Zm, Id1(Pm)),
+    }, [("cusp_up_pos", "cusp-inversion-pos", "zigzag"),
+        ("cusp_up_neg", "cusp-inversion-neg", "zigzag")])
 
 
 # ---------------------------------------------------------------------------

@@ -733,7 +733,7 @@ def morphism_boundary(t: MorphismTerm, data: GeneratingData,
     names resolved against `data`."""
     if isinstance(t, Gen1):
         if t.name not in data.one_gens:
-            raise TermError("unknown 1-generator %r" % t.name)
+            raise TermError("unknown 1-generator %r" % t.name, path)
         return data.one_gens[t.name]
     if isinstance(t, Adj1):
         s, g = morphism_boundary(t.inner, data, path + ("inv",))
@@ -857,7 +857,7 @@ def _leaf_ends(p, data, path):
         t, s, a, b = _walk(p.inner, data, path + ("inv2",), None)
     elif isinstance(p, Gen2):
         if p.name not in data.two_gens:
-            raise TermError("unknown 2-generator %r" % p.name)
+            raise TermError("unknown 2-generator %r" % p.name, path)
         # a generator is globular by construction of `data`
         s, t = data.two_gens[p.name]
         a, b = morphism_boundary(s, data)

@@ -463,7 +463,8 @@ def test_non_utf8_file_is_one_line(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("text", [
     "(x)", "(2 cap) [12]x(2)", "(2) [1 2", "(3) [1,x] (3)", "(3)[1²](3)",
-    "(2 cap cup)", "(3) [12][12] (3)", "(3) [1 1] (3)", "(3) () (3)"])
+    "(2 cap cup)", "(3) [12][12] (3)", "(3) [1 1] (3)", "(3) () (3)",
+    "(1000000) [] (1000000)"])
 def test_linear_malformed_diagram_is_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.ld"
     path.write_text(text, encoding="utf-8")

@@ -895,6 +895,13 @@ def test_algebra_file_errors():
         ("dim 2\nunit 1:1\nlambda 0x1:1", "line 3: invalid index '0x1'"),
         ("dim 2\nunit 1:1\ne 1,٢:1", "line 3: invalid index '٢'"),
         ("dim 2\nunit 1:1\nstar ２ -> 1:1", "line 3: invalid index '２'"),
+        # a malformed line names the form it expected
+        ("dim 2\nmult 1 1 -> 1", "line 2: expected k:q, got '1'"),
+        ("dim 2\nmult 1 1 -> 1:1:2", "line 2: expected k:q, got '1:1:2'"),
+        ("dim 2\nmult 1 1", "line 2: expected mult i j -> k:q ..."),
+        ("dim 2\nstar 1", "line 2: expected star i -> k:q ..."),
+        ("dim", "line 1: expected dim n"),
+        ("dim 2\ne 1:1", "line 2: expected i,j:q, got '1:1'"),
     ]:
         with pytest.raises(fr.AlgebraError) as exc:
             fr.parse_algebra_file(text)

@@ -55,11 +55,19 @@ def test_parse_rejects_mismatched_counts():
     ("()", "bad region ()"),
     ("(-2) [] (-2)", "negative sheet count"),
     ("(1 cap) [] (3)", "critical region needs at least two sheets"),
+    # sheets are counted over all regions, negative ones too
+    ("(5000) [] (5001)", "more than 10000 sheets"),
+    ("(-6000) [] (6000)", "more than 10000 sheets"),
 ])
 def test_parse_rejects_malformed_text(text, message):
     with pytest.raises(ln.LinearError) as err:
         ln.parse_diagram(text)
     assert str(err.value) == message
+
+
+def test_parse_accepts_max_sheets():
+    d = ln.parse_diagram("(5000) [] (5000)")
+    assert sum(r.count for r in d.regions) == ln.MAX_SHEETS
 
 
 def test_parse_accepts_spaced_and_comma_cycles():

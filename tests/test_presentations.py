@@ -47,6 +47,35 @@ def test_relations_boundary_balanced(uno, ori):
                 == tc.two_cell_boundary(rel.rhs, p.data), rel.name
 
 
+def _reverses(p):
+    """2-generator name -> the names of the 2-generators whose source and
+    target are its own, swapped."""
+    gens = p.data.two_gens
+    return {x: [y for y, ends in gens.items() if ends == (t, s)]
+            for x, (s, t) in gens.items()}
+
+
+def test_each_generator_has_one_time_reverse(uno, ori):
+    for p in (uno, ori):
+        for x, reverses in _reverses(p).items():
+            assert len(reverses) == 1, (p.name, x, reverses)
+
+
+def test_relations_are_closed_under_time_reversal(uno, ori):
+    # a split-cup row reversed is its cap-merge row and back; a cusp or
+    # crossing cancellation row reversed is itself
+    for p in (uno, ori):
+        partner = {x: ys[0] for x, ys in _reverses(p).items()}
+        for rel in p.relations:
+            image = p.relation(
+                rel.name.replace("split-cup", "cap-merge")
+                if "split-cup" in rel.name
+                else rel.name.replace("cap-merge", "split-cup"))
+            assert (pr._reversed(rel.lhs, partner),
+                    pr._reversed(rel.rhs, partner)) \
+                in ((image.lhs, image.rhs), (image.rhs, image.lhs)), rel.name
+
+
 def test_manifest_stable(uno):
     m1 = uno.manifest()
     m2 = pr.bord2_unoriented().manifest()

@@ -475,7 +475,13 @@ def test_validate_reports_the_first_composability_failure(uno, text, entries):
     (lambda d: vcompose([], d), "empty vertical chain"),
     (lambda d: tc.two_cell_boundary(Inv2(Gen2("cap")), d),
      "inv2 of a non-invertible cell"),
-], ids=["empty-vcompose", "inv2-of-generator"])
+    # a name fault carries its path, as `validate` reports it
+    (lambda d: vcompose([Gen2("cap"), Gen2("nope")], d),
+     "unknown 2-generator 'nope' (at 1)"),
+    (lambda d: tc.morphism_boundary(Comp1(Gen1("nope"), Gen1("coev")), d),
+     "unknown 1-generator 'nope' (at after)"),
+], ids=["empty-vcompose", "inv2-of-generator", "unknown-2-generator-in-chain",
+        "unknown-1-generator-in-composite"])
 def test_walk_faults_read_as_validate_reports_them(uno, call, message):
     # one check per admissibility fault, worded as `validate` words it
     with pytest.raises(tc.TermError) as exc:
