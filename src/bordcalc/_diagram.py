@@ -27,6 +27,10 @@ tubes only, and `ComponentListener` keeps the component ids through the
 `Shape.transfer` read off them; any other event gives fresh ids to the
 components through its new arcs.
 
+An arc end is the int ``2 * arc + side``, a shape's over its own arcs: an
+event's old end x is ``2 * old_arcs[x >> 1] + (x & 1)``, its new end ``2 *
+base + x``.  The live arcs are read off the live tree's leaves (`_arcs`).
+
 `number_pieces` is the one component walk, and `census` counts any
 compact 1-manifold wired as an arc diagram.
 """
@@ -48,21 +52,18 @@ class DiagramError(Exception):
 # arc diagrams
 # ---------------------------------------------------------------------------
 
-# An arc end is (arc_id, 0|1); the arc's own direction runs end 0 -> end 1.
-
 class ArcDiagram:
-    """Arc ids of one sentence plus the involution linking matched ends."""
+    """The involution `link` on the int ends ``2 * arc + (0|1)`` of one
+    sentence's arcs (end 0 -> end 1); live arcs are read off its tree."""
 
     def __init__(self):
-        self.arcs = set()
-        self.link: Dict[tuple, tuple] = {}
+        self.link: Dict[int, int] = {}
         self._next = 0
 
     def new_arc(self, n=1) -> int:
         """The first of `n` fresh arc ids, which run on consecutively."""
         i = self._next
         self._next = i + n
-        self.arcs.update(range(i, i + n))
         return i
 
     def join(self, end_a, end_b):
@@ -70,12 +71,6 @@ class ArcDiagram:
             raise DiagramError("arc end linked twice")
         self.link[end_a] = end_b
         self.link[end_b] = end_a
-
-    def unjoin(self, end):
-        other = self.link.pop(end, None)
-        if other is not None:
-            self.link.pop(other, None)
-        return other
 
 
 @dataclass(eq=False, slots=True)
@@ -109,7 +104,7 @@ class LiveNode:
             (ns, nt, arcspec), k0 = self.wiring, self.arcs.start
             self._ports = ports = [None] * ns, [None] * nt
             for k, ((s0, i0), (s1, i1)) in enumerate(arcspec, k0):
-                ports[s0 == "t"][i0], ports[s1 == "t"][i1] = (k, 0), (k, 1)
+                ports[s0 == "t"][i0], ports[s1 == "t"][i1] = 2 * k, 2 * k + 1
         return self._ports
 
 
@@ -205,8 +200,8 @@ def comp_order(state, comp):
     """
     port_pos, leaf_pos = {}, {}
     src, tgt = state.root.ports()
-    for pos, (aid, _) in enumerate(src + tgt):
-        port_pos.setdefault(comp[aid], pos)
+    for pos, x in enumerate(src + tgt):
+        port_pos.setdefault(comp[x >> 1], pos)
     for i, node in enumerate(_leaf_nodes(state.root)):
         for k, aid in enumerate(node.arcs):
             leaf_pos.setdefault(comp[aid], (i, k))
@@ -234,12 +229,13 @@ class Shape:
     ``0..n_new-1`` in the target's, and `skeleton` the target's live tree
     as lists of parts over each leaf's (arcs, wiring), with no terms.
 
-    Ports list the source then the target boundary ends, and the i-th old
-    and new port ends sit on the same boundary point; links are {end:
-    partner} among the event's own arcs.  `strands` maps each old arc of
-    a parameter a structural cell carries through (`termcore.strand_paths`)
-    to the new arc it continues as; a generator cell's map is empty.
-    `pieces` is derived on first read, and `transfer` from it.
+    Ends are ints ``2 * arc + side`` over those numbers.  Ports list the
+    source then the target boundary ends, and the i-th old and new port
+    ends sit on the same boundary point; links are {end: partner} among
+    the event's own arcs.  `strands` maps each old arc of a parameter a
+    structural cell carries through (`termcore.strand_paths`) to the new
+    arc it continues as; a generator cell's map is empty.  `pieces` is
+    derived on first read, and `transfer` and `cap_plan` from it.
     """
 
     n_old: int
@@ -254,17 +250,32 @@ class Shape:
     @cached_property
     def transfer(self):
         """For each new arc, an old arc of the piece it continues, read off
-        `pieces`: a carried tube's own, or a strip's (a cap cycle of one
-        run of old arcs and one of new); None if a piece is neither."""
-        carried, caps = self.pieces
-        back = dict(carried)
-        for cycle in caps:
-            sides = [s for s, _, _ in cycle]
-            if sum(s != t for s, t in zip(sides, sides[-1:] + sides)) != 2:
+        `pieces`: a carried tube's own, or a strip's (a cap of one run of
+        old arcs and one of new, its first arc old); None if a piece is
+        neither."""
+        back = dict(self.pieces[0])
+        for _, a0, euler, _, news in self.cap_plan:
+            if euler:  # a strip has one run of old arcs: euler 0
                 return None
-            old = next(a for s, a, _ in cycle if s == "old")
-            back.update((a, old) for s, a, _ in cycle if s == "new")
+            back.update((b, a0) for b, _ in news)
         return tuple(back[b] for b in range(self.n_new))
+
+    @cached_property
+    def cap_plan(self):
+        """Each cap of `pieces` as (birth, a0, 1 less its runs of old arcs,
+        its other old arcs, its other new arcs), a0 its first arc (new in a
+        birth) and each other arc with its sheet's parity against a0's."""
+        plan = []
+        for cycle in self.pieces[1]:
+            sides = [s for s, _, _ in cycle]
+            runs = sum(s == "old" != prev
+                       for s, prev in zip(sides, sides[-1:] + sides))
+            flip = [(s, a, (d == -1) == (s == "old")) for s, a, d in cycle]
+            (s0, a0, f0), rest = flip[0], flip[1:]
+            plan.append((s0 == "new", a0, 1 - runs,
+                         tuple((a, f ^ f0) for s, a, f in rest if s == "old"),
+                         tuple((a, f ^ f0) for s, a, f in rest if s == "new")))
+        return plan
 
     @cached_property
     def pieces(self):
@@ -285,15 +296,15 @@ class Shape:
                          dict(zip(self.new_ports, self.old_ports)))}
 
         def advance(side, arc, direction):
-            exit_end = (arc, 1 if direction == +1 else 0)
+            exit_end = 2 * arc + (direction == +1)
             links, other, across = steps[side]
             if exit_end in links:
-                narc, nend = links[exit_end]
+                x = links[exit_end]
             elif exit_end in across:
-                side, (narc, nend) = other, across[exit_end]
+                side, x = other, across[exit_end]
             else:
                 raise DiagramError("event trace fell off the boundary")
-            return (side, narc, +1 if nend == 0 else -1)
+            return (side, x >> 1, -1 if x & 1 else +1)
 
         traced, cycles = {}, []
         for side, pool in (("old", range(self.n_old)),
@@ -338,15 +349,17 @@ def _compile(cell, source, target, data):
                for a, b in zip(_arcs(old, o), _arcs(new, n))}
     skeleton = lambda n: ([skeleton(c) for c in n.children] if n.children
                           else (n.arcs, n.wiring))
-    return Shape(len(old_d.arcs), len(new_d.arcs), sum(po, []), sum(pn, []),
+    return Shape(len(_arcs(old)), len(_arcs(new)), sum(po, []), sum(pn, []),
                  old_d.link, new_d.link, strands, skeleton(new))
 
 
 def _instantiate(skeleton, term, base):
     """The live node of sentence `term` on `skeleton`, arc ids up by `base`."""
     if type(skeleton) is list:
-        return LiveNode(term, [_instantiate(s, c, base) for s, (_, c)
-                               in zip(skeleton, tc.parts(term))])
+        x, y = ((term.first, term.after) if type(term) is tc.Comp1
+                else (term.left, term.right))
+        return LiveNode(term, [_instantiate(skeleton[0], x, base),
+                               _instantiate(skeleton[1], y, base)])
     a, wiring = skeleton
     return LiveNode(term, (), range(base + a.start, base + a.stop), wiring)
 
@@ -403,19 +416,18 @@ class MovieState:
         if shape is None:
             shape = _keep(self.data.shapes, cell,
                           _compile(cell, source, target, self.data))
-        diagram, link = self.diagram, self.diagram.link
-        old_arcs = _arcs(node)
-        outer = [diagram.unjoin((old_arcs[a], e)) for a, e in shape.old_ports]
-        for aid in old_arcs:  # the links left are the old arcs' own
-            link.pop((aid, 0), None)
-            link.pop((aid, 1), None)
-        diagram.arcs.difference_update(old_arcs)
-        base = diagram.new_arc(shape.n_new)
-        for (a, e), (b, f) in shape.new_links.items():
-            link[base + a, e] = (base + b, f)
-        for (b, f), partner in zip(shape.new_ports, outer):
+        link, old_arcs = self.diagram.link, _arcs(node)
+        outer = [link.pop(2 * old_arcs[x >> 1] + (x & 1), None)
+                 for x in shape.old_ports]
+        for x in shape.old_links:  # each outer partner is relinked below
+            del link[2 * old_arcs[x >> 1] + (x & 1)]
+        base = self.diagram.new_arc(shape.n_new)
+        b2 = 2 * base
+        for x, y in shape.new_links.items():
+            link[b2 + x] = b2 + y
+        for x, partner in zip(shape.new_ports, outer):
             if partner is not None:
-                diagram.join((base + b, f), partner)
+                link[b2 + x], link[partner] = partner, b2 + x
         new_node = _instantiate(shape.skeleton, target, base)
         if parents:
             parents[-1].children[at] = new_node
@@ -449,19 +461,19 @@ def number_pieces(link, arcs, into, first):
         stack = [start]
         while stack:
             a = stack.pop()
-            for other in (link.get((a, 0)), link.get((a, 1))):
-                if other is not None and into.get(other[0], -1) < first:
-                    into[other[0]] = k
-                    stack.append(other[0])
+            for other in (link.get(2 * a), link.get(2 * a + 1)):
+                if other is not None and into.get(other >> 1, -1) < first:
+                    into[other >> 1] = k
+                    stack.append(other >> 1)
         k += 1
     return k
 
 
-def census(diagram):
-    """The circles and intervals of the compact 1-manifold `diagram`
-    wires: pieces with no unlinked end, and pieces with two."""
-    intervals = len(diagram.arcs) - len(diagram.link) // 2
-    pieces = number_pieces(diagram.link, diagram.arcs, {}, 0)
+def census(link, arcs):
+    """The circles and intervals of the compact 1-manifold `link` wires
+    over `arcs`: pieces with no unlinked end, and pieces with two."""
+    intervals = len(arcs) - len(link) // 2
+    pieces = number_pieces(link, arcs, {}, 0)
     return {"circles": pieces - intervals, "intervals": intervals}
 
 
@@ -474,7 +486,7 @@ class ComponentListener(MovieListener):
 
     def begin(self, state):
         self.comp = {}
-        self._next = number_pieces(state.diagram.link, state.diagram.arcs,
+        self._next = number_pieces(state.diagram.link, _arcs(state.root),
                                    self.comp, 0)
 
     def follow(self, state, ev, reroute):

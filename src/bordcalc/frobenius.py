@@ -906,9 +906,13 @@ def _once(seen, directive):
     seen.add(directive)
 
 
-#: the form of each directive with operands that must be there
-_OPERANDS = {"dim": "dim n", "mult": "mult i j -> k:q ...",
-             "star": "star i -> k:q ..."}
+#: the form of each directive
+_FORMS = {"dim": "dim n", "mult": "mult i j -> k:q ...",
+          "unit": "unit k:q ...", "lambda": "lambda k:q ...",
+          "e": "e i,j:q ...", "star": "star i -> k:q ..."}
+
+#: the longest numeral of an `.alg` file (3.11+ `int` reads up to 4300)
+MAX_DIGITS = 1000
 
 
 def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
@@ -944,6 +948,10 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
                 raise ValueError("dim must come first")
             if key in ("dim", "unit", "lambda", "e"):
                 _once(seen, key)
+            digits = max(map(len, re.findall("[0-9]+", line)), default=0)
+            if key in _FORMS and digits > MAX_DIGITS:
+                raise ValueError("expected %s, got a numeral of %d digits"
+                                 % (_FORMS[key], digits))
             if key == "dim":
                 dim = _integer(parts[1], "dim")
                 if dim < 1:
@@ -977,7 +985,7 @@ def parse_algebra_file(text: str, name: str = "algebra") -> FrobAlgebra:
                 raise ValueError("unknown directive %r" % key)
         except IndexError:
             raise AlgebraError("line %d: expected %s"
-                               % (lineno, _OPERANDS[key])) from None
+                               % (lineno, _FORMS[key])) from None
         except ValueError as exc:
             raise AlgebraError("line %d: %s" % (lineno, exc))
     if dim is None or unit is None:

@@ -152,6 +152,8 @@ class LinearDiagram:
 
 #: the most sheets, over all its regions, of a diagram `parse_diagram` reads
 MAX_SHEETS = 10000
+#: the longest numeral it reads (3.11+ `int` reads up to 4300 digits)
+MAX_DIGITS = 1000
 
 _LD_TOKENS = re.compile(r"\(([^)]*)\)|(\[[^\]]*\](?:\s*\[[^\]]*\])*)")
 
@@ -159,6 +161,8 @@ _LD_TOKENS = re.compile(r"\(([^)]*)\)|(\[[^\]]*\](?:\s*\[[^\]]*\])*)")
 def _integer(text, what):
     if not re.fullmatch(r"-?[0-9]+", text):
         raise LinearError("%s %r is not an integer" % (what, text))
+    if len(text) > MAX_DIGITS:
+        raise LinearError("%s of %d digits is too long" % (what, len(text)))
     return int(text)
 
 
@@ -233,14 +237,14 @@ def reconstruct_1manifold(d: LinearDiagram) -> dict:
         left, right = [None] * r.left_count, [None] * r.right_count
         for s in range(min(r.left_count, r.right_count)):
             a = diagram.new_arc()
-            left[s], right[s] = (a, 0), (a, 1)
+            left[s], right[s] = 2 * a, 2 * a + 1
         if r.event:
             a = diagram.new_arc()
-            (right if r.event == "cap" else left)[-2:] = (a, 0), (a, 1)
+            (right if r.event == "cap" else left)[-2:] = 2 * a, 2 * a + 1
         for s, end in enumerate(ends):
             diagram.join(end, left[sep(s)])
         ends = right
-    return census(diagram)
+    return census(diagram.link, range(diagram.new_arc(0)))  # every arc made
 
 
 # ---------------------------------------------------------------------------

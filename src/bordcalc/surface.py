@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import List, Optional
 
 from . import termcore as tc
-from ._diagram import MovieListener, number_pieces, run_movie
+from ._diagram import MovieListener, _arcs, number_pieces, run_movie
 
 
 class SurfaceError(Exception):
@@ -94,7 +94,7 @@ class _Builder(MovieListener):
         self.sheets = {}
 
     def begin(self, state):
-        self._open(state, dict.fromkeys(sorted(state.diagram.arcs)))
+        self._open(state, dict.fromkeys(sorted(_arcs(state.root))))
 
     def _open(self, state, produced):
         """Open a sheet over every arc of `produced`, which maps the arc to
@@ -108,7 +108,7 @@ class _Builder(MovieListener):
                 slot, pdir = rec
                 self.cx.glue(bot, slot, flip=(pdir == +1))
             self.sheets[aid] = (bot, [], [])
-            for end in ((aid, 0), (aid, 1)):
+            for end in (2 * aid, 2 * aid + 1):
                 segment[end] = self._segment(end)
         for end, seg in segment.items():
             partner = state.diagram.link.get(end)
@@ -119,11 +119,11 @@ class _Builder(MovieListener):
                 other = self._segment(partner)
             elif other < seg:
                 continue  # glued from the partner's side
-            self.cx.glue(seg, other, flip=(end[1] == partner[1]))
+            self.cx.glue(seg, other, flip=not (end ^ partner) & 1)
 
     def _segment(self, end):
         slot = self.cx.new_slot()
-        self.sheets[end[0]][1 + end[1]].append(slot)
+        self.sheets[end >> 1][1 + (end & 1)].append(slot)
         return slot
 
     def _close(self, aid):
@@ -206,13 +206,14 @@ class _InvariantsListener(MovieListener):
     form a union-find with a parity bit: ``up[a] = (parent, parity)`` for
     every arc that is not a root, the parity saying whether sheet a is
     flipped against its parent.  Each gluing joins two sheets with
-    `_Builder`'s ``flip`` as parity: ``e == f`` for a link (a, e) ~ (b, f);
-    in a cap, ``d == -1`` for an old arc traced in direction d and
-    ``d == +1`` for a new one; 0 for a tube.  A conflict marks its
-    component's root `twisted` (non-orientable).  Only the source's links
-    are joined: a new arc's links follow from its cap or its tube.
-    ``chi[root]`` counts the source slice (arcs less link pairs) and, per
-    cap, its disk less the runs of linked old arcs it consumes.
+    `_Builder`'s ``flip`` as parity: ``e == f`` for ends 2a+e ~ 2b+f; in
+    a cap, ``d == -1`` for an old arc traced in direction d and ``d ==
+    +1`` for a new one; 0 for a tube.  A conflict marks its component's
+    root `twisted` (non-orientable).  Only the source's links are joined:
+    a new arc's links follow from its cap or its tube.  ``chi[root]``
+    counts the source slice (arcs less link pairs) and, per cap, its disk
+    less the runs of linked old arcs it consumes; a cap's parities and
+    runs are read once per shape (`Shape.cap_plan`).
     """
 
     def __init__(self):
@@ -247,37 +248,27 @@ class _InvariantsListener(MovieListener):
         self.find, self.union = find, union
 
     def begin(self, state):
-        d, root = state.diagram, state.root
-        self.chi.update(dict.fromkeys(d.arcs, 1))
-        links = [(x, y) for x, y in d.link.items() if x < y]
-        for (a, e), (b, f) in links:
-            self.chi[self.union(a, b, e == f)] -= 1
-        self.source = (dict(d.link), sum(root.ports(), []))
+        link, root = state.diagram.link, state.root
+        self.chi.update(dict.fromkeys(_arcs(root), 1))
+        for x, y in [(x, y) for x, y in link.items() if x < y]:
+            self.chi[self.union(x >> 1, y >> 1, not (x ^ y) & 1)] -= 1
+        self.source = (dict(link), sum(root.ports(), []))
 
     def event(self, state, ev):
         up, chi, old, base = self.up, self.chi, ev.old_arcs, ev.base
-        carried, caps = ev.shape.pieces
-        for b, a in carried.items():
+        for b, a in ev.shape.pieces[0].items():
             up[base + b] = (old[a], 0)
-        for cycle in caps:
-            side0, a0, d0 = cycle[0]
-            if side0 == "old":
-                a0, p0 = old[a0], d0 == -1
+        for birth, a0, euler, olds, news in ev.shape.cap_plan:
+            if birth:  # the cycle holds new arcs only
+                r0, q0 = base + a0, 0
+            else:
+                a0 = old[a0]
                 r0, q0 = self.find(a0)
-            else:  # a birth: the cycle holds new arcs only
-                a0, p0 = base + a0, d0 == +1
-                r0, q0, chi[a0] = a0, 0, 0
-            disk = q0 ^ p0  # the disk's orientation against r0's
-            euler, prev = 1, cycle[-1][0]
-            for side, arc, direction in cycle:
-                if side == "old":
-                    euler -= prev != "old"
-                    if old[arc] != a0:
-                        self.union(old[arc], a0, (direction == -1) ^ p0)
-                elif base + arc != a0:
-                    up[base + arc] = (r0, disk ^ (direction == +1))
-                prev = side
-            chi[r0] += euler
+                for a, odd in olds:
+                    self.union(old[a], a0, odd)
+            for b, odd in news:
+                up[base + b] = (r0, q0 ^ odd)
+            chi[r0] = chi.get(r0, 0) + euler
 
     def finish(self, state):
         """The boundary: the source slice, the target slice and each root
@@ -286,13 +277,14 @@ class _InvariantsListener(MovieListener):
         no event touches is in both), every end linked.  Each piece is
         one circle, counted for the root of its sheets."""
         source, ports = self.source
-        link = {(2 * a + t, e): (2 * b + t, f)
+        at = lambda x, t: 4 * (x >> 1) + 2 * t + (x & 1)  # end x at node 2a+t
+        link = {at(x, t): at(y, t)
                 for t, slice_link in ((0, source), (1, state.diagram.link))
-                for (a, e), (b, f) in slice_link.items()}
-        for (a, e), (b, f) in zip(ports, sum(state.root.ports(), [])):
-            link[2 * a, e], link[2 * b + 1, f] = (2 * b + 1, f), (2 * a, e)
+                for x, y in slice_link.items()}
+        for x, y in zip(ports, sum(state.root.ports(), [])):
+            link[at(x, 0)], link[at(y, 1)] = at(y, 1), at(x, 0)
         piece = {}
-        number_pieces(link, [x for x, _ in link], piece, 0)
+        number_pieces(link, [x >> 1 for x in link], piece, 0)
         circles = dict.fromkeys(self.chi, 0)
         for node in dict(zip(piece.values(), piece)).values():  # one each
             circles[self.find(node // 2)[0]] += 1

@@ -8,9 +8,10 @@ lists, and `_ports` derives a composite's from its children's.  Its
 diagram with its own `build_live`, reads the event's own links back off
 that diagram, walks both subtrees for the strand map and rebuilds the
 ports and term of every ancestor of the node it replaced.  It shares
-only the arc diagram, the 1-leaf wiring (`_diagram.leaf_arc_spec`) and
-the component walk with `_diagram`, and its `apply_event` takes a live
-child path, not a tape path.  `WalkingFollow.follow` transfers the
+only the arc diagram (its int ends ``2 * arc + side``), the 1-leaf
+wiring (`_diagram.leaf_arc_spec`) and the component walk with `_diagram`,
+and its `apply_event` takes a live child path, not a tape path; the live
+arcs are read off its root's leaves.  `WalkingFollow.follow` transfers the
 component ids of a rerouting event by `pairing`, which pairs the pieces
 of the event's own arcs through its boundary points and strands, and
 `Event.pieces` traces the boundary cycles of the whole event in its
@@ -74,7 +75,7 @@ def build_live(term, diagram, data):
     for p0, p1 in arcspec:
         aid = diagram.new_arc()
         ids.append(aid)
-        for end, (side, idx) in (((aid, 0), p0), ((aid, 1), p1)):
+        for end, (side, idx) in ((2 * aid, p0), (2 * aid + 1, p1)):
             (src if side == "s" else tgt)[idx] = end
     return LiveNode(term, [], src, tgt, ids)
 
@@ -113,7 +114,15 @@ class Event:
 
 def _own_links(link, arcs):
     """{end: partner} of the links at the ends of `arcs`."""
-    return {e: link[e] for a in arcs for e in ((a, 0), (a, 1)) if e in link}
+    return {e: link[e] for a in arcs for e in (2 * a, 2 * a + 1) if e in link}
+
+
+def _unjoin(link, end):
+    """Unlink `end` and its partner, if any; returns the partner."""
+    other = link.pop(end, None)
+    if other is not None:
+        link.pop(other, None)
+    return other
 
 
 class MovieState:
@@ -133,12 +142,11 @@ class MovieState:
         old_arcs = _arcs(node)
         old_ports = node.src_ports + node.tgt_ports
         # detach boundary of the old subtree; the links left are its own
-        outer = [diagram.unjoin(e) for e in old_ports]
+        outer = [_unjoin(diagram.link, e) for e in old_ports]
         old_links = _own_links(diagram.link, old_arcs)
         for aid in old_arcs:
-            for e in ((aid, 0), (aid, 1)):
-                diagram.unjoin(e)
-            diagram.arcs.remove(aid)
+            for e in (2 * aid, 2 * aid + 1):
+                _unjoin(diagram.link, e)
         new_node = build_live(target, diagram, self.data)
         if (len(new_node.src_ports) != len(node.src_ports)
                 or len(new_node.tgt_ports) != len(node.tgt_ports)):
@@ -173,8 +181,8 @@ def pairing(ev):
     pieces = (number_pieces(ev.old_links, ev.old_arcs, was, 0),
               number_pieces(ev.new_links, ev.new_arcs, now, 0))
     pairs = {(was[a], now[b]) for a, b in ev.strands.items()}
-    pairs.update((was[a], now[b]) for (a, _), (b, _)
-                 in zip(ev.old_ports, ev.new_ports))
+    pairs.update((was[x >> 1], now[y >> 1])
+                 for x, y in zip(ev.old_ports, ev.new_ports))
     to = dict(pairs)
     if not (len(pairs) == len(to) == pieces[0]
             == len(set(to.values())) == pieces[1]):
@@ -209,15 +217,15 @@ def _pieces(ev):
                      dict(zip(ev.new_ports, ev.old_ports)))}
 
     def advance(side, arc, direction):
-        exit_end = (arc, 1 if direction == +1 else 0)
+        exit_end = 2 * arc + (1 if direction == +1 else 0)
         links, other, across = steps[side]
         if exit_end in links:
-            narc, nend = links[exit_end]
+            nx = links[exit_end]
         elif exit_end in across:
-            side, (narc, nend) = other, across[exit_end]
+            side, nx = other, across[exit_end]
         else:
             raise DiagramError("event trace fell off the boundary")
-        return (side, narc, +1 if nend == 0 else -1)
+        return (side, nx >> 1, +1 if nx & 1 == 0 else -1)
 
     traced = {}
     cycles = []

@@ -464,7 +464,10 @@ def test_non_utf8_file_is_one_line(tmp_path, capsys, command):
 @pytest.mark.parametrize("text", [
     "(x)", "(2 cap) [12]x(2)", "(2) [1 2", "(3) [1,x] (3)", "(3)[1²](3)",
     "(2 cap cup)", "(3) [12][12] (3)", "(3) [1 1] (3)", "(3) () (3)",
-    "(1000000) [] (1000000)"])
+    "(1000000) [] (1000000)",
+    # past the digits int reads on 3.11+, refused before int is called
+    pytest.param("(%s)" % ("9" * 5000), id="(5000 nines)"),
+    pytest.param("(3) [1 %s] (3)" % ("0" * 1001), id="(3) [1 1001 zeros] (3)")])
 def test_linear_malformed_diagram_is_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.ld"
     path.write_text(text, encoding="utf-8")

@@ -147,17 +147,17 @@ class _CheckedIds(ComponentListener):
         self._check(state)
 
     def _check(self, state):
-        link, seen = state.diagram.link, {}
-        for start in state.diagram.arcs:
+        link, live, seen = state.diagram.link, _diagram._arcs(state.root), {}
+        for start in live:
             stack = [start]
             while stack:
                 a = stack.pop()
                 if a not in seen:
                     seen[a] = start
-                    stack += [link[e][0] for e in ((a, 0), (a, 1))
+                    stack += [link[e] >> 1 for e in (2 * a, 2 * a + 1)
                               if e in link]
         assert _blocks(self.comp) == _blocks(seen)
-        count = census(state.diagram)
+        count = census(link, live)
         assert count["circles"] + count["intervals"] \
             == len(set(self.comp.values()))
         src, tgt = state.root.ports()
@@ -191,7 +191,7 @@ class _Rerouted(ComponentListener):
 
     def _at_ports(self, state):
         src, tgt = state.root.ports()
-        return [self.comp[a] for a, _ in src + tgt]
+        return [self.comp[x >> 1] for x in src + tgt]
 
 
 @pytest.mark.parametrize("cell", ["cusp_up", "sym_ev_in", "phi0[pt,pt]",
@@ -333,6 +333,38 @@ def test_each_distinct_leaf_is_compiled_once(make, monkeypatch):
     assert set(compiled.values()) == {1}
 
 
+def test_a_tape_of_n_entries_is_one_run_of_n_events(p, monkeypatch):
+    """Each read of a term's movie (its invariants, its complex, its
+    component program) calls `run_movie` once and `MovieState.apply_event`
+    once per tape entry: `bench/run.py` counts these calls as
+    `diagram.movie_runs` and `diagram.events`."""
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(MovieState, "apply_event",
+                        counted("events", MovieState.apply_event))
+    run = counted("runs", _diagram.run_movie)
+    for module in (_diagram, sf, fr):
+        monkeypatch.setattr(module, "run_movie", run)
+    terms = [build.random_term(p, seed, events=9) for seed in range(20)]
+    terms.append(st.genus(p, 3))
+    for term in terms:
+        one_run = Counter(runs=1, events=len(tc.validate(term, p.data).events))
+        calls.clear()
+        surface = sf.reconstruct(term, p)
+        for read in (lambda: surface.complex,
+                     lambda: fr._compile(tc.fresh(term), p)):
+            assert calls == one_run
+            calls.clear()
+            read()
+        assert calls == one_run
+
+
 # ---------------------------------------------------------------------------
 # the shape path against the reference path
 # ---------------------------------------------------------------------------
@@ -371,21 +403,27 @@ def _rename(ren, xs, ys):
     return len(xs) == len(ys)
 
 
+def _end(ren, x):
+    """Arc end `x` with its arc renamed by `ren` (None if unnamed)."""
+    a = ren.get(x >> 1)
+    return None if a is None else 2 * a + (x & 1)
+
+
 def _event_in(ev, ren):
     """The ports, links, strands and pieces of shape event `ev` in live
     arc ids renamed by `ren`, in the reference event's layout."""
     s = ev.shape
 
     def end(side, x):
-        a = ev.old_arcs[x[0]] if side == "old" else ev.base + x[0]
-        return (ren[a], x[1])
+        a = ev.old_arcs[x >> 1] if side == "old" else ev.base + (x >> 1)
+        return 2 * ren[a] + (x & 1)
 
     carried, caps = ev.pieces()
     return ([end("old", x) for x in s.old_ports],
             [end("new", x) for x in s.new_ports],
             {end("old", x): end("old", y) for x, y in s.old_links.items()},
             {end("new", x): end("new", y) for x, y in s.new_links.items()},
-            {end("old", (a, 0))[0]: end("new", (b, 0))[0]
+            {ren[ev.old_arcs[a]]: ren[ev.base + b]
              for a, b in s.strands.items()},
             ({ren[b]: ren[a] for b, a in carried.items()},
              [[(side, ren[a], d) for side, a, d in c] for c in caps]))
@@ -410,8 +448,18 @@ def _frame(new, ref, ren):
     read are the ones `ref` stores, its arcs renamed by `ren`."""
     src, tgt = new.root.ports()
     return (new.root.sentence() == ref.root.term
-            and [(ren.get(a), e) for a, e in src] == ref.root.src_ports
-            and [(ren.get(a), e) for a, e in tgt] == ref.root.tgt_ports)
+            and [_end(ren, x) for x in src] == ref.root.src_ports
+            and [_end(ren, x) for x in tgt] == ref.root.tgt_ports)
+
+
+def _same_diagram(new, ref, ren):
+    """Whether the live arcs, read off the root's leaves, and the link
+    map of `new` are those of `ref`, `new`'s arcs renamed by `ren`."""
+    live = _diagram._arcs(new.root)
+    return (all(a in ren for a in live)
+            and sorted(ren[a] for a in live) == sorted(rd._arcs(ref.root))
+            and {_end(ren, x): _end(ren, y) for x, y
+                 in new.diagram.link.items()} == ref.diagram.link)
 
 
 def _lockstep(report, p, asg):
@@ -435,7 +483,8 @@ def _lockstep(report, p, asg):
     if not (_rename(arcs, live, rd._arcs(ref.root))
             and _rename(cids, [ids.comp[a] for a in live],
                         [ref_ids.comp[arcs[0][a]] for a in live])
-            and _frame(new, ref, arcs[0])):
+            and _frame(new, ref, arcs[0])
+            and _same_diagram(new, ref, arcs[0])):
         bad.append("source slice")
     for i, (path, cell, source, target) in enumerate(report.events):
         ev = new.apply_event(path, cell, source, target)
@@ -462,14 +511,11 @@ def _lockstep(report, p, asg):
             bad.append("event %d: program op" % i)
         if not _frame(new, ref, arcs[0]):
             bad.append("event %d: live sentence or root ports" % i)
+        if not _same_diagram(new, ref, arcs[0]):
+            bad.append("event %d: live arcs or links" % i)
     for state, *listeners in plays:
         for listener in listeners:
             listener.finish(state)
-    ren = arcs[0]
-    if ({ren[a] for a in new.diagram.arcs} != ref.diagram.arcs
-            or {(ren[a], e): (ren[b], f) for (a, e), (b, f)
-                in new.diagram.link.items()} != ref.diagram.link):
-        bad.append("live diagram")
     if not new.root.sentence() == ref.root.term == report.boundary[1]:
         bad.append("live sentence")
     if inv.result != ref_inv.result:
@@ -486,9 +532,9 @@ def test_shapes_play_every_movie_as_the_reference_does(p):
     the same arcs up to renaming, ports, links, strands, pieces, transfer
     (against the reference's port-and-strand pairing), component ids and
     program ops (key, consumed and kept slot positions), after every
-    event the same live sentence and root ports, and at the end the same
-    live diagram, invariants, program (with its target order) and M2Q
-    values of both programs."""
+    event the same live sentence, root ports, live arcs (read off the
+    root) and link map, and at the end the same invariants, program (with
+    its target order) and M2Q values of both programs."""
     asg = fr.standard_assignment(fr.algebra_m2q(), p)
     terms = _oracle_corpus(p)
     failures = [(str(t), bad) for t in terms

@@ -902,10 +902,32 @@ def test_algebra_file_errors():
         ("dim 2\nstar 1", "line 2: expected star i -> k:q ..."),
         ("dim", "line 1: expected dim n"),
         ("dim 2\ne 1:1", "line 2: expected i,j:q, got '1:1'"),
+        # a numeral past MAX_DIGITS is refused before int or Fraction
+        # reads it, on every Python alike
+        ("dim %s\nunit 1:1" % ("9" * 5000),
+         "line 1: expected dim n, got a numeral of 5000 digits"),
+        ("dim 2\nunit 1:%s" % ("9" * 5000),
+         "line 2: expected unit k:q ..., got a numeral of 5000 digits"),
+        ("dim 2\nunit 1:1\nlambda 1:1/%s" % ("7" * 1001),
+         "line 3: expected lambda k:q ..., got a numeral of 1001 digits"),
+        ("dim 2\nmult 1 %s -> 1:1" % ("0" * 1001),
+         "line 2: expected mult i j -> k:q ..., got a numeral of 1001 "
+         "digits"),
+        ("dim 2\nunit 1:1\ne 1,1:%s" % ("9" * 5000),
+         "line 3: expected e i,j:q ..., got a numeral of 5000 digits"),
+        ("dim 2\nunit 1:1\nstar %s -> 1:1" % ("9" * 5000),
+         "line 3: expected star i -> k:q ..., got a numeral of 5000 digits"),
     ]:
         with pytest.raises(fr.AlgebraError) as exc:
             fr.parse_algebra_file(text)
         assert str(exc.value) == message
+
+
+def test_algebra_file_reads_numerals_of_max_digits():
+    numeral = "2".rjust(fr.MAX_DIGITS, "0")
+    A = fr.parse_algebra_file("dim %s\nmult 1 1 -> 1:1\nmult 2 2 -> 2:1\n"
+                              "unit 1:1 2:1\nlambda 1:1/%s" % (numeral, numeral))
+    assert A.dim == 2 and A.lam == {0: Q(1, 2)}
 
 
 #: a large `dim` whose tables the file does not fill

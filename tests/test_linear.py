@@ -58,6 +58,11 @@ def test_parse_rejects_mismatched_counts():
     # sheets are counted over all regions, negative ones too
     ("(5000) [] (5001)", "more than 10000 sheets"),
     ("(-6000) [] (6000)", "more than 10000 sheets"),
+    # numerals are refused past MAX_DIGITS, before int reads them
+    pytest.param("(%s)" % ("9" * 5000), "sheet count of 5000 digits is too "
+                 "long", id="5000-digit sheet count"),
+    pytest.param("(3) [1 %s] (3)" % ("0" * 1001), "cycle entry of 1001 "
+                 "digits is too long", id="1001-digit cycle entry"),
 ])
 def test_parse_rejects_malformed_text(text, message):
     with pytest.raises(ln.LinearError) as err:
@@ -68,6 +73,12 @@ def test_parse_rejects_malformed_text(text, message):
 def test_parse_accepts_max_sheets():
     d = ln.parse_diagram("(5000) [] (5000)")
     assert sum(r.count for r in d.regions) == ln.MAX_SHEETS
+
+
+def test_parse_accepts_max_digits():
+    numeral = "3".rjust(ln.MAX_DIGITS, "0")
+    assert ln.parse_diagram("(%s) [1 %s] (%s)" % (numeral, numeral, numeral)) \
+        == ln.parse_diagram("(3) [1 3] (3)")
 
 
 def test_parse_accepts_spaced_and_comma_cycles():
